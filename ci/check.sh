@@ -31,6 +31,9 @@
 #  11. serve gate: diva_loadgen (steady + overload replay against an
 #      in-process server) vs bench/baselines/BENCH_serve.json — the
 #      crash-tolerance invariants gate, latency keys stay informational
+#  12. diva_bench selftest: the end-to-end benchmark builds from source
+#      and runs every workload at its tiny size, traced and untraced;
+#      its result format must match BENCHMARK.json
 #
 # Usage: ci/check.sh [--skip-sanitizers] [--threads N]
 #
@@ -170,6 +173,9 @@ DIVA_THREADS=8 \
 python3 tools/bench_diff.py --tolerance 0 \
   /tmp/BENCH_serve_t1.$$.json /tmp/BENCH_serve_t8.$$.json
 rm -f /tmp/BENCH_serve_t1.$$.json /tmp/BENCH_serve_t8.$$.json
+
+step "diva_bench selftest: every workload at --tiny size"
+python3 diva_bench/selftest.py
 
 step "lint: tools/lint_status.py src examples bench tests"
 python3 tools/lint_status.py src examples bench tests

@@ -1,6 +1,6 @@
 #include "anon/distance.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/logging.h"
 
@@ -8,18 +8,21 @@ namespace diva {
 
 DistanceMetric::DistanceMetric(const Relation& relation)
     : relation_(&relation),
-      numeric_(relation.NumAttributes(), false),
+      value_offset_(relation.NumAttributes(), kNotNumeric),
+      range_(relation.NumAttributes(), 0.0),
       inv_range_(relation.NumAttributes(), 0.0) {
   for (size_t col : relation.schema().qi_indices()) {
     const Attribute& attr = relation.schema().attribute(col);
     if (attr.kind != AttributeKind::kNumeric) continue;
     const Dictionary& dict = relation.dictionary(col);
     if (!dict.AllNumeric()) continue;
+    value_offset_[col] = values_.size();
     double lo = 0.0;
     double hi = 0.0;
     bool first = true;
     for (size_t code = 0; code < dict.size(); ++code) {
       double v = *dict.NumericValueOf(static_cast<ValueCode>(code));
+      values_.push_back(v);
       if (first) {
         lo = hi = v;
         first = false;
@@ -28,31 +31,17 @@ DistanceMetric::DistanceMetric(const Relation& relation)
         hi = std::max(hi, v);
       }
     }
-    numeric_[col] = true;
-    inv_range_[col] = (hi > lo) ? 1.0 / (hi - lo) : 0.0;
+    if (hi > lo) {
+      range_[col] = hi - lo;
+      inv_range_[col] = 1.0 / (hi - lo);
+    }
   }
 }
 
 double DistanceMetric::Distance(RowId a, RowId b) const {
   double total = 0.0;
   for (size_t col : relation_->schema().qi_indices()) {
-    ValueCode ca = relation_->At(a, col);
-    ValueCode cb = relation_->At(b, col);
-    if (ca == cb) {
-      if (ca == kSuppressed) total += 1.0;  // two stars are incomparable
-      continue;
-    }
-    if (ca == kSuppressed || cb == kSuppressed) {
-      total += 1.0;
-      continue;
-    }
-    if (numeric_[col]) {
-      double va = *relation_->dictionary(col).NumericValueOf(ca);
-      double vb = *relation_->dictionary(col).NumericValueOf(cb);
-      total += std::fabs(va - vb) * inv_range_[col];
-    } else {
-      total += 1.0;
-    }
+    total += Term(col, relation_->At(a, col), relation_->At(b, col));
   }
   return total;
 }
@@ -77,12 +66,12 @@ void ClusterCostTracker::Reset(RowId seed) {
 size_t ClusterCostTracker::CostIncrease(RowId candidate) const {
   DIVA_DCHECK(size_ > 0);
   const auto& qi = relation_->schema().qi_indices();
-  size_t new_divergent = divergent_;
+  size_t d = 0;
   for (size_t i = 0; i < qi.size(); ++i) {
     if (common_[i] == kSuppressed) continue;  // already diverged
-    if (relation_->At(candidate, qi[i]) != common_[i]) ++new_divergent;
+    if (relation_->At(candidate, qi[i]) != common_[i]) ++d;
   }
-  return (size_ + 1) * new_divergent - size_ * divergent_;
+  return CostIncreaseForDivergence(d);
 }
 
 void ClusterCostTracker::Add(RowId candidate) {

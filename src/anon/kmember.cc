@@ -1,59 +1,117 @@
 #include "anon/kmember.h"
 
+#include <algorithm>
 #include <limits>
 
-#include "anon/distance.h"
 #include "common/counters.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/trace.h"
 
 namespace diva {
 
+KMemberPool::KMemberPool(const Relation& relation,
+                         const DistanceMetric& metric,
+                         std::span<const RowId> rows)
+    : metric_(&metric),
+      qi_(relation.schema().qi_indices()),
+      rows_(rows.begin(), rows.end()) {
+  codes_.reserve(rows_.size() * qi_.size());
+  for (RowId row : rows_) {
+    for (size_t col : qi_) codes_.push_back(relation.At(row, col));
+  }
+  size_t table_size = 0;
+  for (size_t col : qi_) {
+    domain_.push_back(static_cast<ValueCode>(relation.dictionary(col).size()));
+    table_size += static_cast<size_t>(domain_.back()) + 1;
+  }
+  term_table_.resize(table_size);
+  double* slice = term_table_.data();
+  for (ValueCode domain : domain_) {
+    anchor_terms_.push_back(slice + 1);  // slot 0 is kSuppressed's term
+    slice += static_cast<size_t>(domain) + 1;
+  }
+}
+
+RowId KMemberPool::TakeAt(size_t i) {
+  // Always-on: an out-of-range take would read and swap stale memory in
+  // release builds.
+  DIVA_CHECK_MSG(i < rows_.size(), "KMemberPool::TakeAt index out of range");
+  RowId row = rows_[i];
+  size_t last = rows_.size() - 1;
+  rows_[i] = rows_[last];
+  rows_.pop_back();
+  size_t width = qi_.size();
+  std::copy_n(codes_.begin() + last * width, width,
+              codes_.begin() + i * width);
+  codes_.resize(last * width);
+  return row;
+}
+
+void KMemberPool::SetAnchor(std::span<const ValueCode> anchor) {
+  for (size_t j = 0; j < qi_.size(); ++j) {
+    for (ValueCode code = kSuppressed; code < domain_[j]; ++code) {
+      anchor_terms_[j][code] = metric_->Term(qi_[j], anchor[j], code);
+    }
+  }
+}
+
 namespace {
 
-/// Below this many candidates a greedy scan runs sequentially: the
-/// fork-join handshake would cost more than the distance evaluations.
-/// Purely a scheduling choice — both paths compute the identical argmin /
-/// argmax, so results do not depend on which one runs.
-constexpr size_t kMinParallelScan = 512;
-
-/// Pool of not-yet-clustered rows with O(1) removal (swap with back).
-class RowPool {
- public:
-  explicit RowPool(std::span<const RowId> rows)
-      : rows_(rows.begin(), rows.end()) {}
-
-  size_t size() const { return rows_.size(); }
-  bool empty() const { return rows_.empty(); }
-  RowId at(size_t i) const { return rows_[i]; }
-
-  RowId TakeAt(size_t i) {
-    // Always-on: an out-of-range take would read and swap stale memory in
-    // release builds.
-    DIVA_CHECK_MSG(i < rows_.size(), "RowPool::TakeAt index out of range");
-    RowId row = rows_[i];
-    rows_[i] = rows_.back();
-    rows_.pop_back();
-    return row;
-  }
-
- private:
-  std::vector<RowId> rows_;
-};
-
-/// Indices to scan in the pool for a greedy step: all of them in exact
+/// Number of pool indices a greedy step scans: all of them in exact
 /// mode, or `sample_size` random ones.
-size_t ScanCount(const RowPool& pool, size_t sample_size) {
+size_t ScanCount(const KMemberPool& pool, size_t sample_size) {
   if (sample_size == 0 || pool.size() <= sample_size) return pool.size();
   return sample_size;
 }
 
-size_t PickIndex(const RowPool& pool, size_t scan, size_t step, Rng* rng) {
+size_t PickIndex(const KMemberPool& pool, size_t scan, size_t step,
+                 Rng* rng) {
   if (scan == pool.size()) return step;  // exact scan
   return static_cast<size_t>(rng->NextBounded(pool.size()));
+}
+
+/// Seed step: the first scanned index furthest from the pool's anchor.
+size_t FurthestIndex(const KMemberPool& pool, size_t sample_size, Rng* rng) {
+  size_t scan = ScanCount(pool, sample_size);
+  double best_distance = -1.0;
+  size_t best_index = 0;
+  for (size_t s = 0; s < scan; ++s) {
+    size_t i = PickIndex(pool, scan, s, rng);
+    double d = pool.DistanceToAnchor(i);
+    if (d > best_distance) {
+      best_distance = d;
+      best_index = i;
+    }
+  }
+  return best_index;
+}
+
+/// Grow step: the first scanned index with the least divergence from the
+/// cluster's live columns, i.e. the least ★ increase.
+size_t CheapestIndex(const KMemberPool& pool,
+                     const ClusterCostTracker& tracker, size_t sample_size,
+                     Rng* rng) {
+  std::span<const ValueCode> common = tracker.common();
+  std::vector<size_t> live;
+  for (size_t j = 0; j < common.size(); ++j) {
+    if (common[j] != kSuppressed) live.push_back(j);
+  }
+  size_t scan = ScanCount(pool, sample_size);
+  bool exact = scan == pool.size();
+  size_t best_divergence = std::numeric_limits<size_t>::max();
+  size_t best_index = 0;
+  for (size_t s = 0; s < scan; ++s) {
+    size_t i = PickIndex(pool, scan, s, rng);
+    size_t d = pool.Divergence(common, live, i);
+    if (d < best_divergence) {
+      best_divergence = d;
+      best_index = i;
+      if (exact && d == 0) break;  // nothing later is strictly cheaper
+    }
+  }
+  return best_index;
 }
 
 }  // namespace
@@ -73,13 +131,14 @@ Result<Clustering> KMemberAnonymizer::BuildClusters(
 
   DistanceMetric metric(relation);
   Rng rng(options_.seed);
-  RowPool pool(rows);
+  KMemberPool pool(relation, metric, rows);
   Clustering clusters;
   std::vector<ClusterCostTracker> trackers;
 
   // Seed anchor: a random record (the paper's k-member starts from a
   // randomly chosen record and then picks the furthest one each round).
-  RowId anchor = pool.at(static_cast<size_t>(rng.NextBounded(pool.size())));
+  pool.SetAnchor(
+      pool.codes(static_cast<size_t>(rng.NextBounded(pool.size()))));
 
   while (pool.size() >= k) {
     // One deadline poll per greedy cluster: a half-built clustering is
@@ -88,89 +147,17 @@ Result<Clustering> KMemberAnonymizer::BuildClusters(
     if (options_.cancel.Cancelled()) {
       return DeadlineExceededStatus("k-member clustering");
     }
-    // Furthest record from the previous anchor.
-    size_t scan = ScanCount(pool, options_.sample_size);
-    size_t best_index;
-    if (scan == pool.size() && scan >= kMinParallelScan) {
-      // Exact mode scans indices 0..scan-1 with no RNG draws, so the
-      // argmax parallelizes: chunk maxima found with the same strict >
-      // and merged in ascending chunk order reproduce the sequential
-      // first-maximum exactly, ties included.
-      struct Furthest {
-        double distance = -1.0;
-        size_t index = 0;
-      };
-      Furthest best = ParallelReduce<Furthest>(
-          scan, /*grain=*/0, Furthest{},
-          [&](size_t begin, size_t end) {
-            Furthest local;
-            for (size_t i = begin; i < end; ++i) {
-              double d = metric.Distance(anchor, pool.at(i));
-              if (d > local.distance) {
-                local.distance = d;
-                local.index = i;
-              }
-            }
-            return local;
-          },
-          [](Furthest a, Furthest b) { return b.distance > a.distance ? b : a; });
-      best_index = best.index;
-    } else {
-      double best_distance = -1.0;
-      best_index = 0;
-      for (size_t s = 0; s < scan; ++s) {
-        size_t i = PickIndex(pool, scan, s, &rng);
-        double d = metric.Distance(anchor, pool.at(i));
-        if (d > best_distance) {
-          best_distance = d;
-          best_index = i;
-        }
-      }
-    }
-    RowId seed = pool.TakeAt(best_index);
-    anchor = seed;
+    size_t seed_index = FurthestIndex(pool, options_.sample_size, &rng);
+    pool.SetAnchor(pool.codes(seed_index));  // the next seed's anchor
+    RowId seed = pool.TakeAt(seed_index);
 
     ClusterCostTracker tracker(relation);
     tracker.Reset(seed);
     Cluster cluster = {seed};
 
     while (cluster.size() < k) {
-      size_t grow_scan = ScanCount(pool, options_.sample_size);
-      size_t cheapest_index;
-      if (grow_scan == pool.size() && grow_scan >= kMinParallelScan) {
-        // Same deterministic chunked argmin as the seed scan above.
-        struct Cheapest {
-          size_t cost = std::numeric_limits<size_t>::max();
-          size_t index = 0;
-        };
-        Cheapest best = ParallelReduce<Cheapest>(
-            grow_scan, /*grain=*/0, Cheapest{},
-            [&](size_t begin, size_t end) {
-              Cheapest local;
-              for (size_t i = begin; i < end; ++i) {
-                size_t cost = tracker.CostIncrease(pool.at(i));
-                if (cost < local.cost) {
-                  local.cost = cost;
-                  local.index = i;
-                }
-              }
-              return local;
-            },
-            [](Cheapest a, Cheapest b) { return b.cost < a.cost ? b : a; });
-        cheapest_index = best.index;
-      } else {
-        size_t cheapest = std::numeric_limits<size_t>::max();
-        cheapest_index = 0;
-        for (size_t s = 0; s < grow_scan; ++s) {
-          size_t i = PickIndex(pool, grow_scan, s, &rng);
-          size_t cost = tracker.CostIncrease(pool.at(i));
-          if (cost < cheapest) {
-            cheapest = cost;
-            cheapest_index = i;
-          }
-        }
-      }
-      RowId added = pool.TakeAt(cheapest_index);
+      RowId added =
+          pool.TakeAt(CheapestIndex(pool, tracker, options_.sample_size, &rng));
       tracker.Add(added);
       cluster.push_back(added);
     }

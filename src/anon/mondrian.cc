@@ -21,9 +21,7 @@ double SortKey(const Relation& relation, const DistanceMetric& metric,
                RowId row, size_t col) {
   ValueCode code = relation.At(row, col);
   if (code == kSuppressed) return -1e300;
-  if (metric.IsNumericColumn(col)) {
-    return *relation.dictionary(col).NumericValueOf(code);
-  }
+  if (metric.IsNumericColumn(col)) return metric.NumericValue(col, code);
   return static_cast<double>(code);
 }
 
@@ -40,21 +38,8 @@ double Spread(const Relation& relation, const DistanceMetric& metric,
       lo = std::min(lo, v);
       hi = std::max(hi, v);
     }
-    const Dictionary& dict = relation.dictionary(col);
-    double dlo = 0.0;
-    double dhi = 0.0;
-    bool first = true;
-    for (size_t c = 0; c < dict.size(); ++c) {
-      double v = *dict.NumericValueOf(static_cast<ValueCode>(c));
-      if (first) {
-        dlo = dhi = v;
-        first = false;
-      } else {
-        dlo = std::min(dlo, v);
-        dhi = std::max(dhi, v);
-      }
-    }
-    return dhi > dlo ? (hi - lo) / (dhi - dlo) : 0.0;
+    double range = metric.Range(col);
+    return range > 0.0 ? (hi - lo) / range : 0.0;
   }
   std::unordered_set<ValueCode> distinct;
   for (RowId row : rows) distinct.insert(relation.At(row, col));

@@ -93,8 +93,7 @@ class Centroid {
  private:
   double NumericValue(size_t col, ValueCode code) const {
     if (code == kSuppressed) return 0.0;
-    auto v = relation_->dictionary(col).NumericValueOf(code);
-    return v.value_or(0.0);
+    return metric_->NumericValue(col, code);
   }
 
   double NormalizedGap(size_t col, double a, double b) const {

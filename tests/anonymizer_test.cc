@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numeric>
 
 #include "anon/anonymizer.h"
+#include "anon/distance.h"
+#include "anon/kmember.h"
 #include "anon/suppress.h"
+#include "common/parallel.h"
+#include "common/rng.h"
+#include "datagen/profiles.h"
 #include "datagen/synthetic.h"
 #include "relation/qi_groups.h"
 #include "tests/test_util.h"
@@ -15,9 +21,8 @@ using testing::MedicalRelation;
 
 enum class Algo { kKMember, kOka, kMondrian };
 
-std::unique_ptr<Anonymizer> MakeAlgo(Algo algo, uint64_t seed) {
-  AnonymizerOptions options;
-  options.seed = seed;
+std::unique_ptr<Anonymizer> MakeAlgo(Algo algo,
+                                     const AnonymizerOptions& options) {
   switch (algo) {
     case Algo::kKMember:
       return MakeKMember(options);
@@ -27,6 +32,12 @@ std::unique_ptr<Anonymizer> MakeAlgo(Algo algo, uint64_t seed) {
       return MakeMondrian(options);
   }
   return nullptr;
+}
+
+std::unique_ptr<Anonymizer> MakeAlgo(Algo algo, uint64_t seed) {
+  AnonymizerOptions options;
+  options.seed = seed;
+  return MakeAlgo(algo, options);
 }
 
 const char* AlgoName(Algo algo) {
@@ -246,6 +257,191 @@ TEST(MondrianTest, PartitionsAreContiguousInSortOrder) {
   for (size_t i = 1; i < extents.size(); ++i) {
     EXPECT_GT(extents[i].first, extents[i - 1].second);
   }
+}
+
+// ---------------------------------------------------------------------
+// Byte pins for the greedy k-member kernel and the other two baselines.
+// Each expected value is the FNV-1a hash of the cluster list (sizes and
+// row ids in output order), recorded with plain per-cell scans over the
+// relation and its dictionaries; the packed k-member kernel and the
+// metric's numeric table must reproduce them at every thread width.
+
+uint64_t HashClusters(const Clustering& clusters) {
+  uint64_t hash = 1469598103934665603ull;
+  auto mix = [&hash](uint64_t word) {
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  mix(clusters.size());
+  for (const Cluster& cluster : clusters) {
+    mix(cluster.size());
+    for (RowId row : cluster) mix(row);
+  }
+  return hash;
+}
+
+Relation PopSynFixture(size_t rows) {
+  ProfileOptions options;
+  options.num_rows = rows;
+  options.seed = 7;
+  auto relation = GenerateProfile(DatasetProfile::kPopSyn, options);
+  DIVA_CHECK(relation.ok());
+  return std::move(relation).value();
+}
+
+/// Categorical and numeric QIs with `*` input cells, plus a numeric QI
+/// whose every value is equal (a degenerate range: inverse range 0).
+Relation StarFixture() {
+  auto schema = Schema::Make({
+      {"A", AttributeRole::kQuasiIdentifier, AttributeKind::kCategorical},
+      {"N", AttributeRole::kQuasiIdentifier, AttributeKind::kNumeric},
+      {"B", AttributeRole::kQuasiIdentifier, AttributeKind::kCategorical},
+      {"M", AttributeRole::kQuasiIdentifier, AttributeKind::kNumeric},
+      {"S", AttributeRole::kSensitive, AttributeKind::kCategorical},
+  });
+  DIVA_CHECK(schema.ok());
+  Rng rng(2024);
+  auto maybe_star = [&rng](std::string value) {
+    return rng.NextBounded(8) == 0 ? std::string("*") : value;
+  };
+  std::vector<std::vector<std::string>> rows;
+  for (int i = 0; i < 240; ++i) {
+    rows.push_back(
+        {maybe_star("a" + std::to_string(rng.NextBounded(4))), "7",
+         maybe_star("b" + std::to_string(rng.NextBounded(6))),
+         maybe_star(std::to_string(20 + rng.NextBounded(41))),
+         "s" + std::to_string(rng.NextBounded(3))});
+  }
+  auto relation = RelationFromRows(*schema, rows);
+  DIVA_CHECK(relation.ok());
+  return std::move(relation).value();
+}
+
+std::vector<RowId> AllRows(const Relation& relation) {
+  std::vector<RowId> rows(relation.NumRows());
+  std::iota(rows.begin(), rows.end(), 0);
+  return rows;
+}
+
+/// Runs `algo` at thread widths 1, 2 and 8 and checks each clustering
+/// hashes to `expected`.
+void ExpectPinnedAtEveryWidth(Algo algo, const AnonymizerOptions& options,
+                              const Relation& relation, size_t k,
+                              uint64_t expected) {
+  size_t saved = ParallelThreads();
+  std::vector<RowId> rows = AllRows(relation);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    SetParallelThreads(threads);
+    auto clusters = MakeAlgo(algo, options)->BuildClusters(relation, rows, k);
+    ASSERT_TRUE(clusters.ok()) << clusters.status().ToString();
+    EXPECT_EQ(HashClusters(*clusters), expected)
+        << AlgoName(algo) << " k=" << k << " threads=" << threads;
+  }
+  SetParallelThreads(saved);
+}
+
+AnonymizerOptions SeededOptions(uint64_t seed, size_t sample_size = 0) {
+  AnonymizerOptions options;
+  options.seed = seed;
+  options.sample_size = sample_size;
+  return options;
+}
+
+TEST(KMemberKernelTest, PopSynExactPins) {
+  Relation relation = PopSynFixture(5000);
+  const std::pair<size_t, uint64_t> pins[] = {
+      {2, 0xc0e3c39538f0c13cull},
+      {5, 0x0b883fda9e534d6aull},
+      {10, 0x3f3570f3417e10b0ull},
+  };
+  for (const auto& [k, expected] : pins) {
+    ExpectPinnedAtEveryWidth(Algo::kKMember, SeededOptions(11), relation, k,
+                             expected);
+  }
+}
+
+TEST(KMemberKernelTest, StarCellsAndDegenerateRangePins) {
+  Relation relation = StarFixture();
+  ExpectPinnedAtEveryWidth(Algo::kKMember, SeededOptions(5), relation, 3,
+                           0xb9ac20406e26b183ull);
+}
+
+TEST(KMemberKernelTest, SampledModePins) {
+  Relation relation = PopSynFixture(5000);
+  ExpectPinnedAtEveryWidth(Algo::kKMember, SeededOptions(3, 64), relation,
+                           5, 0x8838bceecc338d56ull);
+}
+
+/// QI codes of `row`, in the pool's QI-position order.
+std::vector<ValueCode> QiCodes(const Relation& relation, RowId row) {
+  std::vector<ValueCode> codes;
+  for (size_t col : relation.schema().qi_indices()) {
+    codes.push_back(relation.At(row, col));
+  }
+  return codes;
+}
+
+// The kernel against DistanceMetric::Distance and
+// ClusterCostTracker::CostIncrease, on a pool that shrinks between
+// rounds: the packed codes must track every swap-remove, the distance
+// must be the metric's double bit-for-bit, and the live-column
+// divergence must give the tracker's exact ★ increase.
+TEST(KMemberKernelTest, KernelMatchesMetricAndTrackerBitForBit) {
+  for (const Relation& relation : {PopSynFixture(1500), StarFixture()}) {
+    DistanceMetric metric(relation);
+    std::vector<RowId> rows = AllRows(relation);
+    KMemberPool pool(relation, metric, rows);
+    Rng rng(99);
+    std::vector<size_t> live;
+    while (pool.size() > 8) {
+      RowId anchor =
+          static_cast<RowId>(rng.NextBounded(relation.NumRows()));
+      pool.SetAnchor(QiCodes(relation, anchor));
+
+      ClusterCostTracker tracker(relation);
+      tracker.Reset(static_cast<RowId>(rng.NextBounded(relation.NumRows())));
+      for (uint64_t n = rng.NextBounded(6); n > 0; --n) {
+        tracker.Add(static_cast<RowId>(rng.NextBounded(relation.NumRows())));
+      }
+      live.clear();
+      for (size_t j = 0; j < tracker.common().size(); ++j) {
+        if (tracker.common()[j] != kSuppressed) live.push_back(j);
+      }
+
+      for (size_t i = 0; i < pool.size(); ++i) {
+        RowId row = pool.row(i);
+        std::vector<ValueCode> expected_codes = QiCodes(relation, row);
+        ASSERT_TRUE(std::equal(expected_codes.begin(), expected_codes.end(),
+                               pool.codes(i).begin(), pool.codes(i).end()))
+            << "pool entry " << i;
+        EXPECT_EQ(std::bit_cast<uint64_t>(pool.DistanceToAnchor(i)),
+                  std::bit_cast<uint64_t>(metric.Distance(anchor, row)))
+            << "anchor " << anchor << " row " << row;
+        EXPECT_EQ(tracker.CostIncreaseForDivergence(
+                      pool.Divergence(tracker.common(), live, i)),
+                  tracker.CostIncrease(row))
+            << "row " << row;
+      }
+      for (int taken = 0; taken < 7; ++taken) {
+        pool.TakeAt(static_cast<size_t>(rng.NextBounded(pool.size())));
+      }
+    }
+  }
+}
+
+TEST(NumericTableTest, OkaAndMondrianPins) {
+  Relation popsyn = PopSynFixture(2000);
+  Relation stars = StarFixture();
+  ExpectPinnedAtEveryWidth(Algo::kOka, SeededOptions(9), popsyn, 5,
+                           0xe8a51548496d15a4ull);
+  ExpectPinnedAtEveryWidth(Algo::kOka, SeededOptions(9), stars, 3,
+                           0x1acced50c8758a43ull);
+  ExpectPinnedAtEveryWidth(Algo::kMondrian, {}, popsyn, 5,
+                           0x1030a6202e3d2447ull);
+  ExpectPinnedAtEveryWidth(Algo::kMondrian, {}, stars, 3,
+                           0xe32abefbcc4a6eecull);
 }
 
 }  // namespace

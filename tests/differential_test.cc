@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -75,61 +76,89 @@ std::vector<counters::Sample> MovedDeterministic(
 constexpr uint64_t kFirstSeed = 1;
 constexpr uint64_t kLastSeed = 25;  // exclusive
 
-/// Runs DIVA and all three baselines on the seeded instance. Returns
-/// false when the instance is not comparable: k larger than the
-/// relation, no constraints, an incomplete clustering, or some
-/// algorithm's output violating Sigma (a baseline that broke a
-/// constraint "saved" stars by not doing the work).
-bool CompareSuppression(
-    uint64_t seed, size_t* diva_stars,
-    std::vector<std::pair<BaselineAlgorithm, size_t>>* baseline_stars) {
+/// Star counts of one seed's comparison, or why the seed is not
+/// comparable.
+struct Comparison {
+  std::string skip_reason;  // empty when the seed is comparable
+  size_t diva_stars = 0;
+  std::vector<std::pair<BaselineAlgorithm, size_t>> baseline_stars;
+};
+
+/// Runs DIVA and all three baselines on the seeded instance. The seed is
+/// not comparable when k exceeds the relation, Sigma is empty, DIVA did
+/// not complete, or some algorithm's output violates Sigma (a baseline
+/// that broke a constraint "saved" stars by not doing the work).
+Comparison CompareSuppression(uint64_t seed) {
+  Comparison comparison;
   FuzzWorkload workload = MakeWorkload(seed);
-  if (workload.relation.NumRows() < workload.k) return false;
-  if (workload.constraints.empty()) return false;
+  if (workload.relation.NumRows() < workload.k) {
+    comparison.skip_reason = "k exceeds the relation's rows";
+    return comparison;
+  }
+  if (workload.constraints.empty()) {
+    comparison.skip_reason = "no constraints were generated";
+    return comparison;
+  }
 
   DivaOptions options;
   options.k = workload.k;
   options.seed = seed;
   auto diva_result =
       RunDiva(workload.relation, workload.constraints, options);
-  if (!diva_result.ok()) return false;
-  if (!diva_result->report.clustering_complete) return false;
-  if (!SatisfiesAll(diva_result->relation, workload.constraints)) {
-    return false;
+  if (!diva_result.ok()) {
+    comparison.skip_reason =
+        "DIVA did not complete: " + diva_result.status().ToString();
+    return comparison;
   }
-  *diva_stars = CountStars(workload.relation, diva_result->relation);
+  if (!diva_result->report.clustering_complete) {
+    comparison.skip_reason = "DIVA did not complete its diverse clustering";
+    return comparison;
+  }
+  if (!SatisfiesAll(diva_result->relation, workload.constraints)) {
+    comparison.skip_reason = "DIVA's output violates Sigma";
+    return comparison;
+  }
+  comparison.diva_stars =
+      CountStars(workload.relation, diva_result->relation);
 
-  baseline_stars->clear();
   for (BaselineAlgorithm algorithm :
        {BaselineAlgorithm::kKMember, BaselineAlgorithm::kOka,
         BaselineAlgorithm::kMondrian}) {
+    std::string name = BaselineAlgorithmToString(algorithm);
     DivaOptions factory;
     factory.baseline = algorithm;
     factory.anonymizer.seed = seed;
     auto anonymizer = MakeBaselineAnonymizer(factory);
     auto baseline =
         Anonymize(anonymizer.get(), workload.relation, workload.k);
-    if (!baseline.ok()) return false;
-    if (!SatisfiesAll(*baseline, workload.constraints)) return false;
-    baseline_stars->emplace_back(algorithm,
-                                 CountStars(workload.relation, *baseline));
+    if (!baseline.ok()) {
+      comparison.skip_reason =
+          name + " failed: " + baseline.status().ToString();
+      return comparison;
+    }
+    if (!SatisfiesAll(*baseline, workload.constraints)) {
+      comparison.skip_reason = name + "'s output violates Sigma";
+      return comparison;
+    }
+    comparison.baseline_stars.emplace_back(
+        algorithm, CountStars(workload.relation, *baseline));
   }
-  return true;
+  return comparison;
 }
 
 class DifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DifferentialTest, DivaSuppressionCompetitivePerInstance) {
-  size_t diva_stars = 0;
-  std::vector<std::pair<BaselineAlgorithm, size_t>> baseline_stars;
-  if (!CompareSuppression(GetParam(), &diva_stars, &baseline_stars)) {
-    GTEST_SKIP();
+  Comparison comparison = CompareSuppression(GetParam());
+  if (!comparison.skip_reason.empty()) {
+    GTEST_SKIP() << "seed " << GetParam()
+                 << " not comparable: " << comparison.skip_reason;
   }
-  for (const auto& [algorithm, stars] : baseline_stars) {
+  for (const auto& [algorithm, stars] : comparison.baseline_stars) {
     // Bounded regret: greedy cluster formation on both sides means a
     // heuristic can edge DIVA out by a few stars on one instance.
     size_t slack = std::max<size_t>(5, stars / 10);
-    EXPECT_LE(diva_stars, stars + slack)
+    EXPECT_LE(comparison.diva_stars, stars + slack)
         << BaselineAlgorithmToString(algorithm) << " seed " << GetParam();
   }
 }
@@ -139,12 +168,11 @@ TEST(DifferentialAggregateTest, DivaSuppressesLeastOverTheSweep) {
   size_t diva_total = 0;
   std::map<BaselineAlgorithm, size_t> baseline_totals;
   for (uint64_t seed = kFirstSeed; seed < kLastSeed; ++seed) {
-    size_t diva_stars = 0;
-    std::vector<std::pair<BaselineAlgorithm, size_t>> baseline_stars;
-    if (!CompareSuppression(seed, &diva_stars, &baseline_stars)) continue;
+    Comparison comparison = CompareSuppression(seed);
+    if (!comparison.skip_reason.empty()) continue;
     ++comparable;
-    diva_total += diva_stars;
-    for (const auto& [algorithm, stars] : baseline_stars) {
+    diva_total += comparison.diva_stars;
+    for (const auto& [algorithm, stars] : comparison.baseline_stars) {
       baseline_totals[algorithm] += stars;
     }
   }
@@ -155,6 +183,25 @@ TEST(DifferentialAggregateTest, DivaSuppressesLeastOverTheSweep) {
         << BaselineAlgorithmToString(algorithm) << " over " << comparable
         << " instances";
   }
+}
+
+// A floor on how many sweep seeds the comparison actually covers, so a
+// change that makes more seeds skip fails here instead of passing
+// silently. Every skipped seed's reason is printed.
+TEST(DifferentialAggregateTest, ComparableSeedsStayAtTheFloor) {
+  constexpr size_t kComparableFloor = 4;
+  size_t comparable = 0;
+  for (uint64_t seed = kFirstSeed; seed < kLastSeed; ++seed) {
+    Comparison comparison = CompareSuppression(seed);
+    if (comparison.skip_reason.empty()) {
+      ++comparable;
+    } else {
+      std::cout << "seed " << seed << " skipped: " << comparison.skip_reason
+                << "\n";
+    }
+  }
+  EXPECT_GE(comparable, kComparableFloor)
+      << "of " << (kLastSeed - kFirstSeed) << " seeds";
 }
 
 TEST_P(DifferentialTest, ThreadWidthNeverChangesTheAuditedOutput) {
