@@ -19,10 +19,16 @@
 //             back is still audited.
 //   both      run steady then overload (the BENCH_serve.json shapes).
 //
+// After each in-process scenario every retained snapshot is re-audited
+// against the base it was produced from (verify/auditor.h), whatever its
+// `audited` flag says.
+//
 // The JSON report maps each scenario to flat metrics. Deterministic,
 // CI-gated keys: requests, unaccounted (= requests that ended in no
-// terminal outcome, always 0), leaked_inflight (server in-flight after
-// Stop, always 0), unaudited_snapshots (always 0), protocol_errors.
+// terminal outcome, always 0), failed_requests (non-retryable error
+// responses, always 0), leaked_inflight (server in-flight after Stop,
+// always 0), unaudited_snapshots (always 0), reaudit_failures (retained
+// snapshots failing the re-audit, always 0), protocol_errors.
 // exec_-prefixed keys (shed counts, retries, budget denials) vary with
 // scheduling and are never gated; *_ms / *_per_sec keys are timing.
 
@@ -44,6 +50,7 @@
 #include "examples/example_util.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "verify/auditor.h"
 
 namespace {
 
@@ -90,6 +97,8 @@ struct ScenarioResult {
   serve::ServerStats server_stats;
   size_t leaked_inflight = 0;
   size_t unaudited_snapshots = 0;
+  size_t reaudited_snapshots = 0;
+  size_t reaudit_failures = 0;
   bool have_server_side = false;  // false when driving a remote server
 };
 
@@ -248,7 +257,24 @@ ScenarioResult RunScenario(const ScenarioConfig& config,
     const serve::SnapshotStore& store = server->snapshots();
     for (uint64_t id = 1; id <= store.latest_id(); ++id) {
       auto snapshot = store.Find(id);
-      if (snapshot && !snapshot->audited) ++result.unaudited_snapshots;
+      if (snapshot == nullptr) continue;
+      if (!snapshot->audited) ++result.unaudited_snapshots;
+      // Independent of the flag: the server is stopped, so nothing
+      // interns into the shared dictionaries while the auditor reads.
+      AuditOptions audit_options;
+      audit_options.waived_constraints = snapshot->waived_constraints;
+      auto audit = AuditAnonymization(
+          snapshot->source != nullptr ? *snapshot->source : base,
+          snapshot->relation, snapshot->k, constraints, audit_options);
+      ++result.reaudited_snapshots;
+      if (!audit.ok() || !audit->ok()) {
+        ++result.reaudit_failures;
+        std::fprintf(stderr,
+                     "diva_loadgen: snapshot %llu failed re-audit: %s\n",
+                     static_cast<unsigned long long>(id),
+                     audit.ok() ? audit->ToString().c_str()
+                                : audit.status().ToString().c_str());
+      }
     }
     result.have_server_side = true;
   }
@@ -283,13 +309,15 @@ void PrintScenario(const ScenarioResult& result) {
     const serve::ServerStats& s = result.server_stats;
     std::printf(
         "          server: requests=%llu shed=%llu degraded=%llu "
-        "watchdog=%llu snapshots=%llu leaked=%zu unaudited=%zu\n",
+        "watchdog=%llu snapshots=%llu leaked=%zu unaudited=%zu "
+        "reaudited=%zu reaudit_failures=%zu\n",
         static_cast<unsigned long long>(s.requests),
         static_cast<unsigned long long>(s.shed),
         static_cast<unsigned long long>(s.degraded),
         static_cast<unsigned long long>(s.watchdog_cancels),
         static_cast<unsigned long long>(s.snapshots_published),
-        result.leaked_inflight, result.unaudited_snapshots);
+        result.leaked_inflight, result.unaudited_snapshots,
+        result.reaudited_snapshots, result.reaudit_failures);
   }
 }
 
@@ -313,9 +341,12 @@ void AppendJson(std::string* out, const ScenarioResult& result) {
   // Deterministic, CI-gated invariants.
   add("requests", static_cast<double>(offered), true);
   add("unaccounted", static_cast<double>(offered - settled), true);
+  add("failed_requests", static_cast<double>(t.failed), true);
   if (result.have_server_side) {
     add("leaked_inflight", static_cast<double>(result.leaked_inflight), true);
     add("unaudited_snapshots", static_cast<double>(result.unaudited_snapshots),
+        true);
+    add("reaudit_failures", static_cast<double>(result.reaudit_failures),
         true);
     add("protocol_errors",
         static_cast<double>(result.server_stats.protocol_errors), true);
@@ -323,7 +354,6 @@ void AppendJson(std::string* out, const ScenarioResult& result) {
   // Scheduling-dependent (never gated).
   add("exec_ok", static_cast<double>(t.ok), true);
   add("exec_gave_up", static_cast<double>(t.gave_up), true);
-  add("exec_failed", static_cast<double>(t.failed), true);
   add("exec_retries", static_cast<double>(t.retries), true);
   add("exec_budget_denied", static_cast<double>(t.budget_denied), true);
   add("exec_degraded", static_cast<double>(t.degraded), true);
@@ -490,6 +520,8 @@ int main(int argc, char** argv) {
     if (t.ok + t.gave_up + t.failed != offered) invariants_ok = false;
     if (result.leaked_inflight != 0) invariants_ok = false;
     if (result.unaudited_snapshots != 0) invariants_ok = false;
+    if (result.reaudit_failures != 0) invariants_ok = false;
+    if (t.failed != 0) invariants_ok = false;
   }
 
   if (args.count("json")) {
@@ -509,8 +541,9 @@ int main(int argc, char** argv) {
   }
 
   if (!invariants_ok) {
-    return Fail("invariant violation (unaccounted requests, leaked "
-                "in-flight work, or unaudited snapshots)");
+    return Fail("invariant violation (unaccounted or failed requests, "
+                "leaked in-flight work, or unaudited or re-audit-failing "
+                "snapshots)");
   }
   return 0;
 }

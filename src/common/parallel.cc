@@ -153,9 +153,10 @@ size_t RunInline(size_t count, size_t grain,
   return count;
 }
 
-/// Process-global loop-cancellation token; read once per submitted loop.
-Mutex g_cancel_mutex;
-CancellationToken g_loop_cancel DIVA_GUARDED_BY(g_cancel_mutex);
+/// This thread's loop-cancellation token; read once per submitted loop.
+/// Per-thread, so concurrent pipelines (serve sessions) never observe
+/// each other's deadlines; tasks inherit their submitter's token.
+thread_local CancellationToken tl_loop_cancel;
 
 }  // namespace
 
@@ -252,11 +253,7 @@ size_t ThreadPool::ParallelFor(
         "parallel loop (the inner loop would block a worker the outer "
         "loop owns)");
   }
-  CancellationToken cancel;
-  {
-    MutexLock lock(g_cancel_mutex);
-    cancel = g_loop_cancel;
-  }
+  const CancellationToken cancel = tl_loop_cancel;
   if (grain == 0) grain = AutoGrain(count, impl_->threads);
   size_t chunks = (count + grain - 1) / grain;
   if (impl_->threads == 1 || chunks == 1) {
@@ -351,6 +348,7 @@ void RunTasks(size_t count, const std::function<void(size_t)>& fn) {
   auto run_task = [&](size_t task) {
     if (cancel.Cancelled()) return;  // skip tasks not yet started
     try {
+      ScopedLoopCancellation inherited(cancel);
       fn(task);
     } catch (...) {
       MutexLock lock(mutex);
@@ -474,7 +472,12 @@ uint64_t TaskGroup::Submit(std::function<void()> fn) {
     MutexLock lock(impl_->mutex);
     ticket = impl_->next_ticket++;
     Impl::Item item;
-    item.fn = std::move(fn);
+    // Whichever thread claims the item runs it under the submitter's
+    // token, so a truncating deadline follows the work across threads.
+    item.fn = [cancel = tl_loop_cancel, fn = std::move(fn)] {
+      ScopedLoopCancellation inherited(cancel);
+      fn();
+    };
     impl_->items.emplace(ticket, std::move(item));
     impl_->pending.push_back(ticket);
   }
@@ -537,20 +540,13 @@ void TaskGroup::AbandonAll() {
   impl_->pending.clear();
 }
 
-ScopedLoopCancellation::ScopedLoopCancellation(CancellationToken token) {
-  MutexLock lock(g_cancel_mutex);
-  previous_ = g_loop_cancel;
-  g_loop_cancel = std::move(token);
-}
+ScopedLoopCancellation::ScopedLoopCancellation(CancellationToken token)
+    : previous_(std::exchange(tl_loop_cancel, std::move(token))) {}
 
 ScopedLoopCancellation::~ScopedLoopCancellation() {
-  MutexLock lock(g_cancel_mutex);
-  g_loop_cancel = std::move(previous_);
+  tl_loop_cancel = std::move(previous_);
 }
 
-CancellationToken CurrentLoopCancellation() {
-  MutexLock lock(g_cancel_mutex);
-  return g_loop_cancel;
-}
+CancellationToken CurrentLoopCancellation() { return tl_loop_cancel; }
 
 }  // namespace diva

@@ -104,10 +104,10 @@ size_t ParallelFor(size_t count, size_t grain,
 /// allowed to use ParallelFor internally — they are top-level work; when
 /// several tasks hit the global pool at once, one wins it and the rest
 /// degrade to inline execution. The first task exception is rethrown
-/// after every task has finished. When the installed cancellation token
-/// (ScopedLoopCancellation) is already tripped, tasks that have not yet
-/// started are skipped; running tasks are expected to poll the token
-/// themselves.
+/// after every task has finished. Every task runs under the caller's
+/// loop-cancellation token (ScopedLoopCancellation); when it is already
+/// tripped, tasks that have not yet started are skipped, and running
+/// tasks are expected to poll the token themselves.
 void RunTasks(size_t count, const std::function<void(size_t)>& fn);
 
 /// A small pool of dedicated threads executing submitted closures with
@@ -149,7 +149,8 @@ class TaskGroup {
   bool HasIdleWorker() const;
 
   /// Enqueues `fn` and returns its ticket. Tickets are dense and
-  /// ascending in submission order.
+  /// ascending in submission order. `fn` runs under the submitting
+  /// thread's loop-cancellation token (ScopedLoopCancellation).
   uint64_t Submit(std::function<void()> fn);
 
   /// Blocks until the item behind `ticket` has run, then rethrows the
@@ -173,9 +174,14 @@ class TaskGroup {
 };
 
 /// Installs `token` as the cancellation signal every ParallelFor /
-/// RunTasks call observes until the scope exits (the previous token is
-/// restored — scopes nest). Process-global like SetParallelThreads:
-/// intended for the one pipeline driver (RunDiva) that owns the run.
+/// RunTasks call made ON THIS THREAD observes until the scope exits (the
+/// previous token is restored — scopes nest). The token is per-thread,
+/// so concurrent pipelines (RunDiva calls from different serve
+/// sessions) never truncate each other's loops. It follows the work it
+/// governs: a loop stops claiming chunks when its submitter's token
+/// trips, whichever pool threads run them, and RunTasks tasks and
+/// TaskGroup items run under the token current on the thread that
+/// started or submitted them.
 /// A tripped token makes loops stop claiming work; it never corrupts
 /// completed chunks — see ThreadPool::ParallelFor. Install it only
 /// around phases whose drivers tolerate a truncated prefix of results.
@@ -191,7 +197,7 @@ class ScopedLoopCancellation {
   CancellationToken previous_;
 };
 
-/// The currently installed loop-cancellation token (null when none).
+/// This thread's installed loop-cancellation token (null when none).
 CancellationToken CurrentLoopCancellation();
 
 /// Applies fn(i) to every i in [0, count), gathering results by index —

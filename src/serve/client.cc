@@ -5,6 +5,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -44,6 +45,10 @@ Result<Client> Client::Connect(const std::string& host, int port) {
   timeout.tv_usec = 0;
   (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  // Frames are single writes answered by the peer, so Nagle only ever
+  // delays them (see WriteFrame).
+  int nodelay = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
   return Client(fd);
 }
 

@@ -6,6 +6,7 @@
 
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 
 #include "common/failpoint.h"
 
@@ -14,18 +15,31 @@ namespace serve {
 
 namespace {
 
-/// send() with MSG_NOSIGNAL so a hung-up peer yields EPIPE instead of a
-/// process-killing SIGPIPE, looping over short writes and EINTR.
-Status SendAll(int fd, const char* data, size_t size) {
-  size_t sent = 0;
-  while (sent < size) {
-    ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
+/// Sends every byte of `iov[0..count)` as one gathered sendmsg() per
+/// attempt, advancing past short writes and retrying EINTR. MSG_NOSIGNAL
+/// turns a hung-up peer into EPIPE instead of a process-killing SIGPIPE.
+Status SendAll(int fd, iovec* iov, size_t count) {
+  while (count > 0) {
+    msghdr message;
+    std::memset(&message, 0, sizeof(message));
+    message.msg_iov = iov;
+    message.msg_iovlen = count;
+    ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IoError(std::string("send failed: ") +
                              std::strerror(errno));
     }
-    sent += static_cast<size_t>(n);
+    size_t sent = static_cast<size_t>(n);
+    while (count > 0 && sent >= iov->iov_len) {
+      sent -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + sent;
+      iov->iov_len -= sent;
+    }
   }
   return Status::OK();
 }
@@ -63,8 +77,15 @@ Status WriteFrame(int fd, const std::string& payload) {
                     static_cast<char>((size >> 16) & 0xff),
                     static_cast<char>((size >> 8) & 0xff),
                     static_cast<char>(size & 0xff)};
-  DIVA_RETURN_IF_ERROR(SendAll(fd, header, sizeof(header)));
-  return SendAll(fd, payload.data(), payload.size());
+  // Header and payload leave in one write: two send()s are the
+  // write-write-read pattern where Nagle holds the payload until the
+  // peer's delayed ACK (~40 ms) for the header arrives.
+  iovec iov[2];
+  iov[0].iov_base = header;
+  iov[0].iov_len = sizeof(header);
+  iov[1].iov_base = const_cast<char*>(payload.data());
+  iov[1].iov_len = payload.size();
+  return SendAll(fd, iov, 2);
 }
 
 Result<std::string> ReadFrame(int fd, size_t max_bytes) {

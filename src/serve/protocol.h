@@ -16,7 +16,9 @@ namespace serve {
 /// Transport: length-prefixed frames over a stream socket. Each frame is
 /// a 4-byte big-endian payload length followed by that many bytes of
 /// UTF-8 text. One request frame yields exactly one response frame;
-/// requests on one connection are processed strictly in order.
+/// requests on one connection are processed strictly in order. Each
+/// frame goes out in one write and both ends set TCP_NODELAY, so no
+/// frame waits on Nagle for the peer's delayed ACK.
 ///
 /// Payload: a header line, then an optional body separated by one blank
 /// line. Requests:  `verb key=value key=value ...`. Responses:
@@ -29,8 +31,10 @@ namespace serve {
 /// server's memory. Callers can pass a tighter cap.
 inline constexpr size_t kDefaultMaxFrameBytes = 1u << 26;  // 64 MiB
 
-/// Writes one frame. Handles short writes and EINTR; never raises
-/// SIGPIPE (the peer hanging up surfaces as an IoError Status).
+/// Writes one frame as a single gathered write (header and payload as
+/// two iovecs, so the payload is never copied). Handles short writes and
+/// EINTR; never raises SIGPIPE (the peer hanging up surfaces as an
+/// IoError Status).
 [[nodiscard]] Status WriteFrame(int fd, const std::string& payload);
 
 /// Reads one frame. A clean EOF before any length byte returns NotFound

@@ -10,6 +10,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -32,13 +33,17 @@ namespace {
 /// after this long instead of wedging it past the drain grace.
 constexpr double kSocketTimeoutSeconds = 1.0;
 
-void SetSocketTimeouts(int fd) {
+/// Stall guards plus TCP_NODELAY: the trailing partial segment of a
+/// multi-segment response must not wait on the client's delayed ACK.
+void ConfigureAcceptedSocket(int fd) {
   timeval tv;
   tv.tv_sec = static_cast<long>(kSocketTimeoutSeconds);
   tv.tv_usec = static_cast<long>(
       (kSocketTimeoutSeconds - static_cast<double>(tv.tv_sec)) * 1e6);
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+  int nodelay = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
 }
 
 Result<BaselineAlgorithm> ParseBaseline(const std::string& name) {
@@ -210,7 +215,7 @@ void Server::AcceptLoop() {
     if (ready <= 0) continue;
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    SetSocketTimeouts(fd);
+    ConfigureAcceptedSocket(fd);
     {
       MutexLock lock(stats_mutex_);
       ++stats_.accepted_connections;

@@ -305,6 +305,51 @@ TEST(PoolCancellationTest, ExternalCancelDuringClaimKeepsPrefixExact) {
   SetParallelThreads(1);
 }
 
+TEST(PoolCancellationTest, PeerThreadsTrippedTokenDoesNotTruncateThisLoop) {
+  // The token is per-thread: a peer holding a tripped token (another
+  // serve session whose deadline expired) leaves this thread's loops
+  // untouched, on the shared pool and inline alike.
+  CancellationToken tripped = CancellationToken::Manual();
+  tripped.RequestCancel();
+  std::atomic<bool> installed{false};
+  std::atomic<bool> release{false};
+  // The peer must hold its scope across this thread's loops.
+  // lint: allow-thread
+  std::thread peer([&] {
+    ScopedLoopCancellation scope(tripped);
+    installed.store(true, std::memory_order_release);
+    while (!release.load(std::memory_order_acquire)) {
+    }
+  });
+  while (!installed.load(std::memory_order_acquire)) {
+  }
+  EXPECT_FALSE(CurrentLoopCancellation().CanBeCancelled());
+  for (size_t width : {size_t{1}, size_t{4}}) {
+    SetParallelThreads(width);
+    std::vector<std::atomic<int>> marks(1000);
+    size_t done = ParallelFor(marks.size(), 7, [&](size_t begin, size_t end) {
+      MarkRange(&marks, begin, end);
+    });
+    EXPECT_EQ(done, marks.size()) << "width " << width;
+    ExpectAllMarkedOnce(marks);
+  }
+  release.store(true, std::memory_order_release);
+  peer.join();
+  SetParallelThreads(1);
+}
+
+TEST(PoolCancellationTest, RunTasksInheritTheCallersToken) {
+  CancellationToken token = CancellationToken::Manual();
+  ScopedLoopCancellation scope(token);
+  std::vector<std::atomic<int>> inherited(4);
+  RunTasks(inherited.size(), [&](size_t task) {
+    inherited[task].store(CurrentLoopCancellation().CanBeCancelled() ? 1 : 0);
+  });
+  for (size_t task = 0; task < inherited.size(); ++task) {
+    EXPECT_EQ(inherited[task].load(), 1) << "task " << task;
+  }
+}
+
 // ------------------------------------------------------------ TaskGroup
 
 TEST(TaskGroupTest, SubmitAndWaitRunsEverything) {
@@ -323,6 +368,35 @@ TEST(TaskGroupTest, SubmitAndWaitRunsEverything) {
   for (uint64_t ticket : tickets) group.Wait(ticket);
   for (size_t i = 0; i < ran.size(); ++i) {
     EXPECT_EQ(ran[i].load(), 1) << "item " << i;
+  }
+}
+
+TEST(TaskGroupTest, ItemRunsUnderItsSubmittersToken) {
+  // The item carries the token current at Submit, whichever thread
+  // claims it: a worker, or a waiter helping under a different scope.
+  CancellationToken tripped = CancellationToken::Manual();
+  tripped.RequestCancel();
+  for (size_t workers : {size_t{0}, size_t{1}}) {
+    TaskGroup group(workers);
+    std::atomic<size_t> prefix{12345};
+    std::atomic<bool> saw_token{true};
+    uint64_t cut;
+    {
+      ScopedLoopCancellation scope(tripped);
+      cut = group.Submit([&] {
+        prefix.store(ParallelFor(100, 10, [](size_t, size_t) {}));
+      });
+    }
+    uint64_t free_item = group.Submit([&] {
+      saw_token.store(CurrentLoopCancellation().CanBeCancelled());
+    });
+    {
+      ScopedLoopCancellation scope(tripped);  // the waiter's own token
+      group.Wait(free_item);
+    }
+    group.Wait(cut);
+    EXPECT_EQ(prefix.load(), 0u) << "workers " << workers;
+    EXPECT_FALSE(saw_token.load()) << "workers " << workers;
   }
 }
 

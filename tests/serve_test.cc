@@ -6,12 +6,23 @@
 // and a wedged request tripped by the watchdog degrades instead of
 // hanging. Fault-injection sweeps live in serve_chaos_test.cc.
 
+#include <algorithm>
+#include <atomic>
+#include <csignal>
+#include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <pthread.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "common/backoff.h"
 #include "common/failpoint.h"
+#include "common/rng.h"
 #include "common/status.h"
+#include "common/timer.h"
 #include "gtest/gtest.h"
 #include "serve/admission.h"
 #include "serve/client.h"
@@ -89,6 +100,146 @@ TEST(ServeProtocolTest, StatusCodeNamesRoundTripAndUnknownMapsToInternal) {
   EXPECT_EQ(ParseStatusCodeName("Unavailable"), StatusCode::kUnavailable);
   EXPECT_EQ(ParseStatusCodeName("IoError"), StatusCode::kIoError);
   EXPECT_EQ(ParseStatusCodeName("NoSuchCode"), StatusCode::kInternal);
+}
+
+// ------------------------------------------------------------- frame I/O
+
+/// A connected AF_UNIX stream pair; closes whatever ends are still open.
+struct SocketPair {
+  SocketPair() {
+    int fds[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    writer = fds[0];
+    reader = fds[1];
+  }
+  ~SocketPair() {
+    CloseWriter();
+    if (reader >= 0) ::close(reader);
+  }
+  void CloseWriter() {
+    if (writer >= 0) ::close(writer);
+    writer = -1;
+  }
+  /// Raw bytes, bypassing WriteFrame (for truncated frames).
+  void SendRaw(const std::string& bytes) {
+    ASSERT_EQ(::send(writer, bytes.data(), bytes.size(), 0),
+              static_cast<ssize_t>(bytes.size()));
+  }
+  int writer = -1;
+  int reader = -1;
+};
+
+std::string BigEndianLength(uint32_t size) {
+  return {static_cast<char>(size >> 24), static_cast<char>(size >> 16),
+          static_cast<char>(size >> 8), static_cast<char>(size)};
+}
+
+TEST(ServeProtocolTest, ZeroLengthPayloadRoundTrips) {
+  SocketPair pair;
+  ASSERT_TRUE(WriteFrame(pair.writer, "").ok());
+  ASSERT_TRUE(WriteFrame(pair.writer, "after").ok());
+  auto empty = ReadFrame(pair.reader);
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(*empty, "");
+  auto next = ReadFrame(pair.reader);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(*next, "after");
+}
+
+TEST(ServeProtocolTest, FrameOfExactlyMaxBytesPassesOneMoreIsRejected) {
+  SocketPair pair;
+  const size_t max_bytes = 100;
+  ASSERT_TRUE(WriteFrame(pair.writer, std::string(max_bytes, 'x')).ok());
+  auto at_cap = ReadFrame(pair.reader, max_bytes);
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(*at_cap, std::string(max_bytes, 'x'));
+
+  ASSERT_TRUE(WriteFrame(pair.writer, std::string(max_bytes + 1, 'y')).ok());
+  auto over_cap = ReadFrame(pair.reader, max_bytes);
+  ASSERT_FALSE(over_cap.ok());
+  EXPECT_EQ(over_cap.status().code(), StatusCode::kIoError);
+  EXPECT_NE(over_cap.status().message().find("cap"), std::string::npos);
+}
+
+TEST(ServeProtocolTest, EofBeforeHeaderIsNotFound) {
+  SocketPair pair;
+  pair.CloseWriter();
+  auto frame = ReadFrame(pair.reader);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kNotFound);
+}
+
+TEST(ServeProtocolTest, EofMidHeaderIsIoError) {
+  SocketPair pair;
+  pair.SendRaw(BigEndianLength(5).substr(0, 2));
+  pair.CloseWriter();
+  auto frame = ReadFrame(pair.reader);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kIoError);
+  EXPECT_NE(frame.status().message().find("header"), std::string::npos);
+}
+
+TEST(ServeProtocolTest, EofMidBodyIsIoError) {
+  SocketPair pair;
+  pair.SendRaw(BigEndianLength(10) + "abc");
+  pair.CloseWriter();
+  auto frame = ReadFrame(pair.reader);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kIoError);
+  EXPECT_NE(frame.status().message().find("body"), std::string::npos);
+}
+
+void IgnoreSignal(int) {}
+
+TEST(ServeProtocolTest, LargeFrameRoundTripsThroughInterruptedWrites) {
+  // 8 MiB through a socket buffer of a few hundred KiB: the gathered
+  // write blocks many times. A ticker interrupts it with a no-restart
+  // signal, so sendmsg returns short counts (resumed mid-iovec) and
+  // EINTR (retried) — the paths a plain blocking write never takes.
+  const size_t size = size_t{8} << 20;
+  std::string payload(size, '\0');
+  Rng rng(13);
+  for (char& c : payload) c = static_cast<char>(rng.Next() & 0xff);
+
+  struct sigaction action;
+  struct sigaction previous;
+  std::memset(&action, 0, sizeof(action));
+  action.sa_handler = IgnoreSignal;
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = 0;  // no SA_RESTART: blocked sendmsg calls return
+  ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
+
+  SocketPair pair;
+  Result<std::string> received = Status::Internal("reader did not run");
+  // Reader and ticker must run beside the blocking write.
+  // lint: allow-thread
+  std::thread reader([&] {
+    // Only the writer thread takes the signal.
+    sigset_t blocked;
+    sigemptyset(&blocked);
+    sigaddset(&blocked, SIGUSR1);
+    pthread_sigmask(SIG_BLOCK, &blocked, nullptr);
+    received = ReadFrame(pair.reader);
+  });
+  const pthread_t writer = pthread_self();
+  std::atomic<bool> written{false};
+  // lint: allow-thread
+  std::thread ticker([&] {
+    while (!written.load(std::memory_order_acquire)) {
+      pthread_kill(writer, SIGUSR1);
+      std::this_thread::yield();
+    }
+  });
+  Status status = WriteFrame(pair.writer, payload);
+  written.store(true, std::memory_order_release);
+  ticker.join();
+  reader.join();
+  ASSERT_EQ(::sigaction(SIGUSR1, &previous, nullptr), 0);
+
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_TRUE(received.ok()) << received.status().ToString();
+  ASSERT_EQ(received->size(), payload.size());
+  EXPECT_TRUE(*received == payload) << "payload bytes differ";
 }
 
 // ---------------------------------------------------------------- admission
@@ -382,6 +533,49 @@ TEST(ServeServerTest, ServesPingAnonymizeVerifyFetchAndStats) {
   ServerStats final_stats = server.stats();
   EXPECT_EQ(final_stats.requests + final_stats.protocol_errors,
             final_stats.responses + final_stats.response_failures);
+}
+
+double MedianCallMillis(Client* client, const Request& request, int calls) {
+  std::vector<double> millis;
+  for (int i = 0; i < calls; ++i) {
+    StopWatch watch;
+    auto response = client->Call(request);
+    millis.push_back(watch.ElapsedMillis());
+    EXPECT_TRUE(response.ok() && response->ok)
+        << request.verb << " call " << i << " failed";
+  }
+  std::sort(millis.begin(), millis.end());
+  return millis[millis.size() / 2];
+}
+
+TEST(ServeServerTest, RoundTripsDoNotStallOnDelayedAcks) {
+  // A frame sent as two writes (or one without TCP_NODELAY) on a
+  // request/response connection waits for the peer's delayed ACK:
+  // >= 40 ms per round trip on Linux. Loopback round trips are well
+  // under 1 ms, so 20 ms separates the two even under sanitizers.
+  Server server(MedicalRelation(), MedicalConstraints(*MedicalSchema()),
+                TestOptions());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  Request ping;
+  ping.verb = "ping";
+  EXPECT_LT(MedianCallMillis(&*client, ping, 50), 20.0);
+
+  Request anonymize;
+  anonymize.verb = "anonymize";
+  anonymize.params["k"] = "2";
+  auto published = client->Call(anonymize);
+  ASSERT_TRUE(published.ok() && published->ok);
+  Request fetch;
+  fetch.verb = "fetch";
+  fetch.params["snapshot"] = published->Field("snapshot", "");
+  auto fetched = client->Call(fetch);
+  ASSERT_TRUE(fetched.ok() && fetched->ok);
+  EXPECT_FALSE(fetched->body.empty());  // the CSV rides in the frame
+  EXPECT_LT(MedianCallMillis(&*client, fetch, 50), 20.0);
+  server.Stop();
 }
 
 TEST(ServeServerTest, UnknownVerbAndBadParamsAreErrorsNotDisconnects) {
