@@ -69,16 +69,11 @@ struct ShapeResult {
   uint64_t memo_hits = 0;
   uint64_t memo_misses = 0;
   uint64_t memo_evictions = 0;
-  uint64_t nogood_hits = 0;
-  uint64_t nogood_misses = 0;
-  uint64_t nogood_evictions = 0;
   uint64_t target_sorts = 0;
   uint64_t attempts = 0;
   // Execution-scope (scheduling-dependent, informational only).
   uint64_t spec_adopted = 0;
   uint64_t spec_reruns = 0;
-  uint64_t spec_probes = 0;
-  uint64_t spec_probe_hits = 0;
 };
 
 bool SameOutcome(const ColoringOutcome& a, const ColoringOutcome& b) {
@@ -134,17 +129,10 @@ ShapeResult RunShape(const Shape& shape) {
       result.memo_hits = CounterDelta(delta, "coloring.memo_hits");
       result.memo_misses = CounterDelta(delta, "coloring.memo_misses");
       result.memo_evictions = CounterDelta(delta, "coloring.memo_evictions");
-      result.nogood_hits = CounterDelta(delta, "coloring.nogood_hits");
-      result.nogood_misses = CounterDelta(delta, "coloring.nogood_misses");
-      result.nogood_evictions =
-          CounterDelta(delta, "coloring.nogood_evictions");
       result.target_sorts = CounterDelta(delta, "coloring.target_sorts");
       result.attempts = CounterDelta(delta, "coloring.attempts");
       result.spec_adopted = CounterDelta(delta, "coloring.spec_adopted");
       result.spec_reruns = CounterDelta(delta, "coloring.spec_reruns");
-      result.spec_probes = CounterDelta(delta, "coloring.spec_probes");
-      result.spec_probe_hits =
-          CounterDelta(delta, "coloring.spec_probe_hits");
       result.wall_seconds = secs;
       reference = std::move(outcome);
     } else {
@@ -200,19 +188,14 @@ int main(int argc, char** argv) {
         "memo-off=%.4fs (x%.2f)\n"
         "             memo: hits=%llu misses=%llu evictions=%llu  "
         "target_sorts=%llu attempts=%llu\n"
-        "             nogood: hits=%llu misses=%llu evictions=%llu  "
-        "spec: adopted=%llu reruns=%llu probes=%llu probe_hits=%llu\n\n",
+        "             spec: adopted=%llu reruns=%llu\n\n",
         shape.name, (unsigned long long)r.steps,
         (unsigned long long)r.backtracks, (int)r.complete, r.wall_seconds,
         Reps(), sps, r.memo_off_seconds, memo_speedup,
         (unsigned long long)r.memo_hits, (unsigned long long)r.memo_misses,
         (unsigned long long)r.memo_evictions,
         (unsigned long long)r.target_sorts, (unsigned long long)r.attempts,
-        (unsigned long long)r.nogood_hits, (unsigned long long)r.nogood_misses,
-        (unsigned long long)r.nogood_evictions,
-        (unsigned long long)r.spec_adopted, (unsigned long long)r.spec_reruns,
-        (unsigned long long)r.spec_probes,
-        (unsigned long long)r.spec_probe_hits);
+        (unsigned long long)r.spec_adopted, (unsigned long long)r.spec_reruns);
 
     json += "  \"";
     json += shape.name;
@@ -224,10 +207,6 @@ int main(int argc, char** argv) {
     AppendMetric(&json, "memo_hits", (double)r.memo_hits, &first);
     AppendMetric(&json, "memo_misses", (double)r.memo_misses, &first);
     AppendMetric(&json, "memo_evictions", (double)r.memo_evictions, &first);
-    AppendMetric(&json, "nogood_hits", (double)r.nogood_hits, &first);
-    AppendMetric(&json, "nogood_misses", (double)r.nogood_misses, &first);
-    AppendMetric(&json, "nogood_evictions", (double)r.nogood_evictions,
-                 &first);
     AppendMetric(&json, "target_sorts", (double)r.target_sorts, &first);
     AppendMetric(&json, "attempts", (double)r.attempts, &first);
     AppendMetric(&json, "wall_seconds", r.wall_seconds, &first);
@@ -238,9 +217,6 @@ int main(int argc, char** argv) {
     // them as informational, never gating.
     AppendMetric(&json, "exec_spec_adopted", (double)r.spec_adopted, &first);
     AppendMetric(&json, "exec_spec_reruns", (double)r.spec_reruns, &first);
-    AppendMetric(&json, "exec_spec_probes", (double)r.spec_probes, &first);
-    AppendMetric(&json, "exec_spec_probe_hits", (double)r.spec_probe_hits,
-                 &first);
     json += "\n  }";
     json += (s + 1 < sizeof(kShapes) / sizeof(kShapes[0])) ? ",\n" : "\n";
   }

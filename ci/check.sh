@@ -7,8 +7,7 @@
 #   3. tsan build + full ctest with DIVA_THREADS>=8 (gates the thread
 #      pool: the parallel layer must be race-free at real width)
 #   4. tools/lint_status.py over src/ (dropped Status, raw-thread,
-#      raw-clock, ad-hoc-instrumentation, vector<bool> and raw-random
-#      lints)
+#      raw-clock, ad-hoc-instrumentation and vector<bool> lints)
 #   5. static analysis: tools/diva_analyze.py over src/ (determinism +
 #      locking invariants) and the analysis-fixture suite; plus a
 #      clang -Wthread-safety -Werror build of the clang-analyze preset
@@ -184,6 +183,9 @@ step "static analysis: tools/diva_analyze.py src (determinism + locking)"
 python3 tools/diva_analyze.py --compdb build/release \
   --json /tmp/diva_analyze.$$.json src
 rm -f /tmp/diva_analyze.$$.json
+
+step "static analysis: raw-random over examples bench tests"
+python3 tools/diva_analyze.py --only raw-random examples bench tests
 
 step "static analysis: fixture suite (tests/analysis_fixtures)"
 python3 tests/analysis_fixtures/fixture_test.py

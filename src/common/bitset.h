@@ -16,12 +16,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/logging.h"
-#include "common/mutex.h"
 
 namespace diva {
 
@@ -117,71 +114,6 @@ class Bitset {
 
   size_t bits_ = 0;
   std::vector<uint64_t> words_;
-};
-
-/// Thread-safe pool of equally-sized scratch bitsets for speculative
-/// workers. Probe closures running on TaskGroup threads each need a
-/// cleared scratch Bitset the size of the relation; allocating one per
-/// probe would dominate the probe itself, and sharing the engine's own
-/// scratch across threads would race. Acquire() hands out a cleared
-/// bitset (reusing a returned one when available); the RAII Lease puts
-/// it back on destruction.
-class BitsetPool {
- public:
-  explicit BitsetPool(size_t bits) : bits_(bits) {}
-
-  BitsetPool(const BitsetPool&) = delete;
-  BitsetPool& operator=(const BitsetPool&) = delete;
-
-  class Lease {
-   public:
-    Lease(BitsetPool* pool, std::unique_ptr<Bitset> bitset)
-        : pool_(pool), bitset_(std::move(bitset)) {}
-    ~Lease() {
-      if (bitset_ != nullptr) pool_->Release(std::move(bitset_));
-    }
-
-    Lease(Lease&& other) noexcept
-        : pool_(other.pool_), bitset_(std::move(other.bitset_)) {}
-    Lease& operator=(Lease&&) = delete;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-
-    Bitset& operator*() { return *bitset_; }
-    Bitset* operator->() { return bitset_.get(); }
-
-   private:
-    BitsetPool* pool_;
-    std::unique_ptr<Bitset> bitset_;
-  };
-
-  /// Returns a cleared bitset of the pool's size.
-  Lease Acquire() {
-    {
-      MutexLock lock(mutex_);
-      if (!free_.empty()) {
-        std::unique_ptr<Bitset> bitset = std::move(free_.back());
-        free_.pop_back();
-        return Lease(this, std::move(bitset));
-      }
-    }
-    auto bitset = std::make_unique<Bitset>();
-    bitset->Resize(bits_);
-    return Lease(this, std::move(bitset));
-  }
-
-  size_t bits() const { return bits_; }
-
- private:
-  void Release(std::unique_ptr<Bitset> bitset) {
-    bitset->Clear();
-    MutexLock lock(mutex_);
-    free_.push_back(std::move(bitset));
-  }
-
-  const size_t bits_;
-  Mutex mutex_;
-  std::vector<std::unique_ptr<Bitset>> free_ DIVA_GUARDED_BY(mutex_);
 };
 
 }  // namespace diva

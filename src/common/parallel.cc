@@ -375,7 +375,6 @@ struct TaskGroup::Impl {
   };
 
   size_t worker_count = 0;
-  std::atomic<size_t> idle_workers{0};
 
   Mutex mutex;
   CondVar work_cv;  // workers: pending item arrived or shutdown
@@ -421,9 +420,7 @@ struct TaskGroup::Impl {
       {
         MutexLock lock(mutex);
         while (!shutdown && pending.empty()) {
-          idle_workers.fetch_add(1, std::memory_order_relaxed);
           work_cv.Wait(lock);
-          idle_workers.fetch_sub(1, std::memory_order_relaxed);
         }
         if (shutdown && pending.empty()) return;
         std::tie(ticket, fn) = ClaimFrontLocked();
@@ -460,10 +457,6 @@ TaskGroup::~TaskGroup() {
 }
 
 size_t TaskGroup::workers() const { return impl_->worker_count; }
-
-bool TaskGroup::HasIdleWorker() const {
-  return impl_->idle_workers.load(std::memory_order_relaxed) > 0;
-}
 
 uint64_t TaskGroup::Submit(std::function<void()> fn) {
   DIVA_COUNTER_ADD_EXEC("taskgroup.submitted", 1);

@@ -142,12 +142,6 @@ class TaskGroup {
 
   size_t workers() const;
 
-  /// True when at least one worker is parked waiting for work — a cheap
-  /// hint for "would a speculative submission start promptly?". Racy by
-  /// nature; callers may only use it to gate heuristics, never
-  /// correctness.
-  bool HasIdleWorker() const;
-
   /// Enqueues `fn` and returns its ticket. Tickets are dense and
   /// ascending in submission order. `fn` runs under the submitting
   /// thread's loop-cancellation token (ScopedLoopCancellation).

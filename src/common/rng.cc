@@ -25,7 +25,6 @@ Rng::Rng(uint64_t seed) {
 }
 
 uint64_t Rng::Next() {
-  ++draws_;
   const uint64_t result = RotL(state_[1] * 5, 7) * 9;
   const uint64_t t = state_[1] << 17;
   state_[2] ^= state_[0];

@@ -18,13 +18,6 @@ class Rng {
   /// Uniform 64-bit value.
   uint64_t Next();
 
-  /// Number of raw Next() draws consumed so far (including rejection
-  /// retries inside NextBounded). Two generators seeded identically are
-  /// in the same state iff their draw counts match, which lets callers
-  /// prove "this code path consumed no randomness" without snapshotting
-  /// the state words.
-  uint64_t DrawCount() const { return draws_; }
-
   /// Uniform integer in [0, bound). `bound` must be > 0. Uses Lemire's
   /// nearly-divisionless rejection method (unbiased).
   uint64_t NextBounded(uint64_t bound);
@@ -53,7 +46,6 @@ class Rng {
 
  private:
   uint64_t state_[4];
-  uint64_t draws_ = 0;
   bool have_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;
 };

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/bitset.h"
@@ -31,18 +29,6 @@ const char* SelectionStrategyToString(SelectionStrategy strategy) {
 }
 
 namespace {
-
-/// splitmix64 finalizer: decorrelates XOR-accumulated fingerprints
-/// before they are folded into a combined hash, so two states differing
-/// by a pair of swapped tags do not cancel out.
-inline uint64_t MixBits(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
 
 /// Immutable search state shared by every engine one ColorConstraints
 /// call spawns (all restart attempts plus the greedy pass): packed target
@@ -108,131 +94,6 @@ struct PreparedCandidate {
 };
 using CandidateList = std::shared_ptr<const std::vector<PreparedCandidate>>;
 
-/// Outcome of phase-1 candidate validation (the read-only half of
-/// TryAssign). kFail covers the checks that bump no counter (claimed-row
-/// overlap, upper bound); kFailForward is the forward-check failure,
-/// which the consumer must account into coloring.forward_check_fails
-/// exactly as the inline path would.
-enum class Verdict : int {
-  kPending = 0,  // probe not finished; fall back to inline validation
-  kFail = 1,
-  kFailForward = 2,
-  kPass = 3,
-};
-
-/// Frozen copy of exactly the state phase-1 validation reads. Probes
-/// validate sibling candidates against this snapshot on idle workers;
-/// the frame's state at candidate i provably equals its entry state (a
-/// failed TryAssign mutates nothing and Unassign restores exactly), so
-/// a snapshot verdict is valid for the whole frame.
-struct ProbeSnapshot {
-  Bitset claimed;
-  std::vector<uint64_t> preserved;
-  std::vector<uint64_t> free_count;
-  std::vector<uint8_t> uncolored;
-  std::unordered_set<uint64_t> active_fps;
-};
-
-/// Phase-1 validation over an arbitrary state view: the live engine
-/// (LiveView) or a frozen ProbeSnapshot (SnapshotView). Pure — bumps no
-/// counters, consumes no randomness, mutates only the view's scratch
-/// bitset (restored before returning) and the caller's out-params.
-/// `fresh`/`reused` may be null when the caller only needs the verdict.
-template <typename View>
-Verdict ValidateCandidate(const PreparedCandidate& candidate,
-                          const ConstraintSet& constraints,
-                          const std::vector<Bitset>& target_bitmap,
-                          bool forward_check, View& view,
-                          std::vector<const PreparedCluster*>* fresh,
-                          std::vector<uint64_t>* reused,
-                          std::vector<uint64_t>* delta) {
-  size_t n = constraints.size();
-  std::vector<const PreparedCluster*> local_fresh;
-  if (fresh == nullptr) fresh = &local_fresh;
-  for (const PreparedCluster& cluster : candidate.clusters) {
-    if (view.IsActive(cluster)) {
-      if (reused != nullptr) reused->push_back(cluster.fingerprint);
-      continue;
-    }
-    // A new cluster may not touch any row owned by a different active
-    // cluster (disjoint-or-equal condition).
-    for (RowId row : cluster.rows) {
-      if (view.IsClaimed(row)) return Verdict::kFail;
-    }
-    for (const auto& [j, count] : cluster.contrib) {
-      (*delta)[j] += count;
-    }
-    fresh->push_back(&cluster);
-  }
-  // Upper-bound condition over every constraint (the paper checks
-  // neighbors; non-neighbors have zero contribution, so checking all is
-  // equivalent and simpler).
-  for (size_t j = 0; j < n; ++j) {
-    if (view.Preserved(j) + (*delta)[j] > constraints[j].upper()) {
-      return Verdict::kFail;
-    }
-  }
-  // Forward check: every still-uncolored constraint must be able to
-  // reach its lower bound from its preserved total plus the target rows
-  // that would remain free after this assignment. Fresh rows are marked
-  // in a scratch bitset once, then each constraint's newly-claimed
-  // count is one word-wise popcount kernel instead of per-row probes.
-  // (Disabled in the greedy second pass, where partial colorings are
-  // acceptable.)
-  if (forward_check) {
-    Bitset& scratch = view.Scratch();
-    for (const PreparedCluster* cluster : *fresh) {
-      for (RowId row : cluster->rows) scratch.Set(row);
-    }
-    bool feasible = true;
-    for (size_t j = 0; j < n && feasible; ++j) {
-      if (!view.Uncolored(j)) continue;
-      uint64_t claimed_j = Bitset::IntersectionCount(scratch, target_bitmap[j]);
-      uint64_t reachable =
-          view.Preserved(j) + (*delta)[j] + (view.FreeCount(j) - claimed_j);
-      if (reachable < constraints[j].lower()) {
-        if (View::kLive && std::getenv("DIVA_DEBUG_COLORING")) {
-          // lint: allow-print — env-gated debug aid, off by default.
-          std::fprintf(stderr,
-                       "fwd-fail j=%zu lower=%u preserved=%llu delta=%llu "
-                       "free=%llu claimed=%llu\n",
-                       j, constraints[j].lower(),
-                       (unsigned long long)view.Preserved(j),
-                       (unsigned long long)(*delta)[j],
-                       (unsigned long long)view.FreeCount(j),
-                       (unsigned long long)claimed_j);
-        }
-        feasible = false;
-      }
-    }
-    for (const PreparedCluster* cluster : *fresh) {
-      for (RowId row : cluster->rows) scratch.Reset(row);
-    }
-    if (!feasible) return Verdict::kFailForward;
-  }
-  return Verdict::kPass;
-}
-
-/// ValidateCandidate view over a frozen ProbeSnapshot. Runs on TaskGroup
-/// workers; touches no engine state, so the engine may even be destroyed
-/// while a stray probe drains (closures own the snapshot and candidate
-/// list via shared_ptr, and the driver-scoped context/constraints
-/// outlive the task group).
-struct SnapshotView {
-  static constexpr bool kLive = false;
-  const ProbeSnapshot* snapshot;
-  Bitset* scratch;
-
-  bool IsActive(const PreparedCluster& cluster) const {
-    return snapshot->active_fps.count(cluster.fingerprint) > 0;
-  }
-  bool IsClaimed(RowId row) const { return snapshot->claimed.Test(row); }
-  uint64_t Preserved(size_t j) const { return snapshot->preserved[j]; }
-  bool Uncolored(size_t j) const { return snapshot->uncolored[j] != 0; }
-  uint64_t FreeCount(size_t j) const { return snapshot->free_count[j]; }
-  Bitset& Scratch() { return *scratch; }
-};
-
 /// Backtracking engine implementing Algorithm 4 with dynamic candidate
 /// enumeration: a node's clusterings are built from the target rows not
 /// yet claimed by any chosen cluster, sized to the constraint's
@@ -277,12 +138,6 @@ class ColoringEngine {
     // EnumerationIsTriviallyEmpty fast path skips enumeration and memo).
     empty_candidates_ =
         std::make_shared<const std::vector<PreparedCandidate>>();
-    // Nogood replay charges the recorded cost of an uninterrupted
-    // subtree; a cancellable run can be truncated anywhere inside it,
-    // which no recorded cost reproduces — so learning is confined to
-    // runs that cannot be cancelled.
-    nogood_enabled_ = options.nogood && options.cancel == nullptr &&
-                      !options.deadline.CanBeCancelled();
     claimed_.Resize(relation.NumRows());
     fresh_scratch_.Resize(relation.NumRows());
     memo_.resize(n);
@@ -333,65 +188,6 @@ class ColoringEngine {
   /// still iterating it.
   using Memo = std::unordered_map<MemoKey, CandidateList, MemoKeyHash>;
 
- public:
-#ifndef NDEBUG
-  /// Full state copy behind a nogood entry — the fingerprint-collision
-  /// oracle (mirrors the cluster-registry `rows` oracle): two states may
-  /// only share a nogood key if every component below matches.
-  struct NogoodSignature {
-    size_t node = 0;
-    uint64_t deficit = 0;
-    uint64_t headroom = 0;
-    std::vector<uint64_t> claimed_fp;
-    std::vector<uint64_t> preserved;
-    std::vector<uint8_t> colored;
-    std::vector<uint8_t> sacrificed;
-    std::vector<uint64_t> active_fps;  // sorted
-    friend bool operator==(const NogoodSignature& a,
-                           const NogoodSignature& b) = default;
-  };
-#endif
-
-  /// One learned dead subtree: replaying it charges the recorded
-  /// step/backtrack cost and fails the frame without re-exploring.
-  struct NogoodRec {
-    uint64_t steps = 0;
-    uint64_t backtracks = 0;
-    /// True for entries imported via SeedNogoods: they describe the
-    /// publishing attempt's (different) candidate list, so replay is a
-    /// lossy prune and a re-derived cost may legitimately differ.
-    bool seeded = false;
-#ifndef NDEBUG
-    std::shared_ptr<const NogoodSignature> signature;
-#endif
-  };
-  /// Insertion-ordered publication log (key, rec) of self-learned
-  /// entries, for the share_nogoods attempt-boundary handoff.
-  using NogoodLog = std::vector<std::pair<uint64_t, NogoodRec>>;
-
- private:
-  /// Probe bookkeeping for one candidate-loop frame: verdict cells the
-  /// speculative validations publish into, plus their tickets so the
-  /// frame can retract unclaimed probes on exit.
-  struct ProbeFrame {
-    std::vector<std::pair<size_t, std::shared_ptr<std::atomic<int>>>> slots;
-    std::vector<uint64_t> tickets;
-    TaskGroup* group = nullptr;
-
-    /// Verdict for candidate `index`: kPending when no probe was
-    /// submitted for it or the probe has not finished — the caller then
-    /// validates inline as usual.
-    Verdict Consume(size_t index) const {
-      for (const auto& [slot_index, verdict] : slots) {
-        if (slot_index == index) {
-          return static_cast<Verdict>(
-              verdict->load(std::memory_order_acquire));
-        }
-      }
-      return Verdict::kPending;
-    }
-  };
-
   uint64_t FingerprintOf(const std::vector<RowId>& rows) const {
     uint64_t fp = 0;
     for (RowId row : rows) fp ^= context_.row_tags[row];
@@ -428,27 +224,6 @@ class ColoringEngine {
     }
     size_t node = SelectNode();
 
-    // Nogood replay: if this exact (node, state) frame is recorded as a
-    // dead subtree and replaying its cost cannot trip a budget check the
-    // real exploration would not have tripped, charge the recorded
-    // steps/backtracks and fail immediately. Replay IS re-execution:
-    // a dead subtree mutates nothing durable (state fully unwinds, no
-    // snapshot, no randomness), so the only observable difference it
-    // leaves is the step/backtrack tally — which the replay reproduces.
-    uint64_t nogood_key = 0;
-    if (nogood_enabled_) {
-      nogood_key = NogoodKeyFor(node);
-      auto it = nogood_.find(nogood_key);
-      if (it != nogood_.end() && NogoodReplayValid(it->second)) {
-        DIVA_DCHECK(NogoodSignatureMatches(it->second, node));
-        DIVA_COUNTER_ADD("coloring.nogood_hits", 1);
-        steps_ += it->second.steps;
-        backtracks_ += it->second.backtracks;
-        return false;
-      }
-      DIVA_COUNTER_ADD("coloring.nogood_misses", 1);
-    }
-
     CandidateList candidates = CandidatesFor(node);
     if (!forward_check_ && candidates->empty()) {
       // Greedy mode: a node with no admissible clustering is sacrificed
@@ -461,40 +236,6 @@ class ColoringEngine {
       return false;
     }
 
-    // Frame entry marks for the nogood learning conditions.
-    const uint64_t entry_steps = steps_;
-    const uint64_t entry_backtracks = backtracks_;
-    const uint64_t entry_draws = rng_.DrawCount();
-    const size_t entry_best = best_colored_;
-
-    ProbeFrame probes;
-    MaybeSubmitProbes(candidates, &probes);
-    bool colored = CandidateLoop(node, candidates, &probes);
-    AbandonProbes(&probes);
-
-    // Learn the frame as a nogood iff replaying it later is provably
-    // identical to re-exploring it: every candidate failed, no budget /
-    // stall / cancellation tripped (the subtree ran to natural
-    // exhaustion), the best partial coloring did not improve (no
-    // snapshot, no last_improvement_ move), and no randomness was drawn
-    // (the subtree is a pure function of the keyed state). Zero-cost
-    // frames are not worth an entry.
-    if (!colored && nogood_enabled_ && !budget_exhausted_ &&
-        best_colored_ == entry_best && rng_.DrawCount() == entry_draws &&
-        steps_ > entry_steps) {
-      RecordNogood(nogood_key, node, steps_ - entry_steps,
-                   backtracks_ - entry_backtracks);
-    }
-    return colored;
-  }
-
-  /// The candidate loop of one frame: tries each prepared candidate in
-  /// order, consuming speculative phase-1 verdicts when a probe finished
-  /// in time (a fail verdict skips the inline validation entirely; the
-  /// forward-check counter is charged exactly as the inline path would).
-  bool CandidateLoop(size_t node, const CandidateList& candidates,
-                     ProbeFrame* probes) {
-    size_t index = 0;
     for (const PreparedCandidate& candidate : *candidates) {
       ++steps_;
       if (steps_ > options_.step_budget ||
@@ -506,21 +247,8 @@ class ColoringEngine {
         budget_exhausted_ = true;
         return false;
       }
-      Verdict verdict = probes->Consume(index);
-      if (verdict == Verdict::kFail || verdict == Verdict::kFailForward) {
-        DIVA_DCHECK(VerdictMatchesLive(candidate, verdict));
-        if (verdict == Verdict::kFailForward) {
-          DIVA_COUNTER_ADD("coloring.forward_check_fails", 1);
-        }
-        DIVA_COUNTER_ADD_EXEC("coloring.spec_probe_hits", 1);
-        ++index;
-        continue;
-      }
       std::vector<uint64_t> activated;
-      if (!TryAssign(candidate, &activated)) {
-        ++index;
-        continue;
-      }
+      if (!TryAssign(candidate, &activated)) continue;
       assignment_[node] = static_cast<int>(candidate.preserved);
       ++colored_count_;
       SnapshotIfBetter();
@@ -528,207 +256,8 @@ class ColoringEngine {
       Unassign(node, activated);
       ++backtracks_;
       if (budget_exhausted_) return false;
-      ++index;
     }
     return false;
-  }
-
-  void DeficitHeadroom(size_t node, uint64_t* deficit,
-                       uint64_t* headroom) const {
-    const DiversityConstraint& constraint = constraints_[node];
-    uint64_t have = preserved_[node];
-    *deficit = constraint.lower() > have ? constraint.lower() - have : 0;
-    // have <= upper always (TryAssign enforces the upper bound).
-    *headroom = constraint.upper() - have;
-  }
-
-  /// Hash identity of one candidate-loop frame: the node and its local
-  /// (claimed-fingerprint, deficit, headroom) key, then a positional
-  /// fold over the full search state — the dead subtree below the frame
-  /// reads all of it — and the active-cluster partition (TryAssign's
-  /// registry-reuse path depends on how claimed rows are grouped, not
-  /// just on which rows are claimed). Collisions are caught by the
-  /// NogoodSignature oracle under DCHECK.
-  uint64_t NogoodKeyFor(size_t node) const {
-    uint64_t deficit = 0;
-    uint64_t headroom = 0;
-    DeficitHeadroom(node, &deficit, &headroom);
-    uint64_t h = MixBits(0x9e3779b97f4a7c15ULL + node);
-    h ^= MixBits(claimed_fp_[node] + deficit * 0x100000001b3ULL + headroom);
-    size_t n = constraints_.size();
-    for (size_t j = 0; j < n; ++j) {
-      uint64_t v = claimed_fp_[j] + preserved_[j] * 2 +
-                   (assignment_[j] >= 0 ? 1 : 0);
-      if (sacrificed_.Test(j)) v += 0x51ed270b7a14ULL;
-      h = h * 0x100000001b3ULL ^ MixBits(v);
-    }
-    return h ^ registry_xor_;
-  }
-
-  /// Replaying `rec` is identical to re-exploring iff no budget or stall
-  /// check would have tripped inside the subtree: checks trip at
-  /// steps_ > limit, the subtree's steps counter peaks at
-  /// steps_ + rec.steps, and a dead subtree never moves
-  /// last_improvement_. (Cancellation sources are excluded wholesale by
-  /// nogood_enabled_ — a cancellable run can be truncated anywhere,
-  /// which no recorded cost can reproduce.)
-  bool NogoodReplayValid(const NogoodRec& rec) const {
-    if (steps_ + rec.steps > options_.step_budget) return false;
-    if (options_.stall_limit > 0 &&
-        steps_ + rec.steps - last_improvement_ > options_.stall_limit) {
-      return false;
-    }
-    return true;
-  }
-
-  void RecordNogood(uint64_t key, size_t node, uint64_t steps,
-                    uint64_t backtracks) {
-    (void)node;
-    auto it = nogood_.find(key);
-    if (it != nogood_.end()) {
-      if (it->second.seeded) {
-        // Re-learned under this attempt's own candidate list: upgrade
-        // the lossy seeded prune to an exact self entry.
-        it->second.steps = steps;
-        it->second.backtracks = backtracks;
-        it->second.seeded = false;
-#ifndef NDEBUG
-        it->second.signature = MakeNogoodSignature(node);
-#endif
-        if (nogood_log_.size() < options_.nogood_capacity) {
-          nogood_log_.emplace_back(key, it->second);
-        }
-        return;
-      }
-      // The frame re-ran because the entry was not replay-valid at the
-      // time (budget headroom too small). It must have re-derived the
-      // identical dead subtree.
-      DIVA_DCHECK(it->second.steps == steps &&
-                  it->second.backtracks == backtracks);
-      return;
-    }
-    if (nogood_.size() >= options_.nogood_capacity) {
-      // Epoch eviction, like the candidate memo: drop everything rather
-      // than track recency. The publication log keeps already-learned
-      // entries (they were valid learnings; only the lookup table is
-      // bounded).
-      DIVA_COUNTER_ADD("coloring.nogood_evictions", nogood_.size());
-      nogood_.clear();
-    }
-    NogoodRec rec;
-    rec.steps = steps;
-    rec.backtracks = backtracks;
-#ifndef NDEBUG
-    rec.signature = MakeNogoodSignature(node);
-#endif
-    nogood_.emplace(key, rec);
-    if (nogood_log_.size() < options_.nogood_capacity) {
-      nogood_log_.emplace_back(key, std::move(rec));
-    }
-  }
-
-#ifndef NDEBUG
-  std::shared_ptr<const NogoodSignature> MakeNogoodSignature(size_t node) {
-    auto sig = std::make_shared<NogoodSignature>();
-    sig->node = node;
-    DeficitHeadroom(node, &sig->deficit, &sig->headroom);
-    sig->claimed_fp = claimed_fp_;
-    sig->preserved = preserved_;
-    size_t n = constraints_.size();
-    sig->colored.resize(n);
-    sig->sacrificed.resize(n);
-    for (size_t j = 0; j < n; ++j) {
-      sig->colored[j] = assignment_[j] >= 0 ? 1 : 0;
-      sig->sacrificed[j] = sacrificed_.Test(j) ? 1 : 0;
-    }
-    sig->active_fps.reserve(registry_.size());
-    for (const auto& [fp, entry] : registry_) sig->active_fps.push_back(fp);
-    std::sort(sig->active_fps.begin(), sig->active_fps.end());
-    return sig;
-  }
-#endif
-
-  bool NogoodSignatureMatches(const NogoodRec& rec, size_t node) {
-#ifndef NDEBUG
-    // Seeded entries carry the publishing engine's signature; states are
-    // directly comparable because both engines share the SearchContext
-    // (and thus the row-tag table).
-    if (rec.signature == nullptr) return true;
-    return *MakeNogoodSignature(node) == *rec.signature;
-#else
-    (void)rec;
-    (void)node;
-    return true;
-#endif
-  }
-
-  /// Debug oracle for probe consumption: a snapshot verdict must equal
-  /// what inline phase-1 validation computes against the live state.
-  bool VerdictMatchesLive(const PreparedCandidate& candidate,
-                          Verdict consumed) {
-    std::vector<uint64_t> delta(constraints_.size(), 0);
-    LiveView view{this};
-    return ValidateCandidate(candidate, constraints_, context_.target_bitmap,
-                             forward_check_, view, nullptr, nullptr,
-                             &delta) == consumed;
-  }
-
-  /// Submits speculative phase-1 validations of the frame's sibling
-  /// candidates (indices 1..kMaxProbesPerFrame; index 0 is about to run
-  /// inline anyway) to idle task-group workers. Gated on an idle worker
-  /// being available so a saturated group never queues probe work behind
-  /// real attempts, and on forward checking being enabled — greedy-mode
-  /// phase 1 is too cheap to ship to another thread.
-  void MaybeSubmitProbes(const CandidateList& candidates, ProbeFrame* frame) {
-    if (probe_group_ == nullptr || probe_pool_ == nullptr) return;
-    if (!forward_check_ || candidates->size() < 2) return;
-    if (!probe_group_->HasIdleWorker()) return;
-    size_t n = constraints_.size();
-    auto snapshot = std::make_shared<ProbeSnapshot>();
-    snapshot->claimed = claimed_;
-    snapshot->preserved = preserved_;
-    snapshot->free_count = free_count_;
-    snapshot->uncolored.resize(n);
-    for (size_t j = 0; j < n; ++j) {
-      snapshot->uncolored[j] = assignment_[j] < 0 ? 1 : 0;
-    }
-    snapshot->active_fps.reserve(registry_.size());
-    for (const auto& [fp, entry] : registry_) snapshot->active_fps.insert(fp);
-    frame->group = probe_group_;
-    // The closures own everything they touch (snapshot, candidate list,
-    // verdict cell) or point at driver-scoped immutables (constraints,
-    // context, pool) that outlive the task group — never at this engine,
-    // so a stray probe draining after the frame (or the engine) is gone
-    // is harmless.
-    const ConstraintSet* constraints = &constraints_;
-    const std::vector<Bitset>* target_bitmap = &context_.target_bitmap;
-    BitsetPool* pool = probe_pool_;
-    size_t last = std::min(candidates->size() - 1, kMaxProbesPerFrame);
-    for (size_t index = 1; index <= last; ++index) {
-      auto verdict = std::make_shared<std::atomic<int>>(
-          static_cast<int>(Verdict::kPending));
-      uint64_t ticket = probe_group_->Submit(
-          [snapshot, candidates, index, verdict, constraints, target_bitmap,
-           pool] {
-            BitsetPool::Lease lease = pool->Acquire();
-            SnapshotView view{snapshot.get(), &*lease};
-            std::vector<uint64_t> delta(constraints->size(), 0);
-            Verdict v = ValidateCandidate(
-                (*candidates)[index], *constraints, *target_bitmap,
-                /*forward_check=*/true, view, nullptr, nullptr, &delta);
-            verdict->store(static_cast<int>(v), std::memory_order_release);
-          });
-      frame->slots.emplace_back(index, std::move(verdict));
-      frame->tickets.push_back(ticket);
-      DIVA_COUNTER_ADD_EXEC("coloring.spec_probes", 1);
-    }
-  }
-
-  /// Retracts the frame's probes nobody started; in-flight ones finish
-  /// into verdict cells nobody will read.
-  void AbandonProbes(ProbeFrame* frame) {
-    if (frame->group == nullptr) return;
-    for (uint64_t ticket : frame->tickets) frame->group->TryAbandon(ticket);
   }
 
   /// Candidate clusterings of `node` under the current partial coloring,
@@ -886,44 +415,69 @@ class ColoringEngine {
   /// static facts (sorted rows, fingerprints, contributions) arrive
   /// precomputed; only the dynamic checks — registry lookups, claimed-row
   /// disjointness, bounds, forward check — run per trial.
-  /// ValidateCandidate view over the engine's own mutable state.
-  struct LiveView {
-    static constexpr bool kLive = true;
-    ColoringEngine* e;
-
-    bool IsActive(const PreparedCluster& cluster) const {
-      auto it = e->registry_.find(cluster.fingerprint);
-      if (it == e->registry_.end()) return false;
-      // Fingerprint hit = identical row set (disjoint-or-equal makes a
-      // real overlap-but-unequal cluster inadmissible anyway); a tag
-      // collision would silently merge two clusters, so verify.
-      DIVA_DCHECK(it->second.rows == cluster.rows);
-      return true;
-    }
-    bool IsClaimed(RowId row) const { return e->claimed_.Test(row); }
-    uint64_t Preserved(size_t j) const { return e->preserved_[j]; }
-    bool Uncolored(size_t j) const { return e->assignment_[j] < 0; }
-    uint64_t FreeCount(size_t j) const { return e->free_count_[j]; }
-    Bitset& Scratch() { return e->fresh_scratch_; }
-  };
-
   bool TryAssign(const PreparedCandidate& candidate,
                  std::vector<uint64_t>* activated) {
-    // Phase 1: validate without mutating (shared with the speculative
-    // probes, which run the same code against a snapshot view).
+    // Phase 1: validate without mutating.
+    size_t n = constraints_.size();
     std::vector<const PreparedCluster*> fresh;
     std::vector<uint64_t> reused;
     std::fill(delta_scratch_.begin(), delta_scratch_.end(), 0);
-    LiveView view{this};
-    Verdict verdict =
-        ValidateCandidate(candidate, constraints_, context_.target_bitmap,
-                          forward_check_, view, &fresh, &reused,
-                          &delta_scratch_);
-    if (verdict == Verdict::kFailForward) {
-      DIVA_COUNTER_ADD("coloring.forward_check_fails", 1);
-      return false;
+    for (const PreparedCluster& cluster : candidate.clusters) {
+      auto it = registry_.find(cluster.fingerprint);
+      if (it != registry_.end()) {
+        // Fingerprint hit = identical row set (disjoint-or-equal makes a
+        // real overlap-but-unequal cluster inadmissible anyway); a tag
+        // collision would silently merge two clusters, so verify.
+        DIVA_DCHECK(it->second.rows == cluster.rows);
+        reused.push_back(cluster.fingerprint);
+        continue;
+      }
+      // A new cluster may not touch any row owned by a different active
+      // cluster (disjoint-or-equal condition).
+      for (RowId row : cluster.rows) {
+        if (claimed_.Test(row)) return false;
+      }
+      for (const auto& [j, count] : cluster.contrib) {
+        delta_scratch_[j] += count;
+      }
+      fresh.push_back(&cluster);
     }
-    if (verdict != Verdict::kPass) return false;
+    // Upper-bound condition over every constraint (the paper checks
+    // neighbors; non-neighbors have zero contribution, so checking all is
+    // equivalent and simpler).
+    for (size_t j = 0; j < n; ++j) {
+      if (preserved_[j] + delta_scratch_[j] > constraints_[j].upper()) {
+        return false;
+      }
+    }
+    // Forward check: every still-uncolored constraint must be able to
+    // reach its lower bound from its preserved total plus the target rows
+    // that would remain free after this assignment. Fresh rows are marked
+    // in a scratch bitset once, then each constraint's newly-claimed
+    // count is one word-wise popcount kernel instead of per-row probes.
+    // (Disabled in the greedy second pass, where partial colorings are
+    // acceptable.)
+    if (forward_check_) {
+      for (const PreparedCluster* cluster : fresh) {
+        for (RowId row : cluster->rows) fresh_scratch_.Set(row);
+      }
+      bool feasible = true;
+      for (size_t j = 0; j < n && feasible; ++j) {
+        if (assignment_[j] >= 0) continue;
+        uint64_t claimed_j = Bitset::IntersectionCount(
+            fresh_scratch_, context_.target_bitmap[j]);
+        uint64_t reachable =
+            preserved_[j] + delta_scratch_[j] + (free_count_[j] - claimed_j);
+        feasible = reachable >= constraints_[j].lower();
+      }
+      for (const PreparedCluster* cluster : fresh) {
+        for (RowId row : cluster->rows) fresh_scratch_.Reset(row);
+      }
+      if (!feasible) {
+        DIVA_COUNTER_ADD("coloring.forward_check_fails", 1);
+        return false;
+      }
+    }
 
     // Phase 2: activate.
     for (const PreparedCluster* cluster : fresh) {
@@ -932,7 +486,6 @@ class ColoringEngine {
         preserved_[j] += count;
       }
       activated->push_back(cluster->fingerprint);
-      registry_xor_ ^= MixBits(cluster->fingerprint);
       bool inserted =
           registry_
               .emplace(cluster->fingerprint,
@@ -970,7 +523,6 @@ class ColoringEngine {
         for (const auto& [j, count] : it->second.contrib) {
           preserved_[j] -= count;
         }
-        registry_xor_ ^= MixBits(fp);
         registry_.erase(it);
       }
     }
@@ -1118,21 +670,10 @@ class ColoringEngine {
   std::vector<uint64_t> in_target_scratch_;
   std::vector<uint64_t> delta_scratch_;
   CandidateList trivial_candidates_;
+  CandidateList empty_candidates_;
 
   std::vector<Memo> memo_;  // per node
   size_t memo_entries_ = 0;
-
-  /// XOR of MixBits(fingerprint) over the active clusters — an O(1)
-  /// summary of the cluster partition for the nogood key.
-  uint64_t registry_xor_ = 0;
-  bool nogood_enabled_ = false;
-  std::unordered_map<uint64_t, NogoodRec> nogood_;
-  NogoodLog nogood_log_;
-  CandidateList empty_candidates_;
-
-  TaskGroup* probe_group_ = nullptr;
-  BitsetPool* probe_pool_ = nullptr;
-  static constexpr size_t kMaxProbesPerFrame = 4;
 
   uint64_t steps_ = 0;
   uint64_t backtracks_ = 0;
@@ -1168,43 +709,6 @@ class ColoringEngine {
     memo_entries_ = 0;
     for (const Memo& m : memo_) memo_entries_ += m.size();
   }
-
-  /// Self-learned nogoods in insertion order, for attempt-boundary
-  /// publication under share_nogoods.
-  const NogoodLog& PublishedNogoods() const { return nogood_log_; }
-
-  /// Seeds published entries from earlier attempts into the lookup
-  /// table, first-wins per key, up to capacity. Seeded entries are
-  /// deterministic but lossy prunes: the per-attempt enumeration seed
-  /// differs, so a subtree dead in the publishing attempt may have been
-  /// live here — trading completeness for speed, identically at every
-  /// thread width (seeding happens at sequential attempt boundaries).
-  void SeedNogoods(const NogoodLog& entries) {
-    if (!nogood_enabled_) return;
-    for (const auto& [key, rec] : entries) {
-      if (nogood_.size() >= options_.nogood_capacity) break;
-      NogoodRec seeded = rec;
-      seeded.seeded = true;
-      nogood_.emplace(key, std::move(seeded));
-    }
-  }
-
-  /// Wires the engine to a task group + scratch pool for sibling
-  /// candidate probes. Probes are semantically invisible (verdicts are
-  /// DCHECK-verified against inline validation), so this never changes
-  /// the outcome — only wall time.
-  void EnableProbes(TaskGroup* group, BitsetPool* pool) {
-    probe_group_ = group;
-    probe_pool_ = pool;
-  }
-
-  /// Re-enables nogood learning for a speculative engine whose
-  /// options.cancel is the driver's speculation flag. Sound because the
-  /// driver only adopts runs that finished before the flag was ever
-  /// raised (a run observed cancel==false at every poll, so it is
-  /// byte-identical to an uncancellable run); discarded runs do not
-  /// contribute state or counters.
-  void ForceNogoodLearning() { nogood_enabled_ = options_.nogood; }
 };
 
 }  // namespace
@@ -1246,12 +750,10 @@ ColoringOutcome ColorConstraints(const Relation& relation,
   // Speculative search runs every restart attempt ahead on idle threads
   // and adopts results in attempt order, each only when provably
   // identical to the sequential schedule (see the adoption rule below).
-  // Disabled when the attempts are coupled (share_nogoods serializes
-  // them) or externally cancellable (a truncated run is
-  // scheduling-dependent by nature, so nothing speculative could ever be
-  // adopted deterministically).
-  const bool speculate = options.speculation && !options.share_nogoods &&
-                         options.cancel == nullptr &&
+  // Disabled when the search is externally cancellable: a truncated run
+  // is scheduling-dependent by nature, so nothing speculative could ever
+  // be adopted deterministically.
+  const bool speculate = options.speculation && options.cancel == nullptr &&
                          !options.deadline.CanBeCancelled();
   size_t workers = 0;
   if (speculate) {
@@ -1271,23 +773,19 @@ ColoringOutcome ColorConstraints(const Relation& relation,
     uint64_t ticket = 0;
   };
   std::vector<Slot> slots(kMaxAttempts);
-  BitsetPool scratch_pool(relation.NumRows());
-  // Declared after everything its workers touch (context, slots, pool):
-  // the group's destructor joins in-flight losers before any of it dies.
+  // Declared after everything its workers touch (context, slots): the
+  // group's destructor joins in-flight losers before any of it dies.
   TaskGroup group(workers);
 
   // Runs attempt `attempt` inline on this thread under the exact
   // sequential budget, keeping the engine alive in its slot (attempt 0's
   // memo feeds the greedy pass).
-  auto run_inline = [&](int attempt, uint64_t pass_budget,
-                        const ColoringEngine::NogoodLog* seed_nogoods) {
+  auto run_inline = [&](int attempt, uint64_t pass_budget) {
     ColoringOptions pass = attempt_options(attempt);
     pass.step_budget = pass_budget;
     Slot& slot = slots[attempt];
     slot.engine = std::make_unique<ColoringEngine>(
         relation, constraints, graph, context, pass, /*forward_check=*/true);
-    if (seed_nogoods != nullptr) slot.engine->SeedNogoods(*seed_nogoods);
-    if (workers > 0) slot.engine->EnableProbes(&group, &scratch_pool);
     slot.outcome = slot.engine->Run();
   };
 
@@ -1300,107 +798,70 @@ ColoringOutcome ColorConstraints(const Relation& relation,
       ColoringOptions pass = attempt_options(attempt);
       pass.step_budget = strict_budget;
       pass.cancel = &spec_cancel;
-      slot->ticket = group.Submit([slot, pass, &relation, &constraints,
-                                   &graph, &context, &group, &scratch_pool] {
-        // Deterministic-scope counters and trace spans go into the
-        // slot's buffers and are committed only if this run is adopted —
-        // the global totals and the captured trace see exactly the
-        // sequential schedule's work, in adoption order.
-        counters::ScopedBufferedCounters buffered(&slot->buffer);
-        trace::ScopedBufferedSpans span_scope(&slot->spans);
-        slot->engine = std::make_unique<ColoringEngine>(
-            relation, constraints, graph, context, pass,
-            /*forward_check=*/true);
-        // pass.cancel is only raised after the adoption loop, so any
-        // adoptable run was never actually cancellable (see
-        // ForceNogoodLearning).
-        slot->engine->ForceNogoodLearning();
-        slot->engine->EnableProbes(&group, &scratch_pool);
-        slot->outcome = slot->engine->Run();
-      });
-    }
-    bool complete = false;
-    for (int attempt = 0; spent < strict_budget && attempt < kMaxAttempts;
-         ++attempt) {
-      DIVA_TRACE_SPAN_RANGE("coloring/attempt", attempt, attempt + 1);
-      DIVA_COUNTER_ADD("coloring.attempts", 1);
-      uint64_t b = strict_budget - spent;
-      Slot& slot = slots[attempt];
-      if (group.TryAbandon(slot.ticket)) {
-        // Never started: run it here, exactly as the sequential schedule
-        // would.
-        run_inline(attempt, b, nullptr);
-      } else {
-        group.Wait(slot.ticket);
-        // Adoption rule: the speculative run used budget strict_budget;
-        // the sequential schedule would have used b <= strict_budget.
-        // The step counter is monotone and the budget check trips only
-        // at steps > limit, so a run that finished within b steps never
-        // saw a check the sequential run would have failed — its whole
-        // trajectory, outcome, and counter deltas are byte-identical.
-        // (b == strict_budget means the budgets agree outright.)
-        if (slot.outcome.steps <= b || b == strict_budget) {
-          slot.buffer.Commit();
-          slot.spans.Commit();
-          DIVA_COUNTER_ADD_EXEC("coloring.spec_adopted", 1);
-        } else {
-          // Overran the sequential budget: discard and re-run inline
-          // under the exact budget.
-          slot.buffer.Discard();
-          slot.spans.Discard();
-          DIVA_COUNTER_ADD_EXEC("coloring.spec_reruns", 1);
-          run_inline(attempt, b, nullptr);
-        }
-      }
-      ColoringOutcome outcome = std::move(slot.outcome);
-      spent += outcome.steps;
-      if (outcome.NumColored() > best.NumColored()) {
-        uint64_t steps_so_far = spent;
-        best = std::move(outcome);
-        best.steps = steps_so_far;
-      }
-      if (best.complete) {
-        complete = true;
-        break;
-      }
-    }
-    spec_cancel.store(true, std::memory_order_relaxed);
-    group.AbandonAll();
-    if (complete) return best;
-  } else {
-    // Sequential attempt schedule — the reference semantics speculation
-    // reproduces. share_nogoods lives here: each attempt publishes its
-    // learned table at its end (a deterministic sequence point) and
-    // seeds every later attempt, first key wins.
-    ColoringEngine::NogoodLog shared_nogoods;
-    std::unordered_set<uint64_t> shared_keys;
-    for (int attempt = 0; spent < strict_budget && attempt < kMaxAttempts &&
-                          !options.deadline.Cancelled();
-         ++attempt) {
-      DIVA_TRACE_SPAN_RANGE("coloring/attempt", attempt, attempt + 1);
-      DIVA_COUNTER_ADD("coloring.attempts", 1);
-      run_inline(attempt, strict_budget - spent,
-                 options.share_nogoods && attempt > 0 ? &shared_nogoods
-                                                      : nullptr);
-      Slot& slot = slots[attempt];
-      if (options.share_nogoods) {
-        for (const auto& [key, rec] : slot.engine->PublishedNogoods()) {
-          if (shared_keys.insert(key).second) {
-            shared_nogoods.emplace_back(key, rec);
-          }
-        }
-      }
-      ColoringOutcome outcome = std::move(slot.outcome);
-      spent += outcome.steps;
-      if (outcome.NumColored() > best.NumColored()) {
-        uint64_t steps_so_far = spent;
-        best = std::move(outcome);
-        best.steps = steps_so_far;
-      }
-      if (best.complete) return best;
-      if (attempt != 0) slot.engine.reset();
+      slot->ticket = group.Submit(
+          [slot, pass, &relation, &constraints, &graph, &context] {
+            // Deterministic-scope counters and trace spans go into the
+            // slot's buffers and are committed only if this run is
+            // adopted — the global totals and the captured trace see
+            // exactly the sequential schedule's work, in adoption order.
+            counters::ScopedBufferedCounters buffered(&slot->buffer);
+            trace::ScopedBufferedSpans span_scope(&slot->spans);
+            slot->engine = std::make_unique<ColoringEngine>(
+                relation, constraints, graph, context, pass,
+                /*forward_check=*/true);
+            slot->outcome = slot->engine->Run();
+          });
     }
   }
+  // The attempt schedule. Without workers every attempt runs inline:
+  // that sequential schedule is the reference semantics speculation
+  // reproduces.
+  for (int attempt = 0; spent < strict_budget && attempt < kMaxAttempts &&
+                        !options.deadline.Cancelled();
+       ++attempt) {
+    DIVA_TRACE_SPAN_RANGE("coloring/attempt", attempt, attempt + 1);
+    DIVA_COUNTER_ADD("coloring.attempts", 1);
+    uint64_t b = strict_budget - spent;
+    Slot& slot = slots[attempt];
+    if (workers == 0 || group.TryAbandon(slot.ticket)) {
+      // Sequential, or never started: run it here, exactly as the
+      // sequential schedule would.
+      run_inline(attempt, b);
+    } else {
+      group.Wait(slot.ticket);
+      // Adoption rule: the speculative run used budget strict_budget;
+      // the sequential schedule would have used b <= strict_budget.
+      // The step counter is monotone and the budget check trips only
+      // at steps > limit, so a run that finished within b steps never
+      // saw a check the sequential run would have failed — its whole
+      // trajectory, outcome, and counter deltas are byte-identical.
+      // (b == strict_budget means the budgets agree outright.)
+      if (slot.outcome.steps <= b || b == strict_budget) {
+        slot.buffer.Commit();
+        slot.spans.Commit();
+        DIVA_COUNTER_ADD_EXEC("coloring.spec_adopted", 1);
+      } else {
+        // Overran the sequential budget: discard and re-run inline
+        // under the exact budget.
+        slot.buffer.Discard();
+        slot.spans.Discard();
+        DIVA_COUNTER_ADD_EXEC("coloring.spec_reruns", 1);
+        run_inline(attempt, b);
+      }
+    }
+    ColoringOutcome outcome = std::move(slot.outcome);
+    spent += outcome.steps;
+    if (outcome.NumColored() > best.NumColored()) {
+      uint64_t steps_so_far = spent;
+      best = std::move(outcome);
+      best.steps = steps_so_far;
+    }
+    if (best.complete) break;
+    if (attempt != 0) slot.engine.reset();
+  }
+  spec_cancel.store(true, std::memory_order_relaxed);
+  group.AbandonAll();
+  if (best.complete) return best;
 
   // An expired deadline skips the greedy pass: what we have is the
   // anytime answer, flagged through the budget-exhaustion path.
@@ -1421,9 +882,8 @@ ColoringOutcome ColorConstraints(const Relation& relation,
   // Attempt 0 and the greedy pass derive identical per-node enumeration
   // seeds from options.seed, so attempt 0's memo is directly reusable —
   // the memo is semantically transparent, so this changes no outcome,
-  // only enumeration time. (Shared nogoods are NOT handed over: they
-  // were learned under forward checking and are unsound without it.)
-  if (options.share_memo && slots[0].engine != nullptr) {
+  // only enumeration time.
+  if (slots[0].engine != nullptr) {
     greedy.ImportMemo(slots[0].engine->ExportMemo());
   }
   ColoringOutcome fallback = greedy.Run();

@@ -44,7 +44,9 @@ struct ColoringOptions {
 
   /// Cooperative cancellation: when set and *cancel becomes true, the
   /// search stops at the next step and returns its best partial outcome.
-  /// Used by the portfolio driver; null = never cancelled.
+  /// The speculation driver uses it to stop attempts it will not adopt,
+  /// the portfolio driver to stop the losing searches; null = never
+  /// cancelled.
   const std::atomic<bool>* cancel = nullptr;
 
   /// Deadline-driven cancellation (the anytime mode of RunDiva): when the
@@ -66,8 +68,11 @@ struct ColoringOptions {
   /// least-constraining ordering) is a pure function of that key, so the
   /// search explores exactly the same tree with the memo on or off —
   /// disabling it only costs time (coloring_test asserts byte-identical
-  /// outcomes both ways). Hit/miss/evict totals are exported through the
-  /// deterministic counters coloring.memo_{hits,misses,evictions}.
+  /// outcomes both ways). The greedy fallback pass starts from attempt
+  /// 0's memo: both derive the same per-node enumeration seeds, so the
+  /// entries are interchangeable. Hit/miss/evict totals are exported
+  /// through the deterministic counters coloring.memo_{hits,misses,
+  /// evictions}.
   bool memo = true;
 
   /// Memoized candidate lists retained per search engine before the memo
@@ -78,47 +83,13 @@ struct ColoringOptions {
   /// idle threads and the driver adopts results in attempt order, each
   /// one only when it is provably identical to what the sequential
   /// schedule would have computed (otherwise that attempt is re-run
-  /// inline under exact sequential semantics). Sibling candidates at
-  /// backtrack points are additionally pre-validated by idle workers.
-  /// Output, step/backtrack counts, and every deterministic counter are
-  /// byte-identical to speculation = false at any thread width; the knob
-  /// only trades threads for wall time. Automatically disabled when the
-  /// search can be cancelled externally (options.cancel / deadline),
-  /// because a truncated run is scheduling-dependent by nature.
+  /// inline under exact sequential semantics). Output, step/backtrack
+  /// counts, and every deterministic counter are byte-identical to
+  /// speculation = false at any thread width; the knob only trades
+  /// threads for wall time. Automatically disabled when the search can
+  /// be cancelled externally (options.cancel / deadline), because a
+  /// truncated run is scheduling-dependent by nature.
   bool speculation = true;
-
-  /// Learn dead subtrees: when every candidate of a node fails without
-  /// consuming randomness, improving the best partial coloring, or
-  /// hitting a budget, the (node, state) pair is recorded with its
-  /// step/backtrack cost and replayed on re-visits — the search charges
-  /// the recorded cost and fails immediately instead of re-exploring.
-  /// Replay is exactly equivalent to re-execution, so outcomes are
-  /// byte-identical with the table on or off (coloring_test asserts
-  /// this). Hit/miss/evict totals are exported through the deterministic
-  /// counters coloring.nogood_{hits,misses,evictions}.
-  bool nogood = true;
-
-  /// Nogood entries retained per search engine before the table is
-  /// dropped wholesale (epoch eviction, like memo_capacity).
-  size_t nogood_capacity = 4096;
-
-  /// Publish each restart attempt's learned nogoods at its end (a
-  /// deterministic sequence point) and seed them into every later
-  /// attempt, so attempt i prunes attempts j > i. Changes later
-  /// attempts' trajectories (deterministically — identical at every
-  /// thread width), and forces the attempt portfolio to run
-  /// sequentially, since attempt j cannot start before attempt i's
-  /// table is final. Off by default: the attempts that learn the most
-  /// are exactly the expensive ones speculation overlaps. The greedy
-  /// pass never consumes shared entries (they were learned under
-  /// forward checking and are unsound without it).
-  bool share_nogoods = false;
-
-  /// Hand the first strict attempt's candidate memo to the greedy pass
-  /// (they share the per-node enumeration seed, so entries are
-  /// interchangeable; the memo is semantically transparent, so steps
-  /// and outcome are unchanged — only enumeration time is saved).
-  bool share_memo = true;
 
   /// Knobs of the per-node candidate enumeration. Candidates are
   /// regenerated each time a node is tried (or replayed from the memo),

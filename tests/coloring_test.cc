@@ -373,7 +373,10 @@ TEST(ColoringTest, MemoReplaysAfterBacktracking) {
 
 // The memo is a pure cache: candidate lists are a deterministic function
 // of (free target set, deficit, headroom), so disabling it — or forcing
-// constant evictions — must not move a single byte of the outcome.
+// constant evictions — must not move a single byte of the outcome. The
+// greedy fallback pass starts from attempt 0's memo; it runs only when
+// no strict attempt completes, which the workload guarantees, so the
+// comparison against memo = false covers that handoff too.
 TEST(ColoringTest, MemoDisabledOrEvictingIsByteIdentical) {
   StressWorkload workload = MakeStressWorkload();
   ConstraintGraph graph =
@@ -383,6 +386,7 @@ TEST(ColoringTest, MemoDisabledOrEvictingIsByteIdentical) {
   ColoringOutcome baseline = ColorConstraints(
       workload.relation, workload.constraints, graph, with_memo);
   ASSERT_GT(baseline.backtracks, 0u);
+  ASSERT_FALSE(baseline.complete) << "the greedy pass must run";
 
   ColoringOptions no_memo = StressOptions();
   no_memo.memo = false;
@@ -402,73 +406,6 @@ TEST(ColoringTest, MemoDisabledOrEvictingIsByteIdentical) {
   EXPECT_GT(CounterDelta(delta, "coloring.memo_evictions"), 0u);
 }
 
-// ------------------------------------------------------------ nogoods
-
-// The nogood table is a pure prune: an entry replays the exact
-// step/backtrack cost the recorded failure paid, so disabling the table
-// — or strangling it to one entry — must not move a byte. In debug
-// builds every record and replay also runs the full-state collision
-// oracle (NogoodSignature), so this test doubles as the fingerprint-
-// collision check: a 64-bit key collision between different subproblem
-// states would trip the DCHECK, not silently corrupt the search.
-TEST(ColoringTest, NogoodDisabledOrEvictingIsByteIdentical) {
-  StressWorkload workload = MakeStressWorkload();
-  ConstraintGraph graph =
-      BuildConstraintGraph(workload.relation, workload.constraints);
-
-  auto before = counters::Snapshot();
-  ColoringOutcome baseline = ColorConstraints(
-      workload.relation, workload.constraints, graph, StressOptions());
-  auto delta = counters::Delta(before, counters::Snapshot());
-  ASSERT_GT(baseline.backtracks, 0u);
-  // The table is live on this workload: failures are being recorded.
-  EXPECT_GT(CounterDelta(delta, "coloring.nogood_misses"), 0u);
-
-  ColoringOptions off = StressOptions();
-  off.nogood = false;
-  ColoringOutcome without = ColorConstraints(
-      workload.relation, workload.constraints, graph, off);
-  EXPECT_TRUE(SameOutcome(baseline, without));
-
-  // Capacity 1 evicts (epoch-clears) on nearly every second record; the
-  // search trajectory still must not change.
-  ColoringOptions tiny = StressOptions();
-  tiny.nogood_capacity = 1;
-  before = counters::Snapshot();
-  ColoringOutcome evicting = ColorConstraints(
-      workload.relation, workload.constraints, graph, tiny);
-  delta = counters::Delta(before, counters::Snapshot());
-  EXPECT_TRUE(SameOutcome(baseline, evicting));
-  EXPECT_GT(CounterDelta(delta, "coloring.nogood_evictions"), 0u);
-}
-
-// Eviction is an epoch clear at a deterministic point (the insert that
-// would exceed capacity), so the eviction count is itself a
-// deterministic counter: two identical runs must agree exactly.
-TEST(ColoringTest, NogoodEvictionIsBoundedAndDeterministic) {
-  StressWorkload workload = MakeStressWorkload();
-  ConstraintGraph graph =
-      BuildConstraintGraph(workload.relation, workload.constraints);
-  ColoringOptions tiny = StressOptions();
-  tiny.nogood_capacity = 2;
-
-  uint64_t evictions[2] = {0, 0};
-  uint64_t misses[2] = {0, 0};
-  ColoringOutcome outcomes[2];
-  for (int run = 0; run < 2; ++run) {
-    auto before = counters::Snapshot();
-    outcomes[run] = ColorConstraints(workload.relation, workload.constraints,
-                                     graph, tiny);
-    auto delta = counters::Delta(before, counters::Snapshot());
-    evictions[run] = CounterDelta(delta, "coloring.nogood_evictions");
-    misses[run] = CounterDelta(delta, "coloring.nogood_misses");
-  }
-  EXPECT_TRUE(SameOutcome(outcomes[0], outcomes[1]));
-  EXPECT_EQ(evictions[0], evictions[1]);
-  EXPECT_EQ(misses[0], misses[1]);
-  EXPECT_GT(evictions[0], 0u);
-}
-
 // ------------------------------------------------------------ speculation
 
 std::vector<counters::Sample> DeterministicDelta(
@@ -479,7 +416,7 @@ std::vector<counters::Sample> DeterministicDelta(
 
 // The tentpole determinism contract: with speculative attempt search
 // enabled (the default), the outcome AND every deterministic counter —
-// steps, backtracks, memo and nogood traffic — are byte-identical at
+// steps, backtracks, memo traffic — are byte-identical at
 // every thread width. Counter/trace attribution is what makes this
 // hold: unadopted speculative attempts buffer their deterministic
 // updates and discard them.
@@ -528,63 +465,84 @@ TEST(SpeculationTest, DisablingSpeculationIsByteIdentical) {
   EXPECT_TRUE(SameOutcome(with_spec, without));
 }
 
-// The cross-attempt memo share is sound because the greedy fallback
-// reuses attempt 0's enumeration seed; sharing is a cache handoff, not
-// a semantic change.
-TEST(SpeculationTest, MemoShareToggleIsByteIdentical) {
-  StressWorkload workload = MakeStressWorkload();
-  ConstraintGraph graph =
-      BuildConstraintGraph(workload.relation, workload.constraints);
+// ------------------------------------------------------------ pins
 
-  ColoringOutcome shared = ColorConstraints(
-      workload.relation, workload.constraints, graph, StressOptions());
-  ColoringOptions unshared = StressOptions();
-  unshared.share_memo = false;
-  ColoringOutcome isolated = ColorConstraints(
-      workload.relation, workload.constraints, graph, unshared);
-  EXPECT_TRUE(SameOutcome(shared, isolated));
+/// FNV-1a over the chosen clusters in their canonical order (sizes
+/// delimit the clusters, so a moved boundary changes the hash).
+uint64_t HashClusters(const Clustering& clusters) {
+  uint64_t hash = 1469598103934665603ULL;
+  auto mix = [&hash](uint64_t value) {
+    hash ^= value + 1;
+    hash *= 1099511628211ULL;
+  };
+  for (const Cluster& cluster : clusters) {
+    mix(cluster.size());
+    for (RowId row : cluster) mix(row);
+  }
+  return hash;
 }
 
-// share_nogoods trades speculation for cross-attempt pruning (it forces
-// the sequential loop). It may legally change the trajectory versus the
-// unshared default — later attempts see earlier attempts' dead ends —
-// but it must be deterministic across widths and still yield a valid
-// outcome.
-TEST(SpeculationTest, SharedNogoodsAreDeterministicAcrossWidths) {
-  StressWorkload workload = MakeStressWorkload();
-  ConstraintGraph graph =
-      BuildConstraintGraph(workload.relation, workload.constraints);
-  ColoringOptions sharing = StressOptions();
-  sharing.share_nogoods = true;
+struct PinnedShape {
+  const char* name;
+  DatasetProfile profile;
+  size_t num_rows;  // 0 = profile default
+  size_t count;
+  double slack;
+  double conflict;
+  size_t min_support;
+  uint64_t step_budget;
+  uint64_t steps;
+  uint64_t backtracks;
+  uint64_t clusters_hash;
+};
 
-  ColoringOutcome reference;
-  std::vector<counters::Sample> reference_delta;
-  for (size_t threads : {size_t{1}, size_t{8}}) {
-    SetParallelThreads(threads);
-    auto before = counters::Snapshot();
-    ColoringOutcome outcome = ColorConstraints(
-        workload.relation, workload.constraints, graph, sharing);
-    std::vector<counters::Sample> delta = DeterministicDelta(before);
-    if (threads == 1) {
-      reference = std::move(outcome);
-      reference_delta = std::move(delta);
-      continue;
+// The two bench_coloring shapes (bench/bench_coloring.cpp kShapes) with
+// their pinned search trajectory. Every accelerator of the search (memo,
+// memo handoff, speculation) must leave these numbers exactly as they
+// are; a change here is a change of the paper algorithm's behaviour.
+constexpr PinnedShape kPinnedShapes[] = {
+    {"fig4_popsyn", DatasetProfile::kPopSyn, 4000, 12, 0.3, 0.4, 2, 150000,
+     4278, 162, 5420480117871492966ULL},
+    {"fig5_stress", DatasetProfile::kCredit, 0, 24, 0.05, 0.9, 15, 40000,
+     6036, 355, 1658943302211772218ULL},
+};
+
+TEST(ColoringPinTest, BenchShapesKeepTheirTrajectoryAtWidthsOneAndFour) {
+  for (const PinnedShape& shape : kPinnedShapes) {
+    ProfileOptions profile_options;
+    if (shape.num_rows > 0) profile_options.num_rows = shape.num_rows;
+    profile_options.seed = 1000;
+    auto relation = GenerateProfile(shape.profile, profile_options);
+    ASSERT_TRUE(relation.ok()) << shape.name;
+    ConstraintGenOptions gen;
+    gen.count = shape.count;
+    gen.slack = shape.slack;
+    gen.min_support = shape.min_support;
+    gen.target_conflict = shape.conflict;
+    gen.seed = 1000;
+    auto constraints = GenerateConstraints(*relation, gen);
+    ASSERT_TRUE(constraints.ok()) << shape.name;
+    ConstraintGraph graph = BuildConstraintGraph(*relation, *constraints);
+
+    ColoringOptions options;
+    options.k = 10;
+    options.strategy = SelectionStrategy::kMaxFanOut;
+    options.seed = 1000;
+    options.step_budget = shape.step_budget;
+    options.stall_limit = 5000;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SetParallelThreads(threads);
+      ColoringOutcome outcome =
+          ColorConstraints(*relation, *constraints, graph, options);
+      EXPECT_EQ(outcome.steps, shape.steps)
+          << shape.name << " threads=" << threads;
+      EXPECT_EQ(outcome.backtracks, shape.backtracks)
+          << shape.name << " threads=" << threads;
+      EXPECT_EQ(HashClusters(outcome.chosen_clusters), shape.clusters_hash)
+          << shape.name << " threads=" << threads;
     }
-    EXPECT_TRUE(SameOutcome(reference, outcome));
-    EXPECT_EQ(reference_delta, delta);
   }
   SetParallelThreads(1);
-
-  // Still a coherent coloring: no row claimed twice, bounds respected.
-  std::set<RowId> seen;
-  for (const Cluster& cluster : reference.chosen_clusters) {
-    for (RowId row : cluster) {
-      EXPECT_TRUE(seen.insert(row).second) << "overlap on row " << row;
-    }
-  }
-  for (size_t j = 0; j < workload.constraints.size(); ++j) {
-    EXPECT_LE(reference.preserved[j], workload.constraints[j].upper()) << j;
-  }
 }
 
 TEST(ColoringTest, PreservedMatchesChosenClusters) {

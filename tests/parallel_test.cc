@@ -405,7 +405,6 @@ TEST(TaskGroupTest, ZeroWorkersRunEverythingInTheWaiter) {
   // a Wait, and then the waiting thread runs it inline via helping.
   TaskGroup group(0);
   EXPECT_EQ(group.workers(), 0u);
-  EXPECT_FALSE(group.HasIdleWorker());
   std::atomic<int> ran{0};
   uint64_t ticket =
       group.Submit([&] { ran.fetch_add(1, std::memory_order_relaxed); });
@@ -461,15 +460,6 @@ TEST(TaskGroupTest, ExceptionPropagatesThroughWait) {
   uint64_t ticket = group.Submit(
       [] { throw std::runtime_error("task group test failure"); });
   EXPECT_THROW(group.Wait(ticket), std::runtime_error);
-}
-
-TEST(TaskGroupTest, IdleWorkersParkAndAdvertise) {
-  TaskGroup group(2);
-  // Workers park once the (empty) queue is drained; the hint is racy
-  // but must converge to true in a quiescent group.
-  while (!group.HasIdleWorker()) {
-  }
-  EXPECT_TRUE(group.HasIdleWorker());
 }
 
 TEST(TaskGroupTest, DestructorAbandonsPendingAndJoins) {

@@ -776,8 +776,12 @@ def collect_files(paths: list[Path]) -> list[Path]:
     files = []
     for path in paths:
         if path.is_dir():
+            # The analysis fixtures violate the rules on purpose: a
+            # directory walk skips them, naming one explicitly checks it.
             for suffix in SOURCE_SUFFIXES:
-                files.extend(sorted(path.rglob(f"*{suffix}")))
+                files.extend(sorted(
+                    f for f in path.rglob(f"*{suffix}")
+                    if "analysis_fixtures" not in f.parts))
         elif path.is_file():
             files.append(path)
         else:

@@ -25,15 +25,12 @@ intersections over row sets, and the packed-word Bitset
 (common/bitset.h) does those word-wise with popcount kernels instead of
 per-element proxy reads. A vector<bool> creeping back in silently
 reverts the kernels to bit-proxy loops.
-Check 6 (randomness): rand() / srand() / std::random_device may appear
-only in src/common/rng.* — every randomized component takes an explicit
-seed through diva::Rng so any run can be replayed bit-for-bit. This is
-the plain-checkout fallback for the deeper raw-random check in
-tools/diva_analyze.py.
+Raw randomness (rand() / srand() / std::random_device) is not checked
+here: tools/diva_analyze.py's raw-random check owns that rule.
 
 Escape hatches are uniform: `// lint: allow-<tag>` on the flagged line
 or the line directly above (tags: discard, thread, clock, print,
-vector-bool, random), with a justification in the comment.
+vector-bool), with a justification in the comment.
 tests/analysis_fixtures/ is skipped wholesale — those files are analyzer
 input that violates the rules on purpose.
 
@@ -294,35 +291,6 @@ def find_vector_bool_violations(path: Path) -> list[tuple[int, str]]:
     return violations
 
 
-# Nondeterministic randomness sources. diva::Rng (common/rng.h) is the
-# one sanctioned generator: everything randomized takes an explicit seed
-# so runs replay bit-for-bit. rand()/srand() share hidden global state
-# and random_device is entropy by definition; neither can appear outside
-# the Rng implementation itself. (tools/diva_analyze.py enforces the
-# same rule with its own engines; this is the plain-checkout fallback.)
-RANDOM_RE = re.compile(
-    r"(?<![\w.:>])s?rand\s*\(|(?:std\s*::\s*)?\brandom_device\b"
-)
-
-RANDOM_ALLOWED_RE = re.compile(r"common/rng\.[^/]*$")
-
-
-def find_random_violations(path: Path) -> list[tuple[int, str]]:
-    if RANDOM_ALLOWED_RE.search(str(path).replace("\\", "/")):
-        return []
-    raw = path.read_text()
-    text = strip_comments_and_strings(raw)
-    raw_lines = raw.splitlines()
-    violations = []
-    for match in RANDOM_RE.finditer(text):
-        line_no = text.count("\n", 0, match.start()) + 1
-        line = raw_lines[line_no - 1] if line_no <= len(raw_lines) else ""
-        if allowed(raw_lines, line_no, "random"):
-            continue
-        violations.append((line_no, line.strip()))
-    return violations
-
-
 def main(argv: list[str]) -> int:
     if len(argv) < 2:
         print(f"usage: {argv[0]} <source-root>...", file=sys.stderr)
@@ -378,14 +346,6 @@ def main(argv: list[str]) -> int:
                     f"{source}:{line_no}: std::vector<bool> in the search "
                     f"hot path: `{line}` (use Bitset from common/bitset.h — "
                     f"packed words, popcount intersection kernels)"
-                )
-                failures += 1
-            for line_no, line in find_random_violations(source):
-                print(
-                    f"{source}:{line_no}: raw randomness source: `{line}` "
-                    f"(use diva::Rng from common/rng.h with an explicit "
-                    f"seed; `// {ALLOW_PREFIX}random` on or above the line "
-                    f"if deliberate)"
                 )
                 failures += 1
             for line_no, line, kind in find_instrumentation_violations(source):
