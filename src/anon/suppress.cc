@@ -42,10 +42,10 @@ void SuppressOneCluster(Relation* relation, const Cluster& cluster,
   for (size_t col : qi) {
     if (!Unanimous(*relation, cluster, col)) {
       for (RowId row : cluster) relation->Set(row, col, kSuppressed);
-      // Cells *written* by this subsystem, including work on speculative
-      // trial copies (MergeLeftoverRows ranking, privacy merges) — a
-      // work measure, not the published-star count (that is
-      // suppress.stars, counted once against the input in RunDiva).
+      // Cells *written* by this subsystem, including rewrites of cells
+      // already suppressed (leftover folds, privacy merges) — a work
+      // measure, not the published-star count (that is suppress.stars,
+      // counted once against the input in RunDiva).
       DIVA_COUNTER_ADD("suppress.cells", cluster.size());
     }
   }

@@ -30,6 +30,21 @@ const char* SelectionStrategyToString(SelectionStrategy strategy) {
 
 namespace {
 
+/// A fixed-seed random 64-bit tag per row. A row set's fingerprint is
+/// the XOR of its members' tags, so adding or removing a row updates the
+/// fingerprint in O(1): the engine keys its cluster registry and
+/// candidate memo on these instead of rehashing whole row vectors. The
+/// seed is a constant, so tags (and everything keyed on them) are
+/// identical across runs and thread widths.
+std::vector<uint64_t> MakeRowTags(size_t num_rows) {
+  Rng tag_rng(uint64_t{0x5e7f1a9bc0ffee11ULL});
+  std::vector<uint64_t> tags(num_rows);
+  for (uint64_t& tag : tags) {
+    tag = tag_rng.Next();
+  }
+  return tags;
+}
+
 /// Immutable search state shared by every engine one ColorConstraints
 /// call spawns (all restart attempts plus the greedy pass): packed target
 /// bitmaps, the hoisted QI-similarity target orders, the row->constraint
@@ -58,13 +73,7 @@ struct SearchContext {
           return SortByQiSimilarity(relation, graph.targets[j]);
         });
     DIVA_COUNTER_ADD("coloring.target_sorts", n);
-    if (graph.row_tags.size() >= num_rows) {
-      row_tags = graph.row_tags;
-    } else {
-      // Hand-built graph (tests construct these): regenerate the same
-      // fixed-seed tags BuildConstraintGraph would have stored.
-      row_tags = MakeRowTags(num_rows);
-    }
+    row_tags = MakeRowTags(num_rows);
   }
 
   std::vector<Bitset> target_bitmap;

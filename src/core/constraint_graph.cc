@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/rng.h"
 #include "constraint/conflict.h"
 
 namespace diva {
@@ -31,20 +30,7 @@ ConstraintGraph BuildConstraintGraph(const Relation& relation,
   for (auto& neighbors : graph.adjacency) {
     std::sort(neighbors.begin(), neighbors.end());
   }
-  graph.row_tags = MakeRowTags(relation.NumRows());
   return graph;
-}
-
-std::vector<uint64_t> MakeRowTags(size_t num_rows) {
-  // Constant seed: row tags (and every fingerprint derived from them)
-  // must not vary run to run, or the coloring search would stop being
-  // reproducible for a given options seed.
-  Rng tag_rng(uint64_t{0x5e7f1a9bc0ffee11ULL});
-  std::vector<uint64_t> tags(num_rows);
-  for (uint64_t& tag : tags) {
-    tag = tag_rng.Next();
-  }
-  return tags;
 }
 
 }  // namespace diva

@@ -1,7 +1,6 @@
 #ifndef DIVA_CORE_CONSTRAINT_GRAPH_H_
 #define DIVA_CORE_CONSTRAINT_GRAPH_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "constraint/diversity_constraint.h"
@@ -18,14 +17,6 @@ struct ConstraintGraph {
   /// adjacency[i] = indices of neighboring constraints (sorted).
   std::vector<std::vector<size_t>> adjacency;
 
-  /// row_tags[r] = a fixed-seed random 64-bit tag for row r. A row set's
-  /// fingerprint is the XOR of its members' tags, so adding/removing a
-  /// row updates the fingerprint in O(1) — the coloring engine keys its
-  /// cluster registry and candidate memo on these instead of rehashing
-  /// whole row vectors. Seed is a constant, so tags (and everything keyed
-  /// on them) are identical across runs and thread widths.
-  std::vector<uint64_t> row_tags;
-
   size_t NumNodes() const { return targets.size(); }
   bool HasEdge(size_t i, size_t j) const;
 };
@@ -33,11 +24,6 @@ struct ConstraintGraph {
 /// Builds the graph for (R, Sigma) — BuildGraph of Algorithm 3.
 ConstraintGraph BuildConstraintGraph(const Relation& relation,
                                      const ConstraintSet& constraints);
-
-/// The fixed-seed tag table BuildConstraintGraph stores in `row_tags`.
-/// Exposed so the coloring engine can regenerate identical tags for a
-/// hand-constructed graph that never went through BuildConstraintGraph.
-std::vector<uint64_t> MakeRowTags(size_t num_rows);
 
 }  // namespace diva
 

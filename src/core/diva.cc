@@ -75,69 +75,27 @@ ClusteringEnumOptions TuneEnumeration(const DivaOptions& options) {
   return enumeration;
 }
 
-/// Merges rows that the baseline cannot cluster (fewer than k of them)
-/// into an existing cluster. Candidate merges are ranked first by how
-/// many *new* constraint violations they would introduce (merging can
-/// suppress a cluster's preserved target values), then by suppression
-/// cost.
-void MergeLeftoverRows(Relation* out, Clustering* clusters,
-                       const std::vector<RowId>& leftover,
-                       const ConstraintSet& constraints) {
-  // Rows are placed one at a time: a leftover that shares the values a
-  // cluster is unanimous on (e.g., the same QI run) joins it without
-  // disturbing the cluster's preserved occurrences.
-  for (RowId row : leftover) {
-    std::vector<size_t> before = ViolatedConstraints(*out, constraints);
-    size_t best = 0;
-    size_t best_violations = static_cast<size_t>(-1);
-    size_t best_cost = static_cast<size_t>(-1);
-    for (size_t c = 0; c < clusters->size(); ++c) {
-      Cluster merged = (*clusters)[c];
-      merged.push_back(row);
-      Relation trial = *out;
-      Clustering just_merged = {merged};
-      SuppressClustersInPlace(&trial, just_merged);
-      std::vector<size_t> after = ViolatedConstraints(trial, constraints);
-      size_t new_violations = 0;
-      for (size_t v : after) {
-        if (!std::binary_search(before.begin(), before.end(), v)) {
-          ++new_violations;
-        }
-      }
-      size_t cost = SuppressionCost(*out, merged);
-      if (new_violations < best_violations ||
-          (new_violations == best_violations && cost < best_cost)) {
-        best_violations = new_violations;
-        best_cost = cost;
-        best = c;
-      }
-    }
-    Cluster& target = (*clusters)[best];
-    target.push_back(row);
-    Clustering just_merged = {target};
-    SuppressClustersInPlace(out, just_merged);
-  }
-}
-
-/// Per-shard baseline phase (effective plan): shard s's uncovered rows
+/// The baseline phase. With an effective plan, shard s's uncovered rows
 /// are clustered over a gathered sub-relation with local ids, in shard
 /// order; shards left with fewer than k uncovered rows pool together
-/// with the residual rows into one trailing baseline run, and a pool
-/// still smaller than k is returned in `leftover` for the caller to
-/// fold into existing clusters. Each shard's clustering is a pure
-/// function of its uncovered contents, so clean shards adopt prior
-/// records (telemetry replayed at the same shard-order slot) and the
-/// merged result is byte-identical at every thread width and with
-/// reuse on or off. A deadline hitting any shard falls back to the
-/// anytime single-pass Mondrian over all remaining rows, exactly like
-/// the unsharded path, and invalidates the capture.
+/// with the residual rows into one trailing baseline run. A plan with
+/// fewer than 2 shards pools every remaining row. A pool still smaller
+/// than k is returned in `leftover` for the caller to fold into existing
+/// clusters. Each shard's clustering is a pure function of its uncovered
+/// contents, so clean shards adopt prior records (telemetry replayed at
+/// the same shard-order slot) and the merged result is byte-identical at
+/// every thread width and with reuse on or off. The baselines depend
+/// only on row positions, so a gathered call clusters exactly as an
+/// in-place one would. A deadline hitting any call falls back to the
+/// anytime single-pass Mondrian over all remaining rows and invalidates
+/// the capture.
 Status BuildShardedBaseline(const Relation& relation, const Bitset& covered,
                             const std::vector<RowId>& remaining,
                             const ShardPlan& plan, const DivaOptions& options,
                             const CancellationToken& token,
                             const PipelineHooks& hooks, Clustering* rk_clusters,
                             std::vector<RowId>* leftover, DivaReport* report) {
-  const size_t num_shards = plan.shards.size();
+  const size_t num_shards = plan.Effective() ? plan.shards.size() : 0;
   std::vector<std::vector<RowId>> uncovered(num_shards);
   Bitset targeted(relation.NumRows());
   for (size_t s = 0; s < num_shards; ++s) {
@@ -374,9 +332,6 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
       // >= 2 independent components: the plan drives the search in both
       // modes; options.shard only picks concurrent vs sequential
       // execution (the shard fan-out replaces the attempt portfolio).
-      // Shards materialize as column slices of one arena-backed
-      // snapshot instead of row-major copies of the whole relation.
-      const ColumnStore store = ColumnStore::FromRelation(relation);
       const size_t workers =
           options.shard ? ResolveThreadCount(options.threads) : 1;
       const std::vector<const ShardColoringRecord*>* adopt =
@@ -385,7 +340,8 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
           hooks.capture != nullptr ? &hooks.capture->coloring : nullptr;
       DIVA_ASSIGN_OR_RETURN(
           coloring,
-          RunShardedColoring(store, constraints, *graph, *plan,
+          RunShardedColoring(ColumnStore::FromRelation(relation),
+                             constraints, *graph, *plan,
                              coloring_options, workers, adopt,
                              capture_coloring));
     } else {
@@ -439,8 +395,8 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
   // effective shard plan the baseline runs per component (uncovered rows
   // of each shard clustered independently, undersized shards and the
   // residual pooled), which keeps the phase a per-shard pure function —
-  // the reuse unit of incremental runs. Without one, the legacy global
-  // path runs byte-for-byte unchanged.
+  // the reuse unit of incremental runs. Without one, every remaining row
+  // is pooled into one call.
   Clustering rk_clusters;
   {
     DIVA_TRACE_SPAN("diva/anonymize");
@@ -456,42 +412,10 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
     }
 
     std::vector<RowId> leftover;
-    if (remaining.empty()) {
-      // Nothing to anonymize.
-    } else if (plan->Effective()) {
-      DIVA_RETURN_IF_ERROR(BuildShardedBaseline(relation, covered, remaining,
-                                                *plan, options, token, hooks,
-                                                &rk_clusters, &leftover,
-                                                &report));
-    } else if (remaining.size() >= options.k) {
-      DivaOptions baseline_options = options;
-      baseline_options.anonymizer.cancel = token;
-      std::unique_ptr<Anonymizer> baseline =
-          MakeBaselineAnonymizer(baseline_options);
-      // The iterative baselines discard their half-built state on expiry,
-      // so truncated inner scans cannot leak into the output; installing
-      // the loop token just makes them stop sooner.
-      Result<Clustering> built = [&]() -> Result<Clustering> {
-        ScopedLoopCancellation loop_cancel(token);
-        return baseline->BuildClusters(relation, remaining, options.k);
-      }();
-      if (!built.ok() &&
-          built.status().code() == StatusCode::kDeadlineExceeded) {
-        if (options.strict) return built.status();
-        // Anytime fallback: the single-pass Mondrian always finishes.
-        report.baseline_degraded = true;
-        std::unique_ptr<Anonymizer> mondrian =
-            MakeMondrian(options.anonymizer);
-        DIVA_ASSIGN_OR_RETURN(
-            rk_clusters,
-            mondrian->BuildClusters(relation, remaining, options.k));
-      } else {
-        if (!built.ok()) return built.status();
-        rk_clusters = std::move(built).value();
-      }
-    } else {
-      leftover = remaining;
-    }
+    DIVA_RETURN_IF_ERROR(BuildShardedBaseline(relation, covered, remaining,
+                                              *plan, options, token, hooks,
+                                              &rk_clusters, &leftover,
+                                              &report));
 
     if (!rk_clusters.empty()) {
       DIVA_RETURN_IF_ERROR(Recode(options, &out, rk_clusters));
@@ -508,7 +432,7 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
             "cannot k-anonymize " + std::to_string(leftover.size()) +
             " tuples with k = " + std::to_string(options.k));
       }
-      MergeLeftoverRows(&out, host, leftover, constraints);
+      FoldLeftoverRows(&out, host, leftover, constraints);
     }
   }
 
@@ -571,8 +495,8 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
 
   // The published stars, counted exactly once against the input: cells
   // suppressed in `out` that were not suppressed in `relation`. Counting
-  // here — rather than inside SuppressClustersInPlace, whose speculative
-  // trial copies (MergeLeftoverRows ranking, privacy merges) would
+  // here — rather than inside SuppressClustersInPlace, which rewrites
+  // cells already suppressed (leftover folds, privacy merges) and would
   // overcount — keeps the figure equal to what the auditor's star
   // accounting re-derives from the published pair.
   {

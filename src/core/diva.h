@@ -94,8 +94,8 @@ struct DivaOptions {
   /// as TaskGroup work items, false runs the identical computations
   /// sequentially. Like `threads`, it never changes output bytes —
   /// tests/shard_test.cc pins sharded == unsharded on the fuzz corpus.
-  /// Single-component instances take the legacy global search either
-  /// way (automatic fallback), so the paper example is untouched.
+  /// Single-component instances run one global coloring search either
+  /// way, so the paper example is untouched.
   bool shard = true;
 
   /// Optional t-closeness on top of k-anonymity (the paper's second
@@ -131,10 +131,10 @@ struct DivaOptions {
   /// per-row content hashes, and per-shard coloring/baseline reuse
   /// records. ApplyDelta consumes the snapshot to re-anonymize a churned
   /// relation re-coloring only the dirty components. Capture never
-  /// changes output bytes; it costs one relation copy plus O(rows)
-  /// hashing, and is skipped (snapshot left null) when the run is not
-  /// reusable — degraded by a deadline, generalization-recoded, or not
-  /// sharded (< 2 components).
+  /// changes output bytes; it costs one relation copy plus one 64-bit
+  /// content hash per row, and is skipped (snapshot left null) when the
+  /// run is not reusable — degraded by a deadline,
+  /// generalization-recoded, or not sharded (< 2 components).
   bool incremental = false;
 
   /// Optional external cancellation signal, composed with `deadline_ms`:
@@ -159,9 +159,9 @@ struct DivaReport {
   uint64_t backtracks = 0;
 
   /// Conflict-graph components the coloring decomposed into (the shard
-  /// plan of core/shard.h). 0 when there were no constraints; 1 means
-  /// the legacy single-search path ran. Identical with sharding on or
-  /// off — the plan is a pure function of the instance.
+  /// plan of core/shard.h). 0 when there were no constraints; below 2,
+  /// one global coloring search ran. Identical with sharding on or off —
+  /// the plan is a pure function of the instance.
   size_t shards = 0;
   /// Rows no constraint targets (the residual shard): they skip the
   /// coloring entirely and flow to the baseline phase.

@@ -10,7 +10,6 @@
 #include "common/string_util.h"
 #include "common/trace.h"
 #include "constraint/conflict.h"
-#include "relation/qi_groups.h"
 
 namespace diva {
 
@@ -64,14 +63,6 @@ std::vector<uint64_t> ComputeRowHashes(const Relation& relation) {
                                });
 }
 
-std::vector<uint64_t> ComputeQiHashes(const Relation& relation) {
-  return ParallelMap<uint64_t>(relation.NumRows(), /*grain=*/1024,
-                               [&](size_t row) {
-                                 return QiProjectionHash(
-                                     relation, static_cast<RowId>(row));
-                               });
-}
-
 /// Sorted, deduplicated, validated copy of a delta's deleted row ids.
 Result<std::vector<RowId>> NormalizeDeletes(const Relation& input,
                                             const DeltaBatch& delta) {
@@ -114,17 +105,13 @@ uint64_t ShardFingerprint(const Shard& shard,
 void FinalizeSnapshot(PipelineSnapshot* snapshot, const Relation& input,
                       const ConstraintSet& constraints,
                       const DivaOptions& options,
-                      std::vector<uint64_t> row_hashes,
-                      std::vector<uint64_t> qi_hashes) {
+                      std::vector<uint64_t> row_hashes) {
   if (!snapshot->valid) return;
   snapshot->input.emplace(input);
   snapshot->constraints = constraints;
   snapshot->row_hashes = row_hashes.size() == input.NumRows()
                              ? std::move(row_hashes)
                              : ComputeRowHashes(input);
-  snapshot->qi_hashes = qi_hashes.size() == input.NumRows()
-                            ? std::move(qi_hashes)
-                            : ComputeQiHashes(input);
   snapshot->dictionary_sizes.clear();
   for (size_t col = 0; col < input.NumAttributes(); ++col) {
     snapshot->dictionary_sizes.push_back(input.dictionary(col).size());
@@ -222,20 +209,17 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
     }
   }
 
-  // Per-row hashes maintained under the delta: survivors keep their
-  // prior content/QI hashes (contents are untouched by compaction),
-  // inserted rows hash fresh.
+  // Per-row content hashes maintained under the delta: survivors keep
+  // their prior hashes (contents are untouched by compaction), inserted
+  // rows hash fresh.
   std::vector<uint64_t> row_hashes(num_new);
-  std::vector<uint64_t> qi_hashes(num_new);
   for (RowId row = 0; row < static_cast<RowId>(num_old); ++row) {
     if (new_id[row] == kGone) continue;
     row_hashes[new_id[row]] = prior.row_hashes[row];
-    qi_hashes[new_id[row]] = prior.qi_hashes[row];
   }
   for (RowId row = static_cast<RowId>(num_kept);
        row < static_cast<RowId>(num_new); ++row) {
     row_hashes[row] = RowContentHash(post, row);
-    qi_hashes[row] = QiProjectionHash(post, row);
   }
 
   // I_sigma maintenance: drop deleted rows from each target list and
@@ -288,8 +272,6 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
       }
     }
   }
-  graph.row_tags = MakeRowTags(num_new);
-
   ShardPlan plan = ComputeShardPlan(graph, num_new);
   DIVA_RETURN_IF_ERROR(DIVA_FAIL("delta.recolor"));
 
@@ -344,7 +326,7 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
 
   if (snapshot->valid) {
     FinalizeSnapshot(snapshot.get(), post, constraints, options,
-                     std::move(row_hashes), std::move(qi_hashes));
+                     std::move(row_hashes));
     result.snapshot = std::move(snapshot);
   }
   return result;

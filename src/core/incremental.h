@@ -8,8 +8,8 @@
 /// clustering are pure functions of its local sub-instance (member
 /// constraints, row contents in row-list order, and the positionally
 /// derived per-shard seed stream). ApplyDelta therefore maintains the
-/// target indexes, QI-group hashes, and the conflict graph under the
-/// delta, diffs the resulting shard plan against the prior plan by
+/// target indexes, per-row content hashes, and the conflict graph under
+/// the delta, diffs the resulting shard plan against the prior plan by
 /// component fingerprint (FNV over the shard's row-content hashes), and
 /// re-runs the pipeline adopting the prior per-shard coloring and
 /// baseline records for every *clean* component — producing output,
@@ -71,9 +71,9 @@ struct ShardBaselineRecord {
 
 /// Everything an incremental run needs to reuse a prior run: the input
 /// relation (pre-anonymization), its index structures, per-row content
-/// and QI-projection hashes, and the per-shard coloring/baseline
-/// records. Snapshots chain: ApplyDelta emits a fresh snapshot for the
-/// post-delta relation, with clean shards' records copied forward.
+/// hashes, and the per-shard coloring/baseline records. Snapshots chain:
+/// ApplyDelta emits a fresh snapshot for the post-delta relation, with
+/// clean shards' records copied forward.
 struct PipelineSnapshot {
   bool valid = false;
 
@@ -86,9 +86,6 @@ struct PipelineSnapshot {
   /// FNV-1a over each row's codes (all attributes): the unit of the
   /// component fingerprints.
   std::vector<uint64_t> row_hashes;
-  /// QI-projection hash per row (relation/qi_groups.h), maintained under
-  /// deltas alongside the content hashes.
-  std::vector<uint64_t> qi_hashes;
   /// Per-attribute dictionary sizes at capture time.
   std::vector<size_t> dictionary_sizes;
   /// Fingerprint of every DivaOptions knob that steers the search.
@@ -129,16 +126,15 @@ struct PipelineHooks {
 
 /// Completes a pipeline-captured snapshot (the pipeline already stored
 /// the graph, plan, and reuse records): copies the input relation and
-/// constraints in, and fills the per-row hashes, dictionary sizes, and
-/// options fingerprint. Precomputed hash vectors (an incremental
-/// caller's maintained ones) are used verbatim when supplied, computed
-/// from the relation otherwise. No-op when the pipeline marked the
-/// capture invalid.
+/// constraints in, and fills the per-row content hashes, dictionary
+/// sizes, and options fingerprint. Precomputed row hashes (an
+/// incremental caller's maintained ones) are used verbatim when
+/// supplied, computed from the relation otherwise. No-op when the
+/// pipeline marked the capture invalid.
 void FinalizeSnapshot(PipelineSnapshot* snapshot, const Relation& input,
                       const ConstraintSet& constraints,
                       const DivaOptions& options,
-                      std::vector<uint64_t> row_hashes = {},
-                      std::vector<uint64_t> qi_hashes = {});
+                      std::vector<uint64_t> row_hashes = {});
 
 /// Applies the delta to `input` alone: survivors keep their relative
 /// order (ids compact downward), inserted rows append after them,
@@ -148,7 +144,7 @@ void FinalizeSnapshot(PipelineSnapshot* snapshot, const Relation& input,
                                                     const DeltaBatch& delta);
 
 /// Incremental re-anonymization: applies `delta` to the snapshot's
-/// input, maintains the target indexes / QI hashes / conflict graph /
+/// input, maintains the target indexes / row hashes / conflict graph /
 /// shard plan under it, re-colors only the dirty components (clean ones
 /// adopt the snapshot's records), and runs the downstream phases. The
 /// result — relation bytes, report counters, audit — is byte-identical

@@ -1,8 +1,11 @@
 #include "core/integrate.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
+#include <utility>
 
+#include "anon/suppress.h"
 #include "common/counters.h"
 #include "common/parallel.h"
 #include "common/trace.h"
@@ -162,6 +165,79 @@ IntegrateStats IntegrateRepair(Relation* relation,
                    stats.repaired_constraints);
   DIVA_COUNTER_ADD("integrate.suppressed_cells", stats.suppressed_cells);
   return stats;
+}
+
+void FoldLeftoverRows(Relation* relation, Clustering* clusters,
+                      const std::vector<RowId>& leftover,
+                      const ConstraintSet& constraints) {
+  // Target codes resolve once: suppression interns no values. A target
+  // value missing from the dictionary matches no row, before or after.
+  std::vector<std::vector<ValueCode>> codes(constraints.size());
+  std::vector<size_t> resolved;
+  for (size_t j = 0; j < constraints.size(); ++j) {
+    const std::vector<size_t>& attrs = constraints[j].attribute_indices();
+    for (size_t i = 0; i < attrs.size(); ++i) {
+      auto code = relation->FindCode(attrs[i], constraints[j].values()[i]);
+      if (!code.has_value()) break;
+      codes[j].push_back(*code);
+    }
+    if (codes[j].size() == attrs.size()) resolved.push_back(j);
+  }
+  std::vector<uint8_t> suppressed(relation->NumAttributes(), 0);
+  for (RowId row : leftover) {
+    const std::vector<size_t> counts =
+        CountAllOccurrences(*relation, constraints);
+    // Rank = (new violations, ★s), compared lexicographically; the first
+    // cluster with the least rank wins, and nothing beats (0, 0).
+    const std::pair<size_t, size_t> unbeatable{0, 0};
+    std::pair<size_t, size_t> best_rank{SIZE_MAX, SIZE_MAX};
+    size_t best = 0;
+    for (size_t c = 0; c < clusters->size() && best_rank != unbeatable; ++c) {
+      Cluster merged = (*clusters)[c];
+      merged.push_back(row);
+      // SuppressionCost's rule: a QI column is suppressed unless every
+      // merged row holds the same non-suppressed value.
+      size_t num_suppressed = 0;
+      for (size_t col : relation->schema().qi_indices()) {
+        const ValueCode value = relation->At(row, col);
+        suppressed[col] =
+            value == kSuppressed ||
+            std::any_of(merged.begin(), merged.end(),
+                        [&](RowId r) { return relation->At(r, col) != value; });
+        num_suppressed += suppressed[col];
+      }
+      // Counts only fall, and only for constraints on a suppressed
+      // column, by the merged rows that matched them. A constraint that
+      // held breaks iff it drops below its lower bound.
+      size_t new_violations = 0;
+      for (size_t j : resolved) {
+        const DiversityConstraint& constraint = constraints[j];
+        const std::vector<size_t>& attrs = constraint.attribute_indices();
+        if (counts[j] < constraint.lower() || counts[j] > constraint.upper() ||
+            std::none_of(attrs.begin(), attrs.end(),
+                         [&](size_t attr) { return suppressed[attr] != 0; })) {
+          continue;
+        }
+        const size_t lost = std::count_if(
+            merged.begin(), merged.end(), [&](RowId r) {
+              for (size_t i = 0; i < attrs.size(); ++i) {
+                if (relation->At(r, attrs[i]) != codes[j][i]) return false;
+              }
+              return true;
+            });
+        if (counts[j] - lost < constraint.lower()) ++new_violations;
+      }
+      const std::pair<size_t, size_t> rank{new_violations,
+                                           num_suppressed * merged.size()};
+      if (rank < best_rank) {
+        best_rank = rank;
+        best = c;
+      }
+    }
+    Cluster& target = (*clusters)[best];
+    target.push_back(row);
+    SuppressClustersInPlace(relation, Clustering{target});
+  }
 }
 
 }  // namespace diva

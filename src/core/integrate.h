@@ -32,6 +32,16 @@ IntegrateStats IntegrateRepair(Relation* relation,
                                const ConstraintSet& constraints,
                                const Clustering& rk_clusters);
 
+/// Folds the < k rows the baseline could not cluster into the non-empty
+/// `clusters`, one row at a time, suppressing each grown cluster in
+/// `relation`. A row joins the first cluster whose merge adds the fewest
+/// *new* constraint violations, then the fewest ★s. Candidates are scored
+/// from their own rows against one occurrence count per row: O(|R|) per
+/// row.
+void FoldLeftoverRows(Relation* relation, Clustering* clusters,
+                      const std::vector<RowId>& leftover,
+                      const ConstraintSet& constraints);
+
 }  // namespace diva
 
 #endif  // DIVA_CORE_INTEGRATE_H_

@@ -36,7 +36,6 @@ void UnionFind::Union(size_t a, size_t b) {
 
 ShardPlan ComputeShardPlan(const ConstraintGraph& graph, size_t num_rows) {
   ShardPlan plan;
-  plan.num_rows = num_rows;
   const size_t n = graph.NumNodes();
   if (n == 0) {
     plan.residual_rows = num_rows;
@@ -110,7 +109,7 @@ struct ShardRun {
   trace::SpanBuffer spans;
 };
 
-/// Colors one shard: gathers its rows from the column store, remaps the
+/// Colors one shard: gathers its rows from the input, remaps the
 /// component's constraints/graph to local ids, and runs the search with
 /// the shard's derived seed stream. Row ids in the returned outcome's
 /// clusters are mapped back to global ids; assignment/preserved stay in
@@ -139,8 +138,6 @@ void RunOneShard(const ColumnStore& store, const ConstraintSet& constraints,
   ConstraintGraph local_graph;
   local_graph.targets.resize(n);
   local_graph.adjacency.resize(n);
-  // row_tags stays empty: the engine regenerates MakeRowTags over the
-  // sub-relation, so fingerprints are a pure function of the shard.
   for (size_t j = 0; j < n; ++j) {
     const size_t global = shard.constraints[j];
     local_constraints.push_back(constraints[global]);

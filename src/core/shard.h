@@ -8,21 +8,22 @@
 /// a component-c constraint is a subset of that component's target rows,
 /// so it can never contribute occurrences to — or claim rows from — a
 /// constraint in another component. Coloring therefore runs per
-/// component over a column-gathered sub-relation, and the merged result
-/// is a valid coloring of the whole instance.
+/// component over a sub-relation of the component's rows
+/// (Relation::SelectRows), and the merged result is a valid coloring of
+/// the whole instance.
 ///
 /// Determinism contract: whenever the plan is *effective* (>= 2
 /// components), the plan — not the execution mode — fixes every search
 /// decision. Each shard colors its sub-relation with its own
 /// deterministic RNG stream (a splitmix of the run seed and the shard
-/// index), full step budget, and locally regenerated row tags, and the
-/// shard outcomes are merged in component-index order. The
-/// DivaOptions::shard flag only chooses *how* those identical per-shard
-/// computations execute — concurrently as TaskGroup work items, or
-/// sequentially inline — so CSV/report/audit bytes are identical with
-/// sharding on or off and at every thread width (tests/shard_test.cc
-/// asserts this on the fuzz corpus). A single-component graph falls back
-/// to the legacy global search, byte-for-byte.
+/// index) and full step budget, and the shard outcomes are merged in
+/// component-index order. The DivaOptions::shard flag only chooses *how*
+/// those identical per-shard computations execute — concurrently as
+/// TaskGroup work items, or sequentially inline — so CSV/report/audit
+/// bytes are identical with sharding on or off and at every thread width
+/// (tests/shard_test.cc asserts this on the fuzz corpus). A
+/// single-component graph is colored by one global search; the baseline
+/// phase then pools every uncovered row into one call.
 
 #include <cstdint>
 #include <vector>
@@ -69,13 +70,12 @@ struct Shard {
 struct ShardPlan {
   std::vector<Shard> shards;
   size_t residual_rows = 0;
-  size_t num_rows = 0;
 
   /// Largest shard row count (0 when there are no shards).
   size_t MaxShardRows() const;
 
   /// Decomposition pays off only with >= 2 independent searches; below
-  /// that the caller takes the legacy single-search path unchanged.
+  /// that the caller runs one global coloring search.
   bool Effective() const { return shards.size() >= 2; }
 };
 
@@ -99,9 +99,9 @@ struct ShardColoringRecord {
 };
 
 /// Runs the coloring search per shard and merges the outcomes in
-/// component-index order. `store` must be a columnar snapshot of the
-/// full relation; each shard colors a column-gathered sub-relation of
-/// its rows against its remapped sub-graph. `base_options` carries the
+/// component-index order. `store` must view the full relation; each
+/// shard colors a gathered sub-relation of its rows against its
+/// remapped sub-graph. `base_options` carries the
 /// run's tuned coloring knobs; per-shard seeds are derived from them.
 /// `workers` > 1 executes shards as TaskGroup work items (per-shard
 /// counter/span buffers committed in shard order); <= 1 runs the same

@@ -1,115 +1,32 @@
 #ifndef DIVA_RELATION_COLUMNAR_H_
 #define DIVA_RELATION_COLUMNAR_H_
 
-/// Columnar, arena-backed storage mode for a Relation.
-///
-/// The row-major Relation is the pipeline's working representation; the
-/// ColumnStore is its scan/slice representation: one contiguous code
-/// array per attribute, bump-allocated from a chunked Arena. The shard
-/// driver (core/shard.cc) snapshots the input once and materializes each
-/// shard as a column-at-a-time gather of that shard's row list — a
-/// sequential read per column instead of a strided row-major copy, and
-/// the first step toward streaming 10M–100M-row inputs shard-by-shard
-/// instead of holding per-shard row-major copies alive at once.
-///
-/// A gathered Relation shares the source's schema and dictionaries, so
-/// codes stay comparable across the store, its slices, and anything
-/// derived from them (exactly the Relation::SelectRows contract).
+/// The shard driver's row source (core/shard.h): a non-owning view of
+/// the input whose gather is Relation::SelectRows, so slices share the
+/// input's schema and dictionaries.
 
-#include <cstddef>
-#include <memory>
 #include <span>
-#include <vector>
 
 #include "relation/relation.h"
 
 namespace diva {
 
-/// Chunked bump allocator. Each Allocate returns contiguous storage;
-/// allocations larger than the chunk size get a dedicated chunk. Memory
-/// is released wholesale when the arena dies — there is no per-object
-/// free, which is the point: a store's columns live and die together.
-class Arena {
- public:
-  static constexpr size_t kDefaultChunkBytes = size_t{1} << 20;
-
-  explicit Arena(size_t chunk_bytes = kDefaultChunkBytes);
-
-  Arena(Arena&&) = default;
-  Arena& operator=(Arena&&) = default;
-  Arena(const Arena&) = delete;
-  Arena& operator=(const Arena&) = delete;
-
-  /// Contiguous storage for `count` elements of T, aligned for T.
-  template <typename T>
-  std::span<T> AllocateArray(size_t count) {
-    return {static_cast<T*>(Allocate(count * sizeof(T), alignof(T))), count};
-  }
-
-  void* Allocate(size_t bytes, size_t align);
-
-  /// Bytes handed out by Allocate (excludes per-chunk slack).
-  size_t allocated_bytes() const { return allocated_; }
-  size_t chunk_count() const { return chunks_.size(); }
-
- private:
-  struct Chunk {
-    std::unique_ptr<std::byte[]> data;
-    size_t capacity = 0;
-    size_t used = 0;
-  };
-
-  std::vector<Chunk> chunks_;
-  size_t chunk_bytes_;
-  size_t allocated_ = 0;
-};
-
-/// Immutable column-major snapshot of a Relation.
 class ColumnStore {
  public:
-  /// Transposes `relation` into arena-backed columns. The store keeps a
-  /// reference to the relation's schema and dictionaries (shared, not
-  /// copied), so gathered slices stay code-compatible with the source.
-  static ColumnStore FromRelation(const Relation& relation);
-
-  ColumnStore(ColumnStore&&) = default;
-  ColumnStore& operator=(ColumnStore&&) = default;
-  ColumnStore(const ColumnStore&) = delete;
-  ColumnStore& operator=(const ColumnStore&) = delete;
-
-  size_t NumRows() const { return num_rows_; }
-  size_t NumColumns() const { return columns_.size(); }
-
-  std::span<const ValueCode> Column(size_t col) const {
-    return columns_[col];
-  }
-  ValueCode At(RowId row, size_t col) const {
-    return columns_[col][static_cast<size_t>(row)];
+  /// A view of `relation`, which must outlive it. Copies nothing.
+  static ColumnStore FromRelation(const Relation& relation) {
+    return ColumnStore(relation);
   }
 
-  /// Materializes the given rows (in the given order) as a row-major
-  /// Relation sharing the source's schema and dictionaries. Gathers
-  /// column-at-a-time: each column is one sequential scan of the row
-  /// list against one contiguous array. Aborts on an out-of-range row id
-  /// (same contract as Relation::SelectRows).
-  Relation GatherRows(std::span<const RowId> rows) const;
-
-  /// GatherRows over every row — the row-major round trip.
-  Relation ToRelation() const;
-
-  /// Arena bytes backing the columns.
-  size_t AllocatedBytes() const { return arena_.allocated_bytes(); }
+  /// The given rows in the given order; aborts on an out-of-range id.
+  Relation GatherRows(std::span<const RowId> rows) const {
+    return relation_->SelectRows(rows);
+  }
 
  private:
-  explicit ColumnStore(Relation prototype)
-      : prototype_(std::move(prototype)) {}
+  explicit ColumnStore(const Relation& relation) : relation_(&relation) {}
 
-  /// Empty relation carrying the shared schema + dictionaries; every
-  /// gather derives its output from this via EmptyLike().
-  Relation prototype_;
-  Arena arena_;
-  std::vector<std::span<ValueCode>> columns_;
-  size_t num_rows_ = 0;
+  const Relation* relation_;
 };
 
 }  // namespace diva

@@ -8,6 +8,9 @@
 
 namespace diva {
 
+namespace {
+
+/// FNV-1a over the QI codes of a row — the hash GroupRows buckets by.
 uint64_t QiProjectionHash(const Relation& relation, RowId row) {
   uint64_t h = 1469598103934665603ULL;
   for (size_t col : relation.schema().qi_indices()) {
@@ -18,8 +21,6 @@ uint64_t QiProjectionHash(const Relation& relation, RowId row) {
   }
   return h;
 }
-
-namespace {
 
 /// True when rows a and b agree on every quasi-identifier attribute.
 bool SameQiProjection(const Relation& relation, RowId a, RowId b) {

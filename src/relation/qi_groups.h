@@ -10,12 +10,6 @@
 
 namespace diva {
 
-/// FNV-1a over the QI codes of a row — the hash GroupRows buckets by.
-/// Exposed so incremental re-anonymization (core/incremental.h) can
-/// maintain per-row QI hashes under a delta instead of rehashing the
-/// whole relation.
-uint64_t QiProjectionHash(const Relation& relation, RowId row);
-
 /// Partition of (a subset of) a relation's rows into QI-groups: maximal
 /// sets of rows that agree on every quasi-identifier attribute
 /// (a suppressed cell only matches another suppressed cell).

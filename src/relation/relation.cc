@@ -20,13 +20,6 @@ RowId Relation::AppendRow(std::span<const ValueCode> codes) {
   return static_cast<RowId>(num_rows_++);
 }
 
-std::span<ValueCode> Relation::AppendSuppressedRows(size_t n) {
-  const size_t begin = data_.size();
-  data_.resize(begin + n * stride_, kSuppressed);
-  num_rows_ += n;
-  return {data_.data() + begin, n * stride_};
-}
-
 Result<RowId> Relation::AppendRowStrings(
     const std::vector<std::string>& fields) {
   DIVA_RETURN_IF_ERROR(DIVA_FAIL("relation.append_row"));

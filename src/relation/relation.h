@@ -54,12 +54,6 @@ class Relation {
   /// Appends a row of pre-encoded codes; must have NumAttributes entries.
   RowId AppendRow(std::span<const ValueCode> codes);
 
-  /// Appends `n` rows of kSuppressed cells and returns a mutable view of
-  /// the appended row-major block (n * NumAttributes codes). Bulk
-  /// construction hook for the columnar gather path (relation/columnar.h),
-  /// which fills the block column-at-a-time instead of row-at-a-time.
-  std::span<ValueCode> AppendSuppressedRows(size_t n);
-
   /// Encodes `fields` through the dictionaries and appends; "*"/"★" map to
   /// kSuppressed. Must have NumAttributes entries.
   [[nodiscard]] Result<RowId> AppendRowStrings(const std::vector<std::string>& fields);

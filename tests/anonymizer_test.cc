@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <iterator>
 #include <numeric>
 
 #include "anon/anonymizer.h"
@@ -326,18 +328,39 @@ std::vector<RowId> AllRows(const Relation& relation) {
 }
 
 /// Runs `algo` at thread widths 1, 2 and 8 and checks each clustering
-/// hashes to `expected`.
+/// hashes to `expected`, both in place and gathered: over a SelectRows
+/// copy in local ids mapped back, the form RunDiva's baseline phase
+/// calls. On a strided subset the two forms must agree as well.
 void ExpectPinnedAtEveryWidth(Algo algo, const AnonymizerOptions& options,
                               const Relation& relation, size_t k,
                               uint64_t expected) {
   size_t saved = ParallelThreads();
   std::vector<RowId> rows = AllRows(relation);
+  std::vector<RowId> subset;
+  std::ranges::copy_if(rows, std::back_inserter(subset),
+                       [](RowId row) { return row % 3 != 1; });
+  auto build = [&](const std::vector<RowId>& ids, bool gathered) {
+    std::vector<RowId> local(ids.size());
+    std::iota(local.begin(), local.end(), 0);
+    std::unique_ptr<Anonymizer> anonymizer = MakeAlgo(algo, options);
+    Result<Clustering> clusters =
+        gathered ? anonymizer->BuildClusters(relation.SelectRows(ids), local, k)
+                 : anonymizer->BuildClusters(relation, ids, k);
+    EXPECT_TRUE(clusters.ok()) << clusters.status().ToString();
+    if (!clusters.ok()) return uint64_t{0};
+    for (Cluster& cluster : *clusters) {
+      for (RowId& row : cluster) row = gathered ? ids[row] : row;
+    }
+    return HashClusters(*clusters);
+  };
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     SetParallelThreads(threads);
-    auto clusters = MakeAlgo(algo, options)->BuildClusters(relation, rows, k);
-    ASSERT_TRUE(clusters.ok()) << clusters.status().ToString();
-    EXPECT_EQ(HashClusters(*clusters), expected)
+    EXPECT_EQ(build(rows, false), expected)
         << AlgoName(algo) << " k=" << k << " threads=" << threads;
+    EXPECT_EQ(build(rows, true), expected)
+        << AlgoName(algo) << " gathered, k=" << k << " threads=" << threads;
+    EXPECT_EQ(build(subset, true), build(subset, false))
+        << AlgoName(algo) << " subset, k=" << k << " threads=" << threads;
   }
   SetParallelThreads(saved);
 }

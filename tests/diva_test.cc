@@ -9,6 +9,7 @@
 #include "common/parallel.h"
 #include "constraint/generator.h"
 #include "core/diva.h"
+#include "datagen/profiles.h"
 #include "datagen/synthetic.h"
 #include "metrics/metrics.h"
 #include "relation/csv.h"
@@ -305,13 +306,59 @@ TEST(DivaTest, AccuracyBeatsNothingButStaysInUnitInterval) {
   EXPECT_GT(accuracy, 0.2);  // the 10-row example admits a decent solution
 }
 
-// ------------------------------------------------ concurrent runs
+// ------------------------------------------------ one-component pins
 
 std::string ToCsv(const Relation& relation) {
   std::ostringstream out;
   EXPECT_TRUE(WriteCsv(relation, out).ok());
   return out.str();
 }
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t hash = 1469598103934665603ULL;
+  for (unsigned char byte : bytes) hash = (hash ^ byte) * 1099511628211ULL;
+  return hash;
+}
+
+TEST(DivaOneComponentPinTest, PublishedCsvPerBaselineAtWidthsOneAndFour) {
+  // A connected Pop-Syn instance: one global coloring, then every
+  // uncovered row in one baseline call. Pins its published bytes.
+  ProfileOptions profile_options;
+  profile_options.num_rows = 3000;
+  profile_options.seed = 7;
+  auto relation = GenerateProfile(DatasetProfile::kPopSyn, profile_options);
+  ASSERT_TRUE(relation.ok());
+  ConstraintGenOptions generator_options;
+  generator_options.count = 6;
+  generator_options.target_conflict = 0.9;
+  generator_options.seed = 7;
+  auto constraints = GenerateConstraints(*relation, generator_options);
+  ASSERT_TRUE(constraints.ok());
+
+  const std::pair<BaselineAlgorithm, uint64_t> pins[] = {
+      {BaselineAlgorithm::kKMember, 0x6e9b112552492d10ULL},
+      {BaselineAlgorithm::kOka, 0x3cb08d78e46bb238ULL},
+      {BaselineAlgorithm::kMondrian, 0xeecdae70fddd0611ULL},
+  };
+  for (const auto& [baseline, expected] : pins) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      DivaOptions options;
+      options.k = 10;
+      options.baseline = baseline;
+      options.threads = threads;
+      options.audit = true;
+      auto result = RunDiva(*relation, *constraints, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->report.shards, 1u);
+      EXPECT_GT(relation->NumRows() - result->report.sigma_rows, 10u);
+      EXPECT_EQ(Fnv1a(ToCsv(result->relation)), expected)
+          << BaselineAlgorithmToString(baseline) << " threads=" << threads;
+    }
+  }
+  SetParallelThreads(1);
+}
+
+// ------------------------------------------------ concurrent runs
 
 TEST(DivaConcurrencyTest, PeerTrippedLoopTokenCannotTruncateAnAuditedRun) {
   // Two pipelines in one process (diva_serverd sessions) each install

@@ -5,8 +5,7 @@
 // audit telemetry are byte-identical with sharding on or off and at
 // every thread width. See core/shard.h for why this holds by
 // construction. Unit coverage for the plan itself (union-find, component
-// ordering, residual accounting) and the columnar store backing it rides
-// along.
+// ordering, residual accounting) rides along.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +19,6 @@
 #include "core/constraint_graph.h"
 #include "core/diva.h"
 #include "core/shard.h"
-#include "relation/columnar.h"
 #include "relation/csv.h"
 #include "tests/test_util.h"
 
@@ -170,53 +168,6 @@ TEST(ShardSeedTest, StreamsAreDistinctAndDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// ColumnStore / Arena
-
-TEST(ArenaTest, AllocationsAreCountedAndChunked) {
-  Arena arena(/*chunk_bytes=*/64);
-  auto a = arena.AllocateArray<uint32_t>(4);
-  auto b = arena.AllocateArray<uint32_t>(4);
-  EXPECT_EQ(a.size(), 4u);
-  EXPECT_EQ(b.size(), 4u);
-  EXPECT_EQ(arena.allocated_bytes(), 32u);
-  EXPECT_EQ(arena.chunk_count(), 1u);  // both fit the first chunk
-  // Oversized allocations get a dedicated chunk but stay contiguous.
-  auto big = arena.AllocateArray<uint32_t>(64);
-  EXPECT_EQ(big.size(), 64u);
-  EXPECT_GE(arena.chunk_count(), 2u);
-  big[0] = 1;
-  big[63] = 2;  // writable end to end
-  EXPECT_EQ(big[0] + big[63], 3u);
-}
-
-TEST(ColumnStoreTest, RoundTripsTheMedicalRelation) {
-  Relation relation = MedicalRelation();
-  ColumnStore store = ColumnStore::FromRelation(relation);
-  EXPECT_EQ(store.NumRows(), relation.NumRows());
-  EXPECT_EQ(store.NumColumns(), relation.NumAttributes());
-  for (size_t row = 0; row < relation.NumRows(); ++row) {
-    for (size_t col = 0; col < relation.NumAttributes(); ++col) {
-      EXPECT_EQ(store.At(static_cast<RowId>(row), col),
-                relation.At(static_cast<RowId>(row), col));
-    }
-  }
-  std::ostringstream original, round_trip;
-  ASSERT_TRUE(WriteCsv(relation, original).ok());
-  ASSERT_TRUE(WriteCsv(store.ToRelation(), round_trip).ok());
-  EXPECT_EQ(round_trip.str(), original.str());
-}
-
-TEST(ColumnStoreTest, GatherMatchesSelectRows) {
-  Relation relation = MedicalRelation();
-  ColumnStore store = ColumnStore::FromRelation(relation);
-  const std::vector<RowId> picks = {7, 2, 9, 0};
-  std::ostringstream gathered, selected;
-  ASSERT_TRUE(WriteCsv(store.GatherRows(picks), gathered).ok());
-  ASSERT_TRUE(WriteCsv(relation.SelectRows(picks), selected).ok());
-  EXPECT_EQ(gathered.str(), selected.str());
-}
-
-// ---------------------------------------------------------------------------
 // Shard equivalence: shard on/off x thread width, byte for byte
 
 /// One full DIVA run reduced to everything the shard flag could
@@ -327,10 +278,11 @@ TEST(ShardEquivalenceTest, OverlappingChainPlusIslandIsByteIdentical) {
   SetParallelThreads(1);
 }
 
-TEST(ShardEquivalenceTest, SingleComponentTakesTheLegacyPathUnchanged) {
+TEST(ShardEquivalenceTest, SingleComponentIgnoresTheShardFlag) {
   // The paper's example constraints form one component: the plan is not
-  // effective, and the flag must be a strict no-op against the pre-shard
-  // pipeline's bytes (determinism_test pins those bytes independently).
+  // effective, so one global coloring search runs and the baseline pools
+  // every uncovered row. The flag must be a strict no-op on those bytes
+  // (determinism_test and diva_test's one-component pins fix them).
   Relation relation = MedicalRelation();
   ConstraintSet constraints =
       testing::MedicalConstraints(*testing::MedicalSchema());
