@@ -112,7 +112,7 @@ void BM_ConstraintCount(benchmark::State& state) {
   const Relation& relation = FixtureRelation(state.range(0));
   const ConstraintSet& constraints = FixtureConstraints(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(constraints[0].CountOccurrences(relation));
+    benchmark::DoNotOptimize(CountAllOccurrences(relation, constraints));
   }
   state.SetItemsProcessed(state.iterations() * relation.NumRows());
 }
@@ -131,7 +131,8 @@ void BM_EnumerateClusterings(benchmark::State& state) {
   const Relation& relation = FixtureRelation(10000);
   const ConstraintSet& constraints = FixtureConstraints(10000);
   const DiversityConstraint& constraint = constraints[0];
-  std::vector<RowId> targets = constraint.TargetTuples(relation);
+  const std::vector<RowId> targets =
+      BuildConstraintGraph(relation, constraints).targets[0];
   ClusteringEnumOptions options;
   for (auto _ : state) {
     benchmark::DoNotOptimize(

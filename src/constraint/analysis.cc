@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "constraint/conflict.h"
+#include "constraint/constraint_index.h"
 
 namespace diva {
 
@@ -47,11 +48,9 @@ bool SameTarget(const DiversityConstraint& a, const DiversityConstraint& b) {
 std::vector<ConstraintIssue> AnalyzeConstraintSet(
     const Relation& relation, const ConstraintSet& constraints, size_t k) {
   std::vector<ConstraintIssue> issues;
-  std::vector<std::vector<RowId>> targets;
-  targets.reserve(constraints.size());
-  for (const auto& constraint : constraints) {
-    targets.push_back(constraint.TargetTuples(relation));
-  }
+  std::vector<std::vector<size_t>> adjacency;
+  const std::vector<std::vector<RowId>> targets =
+      ConstraintIndex(relation, constraints).Targets(&adjacency);
 
   for (size_t i = 0; i < constraints.size(); ++i) {
     const DiversityConstraint& c = constraints[i];
@@ -94,8 +93,10 @@ std::vector<ConstraintIssue> AnalyzeConstraintSet(
       // Nesting: child's target tuples a subset of the parent's. Every
       // preserved child occurrence is also a parent occurrence, so
       // child.lower > parent.upper is unsatisfiable.
+      if (!std::binary_search(adjacency[i].begin(), adjacency[i].end(), j)) {
+        continue;
+      }
       size_t overlap = SortedIntersectionSize(targets[i], targets[j]);
-      if (overlap == 0) continue;
       const bool i_in_j = overlap == targets[i].size();
       const bool j_in_i = overlap == targets[j].size();
       if (i_in_j && c.lower() > d.upper()) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "constraint/constraint_index.h"
+
 namespace diva {
 
 size_t SortedIntersectionSize(const std::vector<RowId>& a,
@@ -26,36 +28,37 @@ size_t SortedIntersectionSize(const std::vector<RowId>& a,
 double PairConflictRate(const Relation& relation,
                         const DiversityConstraint& a,
                         const DiversityConstraint& b) {
-  std::vector<RowId> ta = a.TargetTuples(relation);
-  std::vector<RowId> tb = b.TargetTuples(relation);
-  if (ta.empty() || tb.empty()) return 0.0;
-  // TargetTuples scans rows in order, so both lists are already sorted.
-  size_t overlap = SortedIntersectionSize(ta, tb);
+  const ConstraintSet pair = {a, b};
+  const std::vector<std::vector<RowId>> targets =
+      ConstraintIndex(relation, pair).Targets();
+  if (targets[0].empty() || targets[1].empty()) return 0.0;
+  size_t overlap = SortedIntersectionSize(targets[0], targets[1]);
   return static_cast<double>(overlap) /
-         static_cast<double>(std::min(ta.size(), tb.size()));
+         static_cast<double>(std::min(targets[0].size(), targets[1].size()));
 }
 
 double ConflictRate(const Relation& relation,
                     const ConstraintSet& constraints) {
   if (constraints.size() < 2) return 0.0;
-  // Materialize the target sets once; pairwise intersect.
-  std::vector<std::vector<RowId>> targets;
-  targets.reserve(constraints.size());
-  for (const auto& c : constraints) targets.push_back(c.TargetTuples(relation));
+  std::vector<std::vector<size_t>> adjacency;
+  const std::vector<std::vector<RowId>> targets =
+      ConstraintIndex(relation, constraints).Targets(&adjacency);
 
+  // Only adjacent pairs overlap. Every other pair adds exactly 0.0, so
+  // summing the adjacent ones in (i, j) order gives the all-pairs sum
+  // bit for bit.
   double total = 0.0;
-  size_t pairs = 0;
   for (size_t i = 0; i < targets.size(); ++i) {
-    for (size_t j = i + 1; j < targets.size(); ++j) {
-      ++pairs;
-      if (targets[i].empty() || targets[j].empty()) continue;
+    for (size_t j : adjacency[i]) {
+      if (j < i) continue;
       size_t overlap = SortedIntersectionSize(targets[i], targets[j]);
       total += static_cast<double>(overlap) /
                static_cast<double>(std::min(targets[i].size(),
                                             targets[j].size()));
     }
   }
-  return total / static_cast<double>(pairs);
+  const size_t n = constraints.size();
+  return total / static_cast<double>(n * (n - 1) / 2);
 }
 
 }  // namespace diva

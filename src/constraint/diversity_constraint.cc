@@ -1,33 +1,11 @@
 #include "constraint/diversity_constraint.h"
 
-#include <algorithm>
 #include <unordered_set>
 
-#include "common/parallel.h"
 #include "common/string_util.h"
+#include "constraint/constraint_index.h"
 
 namespace diva {
-
-namespace {
-
-/// Resolves the constraint's target values to codes in `relation`'s
-/// dictionaries. Returns false if some value never occurs in the relation
-/// (then the match count is trivially 0).
-bool ResolveCodes(const DiversityConstraint& constraint,
-                  const Relation& relation, std::vector<ValueCode>* codes) {
-  const auto& attrs = constraint.attribute_indices();
-  const auto& values = constraint.values();
-  codes->clear();
-  codes->reserve(attrs.size());
-  for (size_t i = 0; i < attrs.size(); ++i) {
-    auto code = relation.FindCode(attrs[i], values[i]);
-    if (!code.has_value()) return false;
-    codes->push_back(*code);
-  }
-  return true;
-}
-
-}  // namespace
 
 Result<DiversityConstraint> DiversityConstraint::Make(
     const Schema& schema, std::vector<std::string> attributes,
@@ -68,75 +46,6 @@ Result<DiversityConstraint> DiversityConstraint::Make(
   return constraint;
 }
 
-bool DiversityConstraint::MatchesRow(const Relation& relation,
-                                     RowId row) const {
-  std::vector<ValueCode> codes;
-  if (!ResolveCodes(*this, relation, &codes)) return false;
-  for (size_t i = 0; i < attribute_indices_.size(); ++i) {
-    if (relation.At(row, attribute_indices_[i]) != codes[i]) return false;
-  }
-  return true;
-}
-
-size_t DiversityConstraint::CountOccurrences(const Relation& relation) const {
-  std::vector<ValueCode> codes;
-  if (!ResolveCodes(*this, relation, &codes)) return 0;
-  // Exact integer sum of chunk partials: the parallel total equals the
-  // sequential scan for every thread count.
-  return ParallelReduce<size_t>(
-      relation.NumRows(), /*grain=*/0, size_t{0},
-      [&](size_t begin, size_t end) {
-        size_t count = 0;
-        for (size_t row = begin; row < end; ++row) {
-          bool match = true;
-          for (size_t i = 0; i < attribute_indices_.size(); ++i) {
-            if (relation.At(static_cast<RowId>(row), attribute_indices_[i]) !=
-                codes[i]) {
-              match = false;
-              break;
-            }
-          }
-          if (match) ++count;
-        }
-        return count;
-      },
-      [](size_t a, size_t b) { return a + b; });
-}
-
-bool DiversityConstraint::IsSatisfiedBy(const Relation& relation) const {
-  size_t count = CountOccurrences(relation);
-  return count >= lower_ && count <= upper_;
-}
-
-std::vector<RowId> DiversityConstraint::TargetTuples(
-    const Relation& relation) const {
-  std::vector<ValueCode> codes;
-  if (!ResolveCodes(*this, relation, &codes)) return {};
-  // Chunk-local hit lists concatenated in ascending chunk order rebuild
-  // the exact row order of the sequential scan.
-  return ParallelReduce<std::vector<RowId>>(
-      relation.NumRows(), /*grain=*/0, {},
-      [&](size_t begin, size_t end) {
-        std::vector<RowId> local;
-        for (size_t row = begin; row < end; ++row) {
-          bool match = true;
-          for (size_t i = 0; i < attribute_indices_.size(); ++i) {
-            if (relation.At(static_cast<RowId>(row), attribute_indices_[i]) !=
-                codes[i]) {
-              match = false;
-              break;
-            }
-          }
-          if (match) local.push_back(static_cast<RowId>(row));
-        }
-        return local;
-      },
-      [](std::vector<RowId> acc, std::vector<RowId> chunk) {
-        acc.insert(acc.end(), chunk.begin(), chunk.end());
-        return acc;
-      });
-}
-
 std::string DiversityConstraint::ToString() const {
   std::string out = Join(attribute_names_, ",");
   out += "[";
@@ -157,10 +66,7 @@ bool DiversityConstraint::operator==(const DiversityConstraint& other) const {
 
 bool SatisfiesAll(const Relation& relation,
                   const ConstraintSet& constraints) {
-  for (const auto& constraint : constraints) {
-    if (!constraint.IsSatisfiedBy(relation)) return false;
-  }
-  return true;
+  return ViolatedConstraints(relation, constraints).empty();
 }
 
 std::vector<size_t> ViolatedConstraints(const Relation& relation,
@@ -176,102 +82,7 @@ std::vector<size_t> ViolatedConstraints(const Relation& relation,
 
 std::vector<size_t> CountAllOccurrences(const Relation& relation,
                                         const ConstraintSet& constraints) {
-  std::vector<size_t> counts(constraints.size(), 0);
-  if (constraints.empty() || relation.NumRows() == 0) return counts;
-
-  // Resolve every constraint once. Unresolved constraints (some target
-  // value absent from the dictionary) keep count 0, exactly like
-  // CountOccurrences.
-  struct Resolved {
-    size_t index;
-    std::vector<ValueCode> codes;
-  };
-  std::vector<Resolved> single;
-  std::vector<Resolved> multi;
-  std::vector<ValueCode> codes;
-  for (size_t i = 0; i < constraints.size(); ++i) {
-    if (!ResolveCodes(constraints[i], relation, &codes)) continue;
-    if (codes.size() == 1) {
-      single.push_back({i, codes});
-    } else {
-      multi.push_back({i, codes});
-    }
-  }
-
-  // Single-attribute constraints read per-attribute code histograms built
-  // in one scan. Histogram cells are exact integer sums, so the merged
-  // totals equal the sequential scan at every thread width.
-  if (!single.empty()) {
-    std::vector<size_t> attrs;
-    for (const Resolved& r : single)
-      attrs.push_back(constraints[r.index].attribute_indices().front());
-    std::sort(attrs.begin(), attrs.end());
-    attrs.erase(std::unique(attrs.begin(), attrs.end()), attrs.end());
-    std::vector<size_t> slot_of(relation.NumAttributes(), attrs.size());
-    for (size_t s = 0; s < attrs.size(); ++s) slot_of[attrs[s]] = s;
-
-    using Histograms = std::vector<std::vector<size_t>>;
-    Histograms zero(attrs.size());
-    for (size_t s = 0; s < attrs.size(); ++s)
-      zero[s].assign(relation.dictionary(attrs[s]).size(), 0);
-    Histograms hist = ParallelReduce<Histograms>(
-        relation.NumRows(), /*grain=*/0, zero,
-        [&](size_t begin, size_t end) {
-          Histograms local = zero;
-          for (size_t row = begin; row < end; ++row) {
-            for (size_t s = 0; s < attrs.size(); ++s) {
-              ValueCode code = relation.At(static_cast<RowId>(row), attrs[s]);
-              if (code >= 0 &&
-                  static_cast<size_t>(code) < local[s].size()) {
-                ++local[s][static_cast<size_t>(code)];
-              }
-            }
-          }
-          return local;
-        },
-        [](Histograms acc, Histograms chunk) {
-          for (size_t s = 0; s < acc.size(); ++s)
-            for (size_t v = 0; v < acc[s].size(); ++v) acc[s][v] += chunk[s][v];
-          return acc;
-        });
-    for (const Resolved& r : single) {
-      size_t attr = constraints[r.index].attribute_indices().front();
-      counts[r.index] = hist[slot_of[attr]][static_cast<size_t>(r.codes[0])];
-    }
-  }
-
-  // Multi-attribute constraints share one additional row scan, each row
-  // checked against every such constraint.
-  if (!multi.empty()) {
-    std::vector<size_t> totals = ParallelReduce<std::vector<size_t>>(
-        relation.NumRows(), /*grain=*/0,
-        std::vector<size_t>(multi.size(), 0),
-        [&](size_t begin, size_t end) {
-          std::vector<size_t> local(multi.size(), 0);
-          for (size_t row = begin; row < end; ++row) {
-            for (size_t m = 0; m < multi.size(); ++m) {
-              const auto& attrs = constraints[multi[m].index].attribute_indices();
-              bool match = true;
-              for (size_t i = 0; i < attrs.size(); ++i) {
-                if (relation.At(static_cast<RowId>(row), attrs[i]) !=
-                    multi[m].codes[i]) {
-                  match = false;
-                  break;
-                }
-              }
-              if (match) ++local[m];
-            }
-          }
-          return local;
-        },
-        [](std::vector<size_t> acc, std::vector<size_t> chunk) {
-          for (size_t m = 0; m < acc.size(); ++m) acc[m] += chunk[m];
-          return acc;
-        });
-    for (size_t m = 0; m < multi.size(); ++m)
-      counts[multi[m].index] = totals[m];
-  }
-  return counts;
+  return ConstraintIndex(relation, constraints).CountAll();
 }
 
 }  // namespace diva

@@ -16,9 +16,10 @@ namespace diva {
 /// relation must contain between lambda_l and lambda_r tuples whose
 /// attributes X carry exactly the values t (suppressed cells never match).
 ///
-/// Target values are stored as strings and resolved against a relation's
-/// dictionaries on demand, so one constraint can be checked against R, RΣ,
-/// and R* interchangeably.
+/// Target values are stored as strings, so one constraint can be checked
+/// against R, RΣ, and R* interchangeably. Questions about which rows match
+/// are answered by a ConstraintIndex (constraint/constraint_index.h),
+/// which resolves the whole set against one relation's dictionaries once.
 class DiversityConstraint {
  public:
   /// Validates attribute names against `schema` and bounds
@@ -42,20 +43,6 @@ class DiversityConstraint {
   uint32_t lower() const { return lower_; }
   uint32_t upper() const { return upper_; }
 
-  /// True if the tuple `row` of `relation` carries the target values on
-  /// every target attribute.
-  bool MatchesRow(const Relation& relation, RowId row) const;
-
-  /// Number of tuples of `relation` matching the target (the validation
-  /// count query of Definition 2.3).
-  size_t CountOccurrences(const Relation& relation) const;
-
-  /// R |= sigma: CountOccurrences in [lower, upper].
-  bool IsSatisfiedBy(const Relation& relation) const;
-
-  /// The target tuples I_sigma: ids of rows matching the target values.
-  std::vector<RowId> TargetTuples(const Relation& relation) const;
-
   /// "ETH[Asian] in [2,5]" / "GEN,ETH[Male,African] in [1,3]".
   std::string ToString() const;
 
@@ -69,30 +56,24 @@ class DiversityConstraint {
   std::vector<std::string> values_;
   uint32_t lower_ = 0;
   uint32_t upper_ = 0;
-
-  // Per-relation resolution cache would be unsafe (constraints outlive
-  // relations); resolution is recomputed per call and is O(|X|) hash
-  // lookups, negligible next to the row scan.
 };
 
 /// A set Sigma of diversity constraints. R |= Sigma iff R satisfies every
 /// member (Definition 2.3).
 using ConstraintSet = std::vector<DiversityConstraint>;
 
-/// True iff relation satisfies every constraint in `constraints`.
+/// True iff relation satisfies every constraint in `constraints`: each
+/// occurrence count lies in [lower, upper].
 bool SatisfiesAll(const Relation& relation, const ConstraintSet& constraints);
 
 /// Indices of constraints in `constraints` violated by `relation`.
 std::vector<size_t> ViolatedConstraints(const Relation& relation,
                                         const ConstraintSet& constraints);
 
-/// Occurrence counts of every constraint in one pass over the relation:
-/// counts[i] == constraints[i].CountOccurrences(relation), exactly.
-/// Single-attribute constraints (the common case) read per-attribute code
-/// histograms built in one parallel scan, so the cost is O(|R| * |QI|)
-/// instead of O(|R| * |Sigma|); multi-attribute constraints share one
-/// additional row scan. Exact integer sums, so the result is identical
-/// at every thread width.
+/// Occurrence counts of every constraint (the validation count query of
+/// Definition 2.3: tuples carrying the target values, suppressed cells
+/// never matching) in one ConstraintIndex pass over the relation. Exact
+/// integer sums, so the result is identical at every thread width.
 std::vector<size_t> CountAllOccurrences(const Relation& relation,
                                         const ConstraintSet& constraints);
 

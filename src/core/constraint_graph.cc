@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "constraint/conflict.h"
+#include "constraint/constraint_index.h"
 
 namespace diva {
 
@@ -14,22 +14,8 @@ bool ConstraintGraph::HasEdge(size_t i, size_t j) const {
 ConstraintGraph BuildConstraintGraph(const Relation& relation,
                                      const ConstraintSet& constraints) {
   ConstraintGraph graph;
-  graph.targets.reserve(constraints.size());
-  for (const auto& constraint : constraints) {
-    graph.targets.push_back(constraint.TargetTuples(relation));
-  }
-  graph.adjacency.assign(constraints.size(), {});
-  for (size_t i = 0; i < constraints.size(); ++i) {
-    for (size_t j = i + 1; j < constraints.size(); ++j) {
-      if (SortedIntersectionSize(graph.targets[i], graph.targets[j]) > 0) {
-        graph.adjacency[i].push_back(j);
-        graph.adjacency[j].push_back(i);
-      }
-    }
-  }
-  for (auto& neighbors : graph.adjacency) {
-    std::sort(neighbors.begin(), neighbors.end());
-  }
+  graph.targets =
+      ConstraintIndex(relation, constraints).Targets(&graph.adjacency);
   return graph;
 }
 

@@ -21,7 +21,9 @@ struct ConstraintGraph {
   bool HasEdge(size_t i, size_t j) const;
 };
 
-/// Builds the graph for (R, Sigma) — BuildGraph of Algorithm 3.
+/// Builds the graph for (R, Sigma) — BuildGraph of Algorithm 3 — from one
+/// ConstraintIndex pass: each row's hit list gives its targets, and every
+/// distinct hit list of two or more constraints gives their edges.
 ConstraintGraph BuildConstraintGraph(const Relation& relation,
                                      const ConstraintSet& constraints);
 

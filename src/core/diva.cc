@@ -8,6 +8,7 @@
 #include "common/counters.h"
 #include "common/deadline.h"
 #include "common/failpoint.h"
+#include "common/parallel.h"
 #include "common/timer.h"
 #include "common/trace.h"
 #include "core/constraint_graph.h"
@@ -500,15 +501,19 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
   // overcount — keeps the figure equal to what the auditor's star
   // accounting re-derives from the published pair.
   {
-    uint64_t added_stars = 0;
-    for (RowId row = 0; row < out.NumRows(); ++row) {
-      for (size_t col = 0; col < out.NumAttributes(); ++col) {
-        if (out.At(row, col) == kSuppressed &&
-            relation.At(row, col) != kSuppressed) {
-          ++added_stars;
-        }
-      }
-    }
+    const uint64_t added_stars = ParallelReduce<uint64_t>(
+        out.NumRows(), /*grain=*/0, uint64_t{0},
+        [&](size_t begin, size_t end) {
+          uint64_t stars = 0;
+          for (size_t row = begin; row < end; ++row) {
+            for (size_t col = 0; col < out.NumAttributes(); ++col) {
+              stars += out.At(static_cast<RowId>(row), col) == kSuppressed &&
+                       relation.At(static_cast<RowId>(row), col) != kSuppressed;
+            }
+          }
+          return stars;
+        },
+        [](uint64_t a, uint64_t b) { return a + b; });
     DIVA_COUNTER_ADD("suppress.stars", added_stars);
   }
 
@@ -542,10 +547,7 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
                      !report.deadline_exceeded && !report.baseline_degraded &&
                      !report.integrate_skipped && !report.privacy_truncated &&
                      snapshot.coloring.size() == plan->shards.size();
-    if (snapshot.valid) {
-      snapshot.graph = *graph;
-      snapshot.plan = *plan;
-    }
+    if (snapshot.valid) snapshot.plan = *plan;
   }
 
   report.counters = counters::Delta(counters_before, counters::Snapshot());

@@ -9,7 +9,6 @@
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "common/trace.h"
-#include "constraint/conflict.h"
 
 namespace diva {
 
@@ -102,12 +101,11 @@ uint64_t ShardFingerprint(const Shard& shard,
   return h;
 }
 
-void FinalizeSnapshot(PipelineSnapshot* snapshot, const Relation& input,
+void FinalizeSnapshot(PipelineSnapshot* snapshot, Relation input,
                       const ConstraintSet& constraints,
                       const DivaOptions& options,
                       std::vector<uint64_t> row_hashes) {
   if (!snapshot->valid) return;
-  snapshot->input.emplace(input);
   snapshot->constraints = constraints;
   snapshot->row_hashes = row_hashes.size() == input.NumRows()
                              ? std::move(row_hashes)
@@ -117,6 +115,7 @@ void FinalizeSnapshot(PipelineSnapshot* snapshot, const Relation& input,
     snapshot->dictionary_sizes.push_back(input.dictionary(col).size());
   }
   snapshot->options_fingerprint = OptionsFingerprint(options);
+  snapshot->input.emplace(std::move(input));
 }
 
 Result<Relation> ApplyDeltaToRelation(const Relation& input,
@@ -133,7 +132,7 @@ Result<Relation> ApplyDeltaToRelation(const Relation& input,
     }
     keep.push_back(row);
   }
-  Relation post = input.SelectRows(keep);
+  Relation post = input.SelectRows(keep, delta.inserted.size());
   for (const std::vector<std::string>& fields : delta.inserted) {
     Result<RowId> appended = post.AppendRowStrings(fields);
     if (!appended.ok()) return appended.status();
@@ -187,91 +186,32 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
   DIVA_ASSIGN_OR_RETURN(std::vector<RowId> deleted,
                         NormalizeDeletes(input, delta));
   DIVA_ASSIGN_OR_RETURN(Relation post, ApplyDeltaToRelation(input, delta));
-  const size_t num_old = input.NumRows();
-  const size_t num_kept = num_old - deleted.size();
   const size_t num_new = post.NumRows();
   DIVA_COUNTER_ADD_EXEC("incremental.rows_deleted", deleted.size());
   DIVA_COUNTER_ADD_EXEC("incremental.rows_inserted", delta.inserted.size());
 
-  // Old -> new id map for survivors: deletions compact ids downward but
-  // preserve relative order.
-  constexpr RowId kGone = static_cast<RowId>(-1);
-  std::vector<RowId> new_id(num_old, kGone);
-  {
-    size_t next_delete = 0;
-    RowId next_id = 0;
-    for (RowId row = 0; row < static_cast<RowId>(num_old); ++row) {
-      if (next_delete < deleted.size() && deleted[next_delete] == row) {
-        ++next_delete;
-        continue;
-      }
-      new_id[row] = next_id++;
+  // Per-row content hashes carried across the delta: survivors keep
+  // their prior hashes in order (deletions compact ids downward without
+  // touching contents), inserted rows hash fresh.
+  std::vector<uint64_t> row_hashes;
+  row_hashes.reserve(num_new);
+  size_t next_delete = 0;
+  for (RowId row = 0; row < static_cast<RowId>(input.NumRows()); ++row) {
+    if (next_delete < deleted.size() && deleted[next_delete] == row) {
+      ++next_delete;
+      continue;
     }
+    row_hashes.push_back(prior.row_hashes[row]);
   }
-
-  // Per-row content hashes maintained under the delta: survivors keep
-  // their prior hashes (contents are untouched by compaction), inserted
-  // rows hash fresh.
-  std::vector<uint64_t> row_hashes(num_new);
-  for (RowId row = 0; row < static_cast<RowId>(num_old); ++row) {
-    if (new_id[row] == kGone) continue;
-    row_hashes[new_id[row]] = prior.row_hashes[row];
-  }
-  for (RowId row = static_cast<RowId>(num_kept);
+  for (RowId row = static_cast<RowId>(row_hashes.size());
        row < static_cast<RowId>(num_new); ++row) {
-    row_hashes[row] = RowContentHash(post, row);
+    row_hashes.push_back(RowContentHash(post, row));
   }
 
-  // I_sigma maintenance: drop deleted rows from each target list and
-  // remap survivors (order-preserving, so the list stays ascending),
-  // then append matching inserted rows (ids ascend past every survivor).
-  // A constraint whose target value only now entered the dictionary has
-  // an empty prior list — correct, since no prior row could carry an
-  // un-interned value.
-  const size_t num_constraints = constraints.size();
-  ConstraintGraph graph;
-  graph.targets.resize(num_constraints);
-  std::vector<uint8_t> changed(num_constraints, 0);
-  for (size_t c = 0; c < num_constraints; ++c) {
-    const std::vector<RowId>& old_targets = prior.graph.targets[c];
-    std::vector<RowId>& targets = graph.targets[c];
-    targets.reserve(old_targets.size());
-    for (RowId row : old_targets) {
-      if (new_id[row] == kGone) {
-        changed[c] = 1;
-        continue;
-      }
-      targets.push_back(new_id[row]);
-    }
-    for (RowId row = static_cast<RowId>(num_kept);
-         row < static_cast<RowId>(num_new); ++row) {
-      if (constraints[c].MatchesRow(post, row)) {
-        targets.push_back(row);
-        changed[c] = 1;
-      }
-    }
-  }
-
-  // Conflict-edge maintenance: a pair's intersection emptiness is
-  // invariant under the order-preserving remap, so only pairs touching a
-  // changed constraint recompute their SortedIntersectionSize; the rest
-  // keep the prior edge bit.
-  graph.adjacency.assign(num_constraints, {});
-  for (size_t i = 0; i < num_constraints; ++i) {
-    for (size_t j = i + 1; j < num_constraints; ++j) {
-      bool edge;
-      if (!changed[i] && !changed[j]) {
-        const std::vector<size_t>& prior_adj = prior.graph.adjacency[i];
-        edge = std::binary_search(prior_adj.begin(), prior_adj.end(), j);
-      } else {
-        edge = SortedIntersectionSize(graph.targets[i], graph.targets[j]) > 0;
-      }
-      if (edge) {
-        graph.adjacency[i].push_back(j);
-        graph.adjacency[j].push_back(i);
-      }
-    }
-  }
+  // The conflict graph is rebuilt, not maintained: one ConstraintIndex
+  // pass over the post-delta relation costs less than remapping every
+  // target list and re-merging the pairs a changed constraint touches.
+  const ConstraintGraph graph = BuildConstraintGraph(post, constraints);
   ShardPlan plan = ComputeShardPlan(graph, num_new);
   DIVA_RETURN_IF_ERROR(DIVA_FAIL("delta.recolor"));
 
@@ -295,14 +235,18 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
   if (reusable && prior.coloring.size() == prior.plan.shards.size()) {
     const size_t overlap =
         std::min(plan.shards.size(), prior.plan.shards.size());
+    // Each shard's fingerprints walk its rows' hashes; the shards are
+    // independent, so they are compared in parallel.
+    const std::vector<uint8_t> clean =
+        ParallelMap<uint8_t>(overlap, /*grain=*/1, [&](size_t s) {
+          const Shard& shard = plan.shards[s];
+          const Shard& prior_shard = prior.plan.shards[s];
+          return shard.constraints == prior_shard.constraints &&
+                 ShardFingerprint(shard, row_hashes) ==
+                     ShardFingerprint(prior_shard, prior.row_hashes);
+        });
     for (size_t s = 0; s < overlap; ++s) {
-      const Shard& shard = plan.shards[s];
-      const Shard& prior_shard = prior.plan.shards[s];
-      if (shard.constraints != prior_shard.constraints) continue;
-      if (ShardFingerprint(shard, row_hashes) !=
-          ShardFingerprint(prior_shard, prior.row_hashes)) {
-        continue;
-      }
+      if (!clean[s]) continue;
       hooks.adopt_coloring[s] = &prior.coloring[s];
       if (s < prior.baseline.size() && prior.baseline[s].used) {
         hooks.adopt_baseline[s] = &prior.baseline[s];
@@ -325,7 +269,7 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
   DIVA_RETURN_IF_ERROR(DIVA_FAIL("delta.merge"));
 
   if (snapshot->valid) {
-    FinalizeSnapshot(snapshot.get(), post, constraints, options,
+    FinalizeSnapshot(snapshot.get(), std::move(post), constraints, options,
                      std::move(row_hashes));
     result.snapshot = std::move(snapshot);
   }

@@ -7,9 +7,10 @@
 /// I_sigma target sets it touches: a component's coloring and baseline
 /// clustering are pure functions of its local sub-instance (member
 /// constraints, row contents in row-list order, and the positionally
-/// derived per-shard seed stream). ApplyDelta therefore maintains the
-/// target indexes, per-row content hashes, and the conflict graph under
-/// the delta, diffs the resulting shard plan against the prior plan by
+/// derived per-shard seed stream). ApplyDelta therefore carries the
+/// per-row content hashes across the delta, rebuilds the conflict graph
+/// of the post-delta relation in one ConstraintIndex pass, diffs the
+/// resulting shard plan against the prior plan by
 /// component fingerprint (FNV over the shard's row-content hashes), and
 /// re-runs the pipeline adopting the prior per-shard coloring and
 /// baseline records for every *clean* component — producing output,
@@ -70,8 +71,9 @@ struct ShardBaselineRecord {
 };
 
 /// Everything an incremental run needs to reuse a prior run: the input
-/// relation (pre-anonymization), its index structures, per-row content
-/// hashes, and the per-shard coloring/baseline records. Snapshots chain:
+/// relation (pre-anonymization), its shard plan, per-row content hashes,
+/// and the per-shard coloring/baseline records. No conflict graph: the
+/// next delta rebuilds it from the post-delta relation. Snapshots chain:
 /// ApplyDelta emits a fresh snapshot for the post-delta relation, with
 /// clean shards' records copied forward.
 struct PipelineSnapshot {
@@ -80,7 +82,6 @@ struct PipelineSnapshot {
   /// Null until FinalizeSnapshot runs (Relation has no empty state).
   std::optional<Relation> input;
   ConstraintSet constraints;
-  ConstraintGraph graph;
   ShardPlan plan;
 
   /// FNV-1a over each row's codes (all attributes): the unit of the
@@ -100,8 +101,8 @@ struct PipelineSnapshot {
 struct PipelineHooks {
   /// Precomputed conflict graph + shard plan for the input relation
   /// (both or neither): the pipeline skips BuildConstraintGraph /
-  /// ComputeShardPlan, which an incremental caller has already
-  /// maintained under the delta.
+  /// ComputeShardPlan, which an incremental caller has already run on
+  /// the post-delta relation.
   const ConstraintGraph* graph = nullptr;
   const ShardPlan* plan = nullptr;
 
@@ -112,7 +113,7 @@ struct PipelineHooks {
 
   /// When non-null, the pipeline fills the per-shard reuse records and
   /// the `valid` eligibility flag; the caller finishes the snapshot
-  /// (relation/graph/plan/hashes) with FinalizeSnapshot.
+  /// (relation/hashes) with FinalizeSnapshot.
   PipelineSnapshot* capture = nullptr;
 };
 
@@ -125,13 +126,13 @@ struct PipelineHooks {
                                                  const PipelineHooks& hooks);
 
 /// Completes a pipeline-captured snapshot (the pipeline already stored
-/// the graph, plan, and reuse records): copies the input relation and
-/// constraints in, and fills the per-row content hashes, dictionary
+/// the plan and reuse records): takes the input relation (an incremental
+/// caller moves its post-delta relation in) and copies the constraints, and fills the per-row content hashes, dictionary
 /// sizes, and options fingerprint. Precomputed row hashes (an
-/// incremental caller's maintained ones) are used verbatim when
+/// incremental caller's carried-over ones) are used verbatim when
 /// supplied, computed from the relation otherwise. No-op when the
 /// pipeline marked the capture invalid.
-void FinalizeSnapshot(PipelineSnapshot* snapshot, const Relation& input,
+void FinalizeSnapshot(PipelineSnapshot* snapshot, Relation input,
                       const ConstraintSet& constraints,
                       const DivaOptions& options,
                       std::vector<uint64_t> row_hashes = {});
@@ -144,8 +145,9 @@ void FinalizeSnapshot(PipelineSnapshot* snapshot, const Relation& input,
                                                     const DeltaBatch& delta);
 
 /// Incremental re-anonymization: applies `delta` to the snapshot's
-/// input, maintains the target indexes / row hashes / conflict graph /
-/// shard plan under it, re-colors only the dirty components (clean ones
+/// input, carries the row hashes across it, rebuilds the conflict graph
+/// and shard plan of the post-delta relation, re-colors only the dirty
+/// components (clean ones
 /// adopt the snapshot's records), and runs the downstream phases. The
 /// result — relation bytes, report counters, audit — is byte-identical
 /// to RunDiva on the post-delta relation with the same options, at

@@ -9,6 +9,7 @@
 #include "common/counters.h"
 #include "common/parallel.h"
 #include "common/trace.h"
+#include "constraint/constraint_index.h"
 
 namespace diva {
 
@@ -37,16 +38,14 @@ size_t QiTargetAttribute(const Relation& relation,
   return constraint.attribute_indices().front();
 }
 
-/// Per-constraint occurrence counts computed once up front (one batched
+/// Per-constraint occurrence counts computed once up front (one index
 /// pass) and decremented exactly under every repair suppression, so each
-/// lookup equals what CountOccurrences would return on the live relation
-/// without rescanning it per constraint.
+/// lookup equals the live relation's count without rescanning it.
 class MaintainedCounts {
  public:
-  MaintainedCounts(const Relation& relation, const ConstraintSet& constraints)
-      : constraints_(constraints),
-        counts_(CountAllOccurrences(relation, constraints)),
-        by_attr_(relation.NumAttributes()) {
+  MaintainedCounts(const ConstraintIndex& index,
+                   const ConstraintSet& constraints, size_t num_attributes)
+      : index_(index), counts_(index.CountAll()), by_attr_(num_attributes) {
     for (size_t c = 0; c < constraints.size(); ++c) {
       for (size_t attr : constraints[c].attribute_indices()) {
         by_attr_[attr].push_back(c);
@@ -63,13 +62,13 @@ class MaintainedCounts {
   /// constraint the row matched on `attr` drops by exactly one.
   void Suppress(Relation* relation, RowId row, size_t attr) {
     for (size_t c : by_attr_[attr]) {
-      if (constraints_[c].MatchesRow(*relation, row)) --counts_[c];
+      if (index_.Matches(c, row)) --counts_[c];
     }
     relation->Set(row, attr, kSuppressed);
   }
 
  private:
-  const ConstraintSet& constraints_;
+  const ConstraintIndex& index_;
   std::vector<size_t> counts_;
   std::vector<std::vector<size_t>> by_attr_;
 };
@@ -81,7 +80,10 @@ IntegrateStats IntegrateRepair(Relation* relation,
                                const Clustering& rk_clusters) {
   DIVA_TRACE_SPAN("integrate/repair");
   IntegrateStats stats;
-  MaintainedCounts counts(*relation, constraints);
+  // Suppression interns no values, so the index stays exact while the
+  // repair rewrites cells under it.
+  const ConstraintIndex index(*relation, constraints);
+  MaintainedCounts counts(index, constraints, relation->NumAttributes());
 
   for (size_t ci = 0; ci < constraints.size(); ++ci) {
     const DiversityConstraint& constraint = constraints[ci];
@@ -99,7 +101,7 @@ IntegrateStats IntegrateRepair(Relation* relation,
       for (const Cluster& cluster : rk_clusters) {
         for (RowId row : cluster) {
           if (excess == 0) break;
-          if (constraint.MatchesRow(*relation, row)) {
+          if (index.Matches(ci, row)) {
             counts.Suppress(relation, row, *sensitive_attr);
             ++stats.suppressed_cells;
             --excess;
@@ -124,8 +126,7 @@ IntegrateStats IntegrateRepair(Relation* relation,
           std::vector<size_t> local;
           for (size_t c = begin; c < end; ++c) {
             const Cluster& cluster = rk_clusters[c];
-            if (!cluster.empty() &&
-                constraint.MatchesRow(*relation, cluster.front())) {
+            if (!cluster.empty() && index.Matches(ci, cluster.front())) {
               local.push_back(c);
             }
           }
@@ -170,23 +171,13 @@ IntegrateStats IntegrateRepair(Relation* relation,
 void FoldLeftoverRows(Relation* relation, Clustering* clusters,
                       const std::vector<RowId>& leftover,
                       const ConstraintSet& constraints) {
-  // Target codes resolve once: suppression interns no values. A target
-  // value missing from the dictionary matches no row, before or after.
-  std::vector<std::vector<ValueCode>> codes(constraints.size());
-  std::vector<size_t> resolved;
-  for (size_t j = 0; j < constraints.size(); ++j) {
-    const std::vector<size_t>& attrs = constraints[j].attribute_indices();
-    for (size_t i = 0; i < attrs.size(); ++i) {
-      auto code = relation->FindCode(attrs[i], constraints[j].values()[i]);
-      if (!code.has_value()) break;
-      codes[j].push_back(*code);
-    }
-    if (codes[j].size() == attrs.size()) resolved.push_back(j);
-  }
+  // Suppression interns no values, so one index serves every fold. A
+  // target value missing from the dictionary matches no row, before or
+  // after.
+  const ConstraintIndex index(*relation, constraints);
   std::vector<uint8_t> suppressed(relation->NumAttributes(), 0);
   for (RowId row : leftover) {
-    const std::vector<size_t> counts =
-        CountAllOccurrences(*relation, constraints);
+    const std::vector<size_t> counts = index.CountAll();
     // Rank = (new violations, ★s), compared lexicographically; the first
     // cluster with the least rank wins, and nothing beats (0, 0).
     const std::pair<size_t, size_t> unbeatable{0, 0};
@@ -210,7 +201,7 @@ void FoldLeftoverRows(Relation* relation, Clustering* clusters,
       // column, by the merged rows that matched them. A constraint that
       // held breaks iff it drops below its lower bound.
       size_t new_violations = 0;
-      for (size_t j : resolved) {
+      for (size_t j = 0; j < constraints.size(); ++j) {
         const DiversityConstraint& constraint = constraints[j];
         const std::vector<size_t>& attrs = constraint.attribute_indices();
         if (counts[j] < constraint.lower() || counts[j] > constraint.upper() ||
@@ -218,13 +209,9 @@ void FoldLeftoverRows(Relation* relation, Clustering* clusters,
                          [&](size_t attr) { return suppressed[attr] != 0; })) {
           continue;
         }
-        const size_t lost = std::count_if(
-            merged.begin(), merged.end(), [&](RowId r) {
-              for (size_t i = 0; i < attrs.size(); ++i) {
-                if (relation->At(r, attrs[i]) != codes[j][i]) return false;
-              }
-              return true;
-            });
+        const size_t lost =
+            std::count_if(merged.begin(), merged.end(),
+                          [&](RowId r) { return index.Matches(j, r); });
         if (counts[j] - lost < constraint.lower()) ++new_violations;
       }
       const std::pair<size_t, size_t> rank{new_violations,

@@ -64,14 +64,8 @@ double DiscernibilityAccuracy(const Relation& relation, size_t k) {
 double SatisfiedFraction(const Relation& relation,
                          const ConstraintSet& constraints) {
   if (constraints.empty()) return 1.0;
-  // Stays a plain loop on purpose: IsSatisfiedBy -> CountOccurrences is
-  // already a parallel row scan, and the layer rejects nested loops.
-  // Rows outnumber constraints by orders of magnitude, so the inner
-  // level is the right one to parallelize.
-  size_t satisfied = 0;
-  for (const auto& constraint : constraints) {
-    if (constraint.IsSatisfiedBy(relation)) ++satisfied;
-  }
+  const size_t satisfied =
+      constraints.size() - ViolatedConstraints(relation, constraints).size();
   return static_cast<double>(satisfied) /
          static_cast<double>(constraints.size());
 }

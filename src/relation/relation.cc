@@ -51,16 +51,27 @@ Relation Relation::EmptyLike() const {
   return out;
 }
 
-Relation Relation::SelectRows(std::span<const RowId> rows) const {
+Relation Relation::SelectRows(std::span<const RowId> rows,
+                              size_t spare_rows) const {
   Relation out = EmptyLike();
-  out.data_.reserve(rows.size() * stride_);
-  for (RowId r : rows) {
+  out.data_.reserve((rows.size() + spare_rows) * stride_);
+  // Runs of consecutive ids (a delta's survivors, a shard's row range)
+  // copy as one block.
+  for (size_t i = 0; i < rows.size();) {
+    size_t j = i + 1;
+    while (j < rows.size() && rows[j] == size_t{rows[j - 1]} + 1) ++j;
     // Load-bearing bounds check: a stale RowId would read out of bounds
-    // in release builds, so this must not compile away.
-    DIVA_CHECK_MSG(static_cast<size_t>(r) < num_rows_,
+    // in release builds, so this must not compile away. The run ascends,
+    // so its last id bounds all of it.
+    DIVA_CHECK_MSG(static_cast<size_t>(rows[j - 1]) < num_rows_,
                    "SelectRows: row id out of range");
-    out.AppendRow(Row(r));
+    const auto first =
+        data_.begin() + static_cast<ptrdiff_t>(rows[i] * stride_);
+    out.data_.insert(out.data_.end(), first,
+                     first + static_cast<ptrdiff_t>((j - i) * stride_));
+    i = j;
   }
+  out.num_rows_ = rows.size();
   return out;
 }
 

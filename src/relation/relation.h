@@ -73,7 +73,10 @@ class Relation {
 
   /// A relation containing copies of the given rows (in the given order),
   /// sharing schema and dictionaries.
-  Relation SelectRows(std::span<const RowId> rows) const;
+  /// `spare_rows` reserves room for that many rows appended afterwards,
+  /// so the appends do not reallocate the copied rows.
+  Relation SelectRows(std::span<const RowId> rows,
+                      size_t spare_rows = 0) const;
 
   /// Interns `value` in attribute `col`'s dictionary and returns its code.
   ValueCode Encode(size_t col, std::string_view value) {

@@ -1,7 +1,8 @@
 #include "verify/auditor.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
+#include <span>
 #include <sstream>
 
 #include "common/counters.h"
@@ -113,43 +114,119 @@ bool IsProperAncestor(const Taxonomy& taxonomy, Taxonomy::NodeId ancestor,
   return false;
 }
 
+/// The distinct QI patterns of a set of rows with their group sizes: an
+/// open-addressing table (linear probing, power-of-two capacity) over a
+/// flat pattern store. Written for the audit alone, independent of
+/// relation/qi_groups.cc. A suppressed cell only equals another
+/// suppressed cell, which code equality gives for free (kSuppressed is a
+/// reserved code).
+class PatternCounts {
+ public:
+  PatternCounts() = default;
+  explicit PatternCounts(size_t width) : width_(width) {}
+
+  /// Adds `size` rows to the group of `pattern` (one code per QI column).
+  void Add(const ValueCode* pattern, size_t size) {
+    if (2 * (sizes_.size() + 1) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t slot = Hash(pattern) & mask;; slot = (slot + 1) & mask) {
+      const uint32_t id = slots_[slot];
+      if (id == kEmpty) {
+        slots_[slot] = static_cast<uint32_t>(sizes_.size());
+        codes_.insert(codes_.end(), pattern, pattern + width_);
+        sizes_.push_back(size);
+        return;
+      }
+      if (std::equal(pattern, pattern + width_, Pattern(id))) {
+        sizes_[id] += size;
+        return;
+      }
+    }
+  }
+
+  size_t NumPatterns() const { return sizes_.size(); }
+  const ValueCode* Pattern(size_t id) const {
+    return codes_.data() + id * width_;
+  }
+  size_t Size(size_t id) const { return sizes_[id]; }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  uint64_t Hash(const ValueCode* pattern) const {
+    uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (size_t i = 0; i < width_; ++i) {
+      h = (h ^ static_cast<uint32_t>(pattern[i])) * 0xff51afd7ed558ccdULL;
+      h ^= h >> 32;
+    }
+    return h;
+  }
+
+  void Grow() {
+    slots_.assign(std::max<size_t>(16, 2 * slots_.size()), kEmpty);
+    const size_t mask = slots_.size() - 1;
+    for (size_t id = 0; id < sizes_.size(); ++id) {
+      size_t slot = Hash(Pattern(id)) & mask;
+      while (slots_[slot] != kEmpty) slot = (slot + 1) & mask;
+      slots_[slot] = static_cast<uint32_t>(id);
+    }
+  }
+
+  size_t width_ = 0;
+  std::vector<uint32_t> slots_;
+  std::vector<ValueCode> codes_;
+  std::vector<size_t> sizes_;
+};
+
 /// Re-derives the QI-groups of `relation` from scratch (independent of
 /// relation/qi_groups.cc) and records undersized groups.
 void CheckGroupSizes(const Relation& relation, size_t k,
                      ViolationRecorder* recorder, AuditStats* stats) {
   const std::vector<size_t>& qi = relation.schema().qi_indices();
-  // Ordered map keyed by the full QI projection: a suppressed cell only
-  // matches another suppressed cell, which code equality gives us for
-  // free (kSuppressed is a reserved code). Rows are counted in
-  // row-range chunks whose per-key sums merge commutatively, so the
-  // merged map — and the ordered iteration below — is independent of
-  // the thread count. Chunk boundaries are a pure function of the row
-  // count.
-  using GroupMap = std::map<std::vector<ValueCode>, size_t>;
-  size_t chunk_size = relation.NumRows() / 64 + 1;
-  size_t chunks = (relation.NumRows() + chunk_size - 1) / chunk_size;
-  std::vector<GroupMap> partials =
-      ParallelMap<GroupMap>(chunks, /*grain=*/1, [&](size_t c) {
-        GroupMap local;
+  // Each row-range chunk collects its distinct patterns; the chunks merge
+  // in ascending order. Chunk boundaries are a pure function of the row
+  // count, and the merged groups are sorted lexicographically before
+  // anything is recorded (the order of an ordered map keyed by the
+  // projection), so no hash order and no thread count reaches the report.
+  const size_t chunk_size = relation.NumRows() / 64 + 1;
+  const size_t chunks = (relation.NumRows() + chunk_size - 1) / chunk_size;
+  std::vector<PatternCounts> partials =
+      ParallelMap<PatternCounts>(chunks, /*grain=*/1, [&](size_t c) {
+        PatternCounts local(qi.size());
         std::vector<ValueCode> key(qi.size());
-        size_t begin = c * chunk_size;
-        size_t end = std::min(begin + chunk_size, relation.NumRows());
+        const size_t begin = c * chunk_size;
+        const size_t end = std::min(begin + chunk_size, relation.NumRows());
         for (size_t row = begin; row < end; ++row) {
           for (size_t i = 0; i < qi.size(); ++i) {
             key[i] = relation.At(static_cast<RowId>(row), qi[i]);
           }
-          ++local[key];
+          local.Add(key.data(), 1);
         }
         return local;
       });
-  GroupMap group_sizes;
-  for (GroupMap& partial : partials) {
-    for (auto& [pattern, size] : partial) group_sizes[pattern] += size;
+  PatternCounts groups(qi.size());
+  for (const PatternCounts& partial : partials) {
+    for (size_t id = 0; id < partial.NumPatterns(); ++id) {
+      groups.Add(partial.Pattern(id), partial.Size(id));
+    }
   }
-  stats->num_groups = group_sizes.size();
+  std::vector<uint32_t> order(groups.NumPatterns());
+  for (size_t id = 0; id < order.size(); ++id) {
+    order[id] = static_cast<uint32_t>(id);
+  }
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return std::lexicographical_compare(groups.Pattern(a),
+                                        groups.Pattern(a) + qi.size(),
+                                        groups.Pattern(b),
+                                        groups.Pattern(b) + qi.size());
+  });
+
+  stats->num_groups = order.size();
   stats->min_group_size = 0;
   bool first = true;
-  for (const auto& [pattern, size] : group_sizes) {
+  for (uint32_t id : order) {
+    const size_t size = groups.Size(id);
+    const ValueCode* pattern = groups.Pattern(id);
     if (first || size < stats->min_group_size) stats->min_group_size = size;
     first = false;
     if (size < k) {
@@ -168,54 +245,98 @@ void CheckGroupSizes(const Relation& relation, size_t k,
   }
 }
 
-/// Counts each constraint's occurrences with a plain row scan (no shared
-/// code with DiversityConstraint::CountOccurrences) and records bound
-/// breaches.
+/// Counts every constraint's occurrences in one pass of its own (no
+/// shared code with the pipeline's ConstraintIndex) and records bound
+/// breaches in constraint order.
 void CheckConstraintBounds(const Relation& relation,
                            const ConstraintSet& constraints,
                            const AuditOptions& options,
                            ViolationRecorder* recorder, AuditStats* stats) {
+  // Resolve the target values against the output dictionaries; a value
+  // absent from a dictionary can never match (the count stays 0).
+  // Single-attribute targets get a tally slot through a per-column
+  // code -> slot table; multi-attribute constraints share one row check.
+  std::vector<std::vector<int32_t>> slot_of(relation.NumAttributes());
+  std::vector<size_t> columns;
+  std::vector<size_t> slot_of_constraint(constraints.size(), SIZE_MAX);
+  size_t num_slots = 0;
+  struct Multi {
+    size_t index;
+    std::vector<ValueCode> codes;
+  };
+  std::vector<Multi> multi;
+  for (size_t ci = 0; ci < constraints.size(); ++ci) {
+    const std::vector<size_t>& attrs = constraints[ci].attribute_indices();
+    std::vector<ValueCode> codes;
+    for (size_t i = 0; i < attrs.size(); ++i) {
+      auto code = relation.FindCode(attrs[i], constraints[ci].values()[i]);
+      if (!code.has_value()) break;
+      codes.push_back(*code);
+    }
+    if (codes.size() != attrs.size()) continue;
+    if (codes.size() > 1) {
+      multi.push_back({ci, std::move(codes)});
+      continue;
+    }
+    std::vector<int32_t>& table = slot_of[attrs[0]];
+    if (table.empty()) {
+      table.assign(relation.dictionary(attrs[0]).size(), -1);
+      columns.push_back(attrs[0]);
+    }
+    if (table[codes[0]] < 0) {
+      table[codes[0]] = static_cast<int32_t>(num_slots++);
+    }
+    slot_of_constraint[ci] = static_cast<size_t>(table[codes[0]]);
+  }
+
+  // One row scan tallies every slot and every multi-attribute constraint:
+  // exact integer sums of chunk partials, identical at every width.
+  const size_t width = num_slots + multi.size();
+  std::vector<size_t> tally = ParallelReduce<std::vector<size_t>>(
+      width == 0 ? 0 : relation.NumRows(), /*grain=*/0,
+      std::vector<size_t>(width, 0),
+      [&](size_t begin, size_t end) {
+        std::vector<size_t> local(width, 0);
+        for (size_t r = begin; r < end; ++r) {
+          const std::span<const ValueCode> row =
+              relation.Row(static_cast<RowId>(r));
+          for (size_t col : columns) {
+            const ValueCode code = row[col];
+            if (code < 0 || static_cast<size_t>(code) >= slot_of[col].size()) {
+              continue;
+            }
+            const int32_t slot = slot_of[col][static_cast<size_t>(code)];
+            if (slot >= 0) ++local[static_cast<size_t>(slot)];
+          }
+          for (size_t m = 0; m < multi.size(); ++m) {
+            const std::vector<size_t>& attrs =
+                constraints[multi[m].index].attribute_indices();
+            bool match = true;
+            for (size_t i = 0; i < attrs.size() && match; ++i) {
+              match = row[attrs[i]] == multi[m].codes[i];
+            }
+            if (match) ++local[num_slots + m];
+          }
+        }
+        return local;
+      },
+      [](std::vector<size_t> acc, std::vector<size_t> chunk) {
+        for (size_t i = 0; i < acc.size(); ++i) acc[i] += chunk[i];
+        return acc;
+      });
+
   stats->constraint_counts.assign(constraints.size(), 0);
   for (size_t ci = 0; ci < constraints.size(); ++ci) {
+    if (slot_of_constraint[ci] != SIZE_MAX) {
+      stats->constraint_counts[ci] = tally[slot_of_constraint[ci]];
+    }
+  }
+  for (size_t m = 0; m < multi.size(); ++m) {
+    stats->constraint_counts[multi[m].index] = tally[num_slots + m];
+  }
+  for (size_t ci = 0; ci < constraints.size(); ++ci) {
     const DiversityConstraint& constraint = constraints[ci];
-    const std::vector<size_t>& attrs = constraint.attribute_indices();
-    // Resolve the target values against the output dictionaries; a value
-    // absent from a dictionary can never match (count stays 0).
-    std::vector<ValueCode> targets(attrs.size());
-    bool resolvable = true;
-    for (size_t i = 0; i < attrs.size() && resolvable; ++i) {
-      auto code = relation.FindCode(attrs[i], constraint.values()[i]);
-      if (code.has_value()) {
-        targets[i] = *code;
-      } else {
-        resolvable = false;
-      }
-    }
-    // The constraint loop itself stays sequential so the recorder sees
-    // violations in constraint order; the row scan underneath carries
-    // the parallelism as an exact chunked integer sum.
-    size_t count = 0;
-    if (resolvable) {
-      count = ParallelReduce<size_t>(
-          relation.NumRows(), /*grain=*/0, size_t{0},
-          [&](size_t begin, size_t end) {
-            size_t local = 0;
-            for (size_t row = begin; row < end; ++row) {
-              bool match = true;
-              for (size_t i = 0; i < attrs.size(); ++i) {
-                if (relation.At(static_cast<RowId>(row), attrs[i]) !=
-                    targets[i]) {
-                  match = false;
-                  break;
-                }
-              }
-              local += match ? 1 : 0;
-            }
-            return local;
-          },
-          [](size_t a, size_t b) { return a + b; });
-    }
-    stats->constraint_counts[ci] = count;
+    const size_t count = stats->constraint_counts[ci];
     bool in_bounds =
         count >= constraint.lower() && count <= constraint.upper();
     if (!in_bounds && !IsWaived(options, ci)) {

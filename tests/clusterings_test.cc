@@ -17,7 +17,7 @@ std::vector<CandidateClustering> Enumerate(const Relation& r,
                                            const DiversityConstraint& c,
                                            size_t k,
                                            ClusteringEnumOptions options = {}) {
-  return EnumerateClusterings(r, c, c.TargetTuples(r), k, options);
+  return EnumerateClusterings(r, c, testing::NaiveTargets(r, c), k, options);
 }
 
 /// Canonical form of a clustering for set comparisons.

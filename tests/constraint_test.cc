@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "constraint/constraint_index.h"
 #include "constraint/diversity_constraint.h"
 #include "constraint/parser.h"
 #include "tests/test_util.h"
@@ -11,6 +12,19 @@ using testing::MedicalConstraints;
 using testing::MedicalRelation;
 using testing::MedicalSchema;
 using testing::MustParse;
+
+// Single-constraint views of the set-wide answers.
+size_t Count(const Relation& r, const DiversityConstraint& constraint) {
+  return CountAllOccurrences(r, {constraint})[0];
+}
+bool Satisfied(const Relation& r, const DiversityConstraint& constraint) {
+  return SatisfiesAll(r, {constraint});
+}
+std::vector<RowId> Targets(const Relation& r,
+                           const DiversityConstraint& constraint) {
+  const ConstraintSet set = {constraint};
+  return ConstraintIndex(r, set).Targets()[0];
+}
 
 TEST(ConstraintTest, MakeValidatesAttributes) {
   auto schema = MedicalSchema();
@@ -31,49 +45,49 @@ TEST(ConstraintTest, CountAndSatisfactionOnPaperTable1) {
   auto schema = MedicalSchema();
   // sigma_1 = (ETH[Asian], 2, 5): Table 1 has 3 Asians -> satisfied.
   auto s1 = MustParse(*schema, "ETH[Asian] in [2,5]");
-  EXPECT_EQ(s1.CountOccurrences(r), 3u);
-  EXPECT_TRUE(s1.IsSatisfiedBy(r));
+  EXPECT_EQ(Count(r, s1), 3u);
+  EXPECT_TRUE(Satisfied(r, s1));
   // 4 Vancouver tuples.
   auto s3 = MustParse(*schema, "CTY[Vancouver] in [2,4]");
-  EXPECT_EQ(s3.CountOccurrences(r), 4u);
-  EXPECT_TRUE(s3.IsSatisfiedBy(r));
+  EXPECT_EQ(Count(r, s3), 4u);
+  EXPECT_TRUE(Satisfied(r, s3));
   // Too-tight upper bound fails.
   auto tight = MustParse(*schema, "CTY[Vancouver] in [1,3]");
-  EXPECT_FALSE(tight.IsSatisfiedBy(r));
+  EXPECT_FALSE(Satisfied(r, tight));
   // Unmet lower bound fails.
   auto high = MustParse(*schema, "ETH[Asian] in [4,9]");
-  EXPECT_FALSE(high.IsSatisfiedBy(r));
+  EXPECT_FALSE(Satisfied(r, high));
 }
 
 TEST(ConstraintTest, TargetTuplesMatchPaperExample) {
   Relation r = MedicalRelation();
   auto schema = MedicalSchema();
   // I_s1 = {t8, t9, t10} -> rows {7, 8, 9}.
-  EXPECT_EQ(MustParse(*schema, "ETH[Asian] in [2,5]").TargetTuples(r),
+  EXPECT_EQ(Targets(r, MustParse(*schema, "ETH[Asian] in [2,5]")),
             (std::vector<RowId>{7, 8, 9}));
   // I_s2 = {t5, t6} -> rows {4, 5}.
-  EXPECT_EQ(MustParse(*schema, "ETH[African] in [1,3]").TargetTuples(r),
+  EXPECT_EQ(Targets(r, MustParse(*schema, "ETH[African] in [1,3]")),
             (std::vector<RowId>{4, 5}));
   // I_s3 = {t6, t7, t8, t10} -> rows {5, 6, 7, 9}.
-  EXPECT_EQ(MustParse(*schema, "CTY[Vancouver] in [2,4]").TargetTuples(r),
+  EXPECT_EQ(Targets(r, MustParse(*schema, "CTY[Vancouver] in [2,4]")),
             (std::vector<RowId>{5, 6, 7, 9}));
 }
 
 TEST(ConstraintTest, UnknownValueCountsZero) {
   Relation r = MedicalRelation();
   auto constraint = MustParse(*MedicalSchema(), "ETH[Martian] in [0,5]");
-  EXPECT_EQ(constraint.CountOccurrences(r), 0u);
-  EXPECT_TRUE(constraint.IsSatisfiedBy(r));  // lower bound 0
-  EXPECT_TRUE(constraint.TargetTuples(r).empty());
+  EXPECT_EQ(Count(r, constraint), 0u);
+  EXPECT_TRUE(Satisfied(r, constraint));  // lower bound 0
+  EXPECT_TRUE(Targets(r, constraint).empty());
 }
 
 TEST(ConstraintTest, MultiAttributeTarget) {
   Relation r = MedicalRelation();
   auto constraint =
       MustParse(*MedicalSchema(), "GEN,ETH[Male,African] in [1,3]");
-  EXPECT_EQ(constraint.CountOccurrences(r), 2u);  // t5, t6
-  EXPECT_EQ(constraint.TargetTuples(r), (std::vector<RowId>{4, 5}));
-  EXPECT_TRUE(constraint.IsSatisfiedBy(r));
+  EXPECT_EQ(Count(r, constraint), 2u);  // t5, t6
+  EXPECT_EQ(Targets(r, constraint), (std::vector<RowId>{4, 5}));
+  EXPECT_TRUE(Satisfied(r, constraint));
 }
 
 TEST(ConstraintTest, SuppressedCellsNeverMatch) {
@@ -84,7 +98,7 @@ TEST(ConstraintTest, SuppressedCellsNeverMatch) {
                             });
   ASSERT_TRUE(r.ok());
   auto constraint = MustParse(*MedicalSchema(), "ETH[Asian] in [0,5]");
-  EXPECT_EQ(constraint.CountOccurrences(*r), 1u);
+  EXPECT_EQ(Count(*r, constraint), 1u);
 }
 
 TEST(ConstraintTest, SatisfiesAllAndViolated) {

@@ -242,7 +242,7 @@ TEST(IncrementalTest, DeleteWholeComponentMatchesColdRun) {
 
   auto post = ApplyDeltaToRelation(*prior->snapshot->input, delta);
   ASSERT_TRUE(post.ok());
-  for (size_t threads : {1u, 8u}) {
+  for (size_t threads : {1u, 2u, 8u}) {
     SCOPED_TRACE("threads = " + std::to_string(threads));
     auto cold = RunDiva(*post, constraints, ChurnOptions(2, threads));
     ASSERT_TRUE(cold.ok()) << cold.status().ToString();
@@ -285,13 +285,16 @@ TEST(IncrementalTest, InsertBridgingTwoComponentsMatchesColdRun) {
 
   auto post = ApplyDeltaToRelation(*prior->snapshot->input, delta);
   ASSERT_TRUE(post.ok());
-  auto cold = RunDiva(*post, *constraints, ChurnOptions(2, 1));
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  auto incremental =
-      ApplyDelta(*prior->snapshot, delta, ChurnOptions(2, 1));
-  ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
-  EXPECT_EQ(Fingerprint(*incremental), Fingerprint(*cold));
-  EXPECT_EQ(incremental->report.shards, cold->report.shards);
+  for (size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    auto cold = RunDiva(*post, *constraints, ChurnOptions(2, threads));
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    auto incremental =
+        ApplyDelta(*prior->snapshot, delta, ChurnOptions(2, threads));
+    ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
+    EXPECT_EQ(Fingerprint(*incremental), Fingerprint(*cold));
+    EXPECT_EQ(incremental->report.shards, cold->report.shards);
+  }
   SetParallelThreads(1);
 }
 

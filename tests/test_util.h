@@ -73,6 +73,32 @@ inline DiversityConstraint MustParse(const Schema& schema,
   return std::move(constraint).value();
 }
 
+/// Brute-force I_sigma: every row, every target attribute, each target
+/// value resolved through FindCode on the spot. The referee for the
+/// constraint index, the conflict graph and the occurrence counts; it
+/// shares no code with any of them.
+inline std::vector<RowId> NaiveTargets(const Relation& relation,
+                                       const DiversityConstraint& constraint) {
+  std::vector<RowId> rows;
+  const std::vector<size_t>& attrs = constraint.attribute_indices();
+  for (RowId row = 0; row < relation.NumRows(); ++row) {
+    bool match = true;
+    for (size_t i = 0; i < attrs.size() && match; ++i) {
+      auto code = relation.FindCode(attrs[i], constraint.values()[i]);
+      match = code.has_value() && relation.At(row, attrs[i]) == *code;
+    }
+    if (match) rows.push_back(row);
+  }
+  return rows;
+}
+
+/// NaiveTargets' count checked against the constraint's bounds.
+inline bool NaiveSatisfied(const Relation& relation,
+                           const DiversityConstraint& constraint) {
+  const size_t count = NaiveTargets(relation, constraint).size();
+  return count >= constraint.lower() && count <= constraint.upper();
+}
+
 struct FuzzWorkload {
   Relation relation;
   ConstraintSet constraints;
