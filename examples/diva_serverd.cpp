@@ -27,9 +27,6 @@
 //   --deadline-grace-ms X watchdog slack past a request deadline
 //   --drain-grace-ms X    drain wait before force-cancel
 //   --pipeline-threads N  DivaOptions::threads per request
-//   --shard on|off        component-sharded coloring per request
-//                         (execution knob, default on; requests may
-//                         override with a shard= param)
 //   --seed N              default pipeline seed
 //   --run-seconds N       self-drain after N seconds (0 = until signal)
 //   --quiet               suppress per-event log lines
@@ -254,16 +251,6 @@ int main(int argc, char** argv) {
                          static_cast<int64_t>(options.snapshot_max_age), 0);
   if (!max_age.ok()) return Fail(max_age.status().ToString());
   options.snapshot_max_age = static_cast<uint64_t>(*max_age);
-  if (args.count("shard")) {
-    std::string shard = ToLowerAscii(args["shard"]);
-    if (shard == "on" || shard == "1" || shard == "true") {
-      options.pipeline_shard = true;
-    } else if (shard == "off" || shard == "0" || shard == "false") {
-      options.pipeline_shard = false;
-    } else {
-      return Fail("--shard must be on or off");
-    }
-  }
   struct DoubleKnob {
     const char* key;
     double* out;

@@ -540,7 +540,7 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
 
   // Reuse capture: only a fully sharded, undegraded, suppression-recoded
   // run is a sound adoption source. The caller finishes the snapshot
-  // (relation, hashes, fingerprint) via FinalizeSnapshot.
+  // (relation, dictionary sizes, fingerprint) via FinalizeSnapshot.
   if (hooks.capture != nullptr) {
     PipelineSnapshot& snapshot = *hooks.capture;
     snapshot.valid = plan->Effective() && options.generalization == nullptr &&

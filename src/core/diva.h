@@ -127,14 +127,13 @@ struct DivaOptions {
   int64_t deadline_ms = EnvDeadlineMillis();
 
   /// Capture a reusable PipelineSnapshot (core/incremental.h) alongside
-  /// the result: the input relation, its conflict graph and shard plan,
-  /// per-row content hashes, and per-shard coloring/baseline reuse
-  /// records. ApplyDelta consumes the snapshot to re-anonymize a churned
-  /// relation re-coloring only the dirty components. Capture never
-  /// changes output bytes; it costs one relation copy plus one 64-bit
-  /// content hash per row, and is skipped (snapshot left null) when the
-  /// run is not reusable — degraded by a deadline,
-  /// generalization-recoded, or not sharded (< 2 components).
+  /// the result: the input relation, its shard plan, and per-shard
+  /// coloring/baseline reuse records. ApplyDelta consumes the snapshot to
+  /// re-anonymize a churned relation re-coloring only the dirty
+  /// components. Capture never changes output bytes; it costs one
+  /// relation copy, and is skipped (snapshot left null) when the run is
+  /// not reusable — degraded by a deadline, generalization-recoded, or
+  /// not sharded (< 2 components).
   bool incremental = false;
 
   /// Optional external cancellation signal, composed with `deadline_ms`:

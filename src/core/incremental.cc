@@ -54,62 +54,13 @@ uint64_t OptionsFingerprint(const DivaOptions& options) {
   return h;
 }
 
-std::vector<uint64_t> ComputeRowHashes(const Relation& relation) {
-  return ParallelMap<uint64_t>(relation.NumRows(), /*grain=*/1024,
-                               [&](size_t row) {
-                                 return RowContentHash(
-                                     relation, static_cast<RowId>(row));
-                               });
-}
-
-/// Sorted, deduplicated, validated copy of a delta's deleted row ids.
-Result<std::vector<RowId>> NormalizeDeletes(const Relation& input,
-                                            const DeltaBatch& delta) {
-  std::vector<RowId> deleted = delta.deleted;
-  std::sort(deleted.begin(), deleted.end());
-  deleted.erase(std::unique(deleted.begin(), deleted.end()), deleted.end());
-  if (!deleted.empty() &&
-      static_cast<size_t>(deleted.back()) >= input.NumRows()) {
-    return Status::InvalidArgument(
-        "delta deletes row " + std::to_string(deleted.back()) +
-        " of a relation with " + std::to_string(input.NumRows()) + " rows");
-  }
-  return deleted;
-}
-
 }  // namespace
-
-uint64_t RowContentHash(const Relation& relation, RowId row) {
-  uint64_t h = kFnvBasis;
-  for (size_t col = 0; col < relation.NumAttributes(); ++col) {
-    h = FnvMix(h, static_cast<uint64_t>(
-                      static_cast<uint32_t>(relation.At(row, col))));
-  }
-  return h;
-}
-
-uint64_t ShardFingerprint(const Shard& shard,
-                          const std::vector<uint64_t>& row_hashes) {
-  uint64_t h = kFnvBasis;
-  h = FnvMix(h, shard.constraints.size());
-  for (size_t c : shard.constraints) h = FnvMix(h, c);
-  h = FnvMix(h, shard.rows.size());
-  // Row *contents* in row-list order pin the whole local sub-instance:
-  // local target positions and local adjacency are derived from content,
-  // and the seed stream is positional (checked separately).
-  for (RowId row : shard.rows) h = FnvMix(h, row_hashes[row]);
-  return h;
-}
 
 void FinalizeSnapshot(PipelineSnapshot* snapshot, Relation input,
                       const ConstraintSet& constraints,
-                      const DivaOptions& options,
-                      std::vector<uint64_t> row_hashes) {
+                      const DivaOptions& options) {
   if (!snapshot->valid) return;
   snapshot->constraints = constraints;
-  snapshot->row_hashes = row_hashes.size() == input.NumRows()
-                             ? std::move(row_hashes)
-                             : ComputeRowHashes(input);
   snapshot->dictionary_sizes.clear();
   for (size_t col = 0; col < input.NumAttributes(); ++col) {
     snapshot->dictionary_sizes.push_back(input.dictionary(col).size());
@@ -120,8 +71,16 @@ void FinalizeSnapshot(PipelineSnapshot* snapshot, Relation input,
 
 Result<Relation> ApplyDeltaToRelation(const Relation& input,
                                       const DeltaBatch& delta) {
-  DIVA_ASSIGN_OR_RETURN(std::vector<RowId> deleted,
-                        NormalizeDeletes(input, delta));
+  // Sorted and deduplicated: a row listed twice is deleted once.
+  std::vector<RowId> deleted = delta.deleted;
+  std::sort(deleted.begin(), deleted.end());
+  deleted.erase(std::unique(deleted.begin(), deleted.end()), deleted.end());
+  if (!deleted.empty() &&
+      static_cast<size_t>(deleted.back()) >= input.NumRows()) {
+    return Status::InvalidArgument(
+        "delta deletes row " + std::to_string(deleted.back()) +
+        " of a relation with " + std::to_string(input.NumRows()) + " rows");
+  }
   std::vector<RowId> keep;
   keep.reserve(input.NumRows() - deleted.size());
   size_t next_delete = 0;
@@ -183,36 +142,17 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
   }
   const Relation& input = *prior.input;
   const ConstraintSet& constraints = prior.constraints;
-  DIVA_ASSIGN_OR_RETURN(std::vector<RowId> deleted,
-                        NormalizeDeletes(input, delta));
   DIVA_ASSIGN_OR_RETURN(Relation post, ApplyDeltaToRelation(input, delta));
-  const size_t num_new = post.NumRows();
-  DIVA_COUNTER_ADD_EXEC("incremental.rows_deleted", deleted.size());
+  DIVA_COUNTER_ADD_EXEC("incremental.rows_deleted",
+                        input.NumRows() + delta.inserted.size() -
+                            post.NumRows());
   DIVA_COUNTER_ADD_EXEC("incremental.rows_inserted", delta.inserted.size());
-
-  // Per-row content hashes carried across the delta: survivors keep
-  // their prior hashes in order (deletions compact ids downward without
-  // touching contents), inserted rows hash fresh.
-  std::vector<uint64_t> row_hashes;
-  row_hashes.reserve(num_new);
-  size_t next_delete = 0;
-  for (RowId row = 0; row < static_cast<RowId>(input.NumRows()); ++row) {
-    if (next_delete < deleted.size() && deleted[next_delete] == row) {
-      ++next_delete;
-      continue;
-    }
-    row_hashes.push_back(prior.row_hashes[row]);
-  }
-  for (RowId row = static_cast<RowId>(row_hashes.size());
-       row < static_cast<RowId>(num_new); ++row) {
-    row_hashes.push_back(RowContentHash(post, row));
-  }
 
   // The conflict graph is rebuilt, not maintained: one ConstraintIndex
   // pass over the post-delta relation costs less than remapping every
   // target list and re-merging the pairs a changed constraint touches.
   const ConstraintGraph graph = BuildConstraintGraph(post, constraints);
-  ShardPlan plan = ComputeShardPlan(graph, num_new);
+  ShardPlan plan = ComputeShardPlan(graph, post.NumRows());
   DIVA_RETURN_IF_ERROR(DIVA_FAIL("delta.recolor"));
 
   // Global reuse preconditions; any failure dirties every component
@@ -225,7 +165,9 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
 
   // The dirty-component rule: a shard is clean iff it has the same
   // member-constraint list at the same component index (the positional
-  // seed stream) and an identical row-content fingerprint.
+  // seed stream) and the same rows, cell for cell, in row-list order.
+  // `post` shares the prior input's dictionaries, so equal codes are equal
+  // values; local target positions and adjacency follow from content.
   PipelineHooks hooks;
   hooks.graph = &graph;
   hooks.plan = &plan;
@@ -235,15 +177,19 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
   if (reusable && prior.coloring.size() == prior.plan.shards.size()) {
     const size_t overlap =
         std::min(plan.shards.size(), prior.plan.shards.size());
-    // Each shard's fingerprints walk its rows' hashes; the shards are
-    // independent, so they are compared in parallel.
+    // The shards are independent, so they are compared in parallel.
     const std::vector<uint8_t> clean =
         ParallelMap<uint8_t>(overlap, /*grain=*/1, [&](size_t s) {
           const Shard& shard = plan.shards[s];
           const Shard& prior_shard = prior.plan.shards[s];
           return shard.constraints == prior_shard.constraints &&
-                 ShardFingerprint(shard, row_hashes) ==
-                     ShardFingerprint(prior_shard, prior.row_hashes);
+                 std::equal(shard.rows.begin(), shard.rows.end(),
+                            prior_shard.rows.begin(), prior_shard.rows.end(),
+                            [&](RowId row, RowId prior_row) {
+                              const auto cells = post.Row(row);
+                              return std::equal(cells.begin(), cells.end(),
+                                                input.Row(prior_row).begin());
+                            });
         });
     for (size_t s = 0; s < overlap; ++s) {
       if (!clean[s]) continue;
@@ -269,8 +215,7 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
   DIVA_RETURN_IF_ERROR(DIVA_FAIL("delta.merge"));
 
   if (snapshot->valid) {
-    FinalizeSnapshot(snapshot.get(), std::move(post), constraints, options,
-                     std::move(row_hashes));
+    FinalizeSnapshot(snapshot.get(), std::move(post), constraints, options);
     result.snapshot = std::move(snapshot);
   }
   return result;

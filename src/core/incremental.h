@@ -1,23 +1,21 @@
 #ifndef DIVA_CORE_INCREMENTAL_H_
 #define DIVA_CORE_INCREMENTAL_H_
 
-/// Incremental re-anonymization (ROADMAP item 4).
+/// Incremental re-anonymization.
 ///
 /// A row delta can only perturb the conflict-graph components whose
 /// I_sigma target sets it touches: a component's coloring and baseline
 /// clustering are pure functions of its local sub-instance (member
 /// constraints, row contents in row-list order, and the positionally
-/// derived per-shard seed stream). ApplyDelta therefore carries the
-/// per-row content hashes across the delta, rebuilds the conflict graph
-/// of the post-delta relation in one ConstraintIndex pass, diffs the
-/// resulting shard plan against the prior plan by
-/// component fingerprint (FNV over the shard's row-content hashes), and
-/// re-runs the pipeline adopting the prior per-shard coloring and
-/// baseline records for every *clean* component — producing output,
-/// counters, and audit byte-identical to a cold run on the post-delta
-/// relation at every thread width, in time proportional to the dirty
-/// fraction plus the cheap full-relation passes (suppress, integrate
-/// with batched counting, audit).
+/// derived per-shard seed stream). ApplyDelta therefore rebuilds the
+/// conflict graph of the post-delta relation in one ConstraintIndex
+/// pass, compares each shard of the new plan with the prior plan's shard
+/// at the same index row by row, and re-runs the pipeline adopting the
+/// prior per-shard coloring and baseline records for every *clean*
+/// component — producing output, counters, and audit byte-identical to a
+/// cold run on the post-delta relation at every thread width, in time
+/// proportional to the dirty fraction plus the cheap full-relation
+/// passes (suppress, integrate with batched counting, audit).
 ///
 /// Reuse invariants (all must hold, else the shard is re-colored live):
 ///  - same DivaOptions fingerprint (k, strategy, seed, budgets,
@@ -28,8 +26,10 @@
 ///    every shard);
 ///  - same member-constraint index list at the same component index
 ///    (positional match keeps the splitmix seed stream aligned);
-///  - identical row contents over the shard's row list (content hashes;
-///    local target positions and adjacency follow from content).
+///  - the same number of rows, equal cell for cell in row-list order to
+///    the snapshot input's rows (the post-delta relation shares its
+///    dictionaries, so equal codes are equal values; local target
+///    positions and adjacency follow from content).
 
 #include <cstdint>
 #include <memory>
@@ -71,8 +71,8 @@ struct ShardBaselineRecord {
 };
 
 /// Everything an incremental run needs to reuse a prior run: the input
-/// relation (pre-anonymization), its shard plan, per-row content hashes,
-/// and the per-shard coloring/baseline records. No conflict graph: the
+/// relation (pre-anonymization), its shard plan, and the per-shard
+/// coloring/baseline records. No conflict graph: the
 /// next delta rebuilds it from the post-delta relation. Snapshots chain:
 /// ApplyDelta emits a fresh snapshot for the post-delta relation, with
 /// clean shards' records copied forward.
@@ -84,9 +84,6 @@ struct PipelineSnapshot {
   ConstraintSet constraints;
   ShardPlan plan;
 
-  /// FNV-1a over each row's codes (all attributes): the unit of the
-  /// component fingerprints.
-  std::vector<uint64_t> row_hashes;
   /// Per-attribute dictionary sizes at capture time.
   std::vector<size_t> dictionary_sizes;
   /// Fingerprint of every DivaOptions knob that steers the search.
@@ -112,8 +109,8 @@ struct PipelineHooks {
   std::vector<const ShardBaselineRecord*> adopt_baseline;
 
   /// When non-null, the pipeline fills the per-shard reuse records and
-  /// the `valid` eligibility flag; the caller finishes the snapshot
-  /// (relation/hashes) with FinalizeSnapshot.
+  /// the `valid` eligibility flag; the caller finishes the snapshot with
+  /// FinalizeSnapshot.
   PipelineSnapshot* capture = nullptr;
 };
 
@@ -125,17 +122,14 @@ struct PipelineHooks {
                                                  const DivaOptions& options,
                                                  const PipelineHooks& hooks);
 
-/// Completes a pipeline-captured snapshot (the pipeline already stored
-/// the plan and reuse records): takes the input relation (an incremental
-/// caller moves its post-delta relation in) and copies the constraints, and fills the per-row content hashes, dictionary
-/// sizes, and options fingerprint. Precomputed row hashes (an
-/// incremental caller's carried-over ones) are used verbatim when
-/// supplied, computed from the relation otherwise. No-op when the
-/// pipeline marked the capture invalid.
+/// Completes a pipeline-captured snapshot, whose plan and reuse records
+/// the pipeline already stored. Takes the input relation (an incremental
+/// caller moves its post-delta relation in), copies the constraints, and
+/// records the dictionary sizes and the options fingerprint. No-op when
+/// the pipeline marked the capture invalid.
 void FinalizeSnapshot(PipelineSnapshot* snapshot, Relation input,
                       const ConstraintSet& constraints,
-                      const DivaOptions& options,
-                      std::vector<uint64_t> row_hashes = {});
+                      const DivaOptions& options);
 
 /// Applies the delta to `input` alone: survivors keep their relative
 /// order (ids compact downward), inserted rows append after them,
@@ -145,10 +139,9 @@ void FinalizeSnapshot(PipelineSnapshot* snapshot, Relation input,
                                                     const DeltaBatch& delta);
 
 /// Incremental re-anonymization: applies `delta` to the snapshot's
-/// input, carries the row hashes across it, rebuilds the conflict graph
-/// and shard plan of the post-delta relation, re-colors only the dirty
-/// components (clean ones
-/// adopt the snapshot's records), and runs the downstream phases. The
+/// input, rebuilds the conflict graph and shard plan of the post-delta
+/// relation, re-colors only the dirty components (clean ones adopt the
+/// snapshot's records), and runs the downstream phases. The
 /// result — relation bytes, report counters, audit — is byte-identical
 /// to RunDiva on the post-delta relation with the same options, at
 /// every thread width. The returned DivaResult carries a fresh snapshot
@@ -169,16 +162,6 @@ void FinalizeSnapshot(PipelineSnapshot* snapshot, Relation input,
 /// inserts a row (comma-separated, no quoting, "*" = suppressed cell).
 /// Blank lines and `#` comments are ignored.
 [[nodiscard]] Result<DeltaBatch> ParseDeltaFile(const std::string& text);
-
-/// The component fingerprint of the dirty-component rule: FNV-1a over
-/// the shard's member-constraint indices and its rows' content hashes.
-/// Two shards with equal fingerprints present identical local
-/// sub-instances to the search. Exposed for tests.
-uint64_t ShardFingerprint(const Shard& shard,
-                          const std::vector<uint64_t>& row_hashes);
-
-/// FNV-1a over one row's codes across all attributes. Exposed for tests.
-uint64_t RowContentHash(const Relation& relation, RowId row);
 
 }  // namespace diva
 

@@ -1,7 +1,7 @@
 #ifndef DIVA_CORE_SHARD_H_
 #define DIVA_CORE_SHARD_H_
 
-/// Component sharding of the DIVA pipeline (ROADMAP item 1).
+/// Component sharding of the DIVA pipeline.
 ///
 /// The conflict graph (edge iff I_si ∩ I_sj != ∅) decomposes into
 /// connected components that are fully independent: a cluster chosen for

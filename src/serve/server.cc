@@ -320,7 +320,7 @@ void Server::HandleConnection(int fd) {
     int ready = ::poll(&pfd, 1, 50);
     if (ready < 0) return;
     if (ready == 0) continue;
-    auto frame = ReadFrame(fd, options_.max_frame_bytes);
+    auto frame = ReadFrame(fd);
     if (!frame.ok()) {
       // NotFound = the peer closed between frames (normal); anything
       // else is a transport fault — either way the connection is done
@@ -502,79 +502,91 @@ void Server::EndUpdate() {
   state_cv_.NotifyAll();
 }
 
+Result<DivaOptions> Server::RunOptions(const Request& request,
+                                       CancellationToken token) const {
+  DivaOptions options;
+  auto k = request.IntParam("k", static_cast<int64_t>(options.k));
+  if (!k.ok()) return k.status();
+  if (*k < 1) return Status::InvalidArgument("k must be >= 1");
+  auto l = request.IntParam("l", 0);
+  if (!l.ok()) return l.status();
+  auto t = request.DoubleParam("t", 1.0);
+  if (!t.ok()) return t.status();
+  auto seed = request.IntParam("seed", static_cast<int64_t>(options_.seed));
+  if (!seed.ok()) return seed.status();
+  auto baseline = ParseBaseline(request.Param("baseline", "kmember"));
+  if (!baseline.ok()) return baseline.status();
+
+  options.k = static_cast<size_t>(*k);
+  options.l_diversity = static_cast<size_t>(*l);
+  options.t_closeness = *t;
+  options.seed = static_cast<uint64_t>(*seed);
+  options.baseline = *baseline;
+  options.threads = options_.pipeline_threads;
+  // The serving contract: results are audited before they leave the
+  // process, degraded or not. The self-audit is never skipped by a
+  // deadline (core/diva.cc), so a cancelled run still re-proves its
+  // output before we publish and respond.
+  options.audit = true;
+  options.strict = false;
+  options.deadline_ms = 0;  // the request token carries the budget
+  options.cancel = std::move(token);
+  return options;
+}
+
+Response Server::Publish(DivaResult& run, std::string label,
+                         std::shared_ptr<const Relation> source, size_t k) {
+  const DivaReport& report = run.report;
+  const bool degraded = report.deadline_exceeded ||
+                        report.baseline_degraded ||
+                        report.integrate_skipped || report.privacy_truncated;
+  Snapshot snapshot(std::move(run.relation));
+  snapshot.label = std::move(label);
+  snapshot.source = std::move(source);
+  snapshot.k = k;
+  snapshot.waived_constraints = report.unsatisfied;
+  std::sort(snapshot.waived_constraints.begin(),
+            snapshot.waived_constraints.end());
+  snapshot.audited = report.audited;
+  snapshot.degraded = degraded;
+  const size_t rows = snapshot.relation.NumRows();
+  auto published = snapshots_.Publish(std::move(snapshot));
+  if (!published.ok()) return Response::Error(published.status());
+
+  {
+    MutexLock lock(stats_mutex_);
+    ++stats_.snapshots_published;
+    if (degraded) ++stats_.degraded;
+  }
+  Response response;
+  response.fields["snapshot"] = std::to_string(*published);
+  response.fields["rows"] = std::to_string(rows);
+  response.fields["audited"] = report.audited ? "1" : "0";
+  response.fields["degraded"] = degraded ? "1" : "0";
+  response.fields["unsatisfied"] =
+      std::to_string(report.unsatisfied.size());
+  response.fields["suppressed_cells"] =
+      std::to_string(report.repair_cells);
+  return response;
+}
+
 Response Server::HandleAnonymize(const Request& request) {
   return AdmitAndRun(request, [&](CancellationToken token) -> Response {
-    DivaOptions diva_options;
-    auto k = request.IntParam("k", static_cast<int64_t>(diva_options.k));
-    if (!k.ok()) return Response::Error(k.status());
-    if (*k < 1) {
-      return Response::Error(Status::InvalidArgument("k must be >= 1"));
-    }
-    auto l = request.IntParam("l", 0);
-    if (!l.ok()) return Response::Error(l.status());
-    auto t = request.DoubleParam("t", 1.0);
-    if (!t.ok()) return Response::Error(t.status());
-    auto seed = request.IntParam("seed",
-                                 static_cast<int64_t>(options_.seed));
-    if (!seed.ok()) return Response::Error(seed.status());
-    auto baseline = ParseBaseline(request.Param("baseline", "kmember"));
-    if (!baseline.ok()) return Response::Error(baseline.status());
-    auto shard =
-        request.IntParam("shard", options_.pipeline_shard ? 1 : 0);
-    if (!shard.ok()) return Response::Error(shard.status());
-
-    diva_options.k = static_cast<size_t>(*k);
-    diva_options.l_diversity = static_cast<size_t>(*l);
-    diva_options.t_closeness = *t;
-    diva_options.seed = static_cast<uint64_t>(*seed);
-    diva_options.baseline = *baseline;
-    diva_options.threads = options_.pipeline_threads;
-    // Execution knob only (core/shard.h): a request gets byte-identical
-    // bytes with sharding on or off, so per-request overrides are safe.
-    diva_options.shard = *shard != 0;
-    // The serving contract: results are audited before they leave the
-    // process, degraded or not. The self-audit is never skipped by a
-    // deadline (core/diva.cc), so a cancelled run still re-proves its
-    // output before we publish and respond.
-    diva_options.audit = true;
-    diva_options.strict = false;
-    diva_options.deadline_ms = 0;  // the request token carries the budget
-    diva_options.cancel = token;
+    auto options = RunOptions(request, token);
+    if (!options.ok()) return Response::Error(options.status());
 
     // The lease keeps `update` from swapping the base (or interning into
     // its shared dictionaries) while this run reads it.
     auto lease = BeginRead(token);
     if (!lease.ok()) return Response::Error(lease.status());
-    auto result = RunDiva(lease->relation(), constraints_, diva_options);
+    auto result = RunDiva(lease->relation(), constraints_, *options);
     if (!result.ok()) return Response::Error(result.status());
 
+    Response response =
+        Publish(*result, request.verb + " k=" + std::to_string(options->k),
+                lease->shared(), options->k);
+    if (!response.ok) return response;
     const DivaReport& report = result->report;
-    const bool degraded = report.deadline_exceeded ||
-                          report.baseline_degraded ||
-                          report.integrate_skipped || report.privacy_truncated;
-    Snapshot snapshot(std::move(result->relation));
-    snapshot.label = request.verb + " k=" + std::to_string(*k);
-    snapshot.source = lease->shared();
-    snapshot.k = static_cast<size_t>(*k);
-    snapshot.waived_constraints = report.unsatisfied;
-    std::sort(snapshot.waived_constraints.begin(),
-              snapshot.waived_constraints.end());
-    snapshot.audited = report.audited;
-    snapshot.degraded = degraded;
-    const size_t rows = snapshot.relation.NumRows();
-    auto published = snapshots_.Publish(std::move(snapshot));
-    if (!published.ok()) return Response::Error(published.status());
-
-    {
-      MutexLock lock(stats_mutex_);
-      ++stats_.snapshots_published;
-      if (degraded) ++stats_.degraded;
-    }
-    Response response;
-    response.fields["snapshot"] = std::to_string(*published);
-    response.fields["rows"] = std::to_string(rows);
-    response.fields["audited"] = report.audited ? "1" : "0";
-    response.fields["degraded"] = degraded ? "1" : "0";
     response.fields["deadline_exceeded"] =
         report.deadline_exceeded ? "1" : "0";
     response.fields["baseline_degraded"] =
@@ -583,10 +595,6 @@ Response Server::HandleAnonymize(const Request& request) {
         report.integrate_skipped ? "1" : "0";
     response.fields["privacy_truncated"] =
         report.privacy_truncated ? "1" : "0";
-    response.fields["unsatisfied"] =
-        std::to_string(report.unsatisfied.size());
-    response.fields["suppressed_cells"] =
-        std::to_string(report.repair_cells);
     return response;
   });
 }
@@ -671,48 +679,24 @@ Response Server::HandleUpdate(const Request& request) {
     auto delta = ParseDeltaFile(request.body);
     if (!delta.ok()) return Response::Error(delta.status());
 
-    DivaOptions diva_options;
-    auto k = request.IntParam("k", static_cast<int64_t>(diva_options.k));
-    if (!k.ok()) return Response::Error(k.status());
-    if (*k < 1) {
-      return Response::Error(Status::InvalidArgument("k must be >= 1"));
-    }
-    auto l = request.IntParam("l", 0);
-    if (!l.ok()) return Response::Error(l.status());
-    auto t = request.DoubleParam("t", 1.0);
-    if (!t.ok()) return Response::Error(t.status());
-    auto seed = request.IntParam("seed",
-                                 static_cast<int64_t>(options_.seed));
-    if (!seed.ok()) return Response::Error(seed.status());
-    auto baseline = ParseBaseline(request.Param("baseline", "kmember"));
-    if (!baseline.ok()) return Response::Error(baseline.status());
-
-    diva_options.k = static_cast<size_t>(*k);
-    diva_options.l_diversity = static_cast<size_t>(*l);
-    diva_options.t_closeness = *t;
-    diva_options.seed = static_cast<uint64_t>(*seed);
-    diva_options.baseline = *baseline;
-    diva_options.threads = options_.pipeline_threads;
-    // Sharded + incremental so the run captures a pipeline snapshot the
-    // next delta can chain from (neither changes response bytes). An
-    // update whose params differ from the prior update's simply finds
-    // every component dirty — correct, just cold-cost.
-    diva_options.shard = true;
-    diva_options.incremental = true;
-    diva_options.audit = true;
-    diva_options.strict = false;
-    diva_options.deadline_ms = 0;  // the request token carries the budget
-    diva_options.cancel = token;
+    auto options = RunOptions(request, token);
+    if (!options.ok()) return Response::Error(options.status());
+    // Incremental so the run captures a pipeline snapshot the next delta
+    // can chain from (it never changes response bytes). An update whose
+    // params differ from the prior update's simply finds every component
+    // dirty — correct, just cold-cost.
+    options->incremental = true;
 
     Status exclusive = BeginUpdate(token);
     if (!exclusive.ok()) return Response::Error(exclusive);
-    Response response = RunUpdate(*delta, diva_options);
+    Response response = RunUpdate(*delta, *options);
     EndUpdate();
     return response;
   });
 }
 
-Response Server::RunUpdate(const DeltaBatch& delta, DivaOptions& options) {
+Response Server::RunUpdate(const DeltaBatch& delta,
+                           const DivaOptions& options) {
   std::shared_ptr<const Relation> base;
   std::shared_ptr<const PipelineSnapshot> prior;
   {
@@ -726,6 +710,7 @@ Response Server::RunUpdate(const DeltaBatch& delta, DivaOptions& options) {
   // path produces bytes identical to a cold run on the post-delta
   // relation (core/incremental.h).
   const bool incremental = prior != nullptr;
+  // The post-delta relation the cold path runs on.
   std::shared_ptr<const Relation> post;
   uint64_t shards_reused = 0;
   Result<DivaResult> run = [&]() -> Result<DivaResult> {
@@ -749,45 +734,33 @@ Response Server::RunUpdate(const DeltaBatch& delta, DivaOptions& options) {
   if (!run.ok()) return Response::Error(run.status());
 
   // The base the swapped state serves next: the captured snapshot's
-  // input when the run produced one (aliased, not copied), recomputed
-  // otherwise — ApplyDeltaToRelation is deterministic, so both name the
-  // same relation.
-  if (post == nullptr) {
-    if (run->snapshot != nullptr && run->snapshot->input.has_value()) {
-      post = std::shared_ptr<const Relation>(run->snapshot,
-                                             &*run->snapshot->input);
-    } else {
-      auto applied = ApplyDeltaToRelation(*base, delta);
-      if (!applied.ok()) return Response::Error(applied.status());
-      post = std::make_shared<const Relation>(std::move(*applied));
-    }
+  // input whenever the run produced a snapshot (aliased, so the daemon
+  // holds one copy of it), recomputed otherwise — ApplyDeltaToRelation is
+  // deterministic, so both name the same relation.
+  if (run->snapshot != nullptr) {
+    post = std::shared_ptr<const Relation>(run->snapshot,
+                                           &*run->snapshot->input);
+  } else if (post == nullptr) {
+    auto applied = ApplyDeltaToRelation(*base, delta);
+    if (!applied.ok()) return Response::Error(applied.status());
+    post = std::make_shared<const Relation>(std::move(*applied));
   }
 
   // Publish-or-refuse: nothing below mutates served state until the
   // audited snapshot is actually in the store. Any failure — audit,
   // publication fault, a fully pinned store — leaves the old base (and
   // the old reuse chain) serving.
-  const DivaReport& report = run->report;
-  if (!report.audited) {
+  if (!run->report.audited) {
     return Response::Error(
         Status::Internal("refusing to publish an unaudited update"));
   }
-  const bool degraded = report.deadline_exceeded || report.baseline_degraded ||
-                        report.integrate_skipped || report.privacy_truncated;
-  const size_t rows = run->relation.NumRows();
-  Snapshot snapshot(std::move(run->relation));
-  snapshot.label = "update -" + std::to_string(delta.deleted.size()) + " +" +
-                   std::to_string(delta.inserted.size()) +
-                   " k=" + std::to_string(options.k);
-  snapshot.source = post;
-  snapshot.k = options.k;
-  snapshot.waived_constraints = report.unsatisfied;
-  std::sort(snapshot.waived_constraints.begin(),
-            snapshot.waived_constraints.end());
-  snapshot.audited = report.audited;
-  snapshot.degraded = degraded;
-  auto published = snapshots_.Publish(std::move(snapshot));
-  if (!published.ok()) return Response::Error(published.status());
+  Response response = Publish(
+      *run,
+      "update -" + std::to_string(delta.deleted.size()) + " +" +
+          std::to_string(delta.inserted.size()) +
+          " k=" + std::to_string(options.k),
+      post, options.k);
+  if (!response.ok) return response;
 
   {
     MutexLock lock(state_mutex_);
@@ -796,22 +769,12 @@ Response Server::RunUpdate(const DeltaBatch& delta, DivaOptions& options) {
   }
   {
     MutexLock lock(stats_mutex_);
-    ++stats_.snapshots_published;
     ++stats_.updates;
-    if (degraded) ++stats_.degraded;
   }
-
-  Response response;
-  response.fields["snapshot"] = std::to_string(*published);
-  response.fields["rows"] = std::to_string(rows);
   response.fields["rows_deleted"] = std::to_string(delta.deleted.size());
   response.fields["rows_inserted"] = std::to_string(delta.inserted.size());
   response.fields["incremental"] = incremental ? "1" : "0";
   response.fields["shards_reused"] = std::to_string(shards_reused);
-  response.fields["audited"] = report.audited ? "1" : "0";
-  response.fields["degraded"] = degraded ? "1" : "0";
-  response.fields["unsatisfied"] = std::to_string(report.unsatisfied.size());
-  response.fields["suppressed_cells"] = std::to_string(report.repair_cells);
   return response;
 }
 

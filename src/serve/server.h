@@ -62,17 +62,10 @@ struct ServerOptions {
   /// How long a drain (SIGTERM/Stop) waits for queued and in-flight work
   /// before force-cancelling what remains.
   double drain_grace_ms = 2000.0;
-  /// Frames larger than this are rejected as corrupt.
-  size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// DivaOptions::threads for request pipelines. The deterministic pool
   /// is process-global, so every request runs at one width; 1 keeps
   /// concurrent sessions from thrashing SetParallelThreads.
   size_t pipeline_threads = 1;
-  /// DivaOptions::shard for request pipelines: execute multi-component
-  /// instances as concurrent per-component work items (never changes
-  /// response bytes — see core/shard.h). Requests may override per call
-  /// with a `shard` param.
-  bool pipeline_shard = true;
   /// Default seed for request pipelines (requests may override per call).
   uint64_t seed = 42;
   /// Optional sink for one-line operational messages. Null = silent.
@@ -237,11 +230,25 @@ class Server {
   Response HandleStats(const Request& request);
   Response HandleUpdate(const Request& request);
 
+  /// The work verbs' pipeline options: parses the k, l, t, seed and
+  /// baseline params and applies the serving contract (pipeline width,
+  /// self-audit on, never strict, `token` as the only budget).
+  [[nodiscard]] Result<DivaOptions> RunOptions(const Request& request,
+                                               CancellationToken token) const;
+
+  /// Publishes a work verb's run: moves `run.relation` into a snapshot
+  /// produced from `source`, counts it in the stats, and answers with the
+  /// fields both work verbs share (snapshot, rows, audited, degraded,
+  /// unsatisfied, suppressed_cells). An error response when the store
+  /// refuses the snapshot.
+  Response Publish(DivaResult& run, std::string label,
+                   std::shared_ptr<const Relation> source, size_t k);
+
   /// The body of HandleUpdate, run between BeginUpdate/EndUpdate:
   /// re-anonymizes the post-delta relation (incrementally when a prior
   /// snapshot chains), audits, publishes-or-refuses, and swaps the
   /// served state only after publication succeeded.
-  Response RunUpdate(const DeltaBatch& delta, DivaOptions& options);
+  Response RunUpdate(const DeltaBatch& delta, const DivaOptions& options);
 
   /// Admission + execution wrapper shared by the work verbs.
   Response AdmitAndRun(const Request& request,

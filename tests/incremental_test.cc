@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -117,23 +118,43 @@ DivaOptions ChurnOptions(size_t k, size_t threads) {
   return options;
 }
 
-/// Value of the execution-scope counter `name` moved by `fn` (the
-/// incremental.* counters fire outside the pipeline's own report delta,
-/// so they are only visible through a process-level snapshot).
-template <typename Fn>
-uint64_t ExecCounterMoved(const std::string& name, Fn&& fn) {
+/// The reuse split of one ApplyDelta call. The incremental.* counters
+/// fire outside the pipeline's own report delta, so they are only
+/// visible through a process-level snapshot.
+struct Reuse {
+  uint64_t reused = 0;
+  uint64_t recolored = 0;
+};
+
+Result<DivaResult> ApplyDeltaCounting(const PipelineSnapshot& prior,
+                                      const DeltaBatch& delta,
+                                      const DivaOptions& options,
+                                      Reuse* reuse) {
   std::vector<counters::Sample> before = counters::Snapshot();
-  fn();
-  std::vector<counters::Sample> after = counters::Snapshot();
-  for (const counters::Sample& sample : counters::Delta(before, after)) {
-    if (sample.name == name) return sample.value;
+  Result<DivaResult> result = ApplyDelta(prior, delta, options);
+  *reuse = Reuse{};
+  for (const counters::Sample& sample :
+       counters::Delta(before, counters::Snapshot())) {
+    if (sample.name == "incremental.shards_reused") {
+      reuse->reused = sample.value;
+    } else if (sample.name == "incremental.shards_recolored") {
+      reuse->recolored = sample.value;
+    }
   }
-  return 0;
+  return result;
 }
 
+/// Pinned reuse splits of one fuzz seed's two batches.
+struct ChurnPins {
+  Reuse churn;
+  Reuse local;
+};
+
 /// The fuzz core: a seeded multi-component workload, a seeded batch of
-/// deletes + inserts, then cold-vs-incremental equality at 1/2/8 threads.
-void RunChurnSeed(uint64_t seed) {
+/// deletes + inserts anywhere and a second batch confined to one region,
+/// then cold-vs-incremental equality at 1/2/8 threads, with each batch's
+/// reuse split pinned to `expected` at every width.
+void RunChurnSeed(uint64_t seed, const ChurnPins& expected) {
   Rng rng(seed);
   const size_t regions = 3 + rng.NextBounded(4);
   const size_t num_rows = 120 + rng.NextBounded(120);
@@ -169,28 +190,69 @@ void RunChurnSeed(uint64_t seed) {
     delta.inserted.push_back(std::move(row));
   }
 
-  auto post = ApplyDeltaToRelation(*prior->snapshot->input, delta);
-  ASSERT_TRUE(post.ok()) << post.status().ToString();
+  // A second batch confined to region r0, built from values already
+  // interned: every other region's shard keeps its rows and is adopted.
+  DeltaBatch local;
+  for (RowId row = 0; row < static_cast<RowId>(num_rows); ++row) {
+    if (rows[row][0] == "r0" && rng.NextBounded(4) == 0) {
+      local.deleted.push_back(row);
+    }
+  }
+  const size_t num_local_inserts = 1 + rng.NextBounded(4);
+  for (size_t i = 0; i < num_local_inserts; ++i) {
+    std::vector<std::string> row = rows[rng.NextBounded(num_rows)];
+    row[0] = "r0";
+    local.inserted.push_back(std::move(row));
+  }
 
-  RunFingerprint cold_baseline;
-  for (size_t threads : {1u, 2u, 8u}) {
-    SCOPED_TRACE("threads = " + std::to_string(threads));
-    auto cold = RunDiva(*post, constraints, ChurnOptions(k, threads));
-    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-    auto incremental =
-        ApplyDelta(*prior->snapshot, delta, ChurnOptions(k, threads));
-    ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
-    if (threads == 1u) cold_baseline = Fingerprint(*cold);
-    EXPECT_EQ(Fingerprint(*cold), cold_baseline);
-    EXPECT_EQ(Fingerprint(*incremental), cold_baseline);
+  // The local batch runs first: the churn batch may intern new values
+  // into the dictionaries the prior snapshot shares, which dirties every
+  // component of any later delta against that snapshot.
+  for (const auto& [batch, pinned] :
+       {std::pair{&local, expected.local}, std::pair{&delta, expected.churn}}) {
+    auto post = ApplyDeltaToRelation(*prior->snapshot->input, *batch);
+    ASSERT_TRUE(post.ok()) << post.status().ToString();
+
+    RunFingerprint cold_baseline;
+    for (size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("threads = " + std::to_string(threads));
+      auto cold = RunDiva(*post, constraints, ChurnOptions(k, threads));
+      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+      Reuse reuse;
+      auto incremental = ApplyDeltaCounting(*prior->snapshot, *batch,
+                                            ChurnOptions(k, threads), &reuse);
+      ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
+      if (threads == 1u) cold_baseline = Fingerprint(*cold);
+      EXPECT_EQ(Fingerprint(*cold), cold_baseline);
+      EXPECT_EQ(Fingerprint(*incremental), cold_baseline);
+      EXPECT_EQ(reuse.reused, pinned.reused);
+      EXPECT_EQ(reuse.recolored, pinned.recolored);
+    }
   }
   SetParallelThreads(1);
 }
 
 TEST(IncrementalTest, ChurnFuzzMatchesColdRunAtEveryThreadWidth) {
+  // {shards_reused, shards_recolored} of each seed's {churn, local}
+  // batch, read off the per-row FNV fingerprint rule that preceded the
+  // exact row comparison: the two rules must adopt the same shards.
+  const ChurnPins kExpected[] = {
+      {{0, 5}, {4, 1}},  // seed 1
+      {{0, 3}, {2, 1}},  // seed 2
+      {{0, 5}, {4, 1}},  // seed 3
+      {{0, 4}, {3, 1}},  // seed 4
+      {{0, 4}, {3, 1}},  // seed 5
+      {{0, 6}, {5, 1}},  // seed 6
+      {{0, 5}, {4, 1}},  // seed 7
+      {{0, 6}, {5, 1}},  // seed 8
+      {{0, 3}, {2, 1}},  // seed 9
+      {{0, 6}, {5, 1}},  // seed 10
+      {{0, 3}, {2, 1}},  // seed 11
+      {{0, 4}, {3, 1}},  // seed 12
+  };
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     SCOPED_TRACE("seed = " + std::to_string(seed));
-    RunChurnSeed(seed);
+    RunChurnSeed(seed, kExpected[seed - 1]);
   }
 }
 
@@ -207,16 +269,94 @@ TEST(IncrementalTest, EmptyDeltaReusesEveryComponent) {
   ASSERT_TRUE(prior.ok()) << prior.status().ToString();
   ASSERT_NE(prior->snapshot, nullptr);
 
-  Result<DivaResult> replay = Status::Internal("unset");
-  uint64_t reused = ExecCounterMoved("incremental.shards_reused", [&] {
-    replay = ApplyDelta(*prior->snapshot, DeltaBatch{}, ChurnOptions(2, 1));
-  });
+  Reuse reuse;
+  auto replay = ApplyDeltaCounting(*prior->snapshot, DeltaBatch{},
+                                   ChurnOptions(2, 1), &reuse);
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   EXPECT_EQ(Fingerprint(*replay), Fingerprint(*prior))
       << "an empty delta must reproduce the prior run exactly";
-  EXPECT_EQ(reused, replay->report.shards)
+  EXPECT_EQ(reuse.reused, replay->report.shards)
       << "an empty delta must adopt every component";
   SetParallelThreads(1);
+}
+
+/// Runs `delta` against a fresh 4-region, 160-row base cold and
+/// incrementally at widths 1/2/8: the outputs must match and the reuse
+/// split must be {shards - recolored, recolored}.
+void ExpectDeltaRecolors(
+    const std::function<DeltaBatch(const std::vector<std::vector<std::string>>&)>&
+        make_delta,
+    uint64_t recolored) {
+  Rng rng(82);
+  auto schema = ChurnSchema();
+  std::vector<std::vector<std::string>> rows;
+  for (size_t i = 0; i < 160; ++i) rows.push_back(MakeChurnRow(rng, 4));
+  auto base = RelationFromRows(schema, rows);
+  ASSERT_TRUE(base.ok());
+  ConstraintSet constraints = RegionConstraints(*schema, 4);
+
+  auto prior = RunDiva(*base, constraints, ChurnOptions(2, 1));
+  ASSERT_TRUE(prior.ok()) << prior.status().ToString();
+  ASSERT_NE(prior->snapshot, nullptr);
+  const DeltaBatch delta = make_delta(rows);
+
+  auto post = ApplyDeltaToRelation(*prior->snapshot->input, delta);
+  ASSERT_TRUE(post.ok()) << post.status().ToString();
+  for (size_t col = 0; col < post->NumAttributes(); ++col) {
+    ASSERT_EQ(post->dictionary(col).size(),
+              prior->snapshot->input->dictionary(col).size())
+        << "the delta must not intern a new value";
+  }
+  for (size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    auto cold = RunDiva(*post, constraints, ChurnOptions(2, threads));
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    Reuse reuse;
+    auto incremental = ApplyDeltaCounting(*prior->snapshot, delta,
+                                          ChurnOptions(2, threads), &reuse);
+    ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
+    EXPECT_EQ(Fingerprint(*incremental), Fingerprint(*cold));
+    ASSERT_EQ(cold->report.shards, 4u);
+    EXPECT_EQ(reuse.recolored, recolored);
+    EXPECT_EQ(reuse.reused, cold->report.shards - recolored);
+  }
+  SetParallelThreads(1);
+}
+
+TEST(IncrementalTest, NoOpDeltaReusesEveryComponent) {
+  // Deleting the last row and re-inserting its content puts the same
+  // codes back at the same row id: every shard's rows compare equal.
+  ExpectDeltaRecolors(
+      [](const std::vector<std::vector<std::string>>& rows) {
+        DeltaBatch delta;
+        delta.deleted.push_back(static_cast<RowId>(rows.size() - 1));
+        delta.inserted.push_back(rows.back());
+        return delta;
+      },
+      /*recolored=*/0);
+}
+
+TEST(IncrementalTest, ChangedCellAtSamePositionDirtiesOnlyItsShard) {
+  // Every row is targeted by its region's constraint. Re-inserting the
+  // last row with another (already interned) AGE keeps every row list
+  // and every other shard's rows identical; only the last row's shard
+  // differs, in one non-target cell.
+  ExpectDeltaRecolors(
+      [](const std::vector<std::vector<std::string>>& rows) {
+        DeltaBatch delta;
+        delta.deleted.push_back(static_cast<RowId>(rows.size() - 1));
+        std::vector<std::string> changed = rows.back();
+        for (const std::vector<std::string>& row : rows) {
+          if (row[2] != changed[2]) {
+            changed[2] = row[2];
+            break;
+          }
+        }
+        EXPECT_NE(changed, rows.back());
+        delta.inserted.push_back(std::move(changed));
+        return delta;
+      },
+      /*recolored=*/1);
 }
 
 TEST(IncrementalTest, DeleteWholeComponentMatchesColdRun) {

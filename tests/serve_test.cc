@@ -12,6 +12,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <pthread.h>
@@ -623,14 +624,25 @@ TEST(ServeServerTest, FetchOfUnknownSnapshotIsNotFound) {
   server.Stop();
 }
 
+/// Medical Sigma with two conflict-graph components, so an update's
+/// run captures a snapshot and a second update chains from it.
+ConstraintSet TwoComponentConstraints() {
+  auto constraints = ParseConstraintSet(
+      *MedicalSchema(), "ETH[Asian] in [2,5]\nPRV[AB] in [1,3]\n");
+  DIVA_CHECK(constraints.ok());
+  return std::move(constraints).value();
+}
+
+std::vector<std::string> FieldNames(const Response& response) {
+  std::vector<std::string> names;
+  for (const auto& [name, value] : response.fields) names.push_back(name);
+  return names;
+}
+
 TEST(ServeServerTest, UpdateAppliesDeltaChainsIncrementallyAndVerifies) {
-  // A disjoint-target Sigma (two conflict-graph components) so the first
-  // update's run captures a pipeline snapshot the second can chain from.
-  auto schema = MedicalSchema();
-  auto constraints =
-      ParseConstraintSet(*schema, "ETH[Asian] in [2,5]\nPRV[AB] in [1,3]\n");
-  ASSERT_TRUE(constraints.ok()) << constraints.status().ToString();
-  Server server(MedicalRelation(), std::move(*constraints), TestOptions());
+  // Two conflict-graph components, so the first update's run captures a
+  // pipeline snapshot the second can chain from.
+  Server server(MedicalRelation(), TwoComponentConstraints(), TestOptions());
   ASSERT_TRUE(server.Start().ok());
   auto client = Client::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok());
@@ -678,7 +690,7 @@ TEST(ServeServerTest, UpdateAppliesDeltaChainsIncrementallyAndVerifies) {
   EXPECT_EQ(refreshed->Field("rows", ""), "9");
 
   // Every published snapshot verifies against the base it was actually
-  // produced from — including the pre-update one.
+  // produced from — including the pre-update one — and still fetches.
   for (const char* id : {"1", "2", "3", "4"}) {
     Request verify;
     verify.verb = "verify";
@@ -687,6 +699,20 @@ TEST(ServeServerTest, UpdateAppliesDeltaChainsIncrementallyAndVerifies) {
     ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
     ASSERT_TRUE(verdict->ok) << verdict->ToStatus().ToString();
     EXPECT_EQ(verdict->Field("verdict", ""), "pass") << "snapshot " << id;
+
+    Request fetch;
+    fetch.verb = "fetch";
+    fetch.params["snapshot"] = id;
+    auto fetched = client->Call(fetch);
+    ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+    ASSERT_TRUE(fetched->ok) << fetched->ToStatus().ToString();
+    EXPECT_EQ(fetched->Field("audited", ""), "1") << "snapshot " << id;
+    const std::string rows = fetched->Field("rows", "");
+    ASSERT_FALSE(rows.empty());
+    // Header line plus one line per row.
+    EXPECT_EQ(std::count(fetched->body.begin(), fetched->body.end(), '\n'),
+              std::stol(rows) + 1)
+        << "snapshot " << id;
   }
 
   Request stats;
@@ -701,6 +727,112 @@ TEST(ServeServerTest, UpdateAppliesDeltaChainsIncrementallyAndVerifies) {
   ServerStats final_stats = server.stats();
   EXPECT_EQ(final_stats.requests + final_stats.protocol_errors,
             final_stats.responses + final_stats.response_failures);
+}
+
+TEST(ServeServerTest, WorkVerbsRejectBadParamsWithTheSameCode) {
+  Server server(MedicalRelation(), TwoComponentConstraints(), TestOptions());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+
+  const std::pair<const char*, const char*> kBadParams[] = {
+      {"k", "0"}, {"l", "x"}, {"baseline", "foo"}};
+  for (const auto& [name, value] : kBadParams) {
+    SCOPED_TRACE(std::string(name) + "=" + value);
+    Request anonymize;
+    anonymize.verb = "anonymize";
+    anonymize.params[name] = value;
+    Request update;
+    update.verb = "update";
+    update.params[name] = value;
+    update.body = "- 0\n";
+    auto anonymized = client->Call(anonymize);
+    auto updated = client->Call(update);
+    ASSERT_TRUE(anonymized.ok()) << anonymized.status().ToString();
+    ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+    EXPECT_FALSE(anonymized->ok);
+    EXPECT_FALSE(updated->ok);
+    EXPECT_EQ(anonymized->code, StatusCode::kInvalidArgument);
+    EXPECT_EQ(updated->code, anonymized->code);
+  }
+
+  server.Stop();
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.updates, 0u);
+  EXPECT_EQ(stats.snapshots_published, 0u);
+}
+
+TEST(ServeServerTest, WorkVerbResponseFieldNamesArePinned) {
+  Server server(MedicalRelation(), TwoComponentConstraints(), TestOptions());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+
+  Request anonymize;
+  anonymize.verb = "anonymize";
+  anonymize.params["k"] = "2";
+  auto anonymized = client->Call(anonymize);
+  ASSERT_TRUE(anonymized.ok()) << anonymized.status().ToString();
+  ASSERT_TRUE(anonymized->ok) << anonymized->ToStatus().ToString();
+  EXPECT_EQ(FieldNames(*anonymized),
+            (std::vector<std::string>{
+                "audited", "baseline_degraded", "deadline_exceeded",
+                "degraded", "integrate_skipped", "privacy_truncated", "rows",
+                "snapshot", "suppressed_cells", "unsatisfied"}));
+
+  Request update;
+  update.verb = "update";
+  update.params["k"] = "2";
+  update.body = "- 1\n";
+  // Cold first update, then an incremental one: same field set.
+  for (int i = 0; i < 2; ++i) {
+    auto updated = client->Call(update);
+    ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+    ASSERT_TRUE(updated->ok) << updated->ToStatus().ToString();
+    EXPECT_EQ(updated->Field("incremental", ""), i == 0 ? "0" : "1");
+    EXPECT_EQ(FieldNames(*updated),
+              (std::vector<std::string>{
+                  "audited", "degraded", "incremental", "rows",
+                  "rows_deleted", "rows_inserted", "shards_reused",
+                  "snapshot", "suppressed_cells", "unsatisfied"}));
+  }
+  server.Stop();
+}
+
+TEST(ServeServerTest, ShardParamChangesNothing) {
+  // `shard` once picked how multi-component runs execute; an old client
+  // that still sends it gets the same bytes as one that does not.
+  Server server(MedicalRelation(), TwoComponentConstraints(), TestOptions());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+
+  auto publish_and_fetch = [&](Request request) -> std::string {
+    auto published = client->Call(request);
+    EXPECT_TRUE(published.ok() && published->ok) << request.verb;
+    if (!published.ok() || !published->ok) return "";
+    Request fetch;
+    fetch.verb = "fetch";
+    fetch.params["snapshot"] = published->Field("snapshot", "");
+    auto fetched = client->Call(fetch);
+    EXPECT_TRUE(fetched.ok() && fetched->ok);
+    return fetched.ok() ? fetched->body : "";
+  };
+
+  Request anonymize;
+  anonymize.verb = "anonymize";
+  anonymize.params["k"] = "2";
+  const std::string plain = publish_and_fetch(anonymize);
+  anonymize.params["shard"] = "0";
+  EXPECT_EQ(publish_and_fetch(anonymize), plain);
+
+  Request update;
+  update.verb = "update";
+  update.params["k"] = "2";
+  update.params["shard"] = "0";
+  update.body = "- 2\n";
+  EXPECT_FALSE(publish_and_fetch(update).empty());
+  server.Stop();
 }
 
 TEST(ServeServerTest, UpdateRejectsBadDeltasWithoutTouchingServedState) {
