@@ -181,7 +181,7 @@ void BM_KMemberExact(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * relation.NumRows());
 }
-BENCHMARK(BM_KMemberExact)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_KMemberExact)->Arg(1000)->Arg(4000)->Arg(20000);
 
 }  // namespace
 

@@ -8,11 +8,13 @@
 //
 // Writes <prefix>_data.csv, <prefix>_schema.txt, <prefix>_sigma.txt
 // (default prefix "workload"), then prints the anonymize_cli invocation
-// that consumes them.
+// that consumes them. An unknown flag or a flag without a value prints
+// the usage and exits 1 without writing anything.
 
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
 
 #include "common/string_util.h"
@@ -26,6 +28,16 @@ using namespace diva;  // NOLINT: example brevity
 
 int Fail(const std::string& message) {
   std::fprintf(stderr, "error: %s\n", message.c_str());
+  return 1;
+}
+
+int UsageError(const std::string& message) {
+  Fail(message);
+  std::fprintf(stderr,
+               "usage: generate_workload "
+               "[--profile pantheon|census|credit|popsyn]\n"
+               "           [--rows N] [--constraints N] [--seed N] "
+               "[--prefix PATH]\n");
   return 1;
 }
 
@@ -48,10 +60,14 @@ const char* KindToken(AttributeKind kind) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::set<std::string> kFlags = {"profile", "rows", "constraints",
+                                        "seed", "prefix"};
   std::map<std::string, std::string> args;
-  for (int i = 1; i + 1 < argc; i += 2) {
+  for (int i = 1; i < argc; i += 2) {
     std::string arg = argv[i];
-    if (!StartsWith(arg, "--")) return Fail("unexpected argument " + arg);
+    if (!StartsWith(arg, "--")) return UsageError("unexpected argument " + arg);
+    if (!kFlags.count(arg.substr(2))) return UsageError("unknown flag " + arg);
+    if (i + 1 == argc) return UsageError(arg + " needs a value");
     args[arg.substr(2)] = argv[i + 1];
   }
 

@@ -1,6 +1,7 @@
 #include "anon/kmember.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/counters.h"
@@ -26,6 +27,29 @@ KMemberPool::KMemberPool(const Relation& relation,
     domain_.push_back(static_cast<ValueCode>(relation.dictionary(col).size()));
     table_size += static_cast<size_t>(domain_.back()) + 1;
   }
+
+  // A lane holds code + 1 <= the largest domain, and at least 5 bits, so
+  // the count of a word's <= 12 lanes fits in one lane.
+  size_t max_domain = 0;
+  for (ValueCode domain : domain_) {
+    max_domain = std::max(max_domain, static_cast<size_t>(domain));
+  }
+  lane_bits_ = std::max<size_t>(5, std::bit_width(max_domain));
+  lanes_ = 64 / lane_bits_;
+  words_per_row_ = (qi_.size() + lanes_ - 1) / lanes_;
+  lane_mask_ = (uint64_t{1} << lane_bits_) - 1;
+  for (size_t lane = 0; lane < lanes_; ++lane) {
+    lane_ones_ |= uint64_t{1} << (lane * lane_bits_);
+  }
+  low_bits_ = lane_ones_ * (lane_mask_ >> 1);
+  high_bits_ = lane_ones_ << (lane_bits_ - 1);
+  top_lane_shift_ = (lanes_ - 1) * lane_bits_;
+  common_words_.resize(words_per_row_);
+  live_masks_.resize(words_per_row_);
+  words_.assign(rows_.size() * words_per_row_, 0);
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    Pack(codes(i), words_.data() + i * words_per_row_);
+  }
   term_table_.resize(table_size);
   double* slice = term_table_.data();
   for (ValueCode domain : domain_) {
@@ -46,6 +70,9 @@ RowId KMemberPool::TakeAt(size_t i) {
   std::copy_n(codes_.begin() + last * width, width,
               codes_.begin() + i * width);
   codes_.resize(last * width);
+  std::copy_n(words_.begin() + last * words_per_row_, words_per_row_,
+              words_.begin() + i * words_per_row_);
+  words_.resize(last * words_per_row_);
   return row;
 }
 
@@ -54,6 +81,24 @@ void KMemberPool::SetAnchor(std::span<const ValueCode> anchor) {
     for (ValueCode code = kSuppressed; code < domain_[j]; ++code) {
       anchor_terms_[j][code] = metric_->Term(qi_[j], anchor[j], code);
     }
+  }
+}
+
+void KMemberPool::Pack(std::span<const ValueCode> codes,
+                       uint64_t* words) const {
+  for (size_t j = 0; j < qi_.size(); ++j) {
+    words[j / lanes_] |= static_cast<uint64_t>(codes[j] + 1)
+                         << (j % lanes_ * lane_bits_);
+  }
+}
+
+void KMemberPool::SetCommon(std::span<const ValueCode> common) {
+  std::fill(common_words_.begin(), common_words_.end(), 0);
+  std::fill(live_masks_.begin(), live_masks_.end(), 0);
+  Pack(common, common_words_.data());
+  for (size_t j = 0; j < qi_.size(); ++j) {
+    if (common[j] == kSuppressed) continue;
+    live_masks_[j / lanes_] |= lane_mask_ << (j % lanes_ * lane_bits_);
   }
 }
 
@@ -88,27 +133,39 @@ size_t FurthestIndex(const KMemberPool& pool, size_t sample_size, Rng* rng) {
   return best_index;
 }
 
-/// Grow step: the first scanned index with the least divergence from the
-/// cluster's live columns, i.e. the least ★ increase.
-size_t CheapestIndex(const KMemberPool& pool,
-                     const ClusterCostTracker& tracker, size_t sample_size,
-                     Rng* rng) {
-  std::span<const ValueCode> common = tracker.common();
-  std::vector<size_t> live;
-  for (size_t j = 0; j < common.size(); ++j) {
-    if (common[j] != kSuppressed) live.push_back(j);
-  }
-  size_t scan = ScanCount(pool, sample_size);
-  bool exact = scan == pool.size();
+/// Where a cluster's next exact grow scan starts, and the first best
+/// (divergence, index) of the pool entries before that start.
+struct GrowResume {
+  size_t start = 0;
   size_t best_divergence = std::numeric_limits<size_t>::max();
   size_t best_index = 0;
-  for (size_t s = 0; s < scan; ++s) {
+};
+
+/// Grow step: the first scanned index with the least divergence from the
+/// cluster's live columns, i.e. the least ★ increase. An exact scan that
+/// stops at a d == 0 entry i leaves `resume` at i: adding that entry
+/// keeps the tracker's common(), and TakeAt(i) leaves entries [0, i) in
+/// place, so the cluster's next scan need not read them again. Any other
+/// outcome resets `resume`.
+size_t CheapestIndex(KMemberPool& pool, const ClusterCostTracker& tracker,
+                     size_t sample_size, Rng* rng, GrowResume* resume) {
+  pool.SetCommon(tracker.common());
+  size_t scan = ScanCount(pool, sample_size);
+  bool exact = scan == pool.size();
+  GrowResume from = exact ? *resume : GrowResume{};
+  *resume = GrowResume{};
+  size_t best_divergence = from.best_divergence;
+  size_t best_index = from.best_index;
+  for (size_t s = from.start; s < scan; ++s) {
     size_t i = PickIndex(pool, scan, s, rng);
-    size_t d = pool.Divergence(common, live, i);
+    size_t d = pool.Divergence(i);
     if (d < best_divergence) {
+      if (exact && d == 0) {  // nothing later is strictly cheaper
+        *resume = {i, best_divergence, best_index};
+        return i;
+      }
       best_divergence = d;
       best_index = i;
-      if (exact && d == 0) break;  // nothing later is strictly cheaper
     }
   }
   return best_index;
@@ -154,10 +211,11 @@ Result<Clustering> KMemberAnonymizer::BuildClusters(
     ClusterCostTracker tracker(relation);
     tracker.Reset(seed);
     Cluster cluster = {seed};
+    GrowResume resume;
 
     while (cluster.size() < k) {
-      RowId added =
-          pool.TakeAt(CheapestIndex(pool, tracker, options_.sample_size, &rng));
+      RowId added = pool.TakeAt(
+          CheapestIndex(pool, tracker, options_.sample_size, &rng, &resume));
       tracker.Add(added);
       cluster.push_back(added);
     }

@@ -1,6 +1,7 @@
 #ifndef DIVA_ANON_KMEMBER_H_
 #define DIVA_ANON_KMEMBER_H_
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -17,7 +18,7 @@ namespace diva {
 /// they are cheapest for.
 ///
 /// Both greedy scans read a KMemberPool: the not-yet-clustered rows'
-/// QI codes packed densely in pool order, so a scan streams one small
+/// QI codes laid out densely in pool order, so a scan streams one small
 /// array instead of gathering cells from the row-major relation. The
 /// work is still O(N^2/k) in the worst case; the kernel makes each
 /// candidate cheap and lets most grow scans stop early.
@@ -26,14 +27,27 @@ namespace diva {
 ///   previous seed. Per seed, the pool tabulates DistanceMetric::Term
 ///   for every code of each QI column, then sums a candidate's terms in
 ///   the metric's column order, so every distance is the same double.
+///   It reads the pool's int32 codes: extracting them from the packed
+///   words (a runtime j / lanes, j % lanes per term) made k-member ~2x
+///   slower.
 /// - Grow step: the ★ increase (size+1)*(div+d) - size*div is strictly
 ///   increasing in d, the number of still-shared ("live") QI columns on
 ///   which the candidate differs from the cluster's common value. So the
 ///   scan compares the integer d over the live columns only, and the
-///   first minimum of d is the first minimum of the increase.
+///   first minimum of d is the first minimum of the increase. d comes
+///   from the pool's packed words, a few SWAR steps per 64-bit word (see
+///   KMemberPool::Divergence); std::popcount would compile to a libgcc
+///   call without -mpopcnt and measured no faster than per-column
+///   compares.
 /// - Early exit: an exact grow scan stops at the first d == 0. No later
 ///   candidate can be strictly cheaper, and a full scan would keep this
 ///   first one.
+/// - Resume: adding a d == 0 candidate leaves the cluster's common()
+///   unchanged, and taking pool entry i moves only the last entry into
+///   slot i. So the cluster's next exact scan starts at i, carrying the
+///   first best (d, index) of entries [0, i); strict < keeps the same
+///   first minimum. A d > 0 pick, a sampled scan or a new cluster starts
+///   the next scan at 0.
 ///
 /// Tie-break invariant: both scans keep the first best candidate in pool
 /// index order (strict > and <). The pool removes a taken row by moving
@@ -62,10 +76,16 @@ class KMemberAnonymizer final : public Anonymizer {
   AnonymizerOptions options_;
 };
 
-/// The rows k-member has not clustered yet, with their QI codes packed
-/// |QI| wide in pool order (QI positions in schema order, as
-/// ClusterCostTracker::common()). Removal is O(|QI|): the last entry
-/// moves into the removed slot. `metric` must outlive the pool.
+/// The rows k-member has not clustered yet, with their QI codes stored
+/// twice in pool order (QI positions in schema order, as
+/// ClusterCostTracker::common()): |QI| int32 codes per row for the seed
+/// scan, and the same codes packed into 64-bit words for the grow scan.
+/// A lane holds code + 1, so kSuppressed is lane value 0 and never equals
+/// a live common value. Lanes are b = max(5, bit_width(largest QI
+/// dictionary)) bits wide, 64 / b of them per word: at most 12 lanes, so
+/// a word's count of differing lanes fits in one lane. Removal is
+/// O(|QI|): the last entry moves into the removed slot. `metric` must
+/// outlive the pool.
 class KMemberPool {
  public:
   KMemberPool(const Relation& relation, const DistanceMetric& metric,
@@ -101,21 +121,49 @@ class KMemberPool {
     return total;
   }
 
-  /// Number of QI positions in `live` on which entry i differs from
-  /// `common` (a ClusterCostTracker's common()).
-  size_t Divergence(std::span<const ValueCode> common,
-                    std::span<const size_t> live, size_t i) const {
-    const ValueCode* codes = codes_.data() + i * qi_.size();
+  /// Makes `common` (a ClusterCostTracker's common()) the row Divergence
+  /// compares against: packs its codes and the lanes of its live (not
+  /// kSuppressed) positions, O(|QI|).
+  void SetCommon(std::span<const ValueCode> common);
+
+  /// Number of live positions of the common row on which entry i
+  /// differs from it. Per word, x's lane is nonzero iff it differs on a
+  /// live position; y holds a 1 in the low bit of each nonzero lane; the
+  /// multiply sums y's lanes into the top lane, and the mask drops the
+  /// partial sums the multiply leaves above it.
+  size_t Divergence(size_t i) const {
+    const uint64_t* words = words_.data() + i * words_per_row_;
     size_t d = 0;
-    for (size_t j : live) d += codes[j] != common[j] ? 1 : 0;
+    for (size_t w = 0; w < words_per_row_; ++w) {
+      uint64_t x = (words[w] ^ common_words_[w]) & live_masks_[w];
+      uint64_t y = ((((x & low_bits_) + low_bits_) | x) & high_bits_) >>
+                   (lane_bits_ - 1);
+      d += ((y * lane_ones_) >> top_lane_shift_) & lane_mask_;
+    }
     return d;
   }
 
  private:
+  /// ORs `codes` (one row's, in QI-position order) into `words`, packed.
+  void Pack(std::span<const ValueCode> codes, uint64_t* words) const;
+
   const DistanceMetric* metric_;
   std::vector<size_t> qi_;         // QI columns, in schema order
   std::vector<RowId> rows_;
   std::vector<ValueCode> codes_;   // rows_.size() x qi_.size()
+  // The same codes packed as code + 1 (kSuppressed is 0) in lanes of
+  // lane_bits_ bits, lanes_ per word: rows_.size() x words_per_row_.
+  std::vector<uint64_t> words_;
+  size_t lane_bits_ = 0;
+  size_t lanes_ = 0;
+  size_t words_per_row_ = 0;
+  uint64_t lane_mask_ = 0;  // one lane's bits
+  uint64_t lane_ones_ = 0;  // the low bit of every lane
+  uint64_t low_bits_ = 0;   // all but the top bit of every lane
+  uint64_t high_bits_ = 0;  // the top bit of every lane
+  size_t top_lane_shift_ = 0;
+  std::vector<uint64_t> common_words_;  // SetCommon's row, packed
+  std::vector<uint64_t> live_masks_;    // its live lanes, all ones
   std::vector<ValueCode> domain_;  // per QI position: dictionary size
   // anchor_terms_[j][code] is Term(qi_[j], anchor code, code): each
   // points one past the start of its slice of term_table_, whose first

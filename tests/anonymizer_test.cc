@@ -321,6 +321,61 @@ Relation StarFixture() {
   return std::move(relation).value();
 }
 
+/// Rows drawn from 12 QI patterns, with one row in six perturbed in one
+/// column: most grow steps find an exact duplicate (d == 0), and the
+/// perturbed rows interleave d > 0 picks between them.
+Relation DuplicateFixture() {
+  auto schema = Schema::Make({
+      {"A", AttributeRole::kQuasiIdentifier, AttributeKind::kCategorical},
+      {"N", AttributeRole::kQuasiIdentifier, AttributeKind::kNumeric},
+      {"B", AttributeRole::kQuasiIdentifier, AttributeKind::kCategorical},
+      {"S", AttributeRole::kSensitive, AttributeKind::kCategorical},
+  });
+  DIVA_CHECK(schema.ok());
+  Rng rng(77);
+  std::vector<std::vector<std::string>> patterns;
+  for (int p = 0; p < 12; ++p) {
+    patterns.push_back({"a" + std::to_string(rng.NextBounded(5)),
+                        std::to_string(30 + rng.NextBounded(20)),
+                        "b" + std::to_string(rng.NextBounded(4))});
+  }
+  std::vector<std::vector<std::string>> rows;
+  for (int i = 0; i < 420; ++i) {
+    std::vector<std::string> row = patterns[rng.NextBounded(patterns.size())];
+    if (rng.NextBounded(6) == 0) {
+      size_t col = rng.NextBounded(3);
+      row[col] = (col == 1 ? "6" : "x") + std::to_string(rng.NextBounded(3));
+    }
+    row.push_back("s" + std::to_string(rng.NextBounded(3)));
+    rows.push_back(std::move(row));
+  }
+  auto relation = RelationFromRows(*schema, rows);
+  DIVA_CHECK(relation.ok());
+  return std::move(relation).value();
+}
+
+/// No two rows share their QI values: N is unique per row.
+Relation DistinctFixture() {
+  auto schema = Schema::Make({
+      {"A", AttributeRole::kQuasiIdentifier, AttributeKind::kCategorical},
+      {"N", AttributeRole::kQuasiIdentifier, AttributeKind::kNumeric},
+      {"B", AttributeRole::kQuasiIdentifier, AttributeKind::kCategorical},
+      {"S", AttributeRole::kSensitive, AttributeKind::kCategorical},
+  });
+  DIVA_CHECK(schema.ok());
+  Rng rng(78);
+  std::vector<std::vector<std::string>> rows;
+  for (int i = 0; i < 300; ++i) {
+    rows.push_back({"a" + std::to_string(rng.NextBounded(4)),
+                    std::to_string((i * 37) % 300),
+                    "b" + std::to_string(rng.NextBounded(6)),
+                    "s" + std::to_string(rng.NextBounded(3))});
+  }
+  auto relation = RelationFromRows(*schema, rows);
+  DIVA_CHECK(relation.ok());
+  return std::move(relation).value();
+}
+
 std::vector<RowId> AllRows(const Relation& relation) {
   std::vector<RowId> rows(relation.NumRows());
   std::iota(rows.begin(), rows.end(), 0);
@@ -391,6 +446,28 @@ TEST(KMemberKernelTest, StarCellsAndDegenerateRangePins) {
                            0xb9ac20406e26b183ull);
 }
 
+// Exact grow scans that stop at d == 0 resume the cluster's next scan
+// where they stopped. On mostly-duplicate rows most grow steps resume; on
+// distinct rows only steps after the unique column has diverged can.
+// Recorded with every scan starting at index 0.
+TEST(KMemberKernelTest, DuplicateRowsResumePins) {
+  Relation relation = DuplicateFixture();
+  const std::pair<size_t, uint64_t> pins[] = {
+      {3, 0xba9c6b773086f61bull},
+      {8, 0x2e178f3ef849c905ull},
+  };
+  for (const auto& [k, expected] : pins) {
+    ExpectPinnedAtEveryWidth(Algo::kKMember, SeededOptions(13), relation, k,
+                             expected);
+  }
+}
+
+TEST(KMemberKernelTest, DistinctRowsPins) {
+  Relation relation = DistinctFixture();
+  ExpectPinnedAtEveryWidth(Algo::kKMember, SeededOptions(17), relation, 4,
+                           0xdaaf23ba755d07b4ull);
+}
+
 TEST(KMemberKernelTest, SampledModePins) {
   Relation relation = PopSynFixture(5000);
   ExpectPinnedAtEveryWidth(Algo::kKMember, SeededOptions(3, 64), relation,
@@ -406,18 +483,73 @@ std::vector<ValueCode> QiCodes(const Relation& relation, RowId row) {
   return codes;
 }
 
+/// `columns` categorical QIs and a sensitive column. The first `domain`
+/// rows list values 0..domain-1 in every column, so each column's codes
+/// equal its values and its dictionary has exactly `domain` entries. Each
+/// later row draws its cells from the two lowest values, the two highest
+/// or all of them, with one cell in ten `*`: the widest lane values are
+/// common, and a low row differs from a high row in every column.
+Relation PackingFixture(size_t columns, size_t domain) {
+  std::vector<Attribute> attributes;
+  for (size_t c = 0; c < columns; ++c) {
+    attributes.push_back({"Q" + std::to_string(c),
+                          AttributeRole::kQuasiIdentifier,
+                          AttributeKind::kCategorical});
+  }
+  attributes.push_back(
+      {"S", AttributeRole::kSensitive, AttributeKind::kCategorical});
+  auto schema = Schema::Make(std::move(attributes));
+  DIVA_CHECK(schema.ok());
+  Rng rng(columns * 1000 + domain);
+  std::vector<std::vector<std::string>> rows;
+  for (size_t r = 0; r < domain + 150; ++r) {
+    std::vector<std::string> row;
+    uint64_t mode = rng.NextBounded(3);
+    for (size_t c = 0; c < columns; ++c) {
+      uint64_t value = mode == 0   ? rng.NextBounded(2)
+                       : mode == 1 ? domain - 1 - rng.NextBounded(2)
+                                   : rng.NextBounded(domain);
+      if (r < domain) {
+        row.push_back("v" + std::to_string(r));
+      } else if (rng.NextBounded(10) == 0) {
+        row.push_back("*");
+      } else {
+        row.push_back("v" + std::to_string(value));
+      }
+    }
+    row.push_back("s" + std::to_string(rng.NextBounded(3)));
+    rows.push_back(std::move(row));
+  }
+  auto relation = RelationFromRows(*schema, rows);
+  DIVA_CHECK(relation.ok());
+  return std::move(relation).value();
+}
+
 // The kernel against DistanceMetric::Distance and
 // ClusterCostTracker::CostIncrease, on a pool that shrinks between
-// rounds: the packed codes must track every swap-remove, the distance
-// must be the metric's double bit-for-bit, and the live-column
-// divergence must give the tracker's exact ★ increase.
+// rounds: the codes must track every swap-remove, the distance must be
+// the metric's double bit-for-bit, and the packed divergence must give
+// the tracker's exact ★ increase. The fixtures cover ★ cells in pool
+// rows and in common(), a row spanning two words (17 QIs at 5-bit
+// lanes), and the largest dictionary on both sides of a lane-width step
+// (31 | 32 and 63 | 64 entries: 5 | 6 and 6 | 7 bits).
 TEST(KMemberKernelTest, KernelMatchesMetricAndTrackerBitForBit) {
-  for (const Relation& relation : {PopSynFixture(1500), StarFixture()}) {
+  std::vector<Relation> relations;
+  relations.push_back(PopSynFixture(1500));
+  relations.push_back(StarFixture());
+  relations.push_back(PackingFixture(17, 6));
+  for (size_t domain : {31, 32, 63, 64}) {
+    relations.push_back(PackingFixture(13, domain));
+    for (size_t col = 0; col < 13; ++col) {
+      ASSERT_EQ(relations.back().dictionary(col).size(), domain);
+    }
+  }
+  for (const Relation& relation : relations) {
     DistanceMetric metric(relation);
     std::vector<RowId> rows = AllRows(relation);
     KMemberPool pool(relation, metric, rows);
     Rng rng(99);
-    std::vector<size_t> live;
+    size_t stars_in_common = 0;
     while (pool.size() > 8) {
       RowId anchor =
           static_cast<RowId>(rng.NextBounded(relation.NumRows()));
@@ -428,10 +560,8 @@ TEST(KMemberKernelTest, KernelMatchesMetricAndTrackerBitForBit) {
       for (uint64_t n = rng.NextBounded(6); n > 0; --n) {
         tracker.Add(static_cast<RowId>(rng.NextBounded(relation.NumRows())));
       }
-      live.clear();
-      for (size_t j = 0; j < tracker.common().size(); ++j) {
-        if (tracker.common()[j] != kSuppressed) live.push_back(j);
-      }
+      pool.SetCommon(tracker.common());
+      stars_in_common += std::ranges::count(tracker.common(), kSuppressed);
 
       for (size_t i = 0; i < pool.size(); ++i) {
         RowId row = pool.row(i);
@@ -442,8 +572,7 @@ TEST(KMemberKernelTest, KernelMatchesMetricAndTrackerBitForBit) {
         EXPECT_EQ(std::bit_cast<uint64_t>(pool.DistanceToAnchor(i)),
                   std::bit_cast<uint64_t>(metric.Distance(anchor, row)))
             << "anchor " << anchor << " row " << row;
-        EXPECT_EQ(tracker.CostIncreaseForDivergence(
-                      pool.Divergence(tracker.common(), live, i)),
+        EXPECT_EQ(tracker.CostIncreaseForDivergence(pool.Divergence(i)),
                   tracker.CostIncrease(row))
             << "row " << row;
       }
@@ -451,6 +580,7 @@ TEST(KMemberKernelTest, KernelMatchesMetricAndTrackerBitForBit) {
         pool.TakeAt(static_cast<size_t>(rng.NextBounded(pool.size())));
       }
     }
+    EXPECT_GT(stars_in_common, 0u);
   }
 }
 
