@@ -71,9 +71,6 @@ struct ShapeResult {
   uint64_t memo_evictions = 0;
   uint64_t target_sorts = 0;
   uint64_t attempts = 0;
-  // Execution-scope (scheduling-dependent, informational only).
-  uint64_t spec_adopted = 0;
-  uint64_t spec_reruns = 0;
 };
 
 bool SameOutcome(const ColoringOutcome& a, const ColoringOutcome& b) {
@@ -131,8 +128,6 @@ ShapeResult RunShape(const Shape& shape) {
       result.memo_evictions = CounterDelta(delta, "coloring.memo_evictions");
       result.target_sorts = CounterDelta(delta, "coloring.target_sorts");
       result.attempts = CounterDelta(delta, "coloring.attempts");
-      result.spec_adopted = CounterDelta(delta, "coloring.spec_adopted");
-      result.spec_reruns = CounterDelta(delta, "coloring.spec_reruns");
       result.wall_seconds = secs;
       reference = std::move(outcome);
     } else {
@@ -187,15 +182,13 @@ int main(int argc, char** argv) {
         "             wall=%.4fs (min of %zu)  steps/sec=%.0f  "
         "memo-off=%.4fs (x%.2f)\n"
         "             memo: hits=%llu misses=%llu evictions=%llu  "
-        "target_sorts=%llu attempts=%llu\n"
-        "             spec: adopted=%llu reruns=%llu\n\n",
+        "target_sorts=%llu attempts=%llu\n\n",
         shape.name, (unsigned long long)r.steps,
         (unsigned long long)r.backtracks, (int)r.complete, r.wall_seconds,
         Reps(), sps, r.memo_off_seconds, memo_speedup,
         (unsigned long long)r.memo_hits, (unsigned long long)r.memo_misses,
         (unsigned long long)r.memo_evictions,
-        (unsigned long long)r.target_sorts, (unsigned long long)r.attempts,
-        (unsigned long long)r.spec_adopted, (unsigned long long)r.spec_reruns);
+        (unsigned long long)r.target_sorts, (unsigned long long)r.attempts);
 
     json += "  \"";
     json += shape.name;
@@ -213,10 +206,6 @@ int main(int argc, char** argv) {
     AppendMetric(&json, "memo_off_seconds", r.memo_off_seconds, &first);
     AppendMetric(&json, "steps_per_sec", sps, &first);
     AppendMetric(&json, "memo_speedup", memo_speedup, &first);
-    // exec_-prefixed keys are scheduling-dependent; bench_diff treats
-    // them as informational, never gating.
-    AppendMetric(&json, "exec_spec_adopted", (double)r.spec_adopted, &first);
-    AppendMetric(&json, "exec_spec_reruns", (double)r.spec_reruns, &first);
     json += "\n  }";
     json += (s + 1 < sizeof(kShapes) / sizeof(kShapes[0])) ? ",\n" : "\n";
   }

@@ -111,9 +111,10 @@ DIVA_THREADS=1 \
 python3 tools/bench_diff.py \
   bench/baselines/BENCH_coloring.json /tmp/BENCH_coloring_t1.$$.json
 
-# Cross-width determinism: with speculative attempt search on, every
-# deterministic metric must be byte-identical at width 8 (mirrors the
-# thread-matrix CI job; exec_/timing keys are informational).
+# Cross-width determinism: the restart attempts run in sequence and
+# enumeration runs on the pool, so every deterministic metric must be
+# byte-identical at width 8 (mirrors the thread-matrix CI job; timing
+# keys are informational).
 step "bench gate: cross-width determinism (DIVA_THREADS=1 vs 8, tolerance 0)"
 DIVA_THREADS=8 \
   ./build/release/bench/bench_coloring /tmp/BENCH_coloring_t8.$$.json

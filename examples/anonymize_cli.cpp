@@ -12,6 +12,9 @@
 //       [--strict] [--deadline-ms N] [--trace-out trace.json]
 //       [--apply-delta delta.txt] [--output out.csv]
 //
+// Each flag takes "--flag value" or "--flag=value". An unknown flag or a
+// flag without its value exits 1 before anything is read.
+//
 // --apply-delta FILE (DIVA only) re-anonymizes incrementally: the run on
 // --input captures a reusable snapshot, FILE's row delta is applied to
 // it, and only the conflict-graph components the delta touches are
@@ -52,7 +55,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 
@@ -80,110 +82,55 @@ int Fail(const std::string& message) {
   return 1;
 }
 
-Result<std::shared_ptr<const Schema>> LoadSchema(const std::string& path) {
-  std::ifstream input(path);
-  if (!input) return Status::IoError("cannot open schema file: " + path);
-  std::vector<Attribute> attributes;
-  std::string line;
-  size_t line_number = 0;
-  while (std::getline(input, line)) {
-    ++line_number;
-    std::string_view trimmed = Trim(line);
-    if (trimmed.empty() || trimmed.front() == '#') continue;
-    auto parts = Split(trimmed, ',');
-    if (parts.size() != 3) {
-      return Status::InvalidArgument(
-          "schema line " + std::to_string(line_number) +
-          ": expected NAME,role,kind");
-    }
-    Attribute attribute;
-    attribute.name = std::string(Trim(parts[0]));
-    std::string role = ToLowerAscii(Trim(parts[1]));
-    std::string kind = ToLowerAscii(Trim(parts[2]));
-    if (role == "id" || role == "identifier") {
-      attribute.role = AttributeRole::kIdentifier;
-    } else if (role == "qi" || role == "quasi-identifier") {
-      attribute.role = AttributeRole::kQuasiIdentifier;
-    } else if (role == "sensitive") {
-      attribute.role = AttributeRole::kSensitive;
-    } else {
-      return Status::InvalidArgument("unknown role '" + role + "' on line " +
-                                     std::to_string(line_number));
-    }
-    if (kind == "num" || kind == "numeric") {
-      attribute.kind = AttributeKind::kNumeric;
-    } else if (kind == "cat" || kind == "categorical") {
-      attribute.kind = AttributeKind::kCategorical;
-    } else {
-      return Status::InvalidArgument("unknown kind '" + kind + "' on line " +
-                                     std::to_string(line_number));
-    }
-    attributes.push_back(std::move(attribute));
-  }
-  return Schema::Make(std::move(attributes));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   // ^C degrades the run through the anytime pipeline and still flushes
   // the partial report; a dead pager/pipe is a write error, not SIGPIPE.
   InstallSignalHygiene();
-  std::map<std::string, std::string> args;
-  std::vector<std::string> taxonomy_specs;  // repeated ATTR=path pairs
-  bool strict = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--strict") {
-      strict = true;
-    } else if (arg == "--json") {
-      args["json"] = "1";
-    } else if (arg == "--taxonomy" && i + 1 < argc) {
-      taxonomy_specs.emplace_back(argv[++i]);
-    } else if (StartsWith(arg, "--") &&
-               arg.find('=') != std::string::npos) {
-      // --key=value form (e.g. --trace-out=t.json).
-      size_t eq = arg.find('=');
-      args[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-    } else if (StartsWith(arg, "--") && i + 1 < argc) {
-      args[arg.substr(2)] = argv[++i];
-    } else {
-      return Fail("unexpected argument '" + arg + "' (see file header)");
-    }
+  auto parsed_args = Flags::Parse(
+      argc, argv,
+      {"input", "schema", "k", "constraints", "algorithm", "strategy", "seed",
+       "shard", "taxonomy", "deadline-ms", "trace-out", "apply-delta",
+       "output"},
+      {"json", "strict"});
+  if (!parsed_args.ok()) {
+    return Fail(parsed_args.status().message() + " (see file header)");
   }
-  if (!args.count("input") || !args.count("schema") || !args.count("k")) {
+  const Flags args = std::move(parsed_args).value();
+  if (!args.Has("input") || !args.Has("schema") || !args.Has("k")) {
     return Fail("--input, --schema and --k are required (see file header)");
   }
 
-  auto schema = LoadSchema(args["schema"]);
+  auto schema = LoadSchemaFile(args.Get("schema"));
   if (!schema.ok()) return Fail(schema.status().ToString());
 
-  auto relation = ReadCsvFile(args["input"], *schema);
+  auto relation = ReadCsvFile(args.Get("input"), *schema);
   if (!relation.ok()) return Fail(relation.status().ToString());
 
-  auto k = ParseInt64(args["k"]);
+  auto k = ParseInt64(args.Get("k"));
   if (!k.ok() || *k < 1) return Fail("--k must be a positive integer");
 
   ConstraintSet constraints;
-  if (args.count("constraints")) {
-    auto loaded = LoadConstraintSet(**schema, args["constraints"]);
+  if (args.Has("constraints")) {
+    auto loaded = LoadConstraintSet(**schema, args.Get("constraints"));
     if (!loaded.ok()) return Fail(loaded.status().ToString());
     constraints = std::move(loaded).value();
   }
 
   uint64_t seed = 42;
-  if (args.count("seed")) {
-    auto parsed = ParseInt64(args["seed"]);
+  if (args.Has("seed")) {
+    auto parsed = ParseInt64(args.Get("seed"));
     if (!parsed.ok()) return Fail("--seed must be an integer");
     seed = static_cast<uint64_t>(*parsed);
   }
 
   // Optional per-attribute taxonomies (LCA generalization instead of *).
   std::shared_ptr<GeneralizationContext> generalization;
-  if (!taxonomy_specs.empty()) {
+  if (args.Has("taxonomy")) {
     generalization =
         std::make_shared<GeneralizationContext>((*schema)->NumAttributes());
-    for (const std::string& spec : taxonomy_specs) {
+    for (const std::string& spec : args.GetAll("taxonomy")) {
       size_t eq = spec.find('=');
       if (eq == std::string::npos) {
         return Fail("--taxonomy expects ATTR=path, got '" + spec + "'");
@@ -216,9 +163,9 @@ int main(int argc, char** argv) {
   }
 
   std::string algorithm =
-      args.count("algorithm") ? ToLowerAscii(args["algorithm"]) : "diva";
+      args.Has("algorithm") ? ToLowerAscii(args.Get("algorithm")) : "diva";
 
-  const bool tracing = args.count("trace-out") != 0;
+  const bool tracing = args.Has("trace-out");
   if (tracing) trace::Enable();
 
   Relation output((*schema));
@@ -226,13 +173,13 @@ int main(int argc, char** argv) {
     DivaOptions options;
     options.k = static_cast<size_t>(*k);
     options.seed = seed;
-    options.strict = strict;
+    options.strict = args.Has("strict");
     options.generalization = generalization;
     options.cancel = InterruptToken();
     // A traced run audits too, so the trace shows every pipeline phase.
     if (tracing) options.audit = true;
-    if (args.count("shard")) {
-      std::string shard = ToLowerAscii(args["shard"]);
+    if (args.Has("shard")) {
+      std::string shard = ToLowerAscii(args.Get("shard"));
       if (shard == "on" || shard == "1" || shard == "true") {
         options.shard = true;
       } else if (shard == "off" || shard == "0" || shard == "false") {
@@ -241,15 +188,15 @@ int main(int argc, char** argv) {
         return Fail("--shard must be on or off");
       }
     }
-    if (args.count("deadline-ms")) {
-      auto deadline_ms = ParseInt64(args["deadline-ms"]);
+    if (args.Has("deadline-ms")) {
+      auto deadline_ms = ParseInt64(args.Get("deadline-ms"));
       if (!deadline_ms.ok() || *deadline_ms < 0) {
         return Fail("--deadline-ms must be a non-negative integer");
       }
       options.deadline_ms = *deadline_ms;
     }
     std::string strategy =
-        args.count("strategy") ? ToLowerAscii(args["strategy"]) : "maxfanout";
+        args.Has("strategy") ? ToLowerAscii(args.Get("strategy")) : "maxfanout";
     if (strategy == "basic") {
       options.strategy = SelectionStrategy::kBasic;
     } else if (strategy == "minchoice") {
@@ -259,13 +206,13 @@ int main(int argc, char** argv) {
     } else {
       return Fail("unknown --strategy '" + strategy + "'");
     }
-    options.incremental = args.count("apply-delta") != 0;
+    options.incremental = args.Has("apply-delta");
     auto result = RunDiva(*relation, constraints, options);
     if (!result.ok()) return Fail(result.status().ToString());
-    if (args.count("apply-delta")) {
-      std::ifstream delta_file(args["apply-delta"]);
+    if (args.Has("apply-delta")) {
+      std::ifstream delta_file(args.Get("apply-delta"));
       if (!delta_file) {
-        return Fail("cannot open delta file '" + args["apply-delta"] + "'");
+        return Fail("cannot open delta file '" + args.Get("apply-delta") + "'");
       }
       std::ostringstream delta_text;
       delta_text << delta_file.rdbuf();
@@ -282,7 +229,7 @@ int main(int argc, char** argv) {
                    delta->deleted.size(), delta->inserted.size());
       result = std::move(replayed);
     }
-    if (args.count("json")) {
+    if (args.Has("json")) {
       std::printf("%s\n", ReportToJson(result->report).c_str());
     } else {
       PrintReport(result->report);
@@ -309,10 +256,10 @@ int main(int argc, char** argv) {
 
   if (tracing) {
     trace::Disable();
-    Status written = trace::WriteChromeTrace(args["trace-out"]);
+    Status written = trace::WriteChromeTrace(args.Get("trace-out"));
     if (!written.ok()) return Fail(written.ToString());
     std::fprintf(stderr, "wrote trace %s (%llu event(s) dropped)\n",
-                 args["trace-out"].c_str(),
+                 args.Get("trace-out").c_str(),
                  static_cast<unsigned long long>(trace::DroppedEvents()));
   }
 
@@ -326,10 +273,10 @@ int main(int argc, char** argv) {
   }
   PrintQuality(output, static_cast<size_t>(*k), constraints);
 
-  if (args.count("output")) {
-    Status written = WriteCsvFile(output, args["output"]);
+  if (args.Has("output")) {
+    Status written = WriteCsvFile(output, args.Get("output"));
     if (!written.ok()) return Fail(written.ToString());
-    std::printf("wrote %s\n", args["output"].c_str());
+    std::printf("wrote %s\n", args.Get("output").c_str());
   } else {
     std::ostringstream buffer;
     DIVA_CHECK(WriteCsv(output, buffer).ok());

@@ -11,6 +11,9 @@
 //   diva_serverd [--profile pantheon|census|credit|popsyn] [--rows N]
 //       [--gen-constraints N] [serve knobs...]       # synthetic workload
 //
+// An unknown flag, a flag without its value or a --port outside
+// [0, 65535] exits 1 before the daemon binds.
+//
 // Serve knobs (defaults in serve/server.h):
 //   --host H              listen address      (default 127.0.0.1)
 //   --port P              listen port         (default 0 = ephemeral)
@@ -40,8 +43,6 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
-#include <map>
 #include <string>
 
 #include "common/mutex.h"
@@ -81,68 +82,26 @@ void HandleShutdownSignal(int) {
   std::signal(SIGINT, SIG_DFL);
 }
 
-// Same schema file format as anonymize_cli ("NAME,role,kind" per line).
-Result<std::shared_ptr<const Schema>> LoadSchemaFile(
-    const std::string& path) {
-  std::ifstream input(path);
-  if (!input) return Status::IoError("cannot open schema file: " + path);
-  std::vector<Attribute> attributes;
-  std::string line;
-  size_t line_number = 0;
-  while (std::getline(input, line)) {
-    ++line_number;
-    std::string_view trimmed = Trim(line);
-    if (trimmed.empty() || trimmed.front() == '#') continue;
-    auto parts = Split(trimmed, ',');
-    if (parts.size() != 3) {
-      return Status::InvalidArgument("schema line " +
-                                     std::to_string(line_number) +
-                                     ": expected NAME,role,kind");
-    }
-    Attribute attribute;
-    attribute.name = std::string(Trim(parts[0]));
-    std::string role = ToLowerAscii(Trim(parts[1]));
-    std::string kind = ToLowerAscii(Trim(parts[2]));
-    if (role == "id" || role == "identifier") {
-      attribute.role = AttributeRole::kIdentifier;
-    } else if (role == "qi" || role == "quasi-identifier") {
-      attribute.role = AttributeRole::kQuasiIdentifier;
-    } else if (role == "sensitive") {
-      attribute.role = AttributeRole::kSensitive;
-    } else {
-      return Status::InvalidArgument("unknown role '" + role + "'");
-    }
-    attribute.kind = (kind == "num" || kind == "numeric")
-                         ? AttributeKind::kNumeric
-                         : AttributeKind::kCategorical;
-    attributes.push_back(std::move(attribute));
-  }
-  return Schema::Make(std::move(attributes));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::map<std::string, std::string> args;
-  bool quiet = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--quiet") {
-      quiet = true;
-    } else if (StartsWith(arg, "--") && arg.find('=') != std::string::npos) {
-      size_t eq = arg.find('=');
-      args[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-    } else if (StartsWith(arg, "--") && i + 1 < argc) {
-      args[arg.substr(2)] = argv[++i];
-    } else {
-      return Fail("unexpected argument '" + arg + "' (see file header)");
-    }
+  auto parsed_args = Flags::Parse(
+      argc, argv,
+      {"input", "schema", "constraints", "profile", "rows", "gen-constraints",
+       "host", "port", "sessions", "queue", "snapshot-capacity",
+       "snapshot-max-age", "initial-cost-ms", "ewma-alpha", "wedge-timeout-ms",
+       "deadline-grace-ms", "drain-grace-ms", "pipeline-threads", "seed",
+       "run-seconds"},
+      {"quiet"});
+  if (!parsed_args.ok()) {
+    return Fail(parsed_args.status().message() + " (see file header)");
   }
+  const Flags args = std::move(parsed_args).value();
 
   auto int_arg = [&](const std::string& key, int64_t fallback,
                      int64_t min_value) -> Result<int64_t> {
-    if (!args.count(key)) return fallback;
-    auto parsed = ParseInt64(args[key]);
+    if (!args.Has(key)) return fallback;
+    auto parsed = ParseInt64(args.Get(key));
     if (!parsed.ok() || *parsed < min_value) {
       return Status::InvalidArgument("--" + key + " must be an integer >= " +
                                      std::to_string(min_value));
@@ -151,8 +110,8 @@ int main(int argc, char** argv) {
   };
   auto double_arg = [&](const std::string& key,
                         double fallback) -> Result<double> {
-    if (!args.count(key)) return fallback;
-    auto parsed = ParseDouble(args[key]);
+    if (!args.Has(key)) return fallback;
+    auto parsed = ParseDouble(args.Get(key));
     if (!parsed.ok() || *parsed <= 0.0) {
       return Status::InvalidArgument("--" + key + " must be positive");
     }
@@ -160,8 +119,8 @@ int main(int argc, char** argv) {
   };
 
   uint64_t seed = 42;
-  if (args.count("seed")) {
-    auto parsed = ParseInt64(args["seed"]);
+  if (args.Has("seed")) {
+    auto parsed = ParseInt64(args.Get("seed"));
     if (!parsed.ok()) return Fail("--seed must be an integer");
     seed = static_cast<uint64_t>(*parsed);
   }
@@ -169,18 +128,18 @@ int main(int argc, char** argv) {
   // ---- The served relation: a CSV on disk or a synthetic profile. ----
   std::shared_ptr<const Schema> schema;
   Result<Relation> relation = Status::Internal("unset");
-  if (args.count("input")) {
-    if (!args.count("schema")) {
+  if (args.Has("input")) {
+    if (!args.Has("schema")) {
       return Fail("--input requires --schema (NAME,role,kind per line)");
     }
-    auto loaded_schema = LoadSchemaFile(args["schema"]);
+    auto loaded_schema = LoadSchemaFile(args.Get("schema"));
     if (!loaded_schema.ok()) return Fail(loaded_schema.status().ToString());
     schema = *loaded_schema;
-    relation = ReadCsvFile(args["input"], schema);
+    relation = ReadCsvFile(args.Get("input"), schema);
   } else {
     DatasetProfile profile = DatasetProfile::kPopSyn;
-    if (args.count("profile")) {
-      std::string name = ToLowerAscii(args["profile"]);
+    if (args.Has("profile")) {
+      std::string name = ToLowerAscii(args.Get("profile"));
       if (name == "pantheon") {
         profile = DatasetProfile::kPantheon;
       } else if (name == "census") {
@@ -204,11 +163,11 @@ int main(int argc, char** argv) {
 
   // ---- Diversity constraints: a sigma file or generated in-memory. ----
   ConstraintSet constraints;
-  if (args.count("constraints")) {
+  if (args.Has("constraints")) {
     if (!schema) {
       return Fail("--constraints requires --schema to resolve attributes");
     }
-    auto loaded = LoadConstraintSet(*schema, args["constraints"]);
+    auto loaded = LoadConstraintSet(*schema, args.Get("constraints"));
     if (!loaded.ok()) return Fail(loaded.status().ToString());
     constraints = std::move(loaded).value();
   } else {
@@ -227,7 +186,7 @@ int main(int argc, char** argv) {
 
   // ---- Serve knobs onto ServerOptions. ----
   serve::ServerOptions options;
-  options.host = args.count("host") ? args["host"] : options.host;
+  options.host = args.Has("host") ? args.Get("host") : options.host;
   options.seed = seed;
   struct IntKnob {
     const char* key;
@@ -270,7 +229,7 @@ int main(int argc, char** argv) {
   auto run_seconds = int_arg("run-seconds", 0, 0);
   if (!run_seconds.ok()) return Fail(run_seconds.status().ToString());
 
-  if (!quiet) {
+  if (!args.Has("quiet")) {
     options.logger = [](const std::string& message) {
       // Server::Log already prefixes "diva_serverd: ".
       std::fprintf(stderr, "%s\n", message.c_str());

@@ -5,13 +5,19 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <fstream>
+#include <map>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/deadline.h"
+#include "common/string_util.h"
 #include "core/diva.h"
 #include "metrics/metrics.h"
 #include "relation/relation.h"
+#include "relation/schema.h"
 
 namespace diva {
 namespace examples {
@@ -62,6 +68,106 @@ inline void InstallSignalHygiene() {
   (void)Interrupted();
   std::signal(SIGPIPE, SIG_IGN);
   std::signal(SIGINT, internal::HandleInterrupt);
+}
+
+/// ------------------------------------------------------------------
+/// Command lines. A flag that takes a value is given as "--name value"
+/// or "--name=value", a switch as a bare "--name". Parse rejects a
+/// positional argument, an unknown flag, a flag without its value and a
+/// switch given a value, so a typo stops the tool before it does any
+/// work instead of running it on a default.
+class Flags {
+ public:
+  static Result<Flags> Parse(int argc, char** argv,
+                             const std::set<std::string>& valued,
+                             const std::set<std::string>& switches) {
+    Flags flags;
+    for (int i = 1; i < argc; ++i) {
+      std::string arg = argv[i];
+      if (!StartsWith(arg, "--")) {
+        return Status::InvalidArgument("unexpected argument " + arg);
+      }
+      size_t eq = arg.find('=');
+      std::string name = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+      if (switches.count(name)) {
+        if (eq != std::string::npos) {
+          return Status::InvalidArgument("--" + name + " takes no value");
+        }
+        flags.values_[name].emplace_back();
+      } else if (!valued.count(name)) {
+        return Status::InvalidArgument("unknown flag --" + name);
+      } else if (eq != std::string::npos) {
+        flags.values_[name].push_back(arg.substr(eq + 1));
+      } else if (i + 1 < argc) {
+        flags.values_[name].emplace_back(argv[++i]);
+      } else {
+        return Status::InvalidArgument("--" + name + " needs a value");
+      }
+    }
+    return flags;
+  }
+
+  bool Has(const std::string& name) const { return values_.count(name) != 0; }
+
+  /// The flag's last value ("" when absent or a switch).
+  std::string Get(const std::string& name) const {
+    auto it = values_.find(name);
+    return it == values_.end() ? std::string() : it->second.back();
+  }
+
+  /// Every value the flag was given, in command-line order.
+  std::vector<std::string> GetAll(const std::string& name) const {
+    auto it = values_.find(name);
+    return it == values_.end() ? std::vector<std::string>() : it->second;
+  }
+
+ private:
+  std::map<std::string, std::vector<std::string>> values_;
+};
+
+/// Loads a schema file: one attribute per line, "NAME,role,kind" with
+/// role id|qi|sensitive (or identifier|quasi-identifier) and kind
+/// cat|num (or categorical|numeric); blank lines and '#' comments are
+/// skipped. An unknown role or kind is an error naming its line.
+inline Result<std::shared_ptr<const Schema>> LoadSchemaFile(
+    const std::string& path) {
+  std::ifstream input(path);
+  if (!input) return Status::IoError("cannot open schema file: " + path);
+  std::vector<Attribute> attributes;
+  std::string line;
+  size_t line_number = 0;
+  while (std::getline(input, line)) {
+    ++line_number;
+    std::string_view trimmed = Trim(line);
+    if (trimmed.empty() || trimmed.front() == '#') continue;
+    const std::string where = "schema line " + std::to_string(line_number);
+    auto parts = Split(trimmed, ',');
+    if (parts.size() != 3) {
+      return Status::InvalidArgument(where + ": expected NAME,role,kind");
+    }
+    Attribute attribute;
+    attribute.name = std::string(Trim(parts[0]));
+    std::string role = ToLowerAscii(Trim(parts[1]));
+    std::string kind = ToLowerAscii(Trim(parts[2]));
+    if (role == "id" || role == "identifier") {
+      attribute.role = AttributeRole::kIdentifier;
+    } else if (role == "qi" || role == "quasi-identifier") {
+      attribute.role = AttributeRole::kQuasiIdentifier;
+    } else if (role == "sensitive") {
+      attribute.role = AttributeRole::kSensitive;
+    } else {
+      return Status::InvalidArgument(where + ": unknown role '" + role + "'");
+    }
+    if (kind == "num" || kind == "numeric") {
+      attribute.kind = AttributeKind::kNumeric;
+    } else if (kind == "cat" || kind == "categorical") {
+      attribute.kind = AttributeKind::kCategorical;
+    } else {
+      return Status::InvalidArgument(where + ": unknown kind '" + kind + "'");
+    }
+    attributes.push_back(std::move(attribute));
+  }
+  return Schema::Make(std::move(attributes));
 }
 
 /// Prints a relation as an aligned text table (up to `max_rows` rows).

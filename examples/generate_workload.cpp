@@ -13,13 +13,12 @@
 
 #include <cstdio>
 #include <fstream>
-#include <map>
-#include <set>
 #include <string>
 
 #include "common/string_util.h"
 #include "constraint/generator.h"
 #include "datagen/profiles.h"
+#include "examples/example_util.h"
 #include "relation/csv.h"
 
 namespace {
@@ -60,20 +59,14 @@ const char* KindToken(AttributeKind kind) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::set<std::string> kFlags = {"profile", "rows", "constraints",
-                                        "seed", "prefix"};
-  std::map<std::string, std::string> args;
-  for (int i = 1; i < argc; i += 2) {
-    std::string arg = argv[i];
-    if (!StartsWith(arg, "--")) return UsageError("unexpected argument " + arg);
-    if (!kFlags.count(arg.substr(2))) return UsageError("unknown flag " + arg);
-    if (i + 1 == argc) return UsageError(arg + " needs a value");
-    args[arg.substr(2)] = argv[i + 1];
-  }
+  auto parsed_args = examples::Flags::Parse(
+      argc, argv, {"profile", "rows", "constraints", "seed", "prefix"}, {});
+  if (!parsed_args.ok()) return UsageError(parsed_args.status().message());
+  const examples::Flags args = std::move(parsed_args).value();
 
   DatasetProfile profile = DatasetProfile::kPopSyn;
-  if (args.count("profile")) {
-    std::string name = ToLowerAscii(args["profile"]);
+  if (args.Has("profile")) {
+    std::string name = ToLowerAscii(args.Get("profile"));
     if (name == "pantheon") {
       profile = DatasetProfile::kPantheon;
     } else if (name == "census") {
@@ -89,13 +82,13 @@ int main(int argc, char** argv) {
 
   ProfileOptions options;
   options.seed = 42;
-  if (args.count("seed")) {
-    auto seed = ParseInt64(args["seed"]);
+  if (args.Has("seed")) {
+    auto seed = ParseInt64(args.Get("seed"));
     if (!seed.ok()) return Fail("--seed must be an integer");
     options.seed = static_cast<uint64_t>(*seed);
   }
-  if (args.count("rows")) {
-    auto rows = ParseInt64(args["rows"]);
+  if (args.Has("rows")) {
+    auto rows = ParseInt64(args.Get("rows"));
     if (!rows.ok() || *rows < 1) return Fail("--rows must be positive");
     options.num_rows = static_cast<size_t>(*rows);
   }
@@ -105,8 +98,8 @@ int main(int argc, char** argv) {
 
   ConstraintGenOptions gen;
   gen.count = DefaultConstraintCount(profile);
-  if (args.count("constraints")) {
-    auto count = ParseInt64(args["constraints"]);
+  if (args.Has("constraints")) {
+    auto count = ParseInt64(args.Get("constraints"));
     if (!count.ok() || *count < 0) return Fail("--constraints must be >= 0");
     gen.count = static_cast<size_t>(*count);
   }
@@ -115,7 +108,7 @@ int main(int argc, char** argv) {
   auto constraints = GenerateConstraints(*relation, gen);
   if (!constraints.ok()) return Fail(constraints.status().ToString());
 
-  std::string prefix = args.count("prefix") ? args["prefix"] : "workload";
+  std::string prefix = args.Has("prefix") ? args.Get("prefix") : "workload";
 
   std::string data_path = prefix + "_data.csv";
   Status written = WriteCsvFile(*relation, data_path);

@@ -15,6 +15,9 @@
 //       [--deadline-ms N] [--trace-out trace.json]
 //   verify_cli --list-failpoints
 //
+// An unknown flag or a flag without its value exits 2 before anything
+// is read.
+//
 // --list-failpoints prints every fault-injection site compiled into the
 // library (one per line) and exits — the names DIVA_FAILPOINTS accepts.
 //
@@ -33,8 +36,6 @@
 // DIVA_DEADLINE_MS environment knob.
 
 #include <cstdio>
-#include <fstream>
-#include <map>
 #include <string>
 
 #include "anon/privacy.h"
@@ -61,9 +62,6 @@ int Fail(const std::string& message) {
   return 2;
 }
 
-// Same schema file format as anonymize_cli.
-Result<std::shared_ptr<const Schema>> LoadSchemaFile(const std::string& path);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -71,41 +69,34 @@ int main(int argc, char** argv) {
   // with everything already checked flushed; a dead pager is a write
   // error, not SIGPIPE.
   InstallSignalHygiene();
-  std::map<std::string, std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--list-failpoints") {
-      // The live fault-injection site table, for composing
-      // DIVA_FAILPOINTS specs (misspelled sites are rejected at parse).
-      for (const std::string& name : failpoint::KnownFailpoints()) {
-        std::printf("%s\n", name.c_str());
-      }
-      return 0;
+  auto parsed_args = Flags::Parse(
+      argc, argv,
+      {"input", "schema", "k", "l", "t", "constraints", "original",
+       "expected-stars", "threads", "deadline-ms", "trace-out"},
+      {"list-failpoints"});
+  if (!parsed_args.ok()) return Fail(parsed_args.status().message());
+  const Flags args = std::move(parsed_args).value();
+  if (args.Has("list-failpoints")) {
+    // The live fault-injection site table, for composing
+    // DIVA_FAILPOINTS specs (misspelled sites are rejected at parse).
+    for (const std::string& name : failpoint::KnownFailpoints()) {
+      std::printf("%s\n", name.c_str());
     }
-    if (!StartsWith(arg, "--")) return Fail("unexpected argument " + arg);
-    size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      // --key=value form (e.g. --trace-out=t.json).
-      args[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-    } else if (i + 1 < argc) {
-      args[arg.substr(2)] = argv[++i];
-    } else {
-      return Fail("missing value for argument " + arg);
-    }
+    return 0;
   }
-  if (!args.count("input") || !args.count("schema") || !args.count("k")) {
+  if (!args.Has("input") || !args.Has("schema") || !args.Has("k")) {
     return Fail("--input, --schema and --k are required");
   }
 
-  auto schema = LoadSchemaFile(args["schema"]);
+  auto schema = LoadSchemaFile(args.Get("schema"));
   if (!schema.ok()) return Fail(schema.status().ToString());
-  auto relation = ReadCsvFile(args["input"], *schema);
+  auto relation = ReadCsvFile(args.Get("input"), *schema);
   if (!relation.ok()) return Fail(relation.status().ToString());
-  auto k = ParseInt64(args["k"]);
+  auto k = ParseInt64(args.Get("k"));
   if (!k.ok() || *k < 1) return Fail("--k must be a positive integer");
 
-  if (args.count("threads")) {
-    auto threads = ParseInt64(args["threads"]);
+  if (args.Has("threads")) {
+    auto threads = ParseInt64(args.Get("threads"));
     if (!threads.ok() || *threads < 0) {
       return Fail("--threads must be a non-negative integer");
     }
@@ -115,8 +106,8 @@ int main(int argc, char** argv) {
   }
 
   int64_t deadline_ms = EnvDeadlineMillis();
-  if (args.count("deadline-ms")) {
-    auto parsed = ParseInt64(args["deadline-ms"]);
+  if (args.Has("deadline-ms")) {
+    auto parsed = ParseInt64(args.Get("deadline-ms"));
     if (!parsed.ok() || *parsed < 0) {
       return Fail("--deadline-ms must be a non-negative integer");
     }
@@ -138,39 +129,39 @@ int main(int argc, char** argv) {
     return true;
   };
 
-  const bool tracing = args.count("trace-out") != 0;
+  const bool tracing = args.Has("trace-out");
   if (tracing) trace::Enable();
 
   bool all_ok = true;
 
   bool k_anonymous = IsKAnonymous(*relation, static_cast<size_t>(*k));
-  std::printf("%-28s %s\n", ("k-anonymity (k=" + args["k"] + ")").c_str(),
+  std::printf("%-28s %s\n", ("k-anonymity (k=" + args.Get("k") + ")").c_str(),
               k_anonymous ? "PASS" : "FAIL");
   all_ok &= k_anonymous;
 
-  if (args.count("l") && !out_of_time()) {
-    auto l = ParseInt64(args["l"]);
+  if (args.Has("l") && !out_of_time()) {
+    auto l = ParseInt64(args.Get("l"));
     if (!l.ok() || *l < 1) return Fail("--l must be a positive integer");
     bool diverse = IsDistinctLDiverse(*relation, static_cast<size_t>(*l));
-    std::printf("%-28s %s\n", ("l-diversity (l=" + args["l"] + ")").c_str(),
+    std::printf("%-28s %s\n", ("l-diversity (l=" + args.Get("l") + ")").c_str(),
                 diverse ? "PASS" : "FAIL");
     all_ok &= diverse;
   }
 
-  if (args.count("t") && !out_of_time()) {
-    auto t = ParseDouble(args["t"]);
+  if (args.Has("t") && !out_of_time()) {
+    auto t = ParseDouble(args.Get("t"));
     if (!t.ok() || *t < 0.0) return Fail("--t must be non-negative");
     double distance = TClosenessDistance(*relation);
     bool close = distance <= *t + 1e-12;
     std::printf("%-28s %s (measured t = %.4f)\n",
-                ("t-closeness (t=" + args["t"] + ")").c_str(),
+                ("t-closeness (t=" + args.Get("t") + ")").c_str(),
                 close ? "PASS" : "FAIL", distance);
     all_ok &= close;
   }
 
   ConstraintSet sigma;
-  if (args.count("constraints") && !out_of_time()) {
-    auto constraints = LoadConstraintSet(**schema, args["constraints"]);
+  if (args.Has("constraints") && !out_of_time()) {
+    auto constraints = LoadConstraintSet(**schema, args.Get("constraints"));
     if (!constraints.ok()) return Fail(constraints.status().ToString());
     sigma = *constraints;
     const std::vector<size_t> counts =
@@ -192,12 +183,12 @@ int main(int argc, char** argv) {
     all_ok &= violated.empty();
   }
 
-  if (args.count("original") && !out_of_time()) {
-    auto original = ReadCsvFile(args["original"], *schema);
+  if (args.Has("original") && !out_of_time()) {
+    auto original = ReadCsvFile(args.Get("original"), *schema);
     if (!original.ok()) return Fail(original.status().ToString());
     AuditOptions audit_options;
-    if (args.count("expected-stars")) {
-      auto expected = ParseInt64(args["expected-stars"]);
+    if (args.Has("expected-stars")) {
+      auto expected = ParseInt64(args.Get("expected-stars"));
       if (!expected.ok() || *expected < 0) {
         return Fail("--expected-stars must be a non-negative integer");
       }
@@ -219,9 +210,9 @@ int main(int argc, char** argv) {
 
   if (tracing) {
     trace::Disable();
-    Status written = trace::WriteChromeTrace(args["trace-out"]);
+    Status written = trace::WriteChromeTrace(args.Get("trace-out"));
     if (!written.ok()) return Fail(written.ToString());
-    std::fprintf(stderr, "wrote trace %s\n", args["trace-out"].c_str());
+    std::fprintf(stderr, "wrote trace %s\n", args.Get("trace-out").c_str());
   }
 
   // An incomplete verification must not look like a verdict: checks that
@@ -229,45 +220,3 @@ int main(int argc, char** argv) {
   if (incomplete) return 3;
   return all_ok ? 0 : 1;
 }
-
-namespace {
-
-Result<std::shared_ptr<const Schema>> LoadSchemaFile(
-    const std::string& path) {
-  std::ifstream input(path);
-  if (!input) return Status::IoError("cannot open schema file: " + path);
-  std::vector<Attribute> attributes;
-  std::string line;
-  size_t line_number = 0;
-  while (std::getline(input, line)) {
-    ++line_number;
-    std::string_view trimmed = Trim(line);
-    if (trimmed.empty() || trimmed.front() == '#') continue;
-    auto parts = Split(trimmed, ',');
-    if (parts.size() != 3) {
-      return Status::InvalidArgument("schema line " +
-                                     std::to_string(line_number) +
-                                     ": expected NAME,role,kind");
-    }
-    Attribute attribute;
-    attribute.name = std::string(Trim(parts[0]));
-    std::string role = ToLowerAscii(Trim(parts[1]));
-    std::string kind = ToLowerAscii(Trim(parts[2]));
-    if (role == "id" || role == "identifier") {
-      attribute.role = AttributeRole::kIdentifier;
-    } else if (role == "qi" || role == "quasi-identifier") {
-      attribute.role = AttributeRole::kQuasiIdentifier;
-    } else if (role == "sensitive") {
-      attribute.role = AttributeRole::kSensitive;
-    } else {
-      return Status::InvalidArgument("unknown role '" + role + "'");
-    }
-    attribute.kind = (kind == "num" || kind == "numeric")
-                         ? AttributeKind::kNumeric
-                         : AttributeKind::kCategorical;
-    attributes.push_back(std::move(attribute));
-  }
-  return Schema::Make(std::move(attributes));
-}
-
-}  // namespace

@@ -33,7 +33,7 @@ std::map<std::string, Entry>& Registry() DIVA_REQUIRES(g_mutex) {
 constinit thread_local Buffer* tl_deterministic_buffer = nullptr;
 
 void Buffer::Add(Cell* cell, uint64_t delta) {
-  // Coalesce counter bumps per cell: a speculative attempt touches only
+  // Coalesce counter bumps per cell: a buffered shard run touches only
   // a handful of distinct deterministic counters, so a linear scan beats
   // a hash map here.
   for (Op& op : ops_) {

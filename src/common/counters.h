@@ -64,12 +64,13 @@ inline void Add(Cell* cell, uint64_t delta) {
   cell->value.fetch_add(delta, std::memory_order_relaxed);
 }
 
-/// Deferred batch of deterministic-scope updates. Speculative work (a
-/// coloring attempt run ahead of its sequential turn) records into a
-/// Buffer instead of the global cells; the driver Commit()s the buffer
-/// only if that work is adopted, so unadopted speculation leaves no
-/// trace in the deterministic fingerprint. Not thread-safe: one buffer
-/// belongs to one worker at a time.
+/// Deferred batch of deterministic-scope updates. Work whose telemetry
+/// must land in a fixed order, or not at all, records into a Buffer
+/// instead of the global cells: the shard driver Commit()s each shard's
+/// buffer in shard-index order and Discard()s them all when a shard
+/// fails, and a snapshot keeps a shard's buffer to replay when a later
+/// delta adopts it. Not thread-safe: one buffer belongs to one worker
+/// at a time.
 class Buffer {
  public:
   void Add(Cell* cell, uint64_t delta);
@@ -103,7 +104,7 @@ extern constinit thread_local Buffer* tl_deterministic_buffer;
 /// RAII: while alive, deterministic-scope updates made on the current
 /// thread accumulate in `buffer` instead of the registry. Execution-
 /// scope updates are never redirected — they are allowed to see
-/// speculative work. Nests: the previous redirect is restored on exit.
+/// discarded work. Nests: the previous redirect is restored on exit.
 class ScopedBufferedCounters {
  public:
   explicit ScopedBufferedCounters(Buffer* buffer)
@@ -201,7 +202,7 @@ void ResetForTest();
 
 /// Adds `delta` to a deterministic counter (identical totals at every
 /// thread width). Honors the ScopedBufferedCounters redirect so
-/// speculative work stays out of the fingerprint until adopted.
+/// buffered work stays out of the fingerprint until committed.
 #define DIVA_COUNTER_ADD(name, delta)                                 \
   ::diva::counters::AddDeterministic(                                 \
       DIVA_COUNTER_CELL_(name, kCounter, kDeterministic),             \

@@ -366,7 +366,7 @@ void RunTasks(size_t count, const std::function<void(size_t)>& fn) {
 }
 
 struct TaskGroup::Impl {
-  enum class State { kPending, kClaimed, kDone, kAbandoned };
+  enum class State { kPending, kClaimed, kDone };
 
   struct Item {
     std::function<void()> fn;
@@ -444,10 +444,6 @@ TaskGroup::~TaskGroup() {
     MutexLock lock(impl_->mutex);
     // Retract everything nobody claimed; claimed items drain in the
     // worker that owns them before it observes shutdown.
-    for (uint64_t ticket : impl_->pending) {
-      impl_->items.at(ticket).state = Impl::State::kAbandoned;
-      impl_->items.at(ticket).fn = nullptr;
-    }
     impl_->pending.clear();
     impl_->shutdown = true;
   }
@@ -487,8 +483,6 @@ void TaskGroup::Wait(uint64_t ticket) {
       auto it = impl_->items.find(ticket);
       DIVA_CHECK_MSG(it != impl_->items.end(),
                      "TaskGroup::Wait on unknown ticket");
-      DIVA_CHECK_MSG(it->second.state != Impl::State::kAbandoned,
-                     "TaskGroup::Wait on abandoned ticket");
       if (it->second.state == Impl::State::kDone) {
         std::exception_ptr error = it->second.error;
         if (error != nullptr) std::rethrow_exception(error);
@@ -505,32 +499,6 @@ void TaskGroup::Wait(uint64_t ticket) {
     DIVA_COUNTER_ADD_EXEC("taskgroup.claimed_by_waiter", 1);
     impl_->RunItem(help_ticket, help_fn);
   }
-}
-
-bool TaskGroup::TryAbandon(uint64_t ticket) {
-  MutexLock lock(impl_->mutex);
-  auto it = impl_->items.find(ticket);
-  DIVA_CHECK_MSG(it != impl_->items.end(),
-                 "TaskGroup::TryAbandon on unknown ticket");
-  if (it->second.state != Impl::State::kPending) return false;
-  it->second.state = Impl::State::kAbandoned;
-  it->second.fn = nullptr;
-  auto pos = std::find(impl_->pending.begin(), impl_->pending.end(), ticket);
-  DIVA_CHECK(pos != impl_->pending.end());
-  impl_->pending.erase(pos);
-  DIVA_COUNTER_ADD_EXEC("taskgroup.abandoned", 1);
-  return true;
-}
-
-void TaskGroup::AbandonAll() {
-  MutexLock lock(impl_->mutex);
-  for (uint64_t ticket : impl_->pending) {
-    Impl::Item& item = impl_->items.at(ticket);
-    item.state = Impl::State::kAbandoned;
-    item.fn = nullptr;
-    DIVA_COUNTER_ADD_EXEC("taskgroup.abandoned", 1);
-  }
-  impl_->pending.clear();
 }
 
 ScopedLoopCancellation::ScopedLoopCancellation(CancellationToken token)

@@ -98,7 +98,7 @@ size_t ParallelFor(size_t count, size_t grain,
                    const std::function<void(size_t, size_t)>& body);
 
 /// Task parallelism for a handful of coarse, independent computations
-/// (e.g. the portfolio coloring's speculative searches): runs fn(0) ..
+/// (e.g. the portfolio coloring's independent searches): runs fn(0) ..
 /// fn(count-1) concurrently on dedicated threads (task 0 on the caller)
 /// and blocks until all finish. Unlike ParallelFor bodies, tasks ARE
 /// allowed to use ParallelFor internally — they are top-level work; when
@@ -112,28 +112,23 @@ void RunTasks(size_t count, const std::function<void(size_t)>& fn);
 
 /// A small pool of dedicated threads executing submitted closures with
 /// DETERMINISTIC CLAIM ORDERING: pending items are claimed strictly in
-/// submission (FIFO) order, never by arrival luck, so "the lowest
-/// submitted index runs first" is a guarantee callers can build
-/// deterministic adoption rules on (the speculative coloring search
-/// adopts the lowest-index attempt whose speculative run is provably
-/// identical to its sequential turn). Unlike ThreadPool this is task
-/// (not loop) parallelism, and unlike RunTasks the submitter does not
-/// block at submission: it collects a ticket per item and settles them
-/// later, in any order it likes.
+/// submission (FIFO) order, never by arrival luck. Unlike ThreadPool
+/// this is task (not loop) parallelism, and unlike RunTasks the
+/// submitter does not block at submission: it collects a ticket per item
+/// and settles them later, in any order it likes. The shard driver runs
+/// one item per conflict component on it; the serving daemon hosts its
+/// accept, session and watchdog loops on one.
 ///
-/// Speculative-cancel support: TryAbandon(ticket) atomically retracts an
-/// item nobody claimed yet — the caller then owns running that work
-/// itself (typically inline, under sequential semantics). AbandonAll
-/// retracts every still-pending item at once. Claimed items always run
-/// to completion; abandonment never interrupts a running closure (use a
-/// CancellationToken inside the closure for that).
+/// Claimed items always run to completion. Destroying the group retracts
+/// every item nobody claimed yet, so a caller whose Wait threw can unwind
+/// without running the rest of its batch.
 class TaskGroup {
  public:
   /// Spawns exactly `workers` dedicated threads (0 is allowed: every
   /// item then runs inline inside Wait's helping loop).
   explicit TaskGroup(size_t workers);
 
-  /// Abandons all still-pending items and joins the workers. Claimed
+  /// Retracts all still-pending items and joins the workers. Claimed
   /// items finish first.
   ~TaskGroup();
 
@@ -151,16 +146,7 @@ class TaskGroup {
   /// first exception it raised (if any). While waiting, the caller helps:
   /// it claims and runs pending items in FIFO order (possibly the waited
   /// item itself), so progress never depends on a worker being free.
-  /// It is a fatal error to Wait on an abandoned ticket.
   void Wait(uint64_t ticket);
-
-  /// Retracts a still-pending item: returns true and transfers ownership
-  /// of the work back to the caller iff nobody claimed it yet. Returns
-  /// false when the item is already claimed, done, or abandoned.
-  bool TryAbandon(uint64_t ticket);
-
-  /// TryAbandon for every pending item.
-  void AbandonAll();
 
  private:
   struct Impl;

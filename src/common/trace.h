@@ -128,13 +128,13 @@ std::string ToChromeJson(const std::vector<SpanEvent>& events);
 
 class Span;
 
-/// Redirect sink for speculative work. While installed on a thread (see
+/// Redirect sink for deferred work. While installed on a thread (see
 /// ScopedBufferedSpans), spans closed on that thread collect here
 /// instead of in the global capture; the owner later either Commit()s
 /// them into the committing thread's capture buffer or Discard()s them.
-/// The coloring driver uses this so a trace only ever shows the spans of
-/// adopted speculative work — the same attribution rule as the
-/// deterministic counters (counters::Buffer).
+/// The shard driver uses this so a trace shows each shard's spans in
+/// shard-index order, and none from a failed run — the same attribution
+/// rule as the deterministic counters (counters::Buffer).
 ///
 /// Single-threaded object: recorded on one thread, committed or
 /// discarded on one (possibly different) thread, with the handoff

@@ -756,109 +756,19 @@ ColoringOutcome ColorConstraints(const Relation& relation,
     return pass;
   };
 
-  // Speculative search runs every restart attempt ahead on idle threads
-  // and adopts results in attempt order, each only when provably
-  // identical to the sequential schedule (see the adoption rule below).
-  // Disabled when the search is externally cancellable: a truncated run
-  // is scheduling-dependent by nature, so nothing speculative could ever
-  // be adopted deterministically.
-  const bool speculate = options.speculation && options.cancel == nullptr &&
-                         !options.deadline.CanBeCancelled();
-  size_t workers = 0;
-  if (speculate) {
-    size_t threads = ParallelThreads();
-    // The main thread adopts and re-runs; attempts beyond the first are
-    // speculative, so more workers than remaining attempts is waste.
-    workers = threads > 1
-                  ? std::min<size_t>(threads - 1, kMaxAttempts - 1)
-                  : 0;
-  }
-  std::atomic<bool> spec_cancel{false};
-  struct Slot {
-    std::unique_ptr<ColoringEngine> engine;
-    ColoringOutcome outcome;
-    counters::Buffer buffer;
-    trace::SpanBuffer spans;
-    uint64_t ticket = 0;
-  };
-  std::vector<Slot> slots(kMaxAttempts);
-  // Declared after everything its workers touch (context, slots): the
-  // group's destructor joins in-flight losers before any of it dies.
-  TaskGroup group(workers);
-
-  // Runs attempt `attempt` inline on this thread under the exact
-  // sequential budget, keeping the engine alive in its slot (attempt 0's
-  // memo feeds the greedy pass).
-  auto run_inline = [&](int attempt, uint64_t pass_budget) {
-    ColoringOptions pass = attempt_options(attempt);
-    pass.step_budget = pass_budget;
-    Slot& slot = slots[attempt];
-    slot.engine = std::make_unique<ColoringEngine>(
-        relation, constraints, graph, context, pass, /*forward_check=*/true);
-    slot.outcome = slot.engine->Run();
-  };
-
-  if (workers > 0) {
-    // Launch all attempts with the full strict budget; adoption decides
-    // per attempt whether the speculative run matches what the
-    // sequential budget would have produced.
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      Slot* slot = &slots[attempt];
-      ColoringOptions pass = attempt_options(attempt);
-      pass.step_budget = strict_budget;
-      pass.cancel = &spec_cancel;
-      slot->ticket = group.Submit(
-          [slot, pass, &relation, &constraints, &graph, &context] {
-            // Deterministic-scope counters and trace spans go into the
-            // slot's buffers and are committed only if this run is
-            // adopted — the global totals and the captured trace see
-            // exactly the sequential schedule's work, in adoption order.
-            counters::ScopedBufferedCounters buffered(&slot->buffer);
-            trace::ScopedBufferedSpans span_scope(&slot->spans);
-            slot->engine = std::make_unique<ColoringEngine>(
-                relation, constraints, graph, context, pass,
-                /*forward_check=*/true);
-            slot->outcome = slot->engine->Run();
-          });
-    }
-  }
-  // The attempt schedule. Without workers every attempt runs inline:
-  // that sequential schedule is the reference semantics speculation
-  // reproduces.
+  // Attempt 0's engine outlives the loop: its memo feeds the greedy pass.
+  std::unique_ptr<ColoringEngine> first_engine;
   for (int attempt = 0; spent < strict_budget && attempt < kMaxAttempts &&
                         !options.deadline.Cancelled();
        ++attempt) {
     DIVA_TRACE_SPAN_RANGE("coloring/attempt", attempt, attempt + 1);
     DIVA_COUNTER_ADD("coloring.attempts", 1);
-    uint64_t b = strict_budget - spent;
-    Slot& slot = slots[attempt];
-    if (workers == 0 || group.TryAbandon(slot.ticket)) {
-      // Sequential, or never started: run it here, exactly as the
-      // sequential schedule would.
-      run_inline(attempt, b);
-    } else {
-      group.Wait(slot.ticket);
-      // Adoption rule: the speculative run used budget strict_budget;
-      // the sequential schedule would have used b <= strict_budget.
-      // The step counter is monotone and the budget check trips only
-      // at steps > limit, so a run that finished within b steps never
-      // saw a check the sequential run would have failed — its whole
-      // trajectory, outcome, and counter deltas are byte-identical.
-      // (b == strict_budget means the budgets agree outright.)
-      if (slot.outcome.steps <= b || b == strict_budget) {
-        slot.buffer.Commit();
-        slot.spans.Commit();
-        DIVA_COUNTER_ADD_EXEC("coloring.spec_adopted", 1);
-      } else {
-        // Overran the sequential budget: discard and re-run inline
-        // under the exact budget.
-        slot.buffer.Discard();
-        slot.spans.Discard();
-        DIVA_COUNTER_ADD_EXEC("coloring.spec_reruns", 1);
-        run_inline(attempt, b);
-      }
-    }
-    ColoringOutcome outcome = std::move(slot.outcome);
+    ColoringOptions pass = attempt_options(attempt);
+    pass.step_budget = strict_budget - spent;
+    auto engine = std::make_unique<ColoringEngine>(
+        relation, constraints, graph, context, pass, /*forward_check=*/true);
+    ColoringOutcome outcome = engine->Run();
+    if (attempt == 0) first_engine = std::move(engine);
     spent += outcome.steps;
     if (outcome.NumColored() > best.NumColored()) {
       uint64_t steps_so_far = spent;
@@ -866,10 +776,7 @@ ColoringOutcome ColorConstraints(const Relation& relation,
       best.steps = steps_so_far;
     }
     if (best.complete) break;
-    if (attempt != 0) slot.engine.reset();
   }
-  spec_cancel.store(true, std::memory_order_relaxed);
-  group.AbandonAll();
   if (best.complete) return best;
 
   // An expired deadline skips the greedy pass: what we have is the
@@ -892,8 +799,8 @@ ColoringOutcome ColorConstraints(const Relation& relation,
   // seeds from options.seed, so attempt 0's memo is directly reusable —
   // the memo is semantically transparent, so this changes no outcome,
   // only enumeration time.
-  if (slots[0].engine != nullptr) {
-    greedy.ImportMemo(slots[0].engine->ExportMemo());
+  if (first_engine != nullptr) {
+    greedy.ImportMemo(first_engine->ExportMemo());
   }
   ColoringOutcome fallback = greedy.Run();
   fallback.steps += spent;
@@ -915,7 +822,7 @@ ColoringOutcome ColorConstraintsPortfolio(const Relation& relation,
   }
   std::atomic<bool> cancel{false};
   std::vector<ColoringOutcome> outcomes(threads);
-  // Coarse task parallelism (not a fork-join loop): each speculative
+  // Coarse task parallelism (not a fork-join loop): each portfolio
   // search is free to use the data-parallel layer internally.
   RunTasks(threads, [&](size_t t) {
     ColoringOptions worker_options = options;

@@ -44,9 +44,8 @@ struct ColoringOptions {
 
   /// Cooperative cancellation: when set and *cancel becomes true, the
   /// search stops at the next step and returns its best partial outcome.
-  /// The speculation driver uses it to stop attempts it will not adopt,
-  /// the portfolio driver to stop the losing searches; null = never
-  /// cancelled.
+  /// The portfolio driver uses it to stop the losing searches; null =
+  /// never cancelled.
   const std::atomic<bool>* cancel = nullptr;
 
   /// Deadline-driven cancellation (the anytime mode of RunDiva): when the
@@ -78,18 +77,6 @@ struct ColoringOptions {
   /// Memoized candidate lists retained per search engine before the memo
   /// is dropped wholesale (epoch eviction) to bound memory.
   size_t memo_capacity = 2048;
-
-  /// Deterministic speculative search: restart attempts run ahead on
-  /// idle threads and the driver adopts results in attempt order, each
-  /// one only when it is provably identical to what the sequential
-  /// schedule would have computed (otherwise that attempt is re-run
-  /// inline under exact sequential semantics). Output, step/backtrack
-  /// counts, and every deterministic counter are byte-identical to
-  /// speculation = false at any thread width; the knob only trades
-  /// threads for wall time. Automatically disabled when the search can
-  /// be cancelled externally (options.cancel / deadline), because a
-  /// truncated run is scheduling-dependent by nature.
-  bool speculation = true;
 
   /// Knobs of the per-node candidate enumeration. Candidates are
   /// regenerated each time a node is tried (or replayed from the memo),

@@ -167,11 +167,6 @@ void RunOneShard(const ColumnStore& store, const ConstraintSet& constraints,
   local_options.seed = ShardSeed(base_options.seed, shard_index);
   local_options.enumeration.seed =
       ShardSeed(base_options.enumeration.seed, shard_index);
-  // The shard fan-out *is* the run's thread-level parallelism; attempt
-  // speculation inside a shard would nest a second TaskGroup per worker.
-  // Speculation never changes bytes, so disabling it here keeps the two
-  // execution modes symmetric for free.
-  local_options.speculation = false;
 
   run->outcome =
       ColorConstraints(sub, local_constraints, local_graph, local_options);

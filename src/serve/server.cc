@@ -73,6 +73,11 @@ Server::~Server() { Stop(); }
 
 Status Server::Start() {
   if (threads_ != nullptr) return Status::Internal("server already started");
+  if (options_.port < 0 || options_.port > 65535) {
+    return Status::InvalidArgument("listen port " +
+                                   std::to_string(options_.port) +
+                                   " is outside [0, 65535]");
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     return Status::IoError(std::string("socket failed: ") +

@@ -2,6 +2,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 
 #include "common/counters.h"
 #include "common/parallel.h"
@@ -406,7 +407,7 @@ TEST(ColoringTest, MemoDisabledOrEvictingIsByteIdentical) {
   EXPECT_GT(CounterDelta(delta, "coloring.memo_evictions"), 0u);
 }
 
-// ------------------------------------------------------------ speculation
+// ------------------------------------------------------------ widths
 
 std::vector<counters::Sample> DeterministicDelta(
     const std::vector<counters::Sample>& before) {
@@ -414,55 +415,64 @@ std::vector<counters::Sample> DeterministicDelta(
                                counters::Scope::kDeterministic);
 }
 
-// The tentpole determinism contract: with speculative attempt search
-// enabled (the default), the outcome AND every deterministic counter —
-// steps, backtracks, memo traffic — are byte-identical at
-// every thread width. Counter/trace attribution is what makes this
-// hold: unadopted speculative attempts buffer their deterministic
-// updates and discard them.
-TEST(SpeculationTest, OutcomeAndCountersAgreeAcrossThreadWidths) {
-  StressWorkload workload = MakeStressWorkload();
-  ConstraintGraph graph =
-      BuildConstraintGraph(workload.relation, workload.constraints);
-
-  ColoringOutcome reference;
-  std::vector<counters::Sample> reference_delta;
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    SetParallelThreads(threads);
-    auto before = counters::Snapshot();
-    ColoringOutcome outcome = ColorConstraints(
-        workload.relation, workload.constraints, graph, StressOptions());
-    std::vector<counters::Sample> delta = DeterministicDelta(before);
-    if (threads == 1) {
-      reference = std::move(outcome);
-      reference_delta = std::move(delta);
-      continue;
-    }
-    EXPECT_TRUE(SameOutcome(reference, outcome)) << "threads=" << threads;
-    EXPECT_EQ(reference_delta, delta) << "threads=" << threads;
-  }
-  SetParallelThreads(1);
+/// The connected 3,000-row Pop-Syn instance of DivaOneComponentPinTest
+/// (tests/diva_test.cc), with the coloring options RunDiva derives from
+/// default DivaOptions at k = 10. Attempt 0 ends short of a complete
+/// coloring and attempt 1 completes it.
+StressWorkload MakeOneComponentPopSyn() {
+  ProfileOptions profile_options;
+  profile_options.num_rows = 3000;
+  profile_options.seed = 7;
+  auto relation = GenerateProfile(DatasetProfile::kPopSyn, profile_options);
+  EXPECT_TRUE(relation.ok());
+  ConstraintGenOptions gen;
+  gen.count = 6;
+  gen.target_conflict = 0.9;
+  gen.seed = 7;
+  auto constraints = GenerateConstraints(*relation, gen);
+  EXPECT_TRUE(constraints.ok());
+  return {*std::move(relation), *std::move(constraints)};
 }
 
-// Turning speculation off entirely (the sequential attempt loop) is the
-// oracle the speculative path must match, including at width 8 where
-// all seven spare attempt slots run ahead.
-TEST(SpeculationTest, DisablingSpeculationIsByteIdentical) {
-  StressWorkload workload = MakeStressWorkload();
-  ConstraintGraph graph =
-      BuildConstraintGraph(workload.relation, workload.constraints);
-
-  SetParallelThreads(8);
-  ColoringOptions spec = StressOptions();
-  ColoringOutcome with_spec = ColorConstraints(
-      workload.relation, workload.constraints, graph, spec);
-
-  ColoringOptions no_spec = StressOptions();
-  no_spec.speculation = false;
-  ColoringOutcome without = ColorConstraints(
-      workload.relation, workload.constraints, graph, no_spec);
+// The restart attempts run one after another and candidate enumeration
+// runs on ParallelFor: the outcome AND every deterministic counter —
+// steps, backtracks, attempts, memo traffic — are byte-identical at
+// every thread width.
+TEST(ColoringWidthTest, OutcomeAndCountersAgreeAcrossThreadWidths) {
+  ColoringOptions popsyn_options;
+  popsyn_options.k = 10;
+  const std::pair<StressWorkload, ColoringOptions> inputs[] = {
+      {MakeStressWorkload(), StressOptions()},
+      {MakeOneComponentPopSyn(), popsyn_options},
+  };
+  for (size_t input = 0; input < 2; ++input) {
+    const auto& [workload, options] = inputs[input];
+    ConstraintGraph graph =
+        BuildConstraintGraph(workload.relation, workload.constraints);
+    ColoringOutcome reference;
+    std::vector<counters::Sample> reference_delta;
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      SetParallelThreads(threads);
+      auto before = counters::Snapshot();
+      ColoringOutcome outcome = ColorConstraints(
+          workload.relation, workload.constraints, graph, options);
+      std::vector<counters::Sample> delta = DeterministicDelta(before);
+      if (threads == 1) {
+        reference = std::move(outcome);
+        reference_delta = std::move(delta);
+        continue;
+      }
+      EXPECT_TRUE(SameOutcome(reference, outcome))
+          << "input=" << input << " threads=" << threads;
+      EXPECT_EQ(reference_delta, delta)
+          << "input=" << input << " threads=" << threads;
+    }
+    if (input == 1) {
+      EXPECT_TRUE(reference.complete);
+      EXPECT_EQ(CounterDelta(reference_delta, "coloring.attempts"), 2u);
+    }
+  }
   SetParallelThreads(1);
-  EXPECT_TRUE(SameOutcome(with_spec, without));
 }
 
 // ------------------------------------------------------------ pins
@@ -498,7 +508,7 @@ struct PinnedShape {
 
 // The two bench_coloring shapes (bench/bench_coloring.cpp kShapes) with
 // their pinned search trajectory. Every accelerator of the search (memo,
-// memo handoff, speculation) must leave these numbers exactly as they
+// memo handoff) must leave these numbers exactly as they
 // are; a change here is a change of the paper algorithm's behaviour.
 constexpr PinnedShape kPinnedShapes[] = {
     {"fig4_popsyn", DatasetProfile::kPopSyn, 4000, 12, 0.3, 0.4, 2, 150000,

@@ -416,8 +416,7 @@ TEST(TaskGroupTest, ZeroWorkersRunEverythingInTheWaiter) {
 TEST(TaskGroupTest, WaiterHelpsPendingItemsInFifoOrder) {
   // With no workers, Wait on the last ticket must claim and run every
   // pending item in submission order before reaching it — the claim
-  // order is FIFO by construction, which is what makes speculative
-  // adoption deterministic in the coloring driver.
+  // order is FIFO by construction.
   TaskGroup group(0);
   std::vector<size_t> order;
   uint64_t last = 0;
@@ -429,30 +428,6 @@ TEST(TaskGroupTest, WaiterHelpsPendingItemsInFifoOrder) {
   for (size_t i = 0; i < order.size(); ++i) {
     EXPECT_EQ(order[i], i);
   }
-}
-
-TEST(TaskGroupTest, TryAbandonReturnsPendingWorkExactlyOnce) {
-  TaskGroup group(0);
-  std::atomic<int> ran{0};
-  uint64_t ticket =
-      group.Submit([&] { ran.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_TRUE(group.TryAbandon(ticket));
-  EXPECT_FALSE(group.TryAbandon(ticket)) << "already abandoned";
-  EXPECT_EQ(ran.load(), 0) << "abandoned work never runs";
-
-  uint64_t done = group.Submit([] {});
-  group.Wait(done);
-  EXPECT_FALSE(group.TryAbandon(done)) << "completed work cannot be abandoned";
-}
-
-TEST(TaskGroupTest, AbandonAllDropsEveryPendingItem) {
-  TaskGroup group(0);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 5; ++i) {
-    group.Submit([&] { ran.fetch_add(1, std::memory_order_relaxed); });
-  }
-  group.AbandonAll();
-  EXPECT_EQ(ran.load(), 0);
 }
 
 TEST(TaskGroupTest, ExceptionPropagatesThroughWait) {
@@ -477,6 +452,17 @@ TEST(TaskGroupTest, DestructorAbandonsPendingAndJoins) {
   }
   EXPECT_GE(ran.load(), 1);
   EXPECT_LE(ran.load(), 17);
+
+  // With no workers nothing is ever claimed, so the destructor retracts
+  // every item: none of them runs.
+  ran.store(0);
+  {
+    TaskGroup group(0);
+    for (int i = 0; i < 5; ++i) {
+      group.Submit([&] { ran.fetch_add(1, std::memory_order_relaxed); });
+    }
+  }
+  EXPECT_EQ(ran.load(), 0);
 }
 
 TEST(ParallelTest, ManyConcurrentLoopsStressThePool) {

@@ -536,6 +536,22 @@ TEST(ServeServerTest, ServesPingAnonymizeVerifyFetchAndStats) {
             final_stats.responses + final_stats.response_failures);
 }
 
+TEST(ServeServerTest, OutOfRangePortIsRejectedBeforeBinding) {
+  // A port truncated to 16 bits would bind the wrong port without error:
+  // 65536 an ephemeral one, 70000 port 4464.
+  for (int port : {-1, 65536, 70000}) {
+    ServerOptions options = TestOptions();
+    options.port = port;
+    Server server(MedicalRelation(), MedicalConstraints(*MedicalSchema()),
+                  options);
+    Status started = server.Start();
+    EXPECT_EQ(started.code(), StatusCode::kInvalidArgument) << port;
+    EXPECT_NE(started.message().find("outside [0, 65535]"), std::string::npos)
+        << started.ToString();
+    EXPECT_EQ(server.port(), 0) << "port " << port << " was bound";
+  }
+}
+
 double MedianCallMillis(Client* client, const Request& request, int calls) {
   std::vector<double> millis;
   for (int i = 0; i < calls; ++i) {

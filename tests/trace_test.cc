@@ -291,7 +291,7 @@ TEST(CountersTest, ScopeFilterAndJson) {
 }
 
 TEST(CountersTest, BufferCommitAppliesAndDiscardDrops) {
-  // The speculative-adoption primitive: deterministic-scope updates made
+  // The deferred-telemetry primitive: deterministic-scope updates made
   // under a redirect stay invisible until Commit, and Discard erases
   // them as if the work never ran. Execution-scope updates bypass the
   // redirect on purpose (they are allowed to see unadopted work).

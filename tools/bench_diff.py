@@ -25,9 +25,9 @@ keys starting with "_" are metadata and ignored). Two metric classes:
   faster is never a regression.
 
 * Execution-scope metrics (any key starting with "exec_", e.g.
-  exec_spec_adopted): describe how work was *scheduled* — speculative
-  adoptions, probe counts — and legitimately vary with thread width and
-  timing. Always informational, never gated, not even by
+  exec_shard_speedup): describe how work was *scheduled* — wall-time
+  ratios between execution modes — and legitimately vary with thread
+  width and timing. Always informational, never gated, not even by
   --strict-timing.
 
 Key-set drift is reported explicitly in both directions: a baseline
