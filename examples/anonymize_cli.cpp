@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
       auto replayed = ApplyDelta(*result->snapshot, *delta, options);
       if (!replayed.ok()) return Fail(replayed.status().ToString());
       std::fprintf(stderr, "applied delta: -%zu +%zu rows\n",
-                   delta->deleted.size(), delta->inserted.size());
+                   delta->RowsDeleted(), delta->inserted.size());
       result = std::move(replayed);
     }
     if (args.Has("json")) {

@@ -336,35 +336,6 @@ size_t ParallelFor(size_t count, size_t grain,
   return GlobalPool()->ParallelFor(count, grain, body);
 }
 
-void RunTasks(size_t count, const std::function<void(size_t)>& fn) {
-  if (count == 0) return;
-  CancellationToken cancel = CurrentLoopCancellation();
-  if (count == 1) {
-    if (!cancel.Cancelled()) fn(0);
-    return;
-  }
-  Mutex mutex;
-  std::exception_ptr first_error;
-  auto run_task = [&](size_t task) {
-    if (cancel.Cancelled()) return;  // skip tasks not yet started
-    try {
-      ScopedLoopCancellation inherited(cancel);
-      fn(task);
-    } catch (...) {
-      MutexLock lock(mutex);
-      if (first_error == nullptr) first_error = std::current_exception();
-    }
-  };
-  std::vector<std::thread> workers;
-  workers.reserve(count - 1);
-  for (size_t task = 1; task < count; ++task) {
-    workers.emplace_back([&run_task, task] { run_task(task); });
-  }
-  run_task(0);
-  for (std::thread& worker : workers) worker.join();
-  if (first_error != nullptr) std::rethrow_exception(first_error);
-}
-
 struct TaskGroup::Impl {
   enum class State { kPending, kClaimed, kDone };
 

@@ -97,27 +97,15 @@ void SetParallelThreads(size_t threads);
 size_t ParallelFor(size_t count, size_t grain,
                    const std::function<void(size_t, size_t)>& body);
 
-/// Task parallelism for a handful of coarse, independent computations
-/// (e.g. the portfolio coloring's independent searches): runs fn(0) ..
-/// fn(count-1) concurrently on dedicated threads (task 0 on the caller)
-/// and blocks until all finish. Unlike ParallelFor bodies, tasks ARE
-/// allowed to use ParallelFor internally — they are top-level work; when
-/// several tasks hit the global pool at once, one wins it and the rest
-/// degrade to inline execution. The first task exception is rethrown
-/// after every task has finished. Every task runs under the caller's
-/// loop-cancellation token (ScopedLoopCancellation); when it is already
-/// tripped, tasks that have not yet started are skipped, and running
-/// tasks are expected to poll the token themselves.
-void RunTasks(size_t count, const std::function<void(size_t)>& fn);
-
-/// A small pool of dedicated threads executing submitted closures with
-/// DETERMINISTIC CLAIM ORDERING: pending items are claimed strictly in
-/// submission (FIFO) order, never by arrival luck. Unlike ThreadPool
-/// this is task (not loop) parallelism, and unlike RunTasks the
-/// submitter does not block at submission: it collects a ticket per item
-/// and settles them later, in any order it likes. The shard driver runs
-/// one item per conflict component on it; the serving daemon hosts its
-/// accept, session and watchdog loops on one.
+/// The one executor for coarse tasks: dedicated threads running
+/// submitted closures with DETERMINISTIC CLAIM ORDERING — pending items
+/// are claimed strictly in submission (FIFO) order, never by arrival
+/// luck. Unlike ParallelFor bodies, items may use ParallelFor (when
+/// several hit the global pool at once, one wins it and the rest run
+/// inline). The submitter collects a ticket per item and settles them
+/// later, in any order it likes. The shard driver runs one item per
+/// conflict component, the portfolio coloring one per search; the
+/// serving daemon hosts its accept, session and watchdog loops on one.
 ///
 /// Claimed items always run to completion. Destroying the group retracts
 /// every item nobody claimed yet, so a caller whose Wait threw can unwind
@@ -153,15 +141,14 @@ class TaskGroup {
   Impl* impl_;
 };
 
-/// Installs `token` as the cancellation signal every ParallelFor /
-/// RunTasks call made ON THIS THREAD observes until the scope exits (the
-/// previous token is restored — scopes nest). The token is per-thread,
-/// so concurrent pipelines (RunDiva calls from different serve
-/// sessions) never truncate each other's loops. It follows the work it
-/// governs: a loop stops claiming chunks when its submitter's token
-/// trips, whichever pool threads run them, and RunTasks tasks and
-/// TaskGroup items run under the token current on the thread that
-/// started or submitted them.
+/// Installs `token` as the cancellation signal every ParallelFor call
+/// and TaskGroup::Submit made ON THIS THREAD observes until the scope
+/// exits (the previous token is restored — scopes nest). The token is
+/// per-thread, so concurrent pipelines (RunDiva calls from different
+/// serve sessions) never truncate each other's loops. It follows the
+/// work it governs: a loop stops claiming chunks when its submitter's
+/// token trips, whichever pool threads run them, and TaskGroup items run
+/// under the token current on the thread that submitted them.
 /// A tripped token makes loops stop claiming work; it never corrupts
 /// completed chunks — see ThreadPool::ParallelFor. Install it only
 /// around phases whose drivers tolerate a truncated prefix of results.

@@ -93,12 +93,6 @@ void LeaveSpan() { --Tls().depth; }
 
 uint32_t BufferTid(const ThreadBuffer* buffer) { return buffer->tid; }
 
-namespace {
-
-thread_local SpanBuffer* tl_span_buffer = nullptr;
-
-}  // namespace
-
 }  // namespace internal
 
 void Enable() {
@@ -232,52 +226,10 @@ Status WriteChromeTrace(const std::string& path) {
   return Status::OK();
 }
 
-void SpanBuffer::Commit() {
-  if (events_.empty()) return;
-  uint64_t generation =
-      internal::g_generation.load(std::memory_order_relaxed);
-  if (!IsEnabled() || generation_ != generation) {
-    // The capture these spans were recorded into is over (or has been
-    // restarted): their timebase is gone, so they cannot be rebased.
-    events_.clear();
-    return;
-  }
-  std::shared_ptr<internal::ThreadBuffer> buffer =
-      internal::AcquireThreadBuffer();
-  // Nest the committed spans under whatever is open on this thread —
-  // the same depth they would have had if the work had run here.
-  uint32_t base_depth = internal::Tls().depth;
-  for (SpanEvent event : events_) {
-    event.begin_us = (event.begin_us - buffer->capture_start_s) * 1e6;
-    event.tid = buffer->tid;
-    event.depth += base_depth;
-    internal::AppendEvent(buffer.get(), event);
-  }
-  events_.clear();
-}
-
-ScopedBufferedSpans::ScopedBufferedSpans(SpanBuffer* buffer)
-    : previous_(internal::tl_span_buffer) {
-  internal::tl_span_buffer = buffer;
-}
-
-ScopedBufferedSpans::~ScopedBufferedSpans() {
-  internal::tl_span_buffer = previous_;
-}
-
 void Span::Open(const char* name, int64_t range_begin, int64_t range_end,
                 bool has_range) {
-  if (internal::tl_span_buffer != nullptr) {
-    redirect_ = internal::tl_span_buffer;
-    if (redirect_->events_.empty() && redirect_->depth_ == 0) {
-      redirect_->generation_ =
-          internal::g_generation.load(std::memory_order_relaxed);
-    }
-    depth_ = redirect_->depth_++;
-  } else {
-    buffer_ = internal::AcquireThreadBuffer();
-    depth_ = internal::EnterSpan();
-  }
+  buffer_ = internal::AcquireThreadBuffer();
+  depth_ = internal::EnterSpan();
   name_ = name;
   arg_begin_ = range_begin;
   arg_end_ = range_end;
@@ -294,15 +246,6 @@ void Span::Close() {
   event.arg_begin = arg_begin_;
   event.arg_end = arg_end_;
   event.has_range = has_range_;
-  if (redirect_ != nullptr) {
-    --redirect_->depth_;
-    // Raw begin seconds; rebased against the destination capture's
-    // start at Commit (see the SpanBuffer encoding note).
-    event.begin_us = begin_s_;
-    redirect_->events_.push_back(event);
-    redirect_ = nullptr;
-    return;
-  }
   internal::LeaveSpan();
   event.begin_us = (begin_s_ - buffer_->capture_start_s) * 1e6;
   event.tid = buffer_->tid;

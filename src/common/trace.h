@@ -126,57 +126,6 @@ std::string ToChromeJson(const std::vector<SpanEvent>& events);
 /// Collect() + ToChromeJson() + write to `path`.
 [[nodiscard]] Status WriteChromeTrace(const std::string& path);
 
-class Span;
-
-/// Redirect sink for deferred work. While installed on a thread (see
-/// ScopedBufferedSpans), spans closed on that thread collect here
-/// instead of in the global capture; the owner later either Commit()s
-/// them into the committing thread's capture buffer or Discard()s them.
-/// The shard driver uses this so a trace shows each shard's spans in
-/// shard-index order, and none from a failed run — the same attribution
-/// rule as the deterministic counters (counters::Buffer).
-///
-/// Single-threaded object: recorded on one thread, committed or
-/// discarded on one (possibly different) thread, with the handoff
-/// externally synchronized. Every span opened under the redirect must
-/// close before the redirect scope ends.
-class SpanBuffer {
- public:
-  /// Republishes the recorded spans under the calling thread's id,
-  /// nested under its currently open spans. Spans recorded into a
-  /// previous capture generation (tracing re-Enabled since, or off by
-  /// now) are silently dropped — their timebase is gone.
-  void Commit();
-
-  void Discard() { events_.clear(); }
-  bool empty() const { return events_.empty(); }
-
- private:
-  friend class Span;
-
-  /// In-buffer encoding: begin_us temporarily holds the *raw* monotonic
-  /// begin time in seconds (the capture start offset is only known at
-  /// Commit, when the destination buffer is) and tid/depth are
-  /// placeholders rebased at Commit.
-  std::vector<SpanEvent> events_;
-  uint32_t depth_ = 0;
-  uint64_t generation_ = 0;
-};
-
-/// Installs `buffer` as the calling thread's span redirect for the
-/// current scope, saving and restoring any previous redirect.
-class ScopedBufferedSpans {
- public:
-  explicit ScopedBufferedSpans(SpanBuffer* buffer);
-  ~ScopedBufferedSpans();
-
-  ScopedBufferedSpans(const ScopedBufferedSpans&) = delete;
-  ScopedBufferedSpans& operator=(const ScopedBufferedSpans&) = delete;
-
- private:
-  SpanBuffer* previous_;
-};
-
 /// RAII span. Prefer the macros below; the constructor bodies are inline
 /// so the disabled path compiles down to the single flag load.
 class Span {
@@ -192,7 +141,7 @@ class Span {
     }
   }
   ~Span() {
-    if (buffer_ != nullptr || redirect_ != nullptr) Close();
+    if (buffer_ != nullptr) Close();
   }
 
   Span(const Span&) = delete;
@@ -206,9 +155,6 @@ class Span {
   /// Owning reference: keeps the buffer alive even if a new capture
   /// retires it from the registry while this span is open.
   std::shared_ptr<internal::ThreadBuffer> buffer_;
-  /// Non-null instead of buffer_ when a ScopedBufferedSpans redirect was
-  /// active at open; the closed event goes there.
-  SpanBuffer* redirect_ = nullptr;
   const char* name_ = nullptr;
   double begin_s_ = 0.0;
   int64_t arg_begin_ = 0;

@@ -1,7 +1,6 @@
 #include "core/coloring.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <memory>
 #include <unordered_map>
@@ -250,8 +249,6 @@ class ColoringEngine {
       if (steps_ > options_.step_budget ||
           (options_.stall_limit > 0 &&
            steps_ - last_improvement_ > options_.stall_limit) ||
-          (options_.cancel != nullptr &&
-           options_.cancel->load(std::memory_order_relaxed)) ||
           options_.deadline.Cancelled()) {
         budget_exhausted_ = true;
         return false;
@@ -820,20 +817,27 @@ ColoringOutcome ColorConstraintsPortfolio(const Relation& relation,
   if (threads <= 1) {
     return ColorConstraints(relation, constraints, graph, options);
   }
-  std::atomic<bool> cancel{false};
+  // One child token for the whole portfolio: the first complete search
+  // trips it, and every search also stops when the caller's token trips.
+  CancellationToken stop = CancellationToken::WithDeadlineAndParent(
+      Deadline::Infinite(), options.deadline);
   std::vector<ColoringOutcome> outcomes(threads);
   // Coarse task parallelism (not a fork-join loop): each portfolio
   // search is free to use the data-parallel layer internally.
-  RunTasks(threads, [&](size_t t) {
-    ColoringOptions worker_options = options;
-    worker_options.seed = options.seed + 0x51ed270b7a14ULL * t;
-    worker_options.cancel = &cancel;
-    outcomes[t] =
-        ColorConstraints(relation, constraints, graph, worker_options);
-    if (outcomes[t].complete) {
-      cancel.store(true, std::memory_order_relaxed);
-    }
-  });
+  TaskGroup group(threads - 1);
+  std::vector<uint64_t> tickets;
+  tickets.reserve(threads);
+  for (size_t t = 0; t < threads; ++t) {
+    tickets.push_back(group.Submit([&, t] {
+      ColoringOptions worker_options = options;
+      worker_options.seed = options.seed + 0x51ed270b7a14ULL * t;
+      worker_options.deadline = stop;
+      outcomes[t] =
+          ColorConstraints(relation, constraints, graph, worker_options);
+      if (outcomes[t].complete) stop.RequestCancel();
+    }));
+  }
+  for (uint64_t ticket : tickets) group.Wait(ticket);
 
   size_t best = 0;
   for (size_t t = 1; t < threads; ++t) {

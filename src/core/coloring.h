@@ -1,7 +1,6 @@
 #ifndef DIVA_CORE_COLORING_H_
 #define DIVA_CORE_COLORING_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -41,12 +40,6 @@ struct ColoringOptions {
   /// in few steps; long no-progress stretches are almost always thrash on
   /// an infeasible remainder.
   uint64_t stall_limit = 5000;
-
-  /// Cooperative cancellation: when set and *cancel becomes true, the
-  /// search stops at the next step and returns its best partial outcome.
-  /// The portfolio driver uses it to stop the losing searches; null =
-  /// never cancelled.
-  const std::atomic<bool>* cancel = nullptr;
 
   /// Deadline-driven cancellation (the anytime mode of RunDiva): when the
   /// token trips, the search stops at the next step and the best partial
@@ -127,10 +120,11 @@ ColoringOutcome ColorConstraints(const Relation& relation,
 /// Portfolio parallelization of the coloring search — the paper's
 /// future-work direction ("a distributed version of the coloring
 /// algorithm to improve scalability by satisfying constraints in
-/// parallel"). Launches `threads` independently-seeded searches on
-/// worker threads; the first complete coloring cancels the rest. When no
-/// search completes, the one that colored the most constraints wins
-/// (ties by thread index). `threads` <= 1 is plain ColorConstraints.
+/// parallel"). Runs `threads` independently-seeded searches on a
+/// TaskGroup; the first complete coloring trips their shared child of
+/// options.deadline to stop the rest. When no search completes, the one
+/// that colored the most constraints wins (ties by thread index).
+/// `threads` <= 1 is plain ColorConstraints.
 ///
 /// Every returned outcome is a valid coloring state; which complete
 /// assignment wins under cancellation may vary run to run.

@@ -90,9 +90,9 @@ struct DivaOptions {
   /// conflict graph's connected components are independent subproblems;
   /// whenever there are >= 2, the shard *plan* fixes every search
   /// decision (per-shard seed streams, per-shard sub-relations) and this
-  /// flag only chooses the execution mode: true runs shards concurrently
-  /// as TaskGroup work items, false runs the identical computations
-  /// sequentially. Like `threads`, it never changes output bytes —
+  /// flag only chooses the execution width: true runs shards as
+  /// TaskGroup items on up to `threads` workers, false on none (inline,
+  /// in shard order). Like `threads`, it never changes output bytes —
   /// tests/shard_test.cc pins sharded == unsharded on the fuzz corpus.
   /// Single-component instances run one global coloring search either
   /// way, so the paper example is untouched.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <set>
 #include <string_view>
 
 #include "common/counters.h"
@@ -69,6 +71,10 @@ void FinalizeSnapshot(PipelineSnapshot* snapshot, Relation input,
   snapshot->input.emplace(std::move(input));
 }
 
+size_t DeltaBatch::RowsDeleted() const {
+  return std::set<RowId>(deleted.begin(), deleted.end()).size();
+}
+
 Result<Relation> ApplyDeltaToRelation(const Relation& input,
                                       const DeltaBatch& delta) {
   // Sorted and deduplicated: a row listed twice is deleted once.
@@ -109,12 +115,13 @@ Result<DeltaBatch> ParseDeltaFile(const std::string& text) {
     const char directive = line[0];
     std::string_view body = Trim(line.substr(1));
     if (directive == '-') {
+      constexpr RowId kMaxRowId = std::numeric_limits<RowId>::max();
       Result<int64_t> id = ParseInt64(body);
-      if (!id.ok() || *id < 0) {
-        return Status::InvalidArgument("delta line " +
-                                       std::to_string(line_number) +
-                                       ": expected '- <row_id>', got '" +
-                                       std::string(line) + "'");
+      if (!id.ok() || *id < 0 || *id > int64_t{kMaxRowId}) {
+        return Status::InvalidArgument(
+            "delta line " + std::to_string(line_number) +
+            ": expected '- <row_id>' with a row id in [0, " +
+            std::to_string(kMaxRowId) + "], got '" + std::string(line) + "'");
       }
       delta.deleted.push_back(static_cast<RowId>(*id));
     } else if (directive == '+') {

@@ -56,6 +56,10 @@ struct DeltaBatch {
   std::vector<std::vector<std::string>> inserted;
 
   bool Empty() const { return deleted.empty() && inserted.empty(); }
+
+  /// Rows the batch deletes: the distinct ids in `deleted` (a row listed
+  /// twice is deleted once).
+  size_t RowsDeleted() const;
 };
 
 /// One shard's baseline-phase reuse record: the clusters built over the
@@ -160,7 +164,8 @@ void FinalizeSnapshot(PipelineSnapshot* snapshot, Relation input,
 /// Parses the anonymize_cli delta file format: one directive per line,
 /// `- <row_id>` deletes a row of the snapshot relation, `+ <csv row>`
 /// inserts a row (comma-separated, no quoting, "*" = suppressed cell).
-/// Blank lines and `#` comments are ignored.
+/// Blank lines and `#` comments are ignored. A row id that is negative
+/// or does not fit a RowId is rejected, naming its line.
 [[nodiscard]] Result<DeltaBatch> ParseDeltaFile(const std::string& text);
 
 }  // namespace diva

@@ -100,13 +100,12 @@ uint64_t ShardSeed(uint64_t seed, size_t shard_index) {
 namespace {
 
 /// Everything one shard produces: its (globalized) outcome plus the
-/// deterministic telemetry buffered while it ran, committed by the
+/// deterministic counters buffered while it ran, committed by the
 /// driver in shard-index order.
 struct ShardRun {
   Status status = Status::OK();
   ColoringOutcome outcome;
   counters::Buffer counters;
-  trace::SpanBuffer spans;
 };
 
 /// Colors one shard: gathers its rows from the input, remaps the
@@ -118,12 +117,11 @@ void RunOneShard(const ColumnStore& store, const ConstraintSet& constraints,
                  const ConstraintGraph& graph, const Shard& shard,
                  size_t shard_index, const ColoringOptions& base_options,
                  ShardRun* run, ColoringOutcome* local_capture) {
-  // Buffered telemetry: updates made on this thread land in the shard's
-  // buffers; inner pool workers write straight to the registry, which is
+  // Buffered counters: updates made on this thread land in the shard's
+  // buffer; inner pool workers write straight to the registry, which is
   // safe — deterministic counters commute, so totals are identical no
-  // matter which thread recorded them.
+  // matter which thread recorded them. Spans stay on this thread.
   counters::ScopedBufferedCounters buffered_counters(&run->counters);
-  trace::ScopedBufferedSpans buffered_spans(&run->spans);
   run->status = DIVA_FAIL("shard.run");
   if (!run->status.ok()) return;
   DIVA_TRACE_SPAN_RANGE("diva/shard", static_cast<int64_t>(shard_index),
@@ -225,34 +223,24 @@ Result<ColoringOutcome> RunShardedColoring(
     return capture != nullptr ? &(*capture)[s].outcome : nullptr;
   };
 
-  if (workers > 1 && num_shards > 1) {
-    // Concurrent mode: one work item per shard, claimed FIFO by the
-    // group's dedicated workers (the waiting driver helps). Item order
-    // only affects scheduling — every shard's computation is fixed by
-    // the plan, and the merge below reads results in shard-index order.
-    TaskGroup group(std::min(workers, num_shards));
-    std::vector<uint64_t> tickets;
-    tickets.reserve(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (adopted[s]) continue;
-      tickets.push_back(group.Submit([&, s] {
-        RunOneShard(store, constraints, graph, plan.shards[s], s,
-                    base_options, &runs[s], local_capture(s));
-      }));
-    }
-    for (uint64_t ticket : tickets) group.Wait(ticket);
-  } else {
-    // Sequential mode: the identical per-shard computations, inline.
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (adopted[s]) continue;
+  // One work item per live shard, claimed FIFO; with 0 workers (width 1)
+  // Wait runs every item inline in shard order. Scheduling never changes
+  // a result: every shard's computation is fixed by the plan, and the
+  // merge below reads results in shard-index order.
+  TaskGroup group(workers > 1 ? std::min(workers, num_shards) : 0);
+  std::vector<uint64_t> tickets;
+  tickets.reserve(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    if (adopted[s]) continue;
+    tickets.push_back(group.Submit([&, s] {
       RunOneShard(store, constraints, graph, plan.shards[s], s, base_options,
                   &runs[s], local_capture(s));
-      if (!runs[s].status.ok()) break;  // later shards would be discarded
-    }
+    }));
   }
+  for (uint64_t ticket : tickets) group.Wait(ticket);
 
   // A faulted shard (or a merge fault) must never leak a partial merge:
-  // every shard's buffered telemetry is dropped and the first error in
+  // every shard's buffered counters are dropped and the first error in
   // shard-index order surfaces as the run's Status.
   Status merge_fault = DIVA_FAIL("shard.merge");
   Status first_error = merge_fault;
@@ -260,17 +248,14 @@ Result<ColoringOutcome> RunShardedColoring(
     if (first_error.ok() && !run.status.ok()) first_error = run.status;
   }
   if (!first_error.ok()) {
-    for (ShardRun& run : runs) {
-      run.counters.Discard();
-      run.spans.Discard();
-    }
+    for (ShardRun& run : runs) run.counters.Discard();
     if (capture != nullptr) capture->clear();
     return first_error;
   }
 
-  // Deterministic adoption: telemetry and outcomes merge in shard-index
-  // order regardless of which worker ran what, so counters, spans, and
-  // the merged coloring are byte-identical at every width.
+  // Deterministic adoption: counters and outcomes merge in shard-index
+  // order regardless of which worker ran what, so counters and the
+  // merged coloring are byte-identical at every width.
   ColoringOutcome merged;
   merged.complete = true;
   merged.assignment.assign(constraints.size(), -1);
@@ -281,7 +266,6 @@ Result<ColoringOutcome> RunShardedColoring(
     // the exact op sequence an adopting run will replay at this slot.
     if (capture != nullptr && !adopted[s]) (*capture)[s].telemetry = run.counters;
     run.counters.Commit();
-    run.spans.Commit();
     const Shard& shard = plan.shards[s];
     const ColoringOutcome& outcome = run.outcome;
     merged.complete = merged.complete && outcome.complete;

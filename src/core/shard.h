@@ -17,13 +17,14 @@
 /// decision. Each shard colors its sub-relation with its own
 /// deterministic RNG stream (a splitmix of the run seed and the shard
 /// index) and full step budget, and the shard outcomes are merged in
-/// component-index order. The DivaOptions::shard flag only chooses *how*
-/// those identical per-shard computations execute — concurrently as
-/// TaskGroup work items, or sequentially inline — so CSV/report/audit
-/// bytes are identical with sharding on or off and at every thread width
-/// (tests/shard_test.cc asserts this on the fuzz corpus). A
-/// single-component graph is colored by one global search; the baseline
-/// phase then pools every uncovered row into one call.
+/// component-index order. The DivaOptions::shard flag and the thread
+/// width only set how many TaskGroup workers run those identical
+/// per-shard computations (none at width 1: every item runs inline, in
+/// shard order), so CSV/report/audit bytes are identical with sharding
+/// on or off and at every thread width (tests/shard_test.cc asserts
+/// this on the fuzz corpus). A single-component graph is colored by one
+/// global search; the baseline phase then pools every uncovered row
+/// into one call.
 
 #include <cstdint>
 #include <vector>
@@ -103,12 +104,12 @@ struct ShardColoringRecord {
 /// shard colors a gathered sub-relation of its rows against its
 /// remapped sub-graph. `base_options` carries the
 /// run's tuned coloring knobs; per-shard seeds are derived from them.
-/// `workers` > 1 executes shards as TaskGroup work items (per-shard
-/// counter/span buffers committed in shard order); <= 1 runs the same
-/// computations sequentially inline. The merged outcome is identical
-/// either way. Fails only via the shard.run / shard.merge failpoints —
-/// a faulted shard discards every shard's buffered telemetry and
-/// surfaces a clean Status, never a partially merged coloring.
+/// Shards run as TaskGroup items on min(`workers`, shards) workers (none
+/// when `workers` <= 1); per-shard counter buffers commit in shard order
+/// and spans stay on the thread that ran the shard. Fails only via the
+/// shard.run / shard.merge failpoints — a faulted shard discards every
+/// shard's buffered counters and surfaces a clean Status, never a
+/// partially merged coloring.
 ///
 /// `adopt` (optional, per-shard, nullptr entries allowed) replaces a
 /// shard's live search with a prior ShardColoringRecord: the recorded

@@ -515,8 +515,13 @@ Result<DivaOptions> Server::RunOptions(const Request& request,
   if (*k < 1) return Status::InvalidArgument("k must be >= 1");
   auto l = request.IntParam("l", 0);
   if (!l.ok()) return l.status();
+  if (*l < 0) return Status::InvalidArgument("l must be >= 0 (0 = off)");
   auto t = request.DoubleParam("t", 1.0);
   if (!t.ok()) return t.status();
+  // Written so NaN fails too: it would otherwise turn t-closeness off.
+  if (!(*t >= 0.0 && *t <= 1.0)) {
+    return Status::InvalidArgument("t must be in [0, 1] (1 = off)");
+  }
   auto seed = request.IntParam("seed", static_cast<int64_t>(options_.seed));
   if (!seed.ok()) return seed.status();
   auto baseline = ParseBaseline(request.Param("baseline", "kmember"));
@@ -759,9 +764,10 @@ Response Server::RunUpdate(const DeltaBatch& delta,
     return Response::Error(
         Status::Internal("refusing to publish an unaudited update"));
   }
+  const size_t rows_deleted = delta.RowsDeleted();
   Response response = Publish(
       *run,
-      "update -" + std::to_string(delta.deleted.size()) + " +" +
+      "update -" + std::to_string(rows_deleted) + " +" +
           std::to_string(delta.inserted.size()) +
           " k=" + std::to_string(options.k),
       post, options.k);
@@ -776,7 +782,7 @@ Response Server::RunUpdate(const DeltaBatch& delta,
     MutexLock lock(stats_mutex_);
     ++stats_.updates;
   }
-  response.fields["rows_deleted"] = std::to_string(delta.deleted.size());
+  response.fields["rows_deleted"] = std::to_string(rows_deleted);
   response.fields["rows_inserted"] = std::to_string(delta.inserted.size());
   response.fields["incremental"] = incremental ? "1" : "0";
   response.fields["shards_reused"] = std::to_string(shards_reused);

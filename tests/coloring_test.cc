@@ -6,6 +6,7 @@
 
 #include "common/counters.h"
 #include "common/parallel.h"
+#include "common/timer.h"
 #include "constraint/generator.h"
 #include "core/coloring.h"
 #include "core/constraint_graph.h"
@@ -260,6 +261,39 @@ TEST(PortfolioTest, MultiThreadFindsValidColoring) {
     EXPECT_GE(outcome.preserved[i], constraints[i].lower());
     EXPECT_LE(outcome.preserved[i], constraints[i].upper());
   }
+}
+
+TEST(PortfolioTest, HonorsTheCallersDeadline) {
+  // The fig5 stress shape takes thousands of steps per search; with the
+  // caller's token already tripped, every search must stop before its
+  // first step instead of racing to a complete coloring.
+  ProfileOptions profile_options;
+  profile_options.seed = 1000;
+  auto relation = GenerateProfile(DatasetProfile::kCredit, profile_options);
+  ASSERT_TRUE(relation.ok());
+  ConstraintGenOptions gen;
+  gen.count = 24;
+  gen.slack = 0.05;
+  gen.min_support = 15;
+  gen.target_conflict = 0.9;
+  gen.seed = 1000;
+  auto constraints = GenerateConstraints(*relation, gen);
+  ASSERT_TRUE(constraints.ok());
+  ConstraintGraph graph = BuildConstraintGraph(*relation, *constraints);
+
+  ColoringOptions options;
+  options.k = 10;
+  options.seed = 1000;
+  options.deadline = CancellationToken::Manual();
+  options.deadline.RequestCancel();
+  StopWatch watch;
+  ColoringOutcome outcome =
+      ColorConstraintsPortfolio(*relation, *constraints, graph, options, 4);
+  EXPECT_LT(watch.ElapsedSeconds(), 2.0);
+  EXPECT_FALSE(outcome.complete);
+  EXPECT_TRUE(outcome.budget_exhausted);
+  EXPECT_EQ(outcome.steps, 0u);
+  EXPECT_EQ(outcome.NumColored(), 0u);
 }
 
 TEST(PortfolioTest, DivaWithPortfolioOption) {

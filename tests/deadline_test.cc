@@ -181,16 +181,6 @@ TEST(PoolCancellationTest, ParallelCancelCompletesExactlyThePrefix) {
   }
 }
 
-TEST(PoolCancellationTest, RunTasksSkipsTasksOnATrippedToken) {
-  SetParallelThreads(4);
-  CancellationToken token = CancellationToken::Manual();
-  token.RequestCancel();
-  ScopedLoopCancellation scope(token);
-  std::atomic<int> ran{0};
-  RunTasks(4, [&](size_t) { ran.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_EQ(ran.load(), 0);
-}
-
 TEST(PoolCancellationTest, ScopedInstallationNestsAndRestores) {
   EXPECT_FALSE(CurrentLoopCancellation().CanBeCancelled());
   CancellationToken outer = CancellationToken::Manual();

@@ -513,10 +513,29 @@ TEST(IncrementalTest, ParsesDeltaFileFormat) {
             (std::vector<std::string>{"r1", "g2", "44", "j3", "d0"}));
   EXPECT_EQ(delta->inserted[1],
             (std::vector<std::string>{"r0", "g1", "27", "j2", "*"}));
+  EXPECT_EQ(delta->RowsDeleted(), 2u);
 
   EXPECT_FALSE(ParseDeltaFile("- notanumber\n").ok());
   EXPECT_FALSE(ParseDeltaFile("? what\n").ok());
   EXPECT_TRUE(ParseDeltaFile("").ok());
+
+  // A row listed twice is deleted, and counted, once.
+  auto repeated = ParseDeltaFile("- 3\n- 3\n");
+  ASSERT_TRUE(repeated.ok());
+  EXPECT_EQ(repeated->RowsDeleted(), 1u);
+
+  // Ids past RowId's range must not wrap onto a real row (2^32 + 1 would
+  // delete row 1); the error names the line.
+  EXPECT_EQ(ParseDeltaFile("- 4294967295\n")->deleted,
+            (std::vector<RowId>{4294967295u}));
+  for (const char* id : {"4294967296", "4294967297", "9223372036854775807"}) {
+    auto wrapped = ParseDeltaFile("- 3\n\n- " + std::string(id) + "\n");
+    ASSERT_FALSE(wrapped.ok()) << id;
+    EXPECT_EQ(wrapped.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(wrapped.status().message().find("delta line 3"),
+              std::string::npos)
+        << wrapped.status().ToString();
+  }
 }
 
 }  // namespace

@@ -230,40 +230,29 @@ TEST(ParallelTest, ParallelReduceSumsExactly) {
   SetParallelThreads(1);
 }
 
-TEST(ParallelTest, RunTasksRunsEveryTask) {
-  std::vector<std::atomic<int>> ran(6);
-  RunTasks(ran.size(), [&](size_t task) {
-    ran[task].fetch_add(1, std::memory_order_relaxed);
-  });
-  ExpectAllMarkedOnce(ran);
-}
-
-TEST(ParallelTest, RunTasksPropagatesException) {
-  EXPECT_THROW(RunTasks(4,
-                        [](size_t task) {
-                          if (task == 2) {
-                            throw std::runtime_error("task failed");
-                          }
-                        }),
-               std::runtime_error);
-}
-
 TEST(ParallelTest, TasksMayUseTheDataParallelLayer) {
   // Concurrent tasks racing for the global pool: one wins it, the rest
   // degrade to inline execution of identical chunks — results match
   // either way.
   SetParallelThreads(2);
   std::vector<size_t> sums(4, 0);
-  RunTasks(sums.size(), [&](size_t task) {
-    sums[task] = ParallelReduce<size_t>(
-        1000, /*grain=*/0, size_t{0},
-        [](size_t begin, size_t end) {
-          size_t sum = 0;
-          for (size_t i = begin; i < end; ++i) sum += i;
-          return sum;
-        },
-        [](size_t a, size_t b) { return a + b; });
-  });
+  {
+    TaskGroup group(sums.size() - 1);
+    std::vector<uint64_t> tickets;
+    for (size_t task = 0; task < sums.size(); ++task) {
+      tickets.push_back(group.Submit([&, task] {
+        sums[task] = ParallelReduce<size_t>(
+            1000, /*grain=*/0, size_t{0},
+            [](size_t begin, size_t end) {
+              size_t sum = 0;
+              for (size_t i = begin; i < end; ++i) sum += i;
+              return sum;
+            },
+            [](size_t a, size_t b) { return a + b; });
+      }));
+    }
+    for (uint64_t ticket : tickets) group.Wait(ticket);
+  }
   for (size_t sum : sums) EXPECT_EQ(sum, 1000u * 999u / 2);
   SetParallelThreads(1);
 }
@@ -336,18 +325,6 @@ TEST(PoolCancellationTest, PeerThreadsTrippedTokenDoesNotTruncateThisLoop) {
   release.store(true, std::memory_order_release);
   peer.join();
   SetParallelThreads(1);
-}
-
-TEST(PoolCancellationTest, RunTasksInheritTheCallersToken) {
-  CancellationToken token = CancellationToken::Manual();
-  ScopedLoopCancellation scope(token);
-  std::vector<std::atomic<int>> inherited(4);
-  RunTasks(inherited.size(), [&](size_t task) {
-    inherited[task].store(CurrentLoopCancellation().CanBeCancelled() ? 1 : 0);
-  });
-  for (size_t task = 0; task < inherited.size(); ++task) {
-    EXPECT_EQ(inherited[task].load(), 1) << "task " << task;
-  }
 }
 
 // ------------------------------------------------------------ TaskGroup
@@ -469,15 +446,22 @@ TEST(ParallelTest, ManyConcurrentLoopsStressThePool) {
   // Hammer one pool from several top-level tasks; exercised under tsan
   // in CI, this is the data-race canary for the submit/claim protocol.
   SetParallelThreads(4);
-  RunTasks(3, [&](size_t) {
-    for (int round = 0; round < 20; ++round) {
-      std::atomic<size_t> count{0};
-      ParallelFor(500, 11, [&](size_t begin, size_t end) {
-        count.fetch_add(end - begin, std::memory_order_relaxed);
-      });
-      ASSERT_EQ(count.load(), 500u);
+  {
+    TaskGroup group(2);
+    std::vector<uint64_t> tickets;
+    for (int task = 0; task < 3; ++task) {
+      tickets.push_back(group.Submit([] {
+        for (int round = 0; round < 20; ++round) {
+          std::atomic<size_t> count{0};
+          ParallelFor(500, 11, [&](size_t begin, size_t end) {
+            count.fetch_add(end - begin, std::memory_order_relaxed);
+          });
+          ASSERT_EQ(count.load(), 500u);
+        }
+      }));
     }
-  });
+    for (uint64_t ticket : tickets) group.Wait(ticket);
+  }
   SetParallelThreads(1);
 }
 

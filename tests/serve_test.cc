@@ -751,8 +751,11 @@ TEST(ServeServerTest, WorkVerbsRejectBadParamsWithTheSameCode) {
   auto client = Client::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok());
 
+  // l = -1 would wrap to SIZE_MAX and t = nan would switch t-closeness
+  // off; both are parameter errors, like the rest.
   const std::pair<const char*, const char*> kBadParams[] = {
-      {"k", "0"}, {"l", "x"}, {"baseline", "foo"}};
+      {"k", "0"},    {"l", "x"},     {"l", "-1"},  {"t", "nan"},
+      {"t", "-0.5"}, {"t", "1.5"},   {"baseline", "foo"}};
   for (const auto& [name, value] : kBadParams) {
     SCOPED_TRACE(std::string(name) + "=" + value);
     Request anonymize;
@@ -776,6 +779,35 @@ TEST(ServeServerTest, WorkVerbsRejectBadParamsWithTheSameCode) {
   ServerStats stats = server.stats();
   EXPECT_EQ(stats.updates, 0u);
   EXPECT_EQ(stats.snapshots_published, 0u);
+}
+
+TEST(ServeServerTest, UpdateCountsARepeatedDeleteOnce) {
+  Server server(MedicalRelation(), TwoComponentConstraints(), TestOptions());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+
+  Request update;
+  update.verb = "update";
+  update.params["k"] = "2";
+  update.body = "- 3\n- 3\n";
+  auto applied = client->Call(update);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  ASSERT_TRUE(applied->ok) << applied->ToStatus().ToString();
+  EXPECT_EQ(applied->Field("rows_deleted", ""), "1");
+  EXPECT_EQ(applied->Field("rows_inserted", ""), "0");
+  EXPECT_EQ(applied->Field("rows", ""), "9");
+
+  // A row id past RowId's range must not wrap onto a real row (2^32 + 1
+  // would delete row 1).
+  update.body = "- 4294967297\n";
+  auto wrapped = client->Call(update);
+  ASSERT_TRUE(wrapped.ok()) << wrapped.status().ToString();
+  EXPECT_FALSE(wrapped->ok);
+  EXPECT_EQ(wrapped->code, StatusCode::kInvalidArgument);
+
+  server.Stop();
+  EXPECT_EQ(server.stats().updates, 1u);
 }
 
 TEST(ServeServerTest, WorkVerbResponseFieldNamesArePinned) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -12,8 +13,13 @@
 #include <vector>
 
 #include "common/counters.h"
+#include "common/parallel.h"
+#include "common/rng.h"
 #include "common/trace.h"
+#include "constraint/parser.h"
 #include "core/diva.h"
+#include "relation/relation.h"
+#include "relation/schema.h"
 #include "tests/test_util.h"
 
 namespace diva {
@@ -237,6 +243,82 @@ TEST(TraceTest, CountersMatchTheReportExactly) {
   EXPECT_EQ(sample->value, result->report.repair_cells);
 }
 
+TEST(TraceTest, ShardSpansNestOnTheThreadThatRanThem) {
+  // Eight disjoint per-region constraints: eight conflict components, so
+  // the shard driver fans the coloring out over four TaskGroup workers.
+  auto schema = Schema::Make({
+      {"REG", AttributeRole::kQuasiIdentifier, AttributeKind::kCategorical},
+      {"AGE", AttributeRole::kQuasiIdentifier, AttributeKind::kNumeric},
+      {"JOB", AttributeRole::kQuasiIdentifier, AttributeKind::kCategorical},
+      {"DIAG", AttributeRole::kSensitive, AttributeKind::kCategorical},
+  });
+  ASSERT_TRUE(schema.ok());
+  Rng rng(2024);
+  std::vector<std::vector<std::string>> rows;
+  for (size_t i = 0; i < 24000; ++i) {
+    rows.push_back({"r" + std::to_string(i % 8),
+                    std::to_string(18 + rng.NextBounded(60)),
+                    "j" + std::to_string(rng.NextBounded(8)),
+                    "d" + std::to_string(rng.NextBounded(5))});
+  }
+  auto relation = RelationFromRows(schema.value(), rows);
+  ASSERT_TRUE(relation.ok());
+  std::string text;
+  for (size_t r = 0; r < 8; ++r) {
+    text += "REG[r" + std::to_string(r) + "] in [1800,3000]\n";
+  }
+  auto constraints = ParseConstraintSet(*schema.value(), text);
+  ASSERT_TRUE(constraints.ok());
+
+  DivaOptions options;
+  options.k = 5;
+  options.threads = 4;
+  trace::SetRingCapacity(65536);
+  trace::Enable();
+  auto result = RunDiva(*relation, *constraints, options);
+  trace::Disable();
+  SetParallelThreads(1);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->report.shards, 8u);
+  EXPECT_EQ(trace::DroppedEvents(), 0u);
+
+  // A timeline is only readable when every thread's spans form a forest:
+  // on one tid, two spans are either disjoint or one contains the other.
+  // Sweeping each tid's spans by (begin, longest first) with a stack of
+  // open ends finds every span that crosses an enclosing one. The slack
+  // absorbs rounding of begin + dur, never a real overlap.
+  constexpr double kSlackUs = 1e-3;
+  std::map<uint32_t, std::vector<trace::SpanEvent>> by_tid;
+  size_t shard_spans = 0;
+  for (const trace::SpanEvent& event : trace::Collect()) {
+    by_tid[event.tid].push_back(event);
+    if (std::string(event.name) == "diva/shard") ++shard_spans;
+  }
+  EXPECT_EQ(shard_spans, result->report.shards);
+  size_t crossing = 0;
+  for (auto& [tid, events] : by_tid) {
+    std::sort(events.begin(), events.end(),
+              [](const trace::SpanEvent& a, const trace::SpanEvent& b) {
+                if (a.begin_us != b.begin_us) return a.begin_us < b.begin_us;
+                return a.dur_us > b.dur_us;
+              });
+    std::vector<double> open_ends;
+    for (const trace::SpanEvent& event : events) {
+      double end = event.begin_us + event.dur_us;
+      while (!open_ends.empty() &&
+             open_ends.back() <= event.begin_us + kSlackUs) {
+        open_ends.pop_back();
+      }
+      if (!open_ends.empty() && end > open_ends.back() + kSlackUs) {
+        ++crossing;
+        continue;
+      }
+      open_ends.push_back(end);
+    }
+  }
+  EXPECT_EQ(crossing, 0u) << "spans cross on one thread";
+}
+
 TEST(CountersTest, AddAndSnapshotAndDelta) {
   std::vector<counters::Sample> before = counters::Snapshot();
   DIVA_COUNTER_ADD("test.counters.alpha", 3);
@@ -357,75 +439,6 @@ TEST(CountersTest, ScopedBufferRedirectNests) {
   const counters::Sample* sample = Find(delta, "test.nest.counter");
   ASSERT_NE(sample, nullptr);
   EXPECT_EQ(sample->value, 101u) << "only the outer batch was committed";
-}
-
-TEST(TraceTest, SpanBufferCommitRepublishesUnderOpenSpan) {
-  trace::SetRingCapacity(1024);
-  trace::Enable();
-  trace::SpanBuffer buffer;
-  {
-    trace::ScopedBufferedSpans redirect(&buffer);
-    DIVA_TRACE_SPAN("spec/outer");
-    {
-      DIVA_TRACE_SPAN("spec/inner");
-    }
-  }
-  // Nothing reaches the capture until the owner adopts the work.
-  EXPECT_EQ(trace::Collect().size(), 0u);
-  EXPECT_FALSE(buffer.empty());
-  {
-    DIVA_TRACE_SPAN("adopt/parent");
-    buffer.Commit();
-  }
-  trace::Disable();
-  EXPECT_TRUE(buffer.empty());
-  std::vector<trace::SpanEvent> events = trace::Collect();
-  ASSERT_EQ(events.size(), 3u);
-  uint32_t tid = events[0].tid;
-  std::map<std::string, const trace::SpanEvent*> by_name;
-  for (const trace::SpanEvent& event : events) {
-    EXPECT_EQ(event.tid, tid) << "committed spans adopt the committer's tid";
-    by_name[event.name] = &event;
-  }
-  ASSERT_EQ(by_name.count("adopt/parent"), 1u);
-  ASSERT_EQ(by_name.count("spec/outer"), 1u);
-  ASSERT_EQ(by_name.count("spec/inner"), 1u);
-  // Committed spans nest under the committer's open span: parent depth
-  // is 0, the buffered spans keep their relative nesting one level down.
-  EXPECT_EQ(by_name["adopt/parent"]->depth, 0u);
-  EXPECT_EQ(by_name["spec/outer"]->depth, 1u);
-  EXPECT_EQ(by_name["spec/inner"]->depth, 2u);
-}
-
-TEST(TraceTest, SpanBufferDiscardLeavesNoTrace) {
-  trace::SetRingCapacity(1024);
-  trace::Enable();
-  trace::SpanBuffer buffer;
-  {
-    trace::ScopedBufferedSpans redirect(&buffer);
-    DIVA_TRACE_SPAN("doomed/span");
-  }
-  buffer.Discard();
-  buffer.Commit();  // no-op on an empty buffer
-  trace::Disable();
-  EXPECT_EQ(trace::Collect().size(), 0u);
-}
-
-TEST(TraceTest, SpanBufferDropsSpansFromARetiredCapture) {
-  trace::SetRingCapacity(1024);
-  trace::Enable();
-  trace::SpanBuffer buffer;
-  {
-    trace::ScopedBufferedSpans redirect(&buffer);
-    DIVA_TRACE_SPAN("stale/span");
-  }
-  // A new capture retires the old timebase: the buffered span can no
-  // longer be rebased and must be silently dropped, not misfiled.
-  trace::Enable();
-  buffer.Commit();
-  EXPECT_TRUE(buffer.empty());
-  trace::Disable();
-  EXPECT_EQ(trace::Collect().size(), 0u);
 }
 
 TEST(CountersTest, ResetZeroesEveryCell) {

@@ -4,7 +4,7 @@
 Check 1 (Status): no Status-returning call may be a bare statement.
 Check 2 (threads): std::thread / std::async / std::jthread may appear
 only in src/common/parallel.{h,cc} — everything else must go through the
-audited parallel layer (ThreadPool / ParallelFor / RunTasks), which is
+audited parallel layer (ThreadPool / ParallelFor / TaskGroup), which is
 what keeps DIVA's outputs bit-identical across thread counts and keeps
 the tsan surface in one file.
 Check 3 (clocks): std::chrono::steady_clock / system_clock /
@@ -331,7 +331,7 @@ def main(argv: list[str]) -> int:
                 print(
                     f"{source}:{line_no}: raw threading primitive: `{line}` "
                     f"(use common/parallel.h — ThreadPool, ParallelFor or "
-                    f"RunTasks — instead of std::thread/std::async)"
+                    f"TaskGroup — instead of std::thread/std::async)"
                 )
                 failures += 1
             for line_no, line in find_clock_violations(source):
