@@ -47,15 +47,12 @@ struct Shape {
   double conflict;
   size_t min_support;
   uint64_t step_budget;
-  uint64_t stall_limit;
 };
 
 // Pinned shapes — changing any knob invalidates the recorded baseline.
 constexpr Shape kShapes[] = {
-    {"fig4_popsyn", DatasetProfile::kPopSyn, 4000, 12, 0.3, 0.4, 2, 150000,
-     5000},
-    {"fig5_stress", DatasetProfile::kCredit, 0, 24, 0.05, 0.9, 15, 40000,
-     5000},
+    {"fig4_popsyn", DatasetProfile::kPopSyn, 4000, 12, 0.3, 0.4, 2, 150000},
+    {"fig5_stress", DatasetProfile::kCredit, 0, 24, 0.05, 0.9, 15, 40000},
 };
 
 constexpr uint64_t kSeed = 1000;
@@ -110,7 +107,6 @@ ShapeResult RunShape(const Shape& shape) {
   options.strategy = SelectionStrategy::kMaxFanOut;
   options.seed = kSeed;
   options.step_budget = shape.step_budget;
-  options.stall_limit = shape.stall_limit;
 
   ShapeResult result;
   ColoringOutcome reference;

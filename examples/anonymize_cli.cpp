@@ -7,29 +7,33 @@
 // Usage:
 //   anonymize_cli --input data.csv --schema schema.txt --k 10
 //       [--constraints sigma.txt] [--algorithm diva|kmember|oka|mondrian]
-//       [--strategy basic|minchoice|maxfanout] [--seed N] [--shard on|off]
+//       [--strategy basic|minchoice|maxfanout] [--seed N]
 //       [--taxonomy ATTR=taxonomy.txt]... [--json]
 //       [--strict] [--deadline-ms N] [--trace-out trace.json]
 //       [--apply-delta delta.txt] [--output out.csv]
 //
 // Each flag takes "--flag value" or "--flag=value". An unknown flag or a
-// flag without its value exits 1 before anything is read.
+// flag without its value exits 1 before anything is read, and so does a
+// DIVA-only flag (--strategy, --strict, --deadline-ms, --taxonomy,
+// --apply-delta, --json) given with a baseline --algorithm.
 //
 // --apply-delta FILE (DIVA only) re-anonymizes incrementally: the run on
 // --input captures a reusable snapshot, FILE's row delta is applied to
 // it, and only the conflict-graph components the delta touches are
-// re-colored — clean components adopt the prior run's clusterings. The
-// published output is byte-identical to a cold run on the post-delta
-// relation (core/incremental.h). Delta file format: one directive per
-// line — "- <row_id>" deletes a row of the input CSV (0-based),
-// "+ v1,v2,..." inserts a row ("*" = suppressed cell); '#' comments and
-// blank lines are ignored.
+// re-colored — clean components, a connected input's single one
+// included, adopt the prior run's clusterings. The published output is
+// byte-identical to a cold run on the post-delta relation
+// (core/incremental.h). That relation keeps the input's value
+// dictionaries, so a CSV of the same rows that meets its values in
+// another order may anonymize differently. A generalized (--taxonomy)
+// or degraded run captures no snapshot and exits 1. Delta file format:
+// one directive per line — "- <row_id>" deletes a row of the input CSV
+// (0-based), "+ v1,v2,..." inserts a row ("*" = suppressed cell); '#'
+// comments and blank lines are ignored.
 //
-// --shard on|off (default on) selects how multi-component instances
-// execute: on runs each conflict-graph component as a concurrent work
-// item, off runs the identical per-component searches sequentially.
-// Like DIVA_THREADS this is an execution knob — output bytes never
-// change (see docs/development.md, "Component sharding").
+// Components run as concurrent work items on DIVA_THREADS workers; the
+// width never changes output bytes (see docs/development.md, "Component
+// sharding").
 //
 // --deadline-ms N bounds the run's wall time: on expiry DIVA publishes
 // its best-effort (still k-anonymous) relation and flags the degraded
@@ -55,6 +59,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -91,8 +96,7 @@ int main(int argc, char** argv) {
   auto parsed_args = Flags::Parse(
       argc, argv,
       {"input", "schema", "k", "constraints", "algorithm", "strategy", "seed",
-       "shard", "taxonomy", "deadline-ms", "trace-out", "apply-delta",
-       "output"},
+       "taxonomy", "deadline-ms", "trace-out", "apply-delta", "output"},
       {"json", "strict"});
   if (!parsed_args.ok()) {
     return Fail(parsed_args.status().message() + " (see file header)");
@@ -100,6 +104,24 @@ int main(int argc, char** argv) {
   const Flags args = std::move(parsed_args).value();
   if (!args.Has("input") || !args.Has("schema") || !args.Has("k")) {
     return Fail("--input, --schema and --k are required (see file header)");
+  }
+  // --algorithm names DIVA or one of the baselines it can run alone.
+  const std::map<std::string, BaselineAlgorithm> baselines = {
+      {"kmember", BaselineAlgorithm::kKMember},
+      {"oka", BaselineAlgorithm::kOka},
+      {"mondrian", BaselineAlgorithm::kMondrian}};
+  const std::string algorithm =
+      args.Has("algorithm") ? ToLowerAscii(args.Get("algorithm")) : "diva";
+  if (algorithm != "diva" && baselines.count(algorithm) == 0) {
+    return Fail("unknown --algorithm '" + algorithm + "'");
+  }
+  for (const char* flag : {"strategy", "strict", "deadline-ms", "taxonomy",
+                           "apply-delta", "json"}) {
+    if (algorithm != "diva" && args.Has(flag)) {
+      return Fail(std::string("--") + flag +
+                  " applies to --algorithm diva only, not '" + algorithm +
+                  "'");
+    }
   }
 
   auto schema = LoadSchemaFile(args.Get("schema"));
@@ -162,9 +184,6 @@ int main(int argc, char** argv) {
                  issue.message.c_str());
   }
 
-  std::string algorithm =
-      args.Has("algorithm") ? ToLowerAscii(args.Get("algorithm")) : "diva";
-
   const bool tracing = args.Has("trace-out");
   if (tracing) trace::Enable();
 
@@ -178,16 +197,6 @@ int main(int argc, char** argv) {
     options.cancel = InterruptToken();
     // A traced run audits too, so the trace shows every pipeline phase.
     if (tracing) options.audit = true;
-    if (args.Has("shard")) {
-      std::string shard = ToLowerAscii(args.Get("shard"));
-      if (shard == "on" || shard == "1" || shard == "true") {
-        options.shard = true;
-      } else if (shard == "off" || shard == "0" || shard == "false") {
-        options.shard = false;
-      } else {
-        return Fail("--shard must be on or off");
-      }
-    }
     if (args.Has("deadline-ms")) {
       auto deadline_ms = ParseInt64(args.Get("deadline-ms"));
       if (!deadline_ms.ok() || *deadline_ms < 0) {
@@ -220,8 +229,8 @@ int main(int argc, char** argv) {
       if (!delta.ok()) return Fail(delta.status().ToString());
       if (result->snapshot == nullptr) {
         return Fail(
-            "the prior run captured no reusable snapshot (single-component, "
-            "generalized, or degraded runs cannot replay deltas)");
+            "the prior run captured no reusable snapshot (generalized or "
+            "degraded runs cannot replay deltas)");
       }
       auto replayed = ApplyDelta(*result->snapshot, *delta, options);
       if (!replayed.ok()) return Fail(replayed.status().ToString());
@@ -236,20 +245,11 @@ int main(int argc, char** argv) {
     }
     output = std::move(result->relation);
   } else {
-    AnonymizerOptions anon_options;
-    anon_options.seed = seed;
-    std::unique_ptr<Anonymizer> anonymizer;
-    if (algorithm == "kmember") {
-      anonymizer = MakeKMember(anon_options);
-    } else if (algorithm == "oka") {
-      anonymizer = MakeOka(anon_options);
-    } else if (algorithm == "mondrian") {
-      anonymizer = MakeMondrian(anon_options);
-    } else {
-      return Fail("unknown --algorithm '" + algorithm + "'");
-    }
-    auto result =
-        Anonymize(anonymizer.get(), *relation, static_cast<size_t>(*k));
+    DivaOptions baseline_options;
+    baseline_options.baseline = baselines.at(algorithm);
+    baseline_options.anonymizer.seed = seed;
+    auto result = Anonymize(MakeBaselineAnonymizer(baseline_options).get(),
+                            *relation, static_cast<size_t>(*k));
     if (!result.ok()) return Fail(result.status().ToString());
     output = std::move(result).value();
   }

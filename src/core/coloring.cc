@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -29,6 +31,13 @@ const char* SelectionStrategyToString(SelectionStrategy strategy) {
 
 namespace {
 
+/// A search gives up after this many steps without improving its best
+/// partial coloring: complete colorings are found in few steps, and long
+/// no-progress stretches are thrash on an infeasible remainder. Restart
+/// probes after attempt 0 get a quarter, so eight attempts stay cheap.
+constexpr uint64_t kStallLimit = 5000;
+constexpr uint64_t kProbeStallLimit = kStallLimit / 4;
+
 /// A fixed-seed random 64-bit tag per row. A row set's fingerprint is
 /// the XOR of its members' tags, so adding or removing a row updates the
 /// fingerprint in O(1): the engine keys its cluster registry and
@@ -45,21 +54,32 @@ std::vector<uint64_t> MakeRowTags(size_t num_rows) {
 }
 
 /// Immutable search state shared by every engine one ColorConstraints
-/// call spawns (all restart attempts plus the greedy pass): packed target
-/// bitmaps, the hoisted QI-similarity target orders, the row->constraint
-/// incidence lists that drive O(incidence) bookkeeping updates, and the
+/// call spawns (all restart attempts plus the greedy pass): the hoisted
+/// QI-similarity target orders, the row->constraint incidence lists that
+/// drive O(incidence) bookkeeping updates and the forward check, and the
 /// row tag table behind every set fingerprint.
 struct SearchContext {
   SearchContext(const Relation& relation, const ConstraintGraph& graph) {
     size_t n = graph.NumNodes();
     size_t num_rows = relation.NumRows();
-    target_bitmap.resize(n);
-    incidence.resize(num_rows);
+    // Incidence as one flat array with per-row offsets (no allocation
+    // per row), filled in constraint order so each row's list ascends.
+    incidence_begin.assign(num_rows + 1, 0);
+    size_t total = 0;
     for (size_t j = 0; j < n; ++j) {
-      target_bitmap[j].Resize(num_rows);
+      total += graph.targets[j].size();
+      for (RowId row : graph.targets[j]) ++incidence_begin[row + 1];
+    }
+    DIVA_CHECK_MSG(total <= std::numeric_limits<uint32_t>::max(),
+                   "coloring: incidence overflows 32-bit offsets");
+    std::partial_sum(incidence_begin.begin(), incidence_begin.end(),
+                     incidence_begin.begin());
+    incidence.resize(total);
+    std::vector<uint32_t> cursor(incidence_begin.begin(),
+                                 incidence_begin.end() - 1);
+    for (size_t j = 0; j < n; ++j) {
       for (RowId row : graph.targets[j]) {
-        target_bitmap[j].Set(row);
-        incidence[row].push_back(static_cast<uint32_t>(j));
+        incidence[cursor[row]++] = static_cast<uint32_t>(j);
       }
     }
     // One stable_sort per constraint, once, in parallel — CandidatesFor
@@ -75,8 +95,14 @@ struct SearchContext {
     row_tags = MakeRowTags(num_rows);
   }
 
-  std::vector<Bitset> target_bitmap;
-  std::vector<std::vector<uint32_t>> incidence;
+  /// The constraints whose targets contain `row`, ascending.
+  std::span<const uint32_t> Incident(RowId row) const {
+    return {incidence.data() + incidence_begin[row],
+            incidence.data() + incidence_begin[row + 1]};
+  }
+
+  std::vector<uint32_t> incidence_begin;  // num_rows + 1 offsets
+  std::vector<uint32_t> incidence;
   std::vector<std::vector<RowId>> sorted_targets;
   std::vector<uint64_t> row_tags;
 };
@@ -114,13 +140,16 @@ class ColoringEngine {
  public:
   ColoringEngine(const Relation& relation, const ConstraintSet& constraints,
                  const ConstraintGraph& graph, const SearchContext& context,
-                 const ColoringOptions& options, bool forward_check)
+                 const ColoringOptions& options, bool forward_check,
+                 double epsilon, uint64_t stall_limit)
       : relation_(relation),
         constraints_(constraints),
         graph_(graph),
         context_(context),
         options_(options),
         forward_check_(forward_check),
+        epsilon_(epsilon),
+        stall_limit_(stall_limit),
         rng_(options.seed) {
     size_t n = constraints.size();
     assignment_.assign(n, -1);
@@ -147,7 +176,6 @@ class ColoringEngine {
     empty_candidates_ =
         std::make_shared<const std::vector<PreparedCandidate>>();
     claimed_.Resize(relation.NumRows());
-    fresh_scratch_.Resize(relation.NumRows());
     memo_.resize(n);
     outcome_.assignment.assign(n, -1);
     outcome_.preserved.assign(n, 0);
@@ -206,7 +234,7 @@ class ColoringEngine {
   /// bookkeeping instead of a loop over every constraint.
   void ClaimRow(RowId row) {
     claimed_.Set(row);
-    for (uint32_t j : context_.incidence[row]) {
+    for (uint32_t j : context_.Incident(row)) {
       --free_count_[j];
       claimed_fp_[j] ^= context_.row_tags[row];
     }
@@ -214,7 +242,7 @@ class ColoringEngine {
 
   void ReleaseRow(RowId row) {
     claimed_.Reset(row);
-    for (uint32_t j : context_.incidence[row]) {
+    for (uint32_t j : context_.Incident(row)) {
       ++free_count_[j];
       claimed_fp_[j] ^= context_.row_tags[row];
     }
@@ -247,8 +275,7 @@ class ColoringEngine {
     for (const PreparedCandidate& candidate : *candidates) {
       ++steps_;
       if (steps_ > options_.step_budget ||
-          (options_.stall_limit > 0 &&
-           steps_ - last_improvement_ > options_.stall_limit) ||
+          steps_ - last_improvement_ > stall_limit_ ||
           options_.deadline.Cancelled()) {
         budget_exhausted_ = true;
         return false;
@@ -357,7 +384,7 @@ class ColoringEngine {
         // occurrences for constraint j.
         std::fill(in_target_scratch_.begin(), in_target_scratch_.end(), 0);
         for (RowId row : entry.rows) {
-          for (uint32_t j : context_.incidence[row]) ++in_target_scratch_[j];
+          for (uint32_t j : context_.Incident(row)) ++in_target_scratch_[j];
         }
         for (size_t j = 0; j < constraints_.size(); ++j) {
           if (in_target_scratch_[j] == entry.rows.size()) {
@@ -390,7 +417,7 @@ class ColoringEngine {
       for (const Cluster& cluster : (*candidates)[i].clusters) {
         std::fill(in_target_scratch_.begin(), in_target_scratch_.end(), 0);
         for (RowId row : cluster) {
-          for (uint32_t j : context_.incidence[row]) ++in_target_scratch_[j];
+          for (uint32_t j : context_.Incident(row)) ++in_target_scratch_[j];
         }
         for (size_t j = 0; j < n; ++j) {
           if (j == node) continue;
@@ -458,26 +485,23 @@ class ColoringEngine {
     }
     // Forward check: every still-uncolored constraint must be able to
     // reach its lower bound from its preserved total plus the target rows
-    // that would remain free after this assignment. Fresh rows are marked
-    // in a scratch bitset once, then each constraint's newly-claimed
-    // count is one word-wise popcount kernel instead of per-row probes.
-    // (Disabled in the greedy second pass, where partial colorings are
-    // acceptable.)
+    // that would remain free after this assignment. The fresh clusters
+    // are disjoint and unclaimed, so one incidence pass over their rows
+    // counts each constraint's newly claimed targets. (Disabled in the
+    // greedy second pass, where partial colorings are acceptable.)
     if (forward_check_) {
+      std::fill(in_target_scratch_.begin(), in_target_scratch_.end(), 0);
       for (const PreparedCluster* cluster : fresh) {
-        for (RowId row : cluster->rows) fresh_scratch_.Set(row);
+        for (RowId row : cluster->rows) {
+          for (uint32_t j : context_.Incident(row)) ++in_target_scratch_[j];
+        }
       }
       bool feasible = true;
       for (size_t j = 0; j < n && feasible; ++j) {
         if (assignment_[j] >= 0) continue;
-        uint64_t claimed_j = Bitset::IntersectionCount(
-            fresh_scratch_, context_.target_bitmap[j]);
-        uint64_t reachable =
-            preserved_[j] + delta_scratch_[j] + (free_count_[j] - claimed_j);
+        uint64_t reachable = preserved_[j] + delta_scratch_[j] +
+                             (free_count_[j] - in_target_scratch_[j]);
         feasible = reachable >= constraints_[j].lower();
-      }
-      for (const PreparedCluster* cluster : fresh) {
-        for (RowId row : cluster->rows) fresh_scratch_.Reset(row);
       }
       if (!feasible) {
         DIVA_COUNTER_ADD("coloring.forward_check_fails", 1);
@@ -537,8 +561,7 @@ class ColoringEngine {
   size_t SelectNode() {
     // Exploration: with probability epsilon pick any uncolored node, so
     // restart attempts escape a wedged deterministic order.
-    if (options_.epsilon > 0.0 &&
-        rng_.UniformDouble() < options_.epsilon) {
+    if (epsilon_ > 0.0 && rng_.UniformDouble() < epsilon_) {
       std::vector<size_t> open;
       for (size_t node = 0; node < constraints_.size(); ++node) {
         if (assignment_[node] < 0 && !sacrificed_.Test(node)) {
@@ -659,6 +682,8 @@ class ColoringEngine {
   const SearchContext& context_;
   ColoringOptions options_;
   bool forward_check_;
+  double epsilon_;
+  uint64_t stall_limit_;
   Rng rng_;
 
   std::vector<int> assignment_;
@@ -672,7 +697,6 @@ class ColoringEngine {
 
   Registry registry_;  // active clusters only
   Bitset claimed_;     // rows owned by an active cluster
-  Bitset fresh_scratch_;
   std::vector<uint64_t> in_target_scratch_;
   std::vector<uint64_t> delta_scratch_;
   CandidateList trivial_candidates_;
@@ -741,18 +765,6 @@ ColoringOutcome ColorConstraints(const Relation& relation,
   best.preserved.assign(constraints.size(), 0);
 
   constexpr int kMaxAttempts = 8;
-  auto attempt_options = [&](int attempt) {
-    ColoringOptions pass = options;
-    pass.seed = options.seed + 0x9e3779b97f4a7c15ULL * attempt;
-    pass.epsilon = 0.15 * attempt;  // attempt 0 is the pure strategy
-    if (attempt > 0 && pass.stall_limit > 0) {
-      // Diversification probes either win quickly or not at all; keep
-      // them cheap so eight attempts stay affordable.
-      pass.stall_limit = std::max<uint64_t>(500, options.stall_limit / 4);
-    }
-    return pass;
-  };
-
   // Attempt 0's engine outlives the loop: its memo feeds the greedy pass.
   std::unique_ptr<ColoringEngine> first_engine;
   for (int attempt = 0; spent < strict_budget && attempt < kMaxAttempts &&
@@ -760,10 +772,15 @@ ColoringOutcome ColorConstraints(const Relation& relation,
        ++attempt) {
     DIVA_TRACE_SPAN_RANGE("coloring/attempt", attempt, attempt + 1);
     DIVA_COUNTER_ADD("coloring.attempts", 1);
-    ColoringOptions pass = attempt_options(attempt);
+    ColoringOptions pass = options;
+    pass.seed = options.seed + 0x9e3779b97f4a7c15ULL * attempt;
     pass.step_budget = strict_budget - spent;
+    // Attempt 0 is the pure strategy; later attempts explore (epsilon)
+    // and, as probes that win quickly or not at all, stall out sooner.
     auto engine = std::make_unique<ColoringEngine>(
-        relation, constraints, graph, context, pass, /*forward_check=*/true);
+        relation, constraints, graph, context, pass, /*forward_check=*/true,
+        /*epsilon=*/0.15 * attempt,
+        attempt == 0 ? kStallLimit : kProbeStallLimit);
     ColoringOutcome outcome = engine->Run();
     if (attempt == 0) first_engine = std::move(engine);
     spent += outcome.steps;
@@ -788,10 +805,10 @@ ColoringOutcome ColorConstraints(const Relation& relation,
   // nodes as it can even when some constraint is provably unsatisfiable.
   ColoringOptions second = options;
   second.step_budget = budget > spent ? budget - spent : 1;
-  second.epsilon = 0.1;
   DIVA_TRACE_SPAN("coloring/greedy");
   ColoringEngine greedy(relation, constraints, graph, context, second,
-                        /*forward_check=*/false);
+                        /*forward_check=*/false, /*epsilon=*/0.1,
+                        kStallLimit);
   // Attempt 0 and the greedy pass derive identical per-node enumeration
   // seeds from options.seed, so attempt 0's memo is directly reusable —
   // the memo is semantically transparent, so this changes no outcome,

@@ -35,24 +35,12 @@ struct ColoringOptions {
   /// partial coloring found so far instead of looping forever.
   uint64_t step_budget = 1000000;
 
-  /// Give up when this many consecutive steps pass without improving the
-  /// best partial coloring (0 = disabled). Complete colorings are found
-  /// in few steps; long no-progress stretches are almost always thrash on
-  /// an infeasible remainder.
-  uint64_t stall_limit = 5000;
-
   /// Deadline-driven cancellation (the anytime mode of RunDiva): when the
   /// token trips, the search stops at the next step and the best partial
   /// coloring found so far is returned with budget_exhausted set — the
   /// same degradation path as step-budget exhaustion. Default token never
   /// trips.
   CancellationToken deadline;
-
-  /// Probability that SelectNode ignores the strategy and picks a random
-  /// uncolored node (exploration). 0 on the first search attempt; the
-  /// restart driver raises it on later attempts so a bad deterministic
-  /// node order cannot wedge the search.
-  double epsilon = 0.0;
 
   /// Memoize per-node candidate lists across backtracking re-visits,
   /// keyed by the claimed-rows fingerprint restricted to the node's
@@ -112,6 +100,9 @@ struct ColoringOutcome {
 
 /// Runs the coloring search over (R, Sigma) with the interaction graph
 /// `graph` (whose `targets` must be the constraints' target-tuple lists).
+/// Up to eight seeded restart attempts run in sequence, then a greedy
+/// pass; each stops early after a fixed number of steps (5000, a quarter
+/// of that for restart probes) without improving its best coloring.
 ColoringOutcome ColorConstraints(const Relation& relation,
                                  const ConstraintSet& constraints,
                                  const ConstraintGraph& graph,

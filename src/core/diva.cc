@@ -310,9 +310,9 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
     coloring_options.enumeration = TuneEnumeration(options);
     coloring_options.deadline = token;
 
-    // The component partition of the conflict graph (core/shard.h): a
-    // pure function of the instance, computed in both execution modes so
-    // the report's shard figures never depend on the shard flag.
+    // The component partition of the conflict graph (core/shard.h), a
+    // pure function of the instance: every deterministic run colors
+    // through it.
     if (plan == nullptr) {
       DIVA_RETURN_IF_ERROR(DIVA_FAIL("shard.partition"));
       built_plan = ComputeShardPlan(*graph, relation.NumRows());
@@ -329,10 +329,15 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
     // phase: when the deadline trips, enumeration loops stop claiming
     // chunks instead of finishing a doomed sweep.
     ScopedLoopCancellation loop_cancel(token);
-    if (plan->Effective()) {
-      // >= 2 independent components: the plan drives the search in both
-      // modes; options.shard only picks concurrent vs sequential
-      // execution (the shard fan-out replaces the attempt portfolio).
+    if (options.portfolio_threads > 1 && !plan->Effective()) {
+      // The opt-in portfolio races seeded whole-instance searches; which
+      // complete coloring wins may vary, so such a run never captures.
+      coloring = ColorConstraintsPortfolio(relation, constraints, *graph,
+                                           coloring_options,
+                                           options.portfolio_threads);
+    } else {
+      // The plan drives the search whatever its shard count;
+      // options.shard only picks concurrent vs inline execution.
       const size_t workers =
           options.shard ? ResolveThreadCount(options.threads) : 1;
       const std::vector<const ShardColoringRecord*>* adopt =
@@ -345,14 +350,6 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
                              constraints, *graph, *plan,
                              coloring_options, workers, adopt,
                              capture_coloring));
-    } else {
-      coloring =
-          options.portfolio_threads > 1
-              ? ColorConstraintsPortfolio(relation, constraints, *graph,
-                                          coloring_options,
-                                          options.portfolio_threads)
-              : ColorConstraints(relation, constraints, *graph,
-                                 coloring_options);
     }
   }
   report.clustering_complete = coloring.complete;
@@ -538,12 +535,13 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
 
   DIVA_RETURN_IF_ERROR(DIVA_FAIL("diva.publish"));
 
-  // Reuse capture: only a fully sharded, undegraded, suppression-recoded
-  // run is a sound adoption source. The caller finishes the snapshot
-  // (relation, dictionary sizes, fingerprint) via FinalizeSnapshot.
+  // Reuse capture: only an undegraded, suppression-recoded run whose
+  // plan recorded every shard's coloring (the portfolio records none) is
+  // a sound adoption source. The caller finishes the snapshot (relation,
+  // dictionary sizes, fingerprint) via FinalizeSnapshot.
   if (hooks.capture != nullptr) {
     PipelineSnapshot& snapshot = *hooks.capture;
-    snapshot.valid = plan->Effective() && options.generalization == nullptr &&
+    snapshot.valid = options.generalization == nullptr &&
                      !report.deadline_exceeded && !report.baseline_degraded &&
                      !report.integrate_skipped && !report.privacy_truncated &&
                      snapshot.coloring.size() == plan->shards.size();

@@ -74,7 +74,8 @@ struct DivaOptions {
   /// Portfolio parallelism for the coloring search (the paper's
   /// future-work direction): number of independently seeded searches run
   /// on worker threads, first complete coloring wins. 0 or 1 = single
-  /// search.
+  /// search. Applies only to plans with fewer than 2 shards (a connected
+  /// instance); its output may vary run to run.
   size_t portfolio_threads = 0;
 
   /// Data-parallel execution width for the pipeline's hot loops
@@ -87,15 +88,13 @@ struct DivaOptions {
   size_t threads = EnvThreads();
 
   /// Component sharding of the coloring phase (core/shard.h). The
-  /// conflict graph's connected components are independent subproblems;
-  /// whenever there are >= 2, the shard *plan* fixes every search
-  /// decision (per-shard seed streams, per-shard sub-relations) and this
-  /// flag only chooses the execution width: true runs shards as
-  /// TaskGroup items on up to `threads` workers, false on none (inline,
-  /// in shard order). Like `threads`, it never changes output bytes —
-  /// tests/shard_test.cc pins sharded == unsharded on the fuzz corpus.
-  /// Single-component instances run one global coloring search either
-  /// way, so the paper example is untouched.
+  /// conflict graph's connected components are independent subproblems,
+  /// and the shard *plan* fixes every search decision (per-shard seed
+  /// streams, per-shard sub-relations). This flag only chooses the
+  /// execution width: true runs shards as TaskGroup items on up to
+  /// `threads` workers, false on none (inline, in shard order). Like
+  /// `threads`, it never changes output bytes — tests/shard_test.cc pins
+  /// sharded == unsharded on the fuzz corpus.
   bool shard = true;
 
   /// Optional t-closeness on top of k-anonymity (the paper's second
@@ -133,7 +132,8 @@ struct DivaOptions {
   /// components. Capture never changes output bytes; it costs one
   /// relation copy, and is skipped (snapshot left null) when the run is
   /// not reusable — degraded by a deadline, generalization-recoded, or
-  /// not sharded (< 2 components).
+  /// colored by the portfolio (`portfolio_threads` > 1 on a connected
+  /// instance).
   bool incremental = false;
 
   /// Optional external cancellation signal, composed with `deadline_ms`:
@@ -158,9 +158,9 @@ struct DivaReport {
   uint64_t backtracks = 0;
 
   /// Conflict-graph components the coloring decomposed into (the shard
-  /// plan of core/shard.h). 0 when there were no constraints; below 2,
-  /// one global coloring search ran. Identical with sharding on or off —
-  /// the plan is a pure function of the instance.
+  /// plan of core/shard.h). 0 when there were no constraints; 1 when
+  /// they all interact. Identical with sharding on or off — the plan is
+  /// a pure function of the instance.
   size_t shards = 0;
   /// Rows no constraint targets (the residual shard): they skip the
   /// coloring entirely and flow to the baseline phase.

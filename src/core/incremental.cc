@@ -144,8 +144,8 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
   DIVA_RETURN_IF_ERROR(DIVA_FAIL("delta.apply"));
   if (!prior.valid || !prior.input.has_value()) {
     return Status::InvalidArgument(
-        "prior snapshot is not reusable (captured from a degraded or "
-        "unsharded run)");
+        "prior snapshot is not reusable (captured from a degraded, "
+        "generalized or portfolio run)");
   }
   const Relation& input = *prior.input;
   const ConstraintSet& constraints = prior.constraints;

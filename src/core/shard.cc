@@ -108,15 +108,16 @@ struct ShardRun {
   counters::Buffer counters;
 };
 
-/// Colors one shard: gathers its rows from the input, remaps the
-/// component's constraints/graph to local ids, and runs the search with
-/// the shard's derived seed stream. Row ids in the returned outcome's
+/// Colors shard `shard_index`: gathers its rows from the input, remaps
+/// the component's constraints/graph to local ids, and runs the search
+/// with the shard's seed stream. Row ids in the returned outcome's
 /// clusters are mapped back to global ids; assignment/preserved stay in
 /// local (component) order for the driver to scatter.
 void RunOneShard(const ColumnStore& store, const ConstraintSet& constraints,
-                 const ConstraintGraph& graph, const Shard& shard,
+                 const ConstraintGraph& graph, const ShardPlan& plan,
                  size_t shard_index, const ColoringOptions& base_options,
                  ShardRun* run, ColoringOutcome* local_capture) {
+  const Shard& shard = plan.shards[shard_index];
   // Buffered counters: updates made on this thread land in the shard's
   // buffer; inner pool workers write straight to the registry, which is
   // safe — deterministic counters commute, so totals are identical no
@@ -161,10 +162,14 @@ void RunOneShard(const ColumnStore& store, const ConstraintSet& constraints,
     }
   }
 
+  // A lone shard holds every constraint: it keeps the run's seeds, so it
+  // searches exactly as one search over the whole relation would.
   ColoringOptions local_options = base_options;
-  local_options.seed = ShardSeed(base_options.seed, shard_index);
-  local_options.enumeration.seed =
-      ShardSeed(base_options.enumeration.seed, shard_index);
+  if (plan.shards.size() > 1) {
+    local_options.seed = ShardSeed(base_options.seed, shard_index);
+    local_options.enumeration.seed =
+        ShardSeed(base_options.enumeration.seed, shard_index);
+  }
 
   run->outcome =
       ColorConstraints(sub, local_constraints, local_graph, local_options);
@@ -233,8 +238,8 @@ Result<ColoringOutcome> RunShardedColoring(
   for (size_t s = 0; s < num_shards; ++s) {
     if (adopted[s]) continue;
     tickets.push_back(group.Submit([&, s] {
-      RunOneShard(store, constraints, graph, plan.shards[s], s, base_options,
-                  &runs[s], local_capture(s));
+      RunOneShard(store, constraints, graph, plan, s, base_options, &runs[s],
+                  local_capture(s));
     }));
   }
   for (uint64_t ticket : tickets) group.Wait(ticket);

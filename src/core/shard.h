@@ -12,19 +12,21 @@
 /// (Relation::SelectRows), and the merged result is a valid coloring of
 /// the whole instance.
 ///
-/// Determinism contract: whenever the plan is *effective* (>= 2
-/// components), the plan — not the execution mode — fixes every search
-/// decision. Each shard colors its sub-relation with its own
-/// deterministic RNG stream (a splitmix of the run seed and the shard
-/// index) and full step budget, and the shard outcomes are merged in
-/// component-index order. The DivaOptions::shard flag and the thread
-/// width only set how many TaskGroup workers run those identical
-/// per-shard computations (none at width 1: every item runs inline, in
-/// shard order), so CSV/report/audit bytes are identical with sharding
-/// on or off and at every thread width (tests/shard_test.cc asserts
-/// this on the fuzz corpus). A single-component graph is colored by one
-/// global search; the baseline phase then pools every uncovered row
-/// into one call.
+/// Determinism contract: every deterministic run colors through its
+/// plan, whatever its shard count, and the plan — not the execution
+/// mode — fixes every search decision. With two or more shards, each
+/// colors its sub-relation with its own deterministic RNG stream (a
+/// splitmix of the run seed and the shard index); a lone shard holds
+/// every constraint and keeps the run's seeds, so it searches exactly as
+/// one search over the whole relation would. Every shard gets the full
+/// step budget, and the shard outcomes are merged in component-index
+/// order. The DivaOptions::shard flag and the thread width only set how
+/// many TaskGroup workers run those identical per-shard computations
+/// (none at width 1: every item runs inline, in shard order), so
+/// CSV/report/audit bytes are identical with sharding on or off and at
+/// every thread width (tests/shard_test.cc asserts this on the fuzz
+/// corpus). With fewer than two shards, the baseline phase pools every
+/// uncovered row into one call.
 
 #include <cstdint>
 #include <vector>
@@ -75,8 +77,9 @@ struct ShardPlan {
   /// Largest shard row count (0 when there are no shards).
   size_t MaxShardRows() const;
 
-  /// Decomposition pays off only with >= 2 independent searches; below
-  /// that the caller runs one global coloring search.
+  /// Whether the baseline phase clusters each shard's uncovered rows on
+  /// their own (>= 2 shards) or pools every remaining row into one call.
+  /// The coloring runs through the plan either way.
   bool Effective() const { return shards.size() >= 2; }
 };
 
@@ -103,7 +106,8 @@ struct ShardColoringRecord {
 /// component-index order. `store` must view the full relation; each
 /// shard colors a gathered sub-relation of its rows against its
 /// remapped sub-graph. `base_options` carries the
-/// run's tuned coloring knobs; per-shard seeds are derived from them.
+/// run's tuned coloring knobs; with two or more shards, per-shard seeds
+/// are derived from them (ShardSeed), and a lone shard keeps them.
 /// Shards run as TaskGroup items on min(`workers`, shards) workers (none
 /// when `workers` <= 1); per-shard counter buffers commit in shard order
 /// and spans stay on the thread that ran the shard. Fails only via the

@@ -348,7 +348,6 @@ ColoringOptions StressOptions() {
   options.strategy = SelectionStrategy::kMaxFanOut;
   options.seed = 1000;
   options.step_budget = 40000;
-  options.stall_limit = 5000;
   return options;
 }
 
@@ -573,7 +572,6 @@ TEST(ColoringPinTest, BenchShapesKeepTheirTrajectoryAtWidthsOneAndFour) {
     options.strategy = SelectionStrategy::kMaxFanOut;
     options.seed = 1000;
     options.step_budget = shape.step_budget;
-    options.stall_limit = 5000;
     for (size_t threads : {size_t{1}, size_t{4}}) {
       SetParallelThreads(threads);
       ColoringOutcome outcome =

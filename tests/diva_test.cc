@@ -321,8 +321,9 @@ uint64_t Fnv1a(const std::string& bytes) {
 }
 
 TEST(DivaOneComponentPinTest, PublishedCsvPerBaselineAtWidthsOneAndFour) {
-  // A connected Pop-Syn instance: one global coloring, then every
-  // uncovered row in one baseline call. Pins its published bytes.
+  // A connected Pop-Syn instance: a one-shard plan, colored with the
+  // run's own seeds exactly as one search over the whole relation, then
+  // every uncovered row in one baseline call. Pins its published bytes.
   ProfileOptions profile_options;
   profile_options.num_rows = 3000;
   profile_options.seed = 7;

@@ -17,9 +17,11 @@
 #include "common/counters.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "constraint/generator.h"
 #include "constraint/parser.h"
 #include "core/diva.h"
 #include "core/incremental.h"
+#include "datagen/profiles.h"
 #include "relation/csv.h"
 #include "relation/relation.h"
 #include "relation/schema.h"
@@ -434,6 +436,160 @@ TEST(IncrementalTest, InsertBridgingTwoComponentsMatchesColdRun) {
     ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
     EXPECT_EQ(Fingerprint(*incremental), Fingerprint(*cold));
     EXPECT_EQ(incremental->report.shards, cold->report.shards);
+  }
+  SetParallelThreads(1);
+}
+
+/// The rows of `relation` as strings, in row order (delta inserts).
+std::vector<std::vector<std::string>> RowStrings(const Relation& relation) {
+  std::vector<std::vector<std::string>> rows(relation.NumRows());
+  for (RowId row = 0; row < relation.NumRows(); ++row) {
+    for (size_t col = 0; col < relation.NumAttributes(); ++col) {
+      rows[row].push_back(relation.ValueString(row, col));
+    }
+  }
+  return rows;
+}
+
+/// Replaces the last row by a copy whose column `col` holds the first
+/// different value found in that column: the row keeps its position and
+/// the delta interns no new value.
+DeltaBatch ChangeLastRow(const std::vector<std::vector<std::string>>& rows,
+                         size_t col) {
+  DeltaBatch delta;
+  delta.deleted.push_back(static_cast<RowId>(rows.size() - 1));
+  std::vector<std::string> changed = rows.back();
+  for (const std::vector<std::string>& row : rows) {
+    if (row[col] != changed[col]) {
+      changed[col] = row[col];
+      break;
+    }
+  }
+  EXPECT_NE(changed, rows.back());
+  delta.inserted.push_back(std::move(changed));
+  return delta;
+}
+
+TEST(IncrementalTest, ConnectedInstanceReplaysDeltasLikeAColdRun) {
+  // The connected 3,000-row Pop-Syn instance of DivaOneComponentPinTest:
+  // its plan has one shard, which the run captures and a clean delta
+  // adopts. Every kind of delta must reproduce the cold run.
+  ProfileOptions profile_options;
+  profile_options.num_rows = 3000;
+  profile_options.seed = 7;
+  auto base = GenerateProfile(DatasetProfile::kPopSyn, profile_options);
+  ASSERT_TRUE(base.ok());
+  ConstraintGenOptions generator_options;
+  generator_options.count = 6;
+  generator_options.target_conflict = 0.9;
+  generator_options.seed = 7;
+  auto constraints = GenerateConstraints(*base, generator_options);
+  ASSERT_TRUE(constraints.ok());
+
+  auto prior = RunDiva(*base, *constraints, ChurnOptions(10, 1));
+  ASSERT_TRUE(prior.ok()) << prior.status().ToString();
+  ASSERT_EQ(prior->report.shards, 1u);
+  ASSERT_NE(prior->snapshot, nullptr)
+      << "a connected incremental run must capture a snapshot";
+
+  const Schema& schema = base->schema();
+  ASSERT_FALSE(schema.sensitive_indices().empty());
+  const size_t payload = schema.sensitive_indices().front();
+  const size_t constrained = constraints->front().attribute_indices().front();
+  for (const DiversityConstraint& constraint : *constraints) {
+    for (size_t col : constraint.attribute_indices()) {
+      ASSERT_NE(col, payload) << "the payload column must be unconstrained";
+    }
+  }
+  const std::vector<std::vector<std::string>> rows = RowStrings(*base);
+  const size_t n = rows.size();
+
+  struct Case {
+    const char* name;
+    DeltaBatch delta;
+  };
+  std::vector<Case> cases;
+  {
+    DeltaBatch same;
+    same.deleted.push_back(static_cast<RowId>(n - 1));
+    same.inserted.push_back(rows.back());
+    cases.push_back({"no-op", std::move(same)});
+  }
+  cases.push_back({"payload-only", ChangeLastRow(rows, payload)});
+  cases.push_back({"QI-touching", ChangeLastRow(rows, constrained)});
+  {
+    DeltaBatch shifting;
+    shifting.deleted = {0, static_cast<RowId>(n / 2)};
+    shifting.inserted = {rows[1], rows[2]};
+    cases.push_back({"position-shifting", std::move(shifting)});
+  }
+
+  for (const Case& test_case : cases) {
+    SCOPED_TRACE(test_case.name);
+    auto post = ApplyDeltaToRelation(*prior->snapshot->input, test_case.delta);
+    ASSERT_TRUE(post.ok()) << post.status().ToString();
+    for (size_t col = 0; col < post->NumAttributes(); ++col) {
+      ASSERT_EQ(post->dictionary(col).size(),
+                prior->snapshot->input->dictionary(col).size())
+          << "the delta must not intern a new value";
+    }
+    RunFingerprint cold_baseline;
+    for (size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("threads = " + std::to_string(threads));
+      auto cold = RunDiva(*post, *constraints, ChurnOptions(10, threads));
+      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+      Reuse reuse;
+      auto incremental = ApplyDeltaCounting(
+          *prior->snapshot, test_case.delta, ChurnOptions(10, threads), &reuse);
+      ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
+      if (threads == 1u) cold_baseline = Fingerprint(*cold);
+      EXPECT_EQ(Fingerprint(*cold), cold_baseline);
+      EXPECT_EQ(Fingerprint(*incremental), cold_baseline);
+      EXPECT_EQ(reuse.reused + reuse.recolored, 1u);
+      EXPECT_NE(incremental->snapshot, nullptr);
+      if (std::string(test_case.name) == "no-op") {
+        EXPECT_EQ(reuse.reused, 1u) << "a clean lone shard must be adopted";
+      }
+    }
+  }
+
+  // A delta that splits the component: r0 rows carry job j1 and r1 rows
+  // job j0, so only the trailing (r0, j0) row joins REGION[r0] to
+  // JOB[j0]'s component. Deleting it leaves two shards.
+  auto churn_schema = ChurnSchema();
+  std::vector<std::vector<std::string>> churn_rows;
+  Rng rng(83);
+  for (size_t i = 0; i < 60; ++i) {
+    bool left = i % 2 == 0;
+    churn_rows.push_back({left ? "r0" : "r1", "g" + std::to_string(i % 6),
+                          std::to_string(20 + rng.NextBounded(50)),
+                          left ? "j1" : "j0", "d" + std::to_string(i % 4)});
+  }
+  churn_rows.push_back({"r0", "g1", "33", "j0", "d1"});
+  auto bridged = RelationFromRows(churn_schema, churn_rows);
+  ASSERT_TRUE(bridged.ok());
+  auto churn_constraints = ParseConstraintSet(*churn_schema,
+                                              "REGION[r0] in [2,100]\n"
+                                              "REGION[r1] in [2,100]\n"
+                                              "JOB[j0] in [2,100]\n");
+  ASSERT_TRUE(churn_constraints.ok());
+  auto connected = RunDiva(*bridged, *churn_constraints, ChurnOptions(2, 1));
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  ASSERT_EQ(connected->report.shards, 1u);
+  ASSERT_NE(connected->snapshot, nullptr);
+  DeltaBatch split;
+  split.deleted.push_back(static_cast<RowId>(churn_rows.size() - 1));
+  auto post = ApplyDeltaToRelation(*connected->snapshot->input, split);
+  ASSERT_TRUE(post.ok());
+  for (size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("split, threads = " + std::to_string(threads));
+    auto cold = RunDiva(*post, *churn_constraints, ChurnOptions(2, threads));
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    auto incremental =
+        ApplyDelta(*connected->snapshot, split, ChurnOptions(2, threads));
+    ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
+    EXPECT_EQ(incremental->report.shards, 2u);
+    EXPECT_EQ(Fingerprint(*incremental), Fingerprint(*cold));
   }
   SetParallelThreads(1);
 }

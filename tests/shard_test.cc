@@ -1,11 +1,12 @@
 // The sharding subsystem's headline guarantee, asserted end to end: the
-// DivaOptions::shard flag chooses only *how* a multi-component instance
-// executes (concurrent TaskGroup work items vs the same per-shard
-// computations inline), never *what* it computes — CSV, report, and
-// audit telemetry are byte-identical with sharding on or off and at
-// every thread width. See core/shard.h for why this holds by
-// construction. Unit coverage for the plan itself (union-find, component
-// ordering, residual accounting) rides along.
+// DivaOptions::shard flag chooses only *how* an instance executes
+// (concurrent TaskGroup work items vs the same per-shard computations
+// inline), never *what* it computes — CSV, report, and audit telemetry
+// are byte-identical with sharding on or off and at every thread width —
+// and a one-shard plan searches exactly as one search over the whole
+// relation. See core/shard.h for why this holds by construction. Unit
+// coverage for the plan itself (union-find, component ordering, residual
+// accounting) rides along.
 
 #include <gtest/gtest.h>
 
@@ -16,9 +17,11 @@
 
 #include "common/counters.h"
 #include "common/parallel.h"
+#include "constraint/generator.h"
 #include "core/constraint_graph.h"
 #include "core/diva.h"
 #include "core/shard.h"
+#include "datagen/profiles.h"
 #include "relation/csv.h"
 #include "tests/test_util.h"
 
@@ -279,9 +282,9 @@ TEST(ShardEquivalenceTest, OverlappingChainPlusIslandIsByteIdentical) {
 }
 
 TEST(ShardEquivalenceTest, SingleComponentIgnoresTheShardFlag) {
-  // The paper's example constraints form one component: the plan is not
-  // effective, so one global coloring search runs and the baseline pools
-  // every uncovered row. The flag must be a strict no-op on those bytes
+  // The paper's example constraints form one component: the one-shard
+  // plan colors with the run's own seeds, and the baseline pools every
+  // uncovered row. The flag must be a strict no-op on those bytes
   // (determinism_test and diva_test's one-component pins fix them).
   Relation relation = MedicalRelation();
   ConstraintSet constraints =
@@ -295,9 +298,95 @@ TEST(ShardEquivalenceTest, SingleComponentIgnoresTheShardFlag) {
   SetParallelThreads(1);
 }
 
+bool SameOutcome(const ColoringOutcome& a, const ColoringOutcome& b) {
+  return a.complete == b.complete &&
+         a.budget_exhausted == b.budget_exhausted &&
+         a.assignment == b.assignment && a.preserved == b.preserved &&
+         a.chosen_clusters == b.chosen_clusters && a.steps == b.steps &&
+         a.backtracks == b.backtracks;
+}
+
+/// A connected instance: the connected 3,000-row Pop-Syn instance of
+/// DivaOneComponentPinTest (residual rows, and a search that needs a
+/// restart), or the paper's example plus ETH[Caucasian], which together
+/// target every row.
+struct ConnectedInstance {
+  const char* name;
+  Relation relation;
+  ConstraintSet constraints;
+  size_t k;
+  bool residual;
+};
+
+std::vector<ConnectedInstance> ConnectedInstances() {
+  std::vector<ConnectedInstance> instances;
+  ProfileOptions profile_options;
+  profile_options.num_rows = 3000;
+  profile_options.seed = 7;
+  auto popsyn = GenerateProfile(DatasetProfile::kPopSyn, profile_options);
+  DIVA_CHECK(popsyn.ok());
+  ConstraintGenOptions generator_options;
+  generator_options.count = 6;
+  generator_options.target_conflict = 0.9;
+  generator_options.seed = 7;
+  auto popsyn_constraints = GenerateConstraints(*popsyn, generator_options);
+  DIVA_CHECK(popsyn_constraints.ok());
+  instances.push_back({"popsyn_3000", std::move(popsyn).value(),
+                       std::move(popsyn_constraints).value(), 10, true});
+
+  auto medical_constraints =
+      ParseConstraintSet(*MedicalSchema(),
+                         "ETH[Asian] in [2,5]\n"
+                         "ETH[African] in [1,3]\n"
+                         "CTY[Vancouver] in [2,4]\n"
+                         "ETH[Caucasian] in [2,5]\n");
+  DIVA_CHECK(medical_constraints.ok());
+  instances.push_back({"medical_all_rows", MedicalRelation(),
+                       std::move(medical_constraints).value(), 2, false});
+  return instances;
+}
+
+TEST(ShardEquivalenceTest, OneShardPlanMatchesTheWholeInstanceSearch) {
+  // A lone shard keeps the run's seed and enumeration seed and colors a
+  // gathered copy of its rows: the merged outcome must be the one
+  // search over the whole relation, for every strategy and width.
+  for (const ConnectedInstance& instance : ConnectedInstances()) {
+    ConstraintGraph graph =
+        BuildConstraintGraph(instance.relation, instance.constraints);
+    ShardPlan plan = ComputeShardPlan(graph, instance.relation.NumRows());
+    ASSERT_EQ(plan.shards.size(), 1u) << instance.name;
+    EXPECT_EQ(plan.residual_rows > 0, instance.residual) << instance.name;
+    for (SelectionStrategy strategy :
+         {SelectionStrategy::kBasic, SelectionStrategy::kMinChoice,
+          SelectionStrategy::kMaxFanOut}) {
+      ColoringOptions options;
+      options.k = instance.k;
+      options.strategy = strategy;
+      options.seed = 11;
+      options.enumeration.seed = 23;
+      options.enumeration.ordered = strategy != SelectionStrategy::kBasic;
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE(std::string(instance.name) + " " +
+                     SelectionStrategyToString(strategy) +
+                     " threads=" + std::to_string(threads));
+        SetParallelThreads(threads);
+        ColoringOutcome whole = ColorConstraints(
+            instance.relation, instance.constraints, graph, options);
+        auto sharded = RunShardedColoring(
+            ColumnStore::FromRelation(instance.relation),
+            instance.constraints, graph, plan, options, threads);
+        ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+        EXPECT_TRUE(SameOutcome(*sharded, whole));
+        EXPECT_GT(whole.NumColored(), 0u);
+      }
+    }
+  }
+  SetParallelThreads(1);
+}
+
 /// The fuzz corpus leg: every workload the differential suite draws
 /// must fingerprint identically in all six execution modes. Instances
-/// here span single-component fallbacks, multi-component plans, and
+/// here span single-component plans, multi-component plans, and
 /// zero-constraint (pure residual) runs — whatever the seed yields.
 class ShardCorpusTest : public ::testing::TestWithParam<uint64_t> {};
 
