@@ -1,22 +1,27 @@
 // Micro-benchmarks of the library's primitives (google-benchmark):
 // distance evaluation, suppression, constraint counting, QI grouping,
-// graph construction, clustering enumeration and the three baseline
-// anonymizers. Not a paper figure — engineering telemetry for the
-// substrate the figures run on.
+// graph construction, clustering enumeration, the three baseline
+// anonymizers and the CSV reader and writer. Not a paper figure —
+// engineering telemetry for the substrate the figures run on.
 
 #include <benchmark/benchmark.h>
 
 #include <map>
 #include <numeric>
+#include <sstream>
+#include <streambuf>
 
 #include "anon/anonymizer.h"
 #include "anon/distance.h"
 #include "anon/suppress.h"
+#include "common/parallel.h"
+#include "common/rng.h"
 #include "constraint/generator.h"
 #include "core/clusterings.h"
 #include "core/constraint_graph.h"
 #include "core/diva.h"
 #include "datagen/profiles.h"
+#include "relation/csv.h"
 #include "relation/qi_groups.h"
 
 namespace {
@@ -182,6 +187,110 @@ void BM_KMemberExact(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * relation.NumRows());
 }
 BENCHMARK(BM_KMemberExact)->Arg(1000)->Arg(4000)->Arg(20000);
+
+/// A regions_churn-shaped relation (diva_bench): 1,000,000 rows of
+/// REGION (64 values), GROUP, AGE, JOB and DIAG, about 17 CSV bytes a
+/// row.
+const Relation& RegionsRelation() {
+  static const Relation* relation = [] {
+    auto schema = Schema::Make({{"REGION"},
+                                {"GROUP"},
+                                {"AGE", AttributeRole::kQuasiIdentifier,
+                                 AttributeKind::kNumeric},
+                                {"JOB"},
+                                {"DIAG", AttributeRole::kSensitive}});
+    DIVA_CHECK(schema.ok());
+    auto* out = new Relation(*schema);
+    Rng rng(11);
+    std::vector<ValueCode> row(5);
+    for (size_t r = 0; r < 1000000; ++r) {
+      row[0] = out->Encode(0, "r" + std::to_string(rng.NextBounded(64)));
+      row[1] = out->Encode(1, "g" + std::to_string(rng.NextBounded(8)));
+      row[2] = out->Encode(2, std::to_string(18 + rng.NextBounded(73)));
+      row[3] = out->Encode(3, "j" + std::to_string(rng.NextBounded(40)));
+      row[4] = out->Encode(4, "d" + std::to_string(rng.NextBounded(12)));
+      out->AppendRow(row);
+    }
+    return out;
+  }();
+  return *relation;
+}
+
+const std::string& RegionsCsv() {
+  static const std::string* text = [] {
+    std::ostringstream out;
+    DIVA_CHECK(WriteCsv(RegionsRelation(), out).ok());
+    return new std::string(out.str());
+  }();
+  return *text;
+}
+
+/// Reads a string in place: no copy, and seekable like a file.
+class MemoryBuffer : public std::streambuf {
+ public:
+  explicit MemoryBuffer(const std::string& text) {
+    char* begin = const_cast<char*>(text.data());
+    setg(begin, begin, begin + text.size());
+  }
+
+ protected:
+  pos_type seekoff(off_type off, std::ios_base::seekdir dir,
+                   std::ios_base::openmode) override {
+    const off_type base = dir == std::ios_base::beg   ? 0
+                          : dir == std::ios_base::cur ? gptr() - eback()
+                                                      : egptr() - eback();
+    if (base + off < 0 || base + off > egptr() - eback()) return -1;
+    setg(eback(), eback() + base + off, egptr());
+    return base + off;
+  }
+  pos_type seekpos(pos_type pos, std::ios_base::openmode which) override {
+    return seekoff(off_type(pos), std::ios_base::beg, which);
+  }
+};
+
+/// Counts the bytes written to it and keeps none.
+class NullBuffer : public std::streambuf {
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    return n;
+  }
+  int_type overflow(int_type c) override { return c; }
+};
+
+void BM_ReadCsv(benchmark::State& state) {
+  const std::string& text = RegionsCsv();
+  const auto schema = RegionsRelation().schema_ptr();
+  SetParallelThreads(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    MemoryBuffer buffer(text);
+    std::istream in(&buffer);
+    auto read = ReadCsv(in, schema);
+    DIVA_CHECK(read.ok() && read->NumRows() == 1000000);
+    benchmark::DoNotOptimize(*read);
+  }
+  SetParallelThreads(1);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_ReadCsv)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_WriteCsv(benchmark::State& state) {
+  const Relation& relation = RegionsRelation();
+  SetParallelThreads(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    NullBuffer buffer;
+    std::ostream out(&buffer);
+    DIVA_CHECK(WriteCsv(relation, out).ok());
+    benchmark::DoNotOptimize(&buffer);
+    benchmark::ClobberMemory();
+  }
+  SetParallelThreads(1);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(RegionsCsv().size()));
+}
+BENCHMARK(BM_WriteCsv)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

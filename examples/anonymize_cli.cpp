@@ -45,7 +45,8 @@
 // one span per pipeline phase and per pool chunk; see "Observability"
 // in docs/development.md. A traced DIVA run also turns on the self-audit
 // so the trace covers all five phases (clustering, suppress, anonymize,
-// integrate, audit). Without the flag, tracing stays off and costs one
+// integrate, audit), between the input's csv/read span and the output's
+// csv/write span. Without the flag, tracing stays off and costs one
 // relaxed atomic load per span site.
 //
 // Schema file: one attribute per line, "NAME,role,kind" where role is
@@ -127,6 +128,10 @@ int main(int argc, char** argv) {
   auto schema = LoadSchemaFile(args.Get("schema"));
   if (!schema.ok()) return Fail(schema.status().ToString());
 
+  // A traced run covers the CSV read and write too.
+  const bool tracing = args.Has("trace-out");
+  if (tracing) trace::Enable();
+
   auto relation = ReadCsvFile(args.Get("input"), *schema);
   if (!relation.ok()) return Fail(relation.status().ToString());
 
@@ -183,9 +188,6 @@ int main(int argc, char** argv) {
                  ConstraintIssueKindToString(issue.kind),
                  issue.message.c_str());
   }
-
-  const bool tracing = args.Has("trace-out");
-  if (tracing) trace::Enable();
 
   Relation output((*schema));
   if (algorithm == "diva") {
@@ -254,15 +256,6 @@ int main(int argc, char** argv) {
     output = std::move(result).value();
   }
 
-  if (tracing) {
-    trace::Disable();
-    Status written = trace::WriteChromeTrace(args.Get("trace-out"));
-    if (!written.ok()) return Fail(written.ToString());
-    std::fprintf(stderr, "wrote trace %s (%llu event(s) dropped)\n",
-                 args.Get("trace-out").c_str(),
-                 static_cast<unsigned long long>(trace::DroppedEvents()));
-  }
-
   if (!IsKAnonymous(output, static_cast<size_t>(*k))) {
     return Fail("internal: output is not k-anonymous");
   }
@@ -281,6 +274,15 @@ int main(int argc, char** argv) {
     std::ostringstream buffer;
     DIVA_CHECK(WriteCsv(output, buffer).ok());
     std::fputs(buffer.str().c_str(), stdout);
+  }
+
+  if (tracing) {
+    trace::Disable();
+    Status written = trace::WriteChromeTrace(args.Get("trace-out"));
+    if (!written.ok()) return Fail(written.ToString());
+    std::fprintf(stderr, "wrote trace %s (%llu event(s) dropped)\n",
+                 args.Get("trace-out").c_str(),
+                 static_cast<unsigned long long>(trace::DroppedEvents()));
   }
   return 0;
 }

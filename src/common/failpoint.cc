@@ -238,7 +238,7 @@ void MaybeArmFromEnvLocked(Registry& registry)
 
 }  // namespace
 
-Status Check(const char* name) {
+bool Active() {
   // One-time lazy DIVA_FAILPOINTS parse (thread-safe magic static).
   static const bool env_initialized = [] {
     Registry& registry = GetRegistry();
@@ -247,8 +247,12 @@ Status Check(const char* name) {
     return true;
   }();
   (void)env_initialized;
+  return g_active.load(std::memory_order_relaxed) != 0;
+}
+
+Status Check(const char* name) {
   // Fast path: nothing armed, no counting — one relaxed load.
-  if (g_active.load(std::memory_order_relaxed) == 0) return Status::OK();
+  if (!Active()) return Status::OK();
   Registry& registry = GetRegistry();
   MutexLock lock(registry.mutex);
   Site& site = registry.sites[name];

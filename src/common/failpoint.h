@@ -37,6 +37,11 @@ namespace failpoint {
 /// Also counts the hit when counting is enabled (see SetCounting).
 [[nodiscard]] Status Check(const char* name);
 
+/// False while no site is armed and counting is off: every Check then
+/// returns OK and counts nothing, so a loop that checks once per item
+/// (the CSV reader and writer, per record) may skip its checks.
+bool Active();
+
 /// Arms `name` to return `code` on its `trigger_hit`-th hit (1-based).
 /// Rearming a site resets its hit count and fired latch.
 void Arm(const std::string& name, StatusCode code, uint64_t trigger_hit = 1);

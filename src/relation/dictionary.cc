@@ -19,7 +19,7 @@ std::optional<double> TryParseNumber(const std::string& text) {
 }  // namespace
 
 ValueCode Dictionary::GetOrInsert(std::string_view value) {
-  auto it = index_.find(std::string(value));
+  auto it = index_.find(value);
   if (it != index_.end()) return it->second;
   ValueCode code = static_cast<ValueCode>(values_.size());
   values_.emplace_back(value);
@@ -29,7 +29,7 @@ ValueCode Dictionary::GetOrInsert(std::string_view value) {
 }
 
 std::optional<ValueCode> Dictionary::Find(std::string_view value) const {
-  auto it = index_.find(std::string(value));
+  auto it = index_.find(value);
   if (it == index_.end()) return std::nullopt;
   return it->second;
 }

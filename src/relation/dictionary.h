@@ -1,6 +1,7 @@
 #ifndef DIVA_RELATION_DICTIONARY_H_
 #define DIVA_RELATION_DICTIONARY_H_
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -42,9 +43,17 @@ class Dictionary {
   bool empty() const { return values_.empty(); }
 
  private:
+  /// Transparent hash: lookups by string_view build no std::string.
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view value) const {
+      return std::hash<std::string_view>{}(value);
+    }
+  };
+
   std::vector<std::string> values_;
   std::vector<std::optional<double>> numeric_values_;
-  std::unordered_map<std::string, ValueCode> index_;
+  std::unordered_map<std::string, ValueCode, Hash, std::equal_to<>> index_;
 };
 
 }  // namespace diva

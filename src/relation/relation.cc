@@ -20,6 +20,13 @@ RowId Relation::AppendRow(std::span<const ValueCode> codes) {
   return static_cast<RowId>(num_rows_++);
 }
 
+void Relation::AppendRows(std::span<const ValueCode> codes) {
+  if (stride_ == 0) return;
+  DIVA_CHECK_MSG(codes.size() % stride_ == 0, "row arity mismatch");
+  data_.insert(data_.end(), codes.begin(), codes.end());
+  num_rows_ += codes.size() / stride_;
+}
+
 Result<RowId> Relation::AppendRowStrings(
     const std::vector<std::string>& fields) {
   DIVA_RETURN_IF_ERROR(DIVA_FAIL("relation.append_row"));

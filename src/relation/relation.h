@@ -54,6 +54,14 @@ class Relation {
   /// Appends a row of pre-encoded codes; must have NumAttributes entries.
   RowId AppendRow(std::span<const ValueCode> codes);
 
+  /// Appends rows of pre-encoded codes laid out row-major; the size must
+  /// be a multiple of NumAttributes.
+  void AppendRows(std::span<const ValueCode> codes);
+
+  /// Reserves room for `rows` rows in all, so appends up to that many do
+  /// not reallocate.
+  void ReserveRows(size_t rows) { data_.reserve(rows * stride_); }
+
   /// Encodes `fields` through the dictionaries and appends; "*"/"★" map to
   /// kSuppressed. Must have NumAttributes entries.
   [[nodiscard]] Result<RowId> AppendRowStrings(const std::vector<std::string>& fields);
