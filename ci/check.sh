@@ -91,7 +91,7 @@ if [[ "$SKIP_SANITIZERS" -eq 0 ]]; then
   # claiming chunks (mirrors the CI fault-sweep job).
   step "fault sweep: asan-ubsan failpoint + deadline tests (DIVA_THREADS=8)"
   DIVA_THREADS=8 ctest --preset asan-ubsan -j "$JOBS" \
-    -R "FaultInjectionTest|DeadlineTest|CancellationTokenTest|PoolCancellationTest|TaskGroupTest|ColoringBudgetTest|DivaDeadlineTest|CsvTest|CsvFuzzTest"
+    -R "FaultInjectionTest|DeadlineTest|CancellationTokenTest|PoolCancellationTest|TaskGroupTest|ColoringBudgetTest|DivaDeadlineTest|CsvTest|CsvFuzzTest|WireFuzzTest|DeltaFuzzTest"
 
   step "tsan: configure + build"
   cmake --preset tsan

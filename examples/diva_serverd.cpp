@@ -19,15 +19,10 @@
 //   --port P              listen port         (default 0 = ephemeral)
 //   --sessions N          session workers
 //   --queue N             accepted-connection queue capacity
-//   --snapshot-capacity N published results retained (oldest unpinned
-//                         evicted past this; refused only when every
-//                         snapshot is pinned by an in-flight request)
-//   --snapshot-max-age N  evict snapshots N or more publishes old
-//                         (0 = no age bound)
+//   --snapshot-capacity N published results retained (the oldest is
+//                         evicted past this)
 //   --initial-cost-ms X   admission cost prior
-//   --ewma-alpha X        admission cost EWMA weight
-//   --wedge-timeout-ms X  watchdog budget for deadline-less requests
-//   --deadline-grace-ms X watchdog slack past a request deadline
+//   --wedge-timeout-ms X  budget of a request that states no deadline
 //   --drain-grace-ms X    drain wait before force-cancel
 //   --pipeline-threads N  DivaOptions::threads per request
 //   --seed N              default pipeline seed
@@ -89,9 +84,8 @@ int main(int argc, char** argv) {
       argc, argv,
       {"input", "schema", "constraints", "profile", "rows", "gen-constraints",
        "host", "port", "sessions", "queue", "snapshot-capacity",
-       "snapshot-max-age", "initial-cost-ms", "ewma-alpha", "wedge-timeout-ms",
-       "deadline-grace-ms", "drain-grace-ms", "pipeline-threads", "seed",
-       "run-seconds"},
+       "initial-cost-ms", "wedge-timeout-ms", "drain-grace-ms",
+       "pipeline-threads", "seed", "run-seconds"},
       {"quiet"});
   if (!parsed_args.ok()) {
     return Fail(parsed_args.status().message() + " (see file header)");
@@ -206,19 +200,13 @@ int main(int argc, char** argv) {
     if (!value.ok()) return Fail(value.status().ToString());
     *knob.out = static_cast<size_t>(*value);
   }
-  auto max_age = int_arg("snapshot-max-age",
-                         static_cast<int64_t>(options.snapshot_max_age), 0);
-  if (!max_age.ok()) return Fail(max_age.status().ToString());
-  options.snapshot_max_age = static_cast<uint64_t>(*max_age);
   struct DoubleKnob {
     const char* key;
     double* out;
   };
   const DoubleKnob double_knobs[] = {
       {"initial-cost-ms", &options.initial_cost_ms},
-      {"ewma-alpha", &options.ewma_alpha},
       {"wedge-timeout-ms", &options.wedge_timeout_ms},
-      {"deadline-grace-ms", &options.deadline_grace_ms},
       {"drain-grace-ms", &options.drain_grace_ms},
   };
   for (const DoubleKnob& knob : double_knobs) {
@@ -283,13 +271,12 @@ int main(int argc, char** argv) {
   std::fprintf(
       stderr,
       "diva_serverd: served %llu request(s) (%llu response(s), %llu "
-      "shed, %llu degraded, %llu watchdog cancel(s), %llu snapshot(s)); "
+      "shed, %llu degraded, %llu snapshot(s)); "
       "inflight=%zu\n",
       static_cast<unsigned long long>(stats.requests),
       static_cast<unsigned long long>(stats.responses),
       static_cast<unsigned long long>(stats.shed),
       static_cast<unsigned long long>(stats.degraded),
-      static_cast<unsigned long long>(stats.watchdog_cancels),
       static_cast<unsigned long long>(stats.snapshots_published),
       server.inflight());
   // A leaked in-flight request after Stop() is a bug (the chaos suite

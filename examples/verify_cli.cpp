@@ -22,8 +22,8 @@
 // library (one per line) and exits — the names DIVA_FAILPOINTS accepts.
 //
 // --trace-out FILE enables span tracing for the verification run and
-// writes Chrome-trace JSON (audit sub-checks, pool chunks); open in
-// ui.perfetto.dev.
+// writes Chrome-trace JSON (CSV reads, audit sub-checks, pool chunks);
+// open in ui.perfetto.dev.
 //
 // --threads N sets the verification pool width (0 = one per hardware
 // core); it overrides DIVA_THREADS and never changes any verdict, only
@@ -88,13 +88,8 @@ int main(int argc, char** argv) {
     return Fail("--input, --schema and --k are required");
   }
 
-  auto schema = LoadSchemaFile(args.Get("schema"));
-  if (!schema.ok()) return Fail(schema.status().ToString());
-  auto relation = ReadCsvFile(args.Get("input"), *schema);
-  if (!relation.ok()) return Fail(relation.status().ToString());
-  auto k = ParseInt64(args.Get("k"));
-  if (!k.ok() || *k < 1) return Fail("--k must be a positive integer");
-
+  // Width and tracing go first, so both CSV reads parse at the
+  // requested width and show up in the trace.
   if (args.Has("threads")) {
     auto threads = ParseInt64(args.Get("threads"));
     if (!threads.ok() || *threads < 0) {
@@ -104,6 +99,15 @@ int main(int argc, char** argv) {
   } else {
     SetParallelThreads(EnvThreads());
   }
+  const bool tracing = args.Has("trace-out");
+  if (tracing) trace::Enable();
+
+  auto schema = LoadSchemaFile(args.Get("schema"));
+  if (!schema.ok()) return Fail(schema.status().ToString());
+  auto relation = ReadCsvFile(args.Get("input"), *schema);
+  if (!relation.ok()) return Fail(relation.status().ToString());
+  auto k = ParseInt64(args.Get("k"));
+  if (!k.ok() || *k < 1) return Fail("--k must be a positive integer");
 
   int64_t deadline_ms = EnvDeadlineMillis();
   if (args.Has("deadline-ms")) {
@@ -128,9 +132,6 @@ int main(int argc, char** argv) {
     incomplete = true;
     return true;
   };
-
-  const bool tracing = args.Has("trace-out");
-  if (tracing) trace::Enable();
 
   bool all_ok = true;
 

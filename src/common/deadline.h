@@ -62,8 +62,8 @@ class CancellationToken {
 
   /// Token that trips when `deadline` expires, on its own RequestCancel,
   /// or when `parent` trips — the serve layer's per-request shape: the
-  /// child watches the request deadline while the parent stays in the
-  /// watchdog's hand. Cancelling the child never propagates to the
+  /// child watches the request deadline while the parent is the server's
+  /// stop token. Cancelling the child never propagates to the
   /// parent. A null parent behaves exactly like WithDeadline.
   static CancellationToken WithDeadlineAndParent(Deadline deadline,
                                                  CancellationToken parent);

@@ -81,8 +81,8 @@ class CondVar {
   /// Timed Wait: blocks for at most `seconds` (relative). Returns false
   /// on timeout, true when notified. This is also the codebase's one
   /// interruptible sleep — loops that must wake early (a server's
-  /// watchdog noticing a drain request) wait on the condition they poll
-  /// instead of calling a raw sleep the notifier cannot interrupt.
+  /// session worker noticing a drain request) wait on the condition they
+  /// poll instead of calling a raw sleep the notifier cannot interrupt.
   bool WaitFor(MutexLock& lock, double seconds) {
     return cv_.wait_for(lock.lock_, std::chrono::duration<double>(seconds)) ==
            std::cv_status::no_timeout;

@@ -105,7 +105,7 @@ size_t ParallelFor(size_t count, size_t grain,
 /// inline). The submitter collects a ticket per item and settles them
 /// later, in any order it likes. The shard driver runs one item per
 /// conflict component, the portfolio coloring one per search; the
-/// serving daemon hosts its accept, session and watchdog loops on one.
+/// serving daemon hosts its accept and session loops on one.
 ///
 /// Claimed items always run to completion. Destroying the group retracts
 /// every item nobody claimed yet, so a caller whose Wait threw can unwind

@@ -139,7 +139,7 @@ struct DivaOptions {
   /// Optional external cancellation signal, composed with `deadline_ms`:
   /// the run degrades (or errors, under `strict`) when either trips.
   /// This is how a caller that owns the run's lifetime — the serve
-  /// layer's watchdog, a CLI's SIGINT handler — interrupts a pipeline
+  /// layer's request token, a CLI's SIGINT handler — interrupts a pipeline
   /// mid-flight. Tripping it yields the same anytime-degradation path as
   /// a deadline: the published relation stays k-anonymous,
   /// suppression-only and audited. A default (null) token changes

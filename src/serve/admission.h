@@ -22,14 +22,15 @@ namespace serve {
 /// very first request has an estimate to decide with.
 class CostTracker {
  public:
-  /// `initial_ms` is the prior before any sample; `alpha` in (0, 1] is
-  /// the weight of the newest sample.
-  CostTracker(double initial_ms, double alpha)
-      : alpha_(alpha), estimate_ms_(initial_ms) {}
+  /// Weight of the newest sample.
+  static constexpr double kAlpha = 0.3;
+
+  /// `initial_ms` is the estimate before any sample.
+  explicit CostTracker(double initial_ms) : estimate_ms_(initial_ms) {}
 
   void Record(double cost_ms) {
     MutexLock lock(mutex_);
-    estimate_ms_ = alpha_ * cost_ms + (1.0 - alpha_) * estimate_ms_;
+    estimate_ms_ = kAlpha * cost_ms + (1.0 - kAlpha) * estimate_ms_;
   }
 
   double EstimateMs() const {
@@ -38,7 +39,6 @@ class CostTracker {
   }
 
  private:
-  const double alpha_;
   mutable Mutex mutex_;
   double estimate_ms_ DIVA_GUARDED_BY(mutex_);
 };

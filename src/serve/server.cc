@@ -66,8 +66,8 @@ Server::Server(Relation base, ConstraintSet constraints, ServerOptions options)
     : constraints_(std::move(constraints)),
       options_(std::move(options)),
       base_(std::make_shared<const Relation>(std::move(base))),
-      snapshots_(options_.snapshot_capacity, options_.snapshot_max_age),
-      cost_tracker_(options_.initial_cost_ms, options_.ewma_alpha) {}
+      snapshots_(options_.snapshot_capacity),
+      cost_tracker_(options_.initial_cost_ms) {}
 
 Server::~Server() { Stop(); }
 
@@ -130,12 +130,11 @@ Status Server::Start() {
       }
     };
   };
-  threads_ = std::make_unique<TaskGroup>(options_.sessions + 2);
+  threads_ = std::make_unique<TaskGroup>(options_.sessions + 1);
   tickets_.push_back(threads_->Submit(fenced(&Server::AcceptLoop)));
   for (size_t i = 0; i < options_.sessions; ++i) {
     tickets_.push_back(threads_->Submit(fenced(&Server::SessionLoop)));
   }
-  tickets_.push_back(threads_->Submit(fenced(&Server::WatchdogLoop)));
   Log("listening on " + options_.host + ":" + std::to_string(port_));
   return Status::OK();
 }
@@ -159,19 +158,15 @@ void Server::Stop() {
       MutexLock lock(nap_mutex);
       nap_cv.WaitFor(lock, 0.01);
     }
-    // Force-cancel whatever is still running; the anytime pipeline
-    // returns promptly and the session still writes an audited
-    // (degraded) terminal response.
-    {
-      MutexLock lock(inflight_mutex_);
-      for (auto& [id, entry] : inflight_) {
-        if (entry.cancelled) continue;
-        entry.token.RequestCancel();
-        entry.cancelled = true;
-        MutexLock stats_lock(stats_mutex_);
-        ++stats_.watchdog_cancels;
-      }
+    // Force-cancel whatever is still running: every request token is a
+    // child of stop_, so the anytime pipeline returns promptly and the
+    // session still writes an audited (degraded) terminal response.
+    const size_t stragglers = inflight();
+    if (stragglers > 0) {
+      Log("drain grace over: cancelling " + std::to_string(stragglers) +
+          " in-flight request(s)");
     }
+    stop_.RequestCancel();
     stopping_.store(true, std::memory_order_relaxed);
     queue_cv_.NotifyAll();
     for (uint64_t ticket : tickets_) threads_->Wait(ticket);
@@ -198,7 +193,7 @@ ServerStats Server::stats() const {
 
 size_t Server::inflight() const {
   MutexLock lock(inflight_mutex_);
-  return inflight_.size();
+  return inflight_;
 }
 
 size_t Server::queued() const {
@@ -254,6 +249,11 @@ void Server::AcceptLoop() {
       }
       ::close(fd);
     }
+  }
+  if (draining()) {
+    double expected = 0.0;
+    drain_started_at_.compare_exchange_strong(expected, MonotonicSeconds(),
+                                              std::memory_order_relaxed);
   }
   // Handshakes the kernel already completed sit in the listen backlog;
   // with the acceptor gone no session will ever serve them, and their
@@ -390,26 +390,6 @@ bool Server::Respond(int fd, const Response& response) {
   return false;
 }
 
-uint64_t Server::RegisterInflight(int64_t deadline_ms,
-                                  CancellationToken* token) {
-  MutexLock lock(inflight_mutex_);
-  const uint64_t id = next_request_id_++;
-  Inflight entry;
-  entry.token = CancellationToken::Manual();
-  entry.started_at = MonotonicSeconds();
-  entry.budget_ms = deadline_ms >= 0 ? static_cast<double>(deadline_ms) +
-                                           options_.deadline_grace_ms
-                                     : options_.wedge_timeout_ms;
-  *token = entry.token;
-  inflight_.emplace(id, std::move(entry));
-  return id;
-}
-
-void Server::UnregisterInflight(uint64_t id) {
-  MutexLock lock(inflight_mutex_);
-  inflight_.erase(id);
-}
-
 Response Server::AdmitAndRun(
     const Request& request,
     const std::function<Response(CancellationToken)>& run) {
@@ -440,32 +420,40 @@ Response Server::AdmitAndRun(
     ++stats_.admitted;
   }
 
-  CancellationToken watchdog_token;
-  const uint64_t id = RegisterInflight(*deadline_ms, &watchdog_token);
-  // The watchdog (or a force-drain) may trip the token in the window
-  // between admission and dispatch; skip the run entirely — the entry is
-  // unregistered, so no counter leaks and inflight() returns to zero.
-  if (watchdog_token.Cancelled()) {
-    UnregisterInflight(id);
+  // In flight from here to every return below.
+  struct InflightGuard {
+    explicit InflightGuard(Server* server) : server(server) {
+      MutexLock lock(server->inflight_mutex_);
+      ++server->inflight_;
+    }
+    ~InflightGuard() {
+      MutexLock lock(server->inflight_mutex_);
+      --server->inflight_;
+    }
+    Server* server;
+  } guard(this);
+
+  // A force-drain may trip stop_ between admission and dispatch; skip the
+  // run entirely. Only stop_ is checked: a request born over its own
+  // deadline still runs and answers audited and degraded (admission.h).
+  if (stop_.Cancelled()) {
     MutexLock lock(stats_mutex_);
     ++stats_.shed;
     return Response::Error(
         Status::Unavailable("request cancelled before dispatch"));
   }
   Status execute_fault = DIVA_FAIL("serve.execute");
-  if (!execute_fault.ok()) {
-    UnregisterInflight(id);
-    return Response::Error(execute_fault);
-  }
-  const Deadline deadline = *deadline_ms >= 0
-                                ? Deadline::AfterMillis(*deadline_ms)
-                                : Deadline::Infinite();
-  CancellationToken request_token =
-      CancellationToken::WithDeadlineAndParent(deadline, watchdog_token);
+  if (!execute_fault.ok()) return Response::Error(execute_fault);
+  // The request's whole budget: its deadline (or the wedge timeout when
+  // it states none), under the server's stop token.
+  const int64_t budget_ms =
+      *deadline_ms >= 0 ? *deadline_ms
+                        : static_cast<int64_t>(options_.wedge_timeout_ms);
+  CancellationToken request_token = CancellationToken::WithDeadlineAndParent(
+      Deadline::AfterMillis(budget_ms), stop_);
   StopWatch watch;
   Response response = run(request_token);
   cost_tracker_.Record(watch.ElapsedMillis());
-  UnregisterInflight(id);
   return response;
 }
 
@@ -614,8 +602,8 @@ Response Server::HandleVerify(const Request& request) {
     auto id = request.IntParam(
         "snapshot", static_cast<int64_t>(snapshots_.latest_id()));
     if (!id.ok()) return Response::Error(id.status());
-    // The pin keeps retention from evicting the snapshot mid-audit.
-    auto snapshot = snapshots_.Acquire(static_cast<uint64_t>(*id));
+    // The shared_ptr keeps the snapshot alive through an eviction.
+    auto snapshot = snapshots_.Find(static_cast<uint64_t>(*id));
     if (!snapshot) {
       return Response::Error(Status::NotFound(
           "no snapshot " + std::to_string(*id) +
@@ -656,9 +644,9 @@ Response Server::HandleFetch(const Request& request) {
   auto id = request.IntParam("snapshot",
                              static_cast<int64_t>(snapshots_.latest_id()));
   if (!id.ok()) return Response::Error(id.status());
-  // Pinned fetch: retention cannot evict this snapshot while its CSV is
-  // being written out.
-  auto snapshot = snapshots_.Acquire(static_cast<uint64_t>(*id));
+  // The shared_ptr keeps the snapshot alive while its CSV is written
+  // out, even if a publish evicts it meanwhile.
+  auto snapshot = snapshots_.Find(static_cast<uint64_t>(*id));
   if (!snapshot) {
     return Response::Error(
         Status::NotFound("no snapshot " + std::to_string(*id)));
@@ -757,9 +745,9 @@ Response Server::RunUpdate(const DeltaBatch& delta,
   }
 
   // Publish-or-refuse: nothing below mutates served state until the
-  // audited snapshot is actually in the store. Any failure — audit,
-  // publication fault, a fully pinned store — leaves the old base (and
-  // the old reuse chain) serving.
+  // audited snapshot is actually in the store. Any failure — audit or
+  // publication fault — leaves the old base (and the old reuse chain)
+  // serving.
   if (!run->report.audited) {
     return Response::Error(
         Status::Internal("refusing to publish an unaudited update"));
@@ -805,8 +793,6 @@ Response Server::HandleStats(const Request&) {
   response.fields["response_failures"] =
       std::to_string(snapshot.response_failures);
   response.fields["degraded"] = std::to_string(snapshot.degraded);
-  response.fields["watchdog_cancels"] =
-      std::to_string(snapshot.watchdog_cancels);
   response.fields["snapshots_published"] =
       std::to_string(snapshot.snapshots_published);
   response.fields["updates"] = std::to_string(snapshot.updates);
@@ -818,42 +804,6 @@ Response Server::HandleStats(const Request&) {
       FormatMs(cost_tracker_.EstimateMs());
   response.fields["draining"] = draining() ? "1" : "0";
   return response;
-}
-
-void Server::WatchdogLoop() {
-  Mutex nap_mutex;
-  CondVar nap_cv;
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    {
-      MutexLock lock(nap_mutex);
-      nap_cv.WaitFor(lock, options_.watchdog_poll_ms * 1e-3);
-    }
-    const double now = MonotonicSeconds();
-    if (draining()) {
-      double expected = 0.0;
-      drain_started_at_.compare_exchange_strong(expected, now,
-                                                std::memory_order_relaxed);
-    }
-    const double drain_started =
-        drain_started_at_.load(std::memory_order_relaxed);
-    const bool force_drain =
-        draining() && drain_started > 0.0 &&
-        (now - drain_started) * 1e3 > options_.drain_grace_ms;
-    MutexLock lock(inflight_mutex_);
-    for (auto& [id, entry] : inflight_) {
-      if (entry.cancelled) continue;
-      const double elapsed_ms = (now - entry.started_at) * 1e3;
-      if (force_drain || elapsed_ms > entry.budget_ms) {
-        entry.token.RequestCancel();
-        entry.cancelled = true;
-        MutexLock stats_lock(stats_mutex_);
-        ++stats_.watchdog_cancels;
-        Log("watchdog cancelled request " + std::to_string(id) + " after " +
-            FormatMs(elapsed_ms) + "ms (budget " + FormatMs(entry.budget_ms) +
-            "ms" + (force_drain ? ", drain" : "") + ")");
-      }
-    }
-  }
 }
 
 }  // namespace serve

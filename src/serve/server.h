@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,26 +38,14 @@ struct ServerOptions {
   /// acceptor sheds by closing the connection cleanly.
   size_t queue_capacity = 16;
   /// Published results retained. Publishing past this evicts the oldest
-  /// unpinned snapshot (serve/snapshot.h); a publish is refused only
-  /// when every retained snapshot is pinned by an in-flight request.
+  /// snapshot (serve/snapshot.h); a reader already holding it keeps it.
   size_t snapshot_capacity = 64;
-  /// Age bound on retained snapshots, in publish generations: after each
-  /// publish, unpinned snapshots published this many (or more) publishes
-  /// ago are evicted. 0 = no age bound (count-only retention).
-  uint64_t snapshot_max_age = 0;
-  /// Admission cost model: prior estimate and EWMA weight of new samples.
+  /// Admission cost model: the estimate before any request finished.
   double initial_cost_ms = 50.0;
-  double ewma_alpha = 0.3;
-  /// Watchdog sweep interval.
-  double watchdog_poll_ms = 20.0;
-  /// A request with no deadline is considered wedged after this long and
-  /// its token is tripped (the anytime pipeline then degrades and
-  /// returns; the response is still audited).
+  /// Wall budget of a request that states no deadline: its token is born
+  /// with this deadline, so a wedged run degrades through the anytime
+  /// pipeline and returns (the response is still audited).
   double wedge_timeout_ms = 10000.0;
-  /// Slack a deadlined request gets past its own deadline before the
-  /// watchdog trips it — covers the gap between "token expired" and "the
-  /// pipeline noticed".
-  double deadline_grace_ms = 500.0;
   /// How long a drain (SIGTERM/Stop) waits for queued and in-flight work
   /// before force-cancelling what remains.
   double drain_grace_ms = 2000.0;
@@ -94,8 +81,6 @@ struct ServerStats {
   uint64_t response_failures = 0;
   /// Responses that carried a degradation flag.
   uint64_t degraded = 0;
-  /// In-flight tokens tripped by the watchdog.
-  uint64_t watchdog_cancels = 0;
   uint64_t snapshots_published = 0;
   /// `update` requests that published (the served base was swapped).
   uint64_t updates = 0;
@@ -105,9 +90,11 @@ struct ServerStats {
 /// anonymize / verify / fetch / stats / ping / update requests over the
 /// framed protocol (serve/protocol.h), with admission control ahead of
 /// the queue, per-request deadlines degrading through the anytime
-/// pipeline (every response still audited), a watchdog for wedged
-/// requests, and graceful drain. Threading: one acceptor, `sessions`
-/// session workers and one watchdog, all hosted on a TaskGroup
+/// pipeline (every response still audited), and graceful drain. Each
+/// request's budget lives on its own token: a deadline (the stated one,
+/// or ServerOptions::wedge_timeout_ms) whose parent is the server's stop
+/// token, which Stop trips once the drain grace runs out. Threading: one
+/// acceptor and `sessions` session workers, hosted on a TaskGroup
 /// (common/parallel.h).
 ///
 /// `update` mutates the served base through a row delta (core/
@@ -159,16 +146,8 @@ class Server {
   const SnapshotStore& snapshots() const { return snapshots_; }
 
  private:
-  struct Inflight {
-    CancellationToken token;  // manual; the watchdog trips it
-    double started_at = 0.0;
-    double budget_ms = 0.0;  // wall budget before the watchdog steps in
-    bool cancelled = false;  // watchdog already tripped it
-  };
-
   void AcceptLoop();
   void SessionLoop();
-  void WatchdogLoop();
 
   /// Serves one connection until the peer closes, a fatal frame error, a
   /// hard stop, or the drain grace runs out.
@@ -259,9 +238,6 @@ class Server {
   /// connection. Failpoint: serve.respond.
   bool Respond(int fd, const Response& response);
 
-  uint64_t RegisterInflight(int64_t deadline_ms, CancellationToken* token);
-  void UnregisterInflight(uint64_t id);
-
   /// Idempotent close of the listen socket (see listen_fd_).
   void CloseListener();
 
@@ -289,9 +265,12 @@ class Server {
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> stopping_{false};
-  /// MonotonicSeconds when a loop first observed draining_ (0 = not yet);
-  /// the drain grace counts from here.
+  /// MonotonicSeconds when the acceptor (or Stop) first observed
+  /// draining_ (0 = not yet); the drain grace counts from here.
   std::atomic<double> drain_started_at_{0.0};
+  /// Parent of every request token; Stop trips it when the drain grace
+  /// runs out, cancelling whatever is still in flight.
+  const CancellationToken stop_ = CancellationToken::Manual();
 
   /// Closed by whichever of AcceptLoop (drain/stop exit) or Stop gets
   /// there first; the exchange makes the close idempotent. Closing the
@@ -306,8 +285,7 @@ class Server {
   std::deque<int> queue_ DIVA_GUARDED_BY(queue_mutex_);
 
   mutable Mutex inflight_mutex_;
-  uint64_t next_request_id_ DIVA_GUARDED_BY(inflight_mutex_) = 1;
-  std::map<uint64_t, Inflight> inflight_ DIVA_GUARDED_BY(inflight_mutex_);
+  size_t inflight_ DIVA_GUARDED_BY(inflight_mutex_) = 0;
 
   mutable Mutex stats_mutex_;
   ServerStats stats_ DIVA_GUARDED_BY(stats_mutex_);

@@ -5,12 +5,6 @@
 namespace diva {
 namespace serve {
 
-void SnapshotPin::Release() {
-  if (store_ != nullptr && snapshot_ != nullptr) store_->Unpin(snapshot_->id);
-  store_ = nullptr;
-  snapshot_ = nullptr;
-}
-
 Result<uint64_t> SnapshotStore::Publish(Snapshot snapshot) {
   // The snapshot is complete at this point; the failpoint models a crash
   // on the publication path. Firing here proves the invariant: the store
@@ -18,70 +12,24 @@ Result<uint64_t> SnapshotStore::Publish(Snapshot snapshot) {
   DIVA_RETURN_IF_ERROR(DIVA_FAIL("serve.publish"));
   MutexLock lock(mutex_);
 
-  // Age sweep: the id about to be assigned is next_id_, so an entry's
-  // age in publish generations is next_id_ - id. Pinned entries survive
-  // and are reconsidered at the next publish.
-  if (max_age_ > 0 && next_id_ > max_age_) {
-    const uint64_t horizon = next_id_ - max_age_;
-    for (auto it = snapshots_.begin();
-         it != snapshots_.end() && it->first <= horizon;) {
-      if (it->second.pins == 0) {
-        it = snapshots_.erase(it);
-        ++evicted_;
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  // Capacity sweep: make room by retiring the oldest unpinned entry.
-  // Refusal (everything pinned) happens before the insert, so a refused
-  // publish never half-lands.
-  while (snapshots_.size() >= capacity_) {
-    auto victim = snapshots_.end();
-    for (auto it = snapshots_.begin(); it != snapshots_.end(); ++it) {
-      if (it->second.pins == 0) {
-        victim = it;
-        break;
-      }
-    }
-    if (victim == snapshots_.end()) {
-      return Status::Unavailable(
-          "snapshot store full (" + std::to_string(snapshots_.size()) + "/" +
-          std::to_string(capacity_) +
-          ") and every snapshot is pinned; retry after in-flight fetches "
-          "finish or raise --snapshot-capacity");
-    }
-    snapshots_.erase(victim);
+  // Capacity sweep: make room by retiring the oldest snapshot. A reader
+  // holding it keeps its data alive.
+  while (!snapshots_.empty() && snapshots_.size() >= capacity_) {
+    snapshots_.erase(snapshots_.begin());
     ++evicted_;
   }
 
   snapshot.id = next_id_++;
   const uint64_t id = snapshot.id;
-  Entry entry;
-  entry.snapshot = std::make_shared<const Snapshot>(std::move(snapshot));
-  snapshots_.emplace(id, std::move(entry));
+  snapshots_.emplace(id,
+                     std::make_shared<const Snapshot>(std::move(snapshot)));
   return id;
 }
 
 std::shared_ptr<const Snapshot> SnapshotStore::Find(uint64_t id) const {
   MutexLock lock(mutex_);
   auto it = snapshots_.find(id);
-  return it == snapshots_.end() ? nullptr : it->second.snapshot;
-}
-
-SnapshotPin SnapshotStore::Acquire(uint64_t id) {
-  MutexLock lock(mutex_);
-  auto it = snapshots_.find(id);
-  if (it == snapshots_.end()) return SnapshotPin();
-  ++it->second.pins;
-  return SnapshotPin(this, it->second.snapshot);
-}
-
-void SnapshotStore::Unpin(uint64_t id) {
-  MutexLock lock(mutex_);
-  auto it = snapshots_.find(id);
-  if (it != snapshots_.end() && it->second.pins > 0) --it->second.pins;
+  return it == snapshots_.end() ? nullptr : it->second;
 }
 
 uint64_t SnapshotStore::latest_id() const {

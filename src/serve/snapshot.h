@@ -42,53 +42,9 @@ struct Snapshot {
   /// publishes unaudited relations, so this is always true for snapshots
   /// that exist — kept explicit so the invariant is checkable.
   bool audited = false;
-  /// The producing run was cut short (deadline or watchdog) and the
+  /// The producing run was cut short (its token tripped) and the
   /// snapshot is the anytime best effort.
   bool degraded = false;
-};
-
-class SnapshotStore;
-
-/// RAII pin on one published snapshot: while any pin on an id is alive,
-/// retention (age or capacity eviction) will not remove that entry — a
-/// `fetch` streaming a snapshot out never has it disappear mid-read.
-/// Move-only; an empty pin (the id was never published, or was already
-/// evicted) is falsy. The pinned data itself is additionally kept alive
-/// by the shared_ptr, so even a post-eviction holder reads safely; the
-/// pin's job is id stability, not lifetime.
-class SnapshotPin {
- public:
-  SnapshotPin() = default;
-  SnapshotPin(SnapshotPin&& other) noexcept
-      : store_(other.store_), snapshot_(std::move(other.snapshot_)) {
-    other.store_ = nullptr;
-  }
-  SnapshotPin& operator=(SnapshotPin&& other) noexcept {
-    if (this != &other) {
-      Release();
-      store_ = other.store_;
-      snapshot_ = std::move(other.snapshot_);
-      other.store_ = nullptr;
-    }
-    return *this;
-  }
-  SnapshotPin(const SnapshotPin&) = delete;
-  SnapshotPin& operator=(const SnapshotPin&) = delete;
-  ~SnapshotPin() { Release(); }
-
-  explicit operator bool() const { return snapshot_ != nullptr; }
-  const Snapshot& operator*() const { return *snapshot_; }
-  const Snapshot* operator->() const { return snapshot_.get(); }
-  const std::shared_ptr<const Snapshot>& get() const { return snapshot_; }
-
- private:
-  friend class SnapshotStore;
-  SnapshotPin(SnapshotStore* store, std::shared_ptr<const Snapshot> snapshot)
-      : store_(store), snapshot_(std::move(snapshot)) {}
-  void Release();
-
-  SnapshotStore* store_ = nullptr;
-  std::shared_ptr<const Snapshot> snapshot_;
 };
 
 /// Versioned store of published snapshots with crash-safe publication:
@@ -98,21 +54,15 @@ class SnapshotPin {
 /// that point leaves the store exactly as it was; no request can ever
 /// fetch a half-written snapshot.
 ///
-/// Retention is swept at each publish, never in the background: age is
-/// counted in publish generations, not wall time, so which snapshots a
-/// request sequence retains is deterministic and replayable. Pinned
-/// entries (SnapshotPin) are skipped by both sweeps and reconsidered at
-/// the next publish after their pins drop.
+/// Retention is by count alone and runs at each publish, never in the
+/// background: publishing into a full store evicts the oldest snapshot,
+/// so which snapshots a request sequence retains is deterministic and
+/// replayable. An evicted snapshot stays alive for whoever already holds
+/// its shared_ptr (a `fetch` mid-stream); it is only no longer findable.
 class SnapshotStore {
  public:
-  /// `capacity` bounds retained snapshots by count; `max_age` bounds
-  /// them by publish generations — after each publish, unpinned
-  /// snapshots published `max_age` or more publishes ago are evicted
-  /// (0 disables the age bound). Publishing into a full store evicts
-  /// the oldest unpinned snapshot; it is refused with kUnavailable only
-  /// when every retained snapshot is pinned.
-  explicit SnapshotStore(size_t capacity, uint64_t max_age = 0)
-      : capacity_(capacity), max_age_(max_age) {}
+  /// `capacity` bounds retained snapshots by count.
+  explicit SnapshotStore(size_t capacity) : capacity_(capacity) {}
 
   /// Publishes atomically and returns the assigned id.
   [[nodiscard]] Result<uint64_t> Publish(Snapshot snapshot);
@@ -120,36 +70,22 @@ class SnapshotStore {
   /// The published snapshot with this id, or null.
   std::shared_ptr<const Snapshot> Find(uint64_t id) const;
 
-  /// Find + pin in one step: the returned pin blocks retention from
-  /// evicting this snapshot until the pin is destroyed. Empty when `id`
-  /// is not published (eviction included).
-  [[nodiscard]] SnapshotPin Acquire(uint64_t id);
-
   /// Highest published id (0 when empty).
   uint64_t latest_id() const;
 
   size_t size() const;
   size_t capacity() const { return capacity_; }
 
-  /// Snapshots retired by retention (age or capacity) so far.
+  /// Snapshots retired by retention so far.
   uint64_t evicted() const;
 
  private:
-  friend class SnapshotPin;
-
-  struct Entry {
-    std::shared_ptr<const Snapshot> snapshot;
-    size_t pins = 0;
-  };
-
-  void Unpin(uint64_t id);
-
   const size_t capacity_;
-  const uint64_t max_age_;
   mutable Mutex mutex_;
   uint64_t next_id_ DIVA_GUARDED_BY(mutex_) = 1;
   uint64_t evicted_ DIVA_GUARDED_BY(mutex_) = 0;
-  std::map<uint64_t, Entry> snapshots_ DIVA_GUARDED_BY(mutex_);
+  std::map<uint64_t, std::shared_ptr<const Snapshot>> snapshots_
+      DIVA_GUARDED_BY(mutex_);
 };
 
 }  // namespace serve

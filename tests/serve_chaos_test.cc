@@ -51,7 +51,6 @@ ServerOptions ChaosOptions() {
   options.port = 0;
   options.sessions = 2;
   options.queue_capacity = 4;
-  options.watchdog_poll_ms = 5.0;
   options.drain_grace_ms = 3000.0;
   return options;
 }

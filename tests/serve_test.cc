@@ -3,13 +3,17 @@
 // client retry pacing (common/backoff.h), and the server end to end over
 // a loopback socket — including the deadline edge cases: a 0 ms deadline
 // admitted on an idle server still yields an audited degraded response,
-// and a wedged request tripped by the watchdog degrades instead of
-// hanging. Fault-injection sweeps live in serve_chaos_test.cc.
+// a request whose token is born past its wedge timeout degrades instead
+// of hanging, and a run still going when the drain grace ends is
+// cancelled through the server's stop token. Fault-injection sweeps live
+// in serve_chaos_test.cc.
 
 #include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstring>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -21,10 +25,14 @@
 
 #include "common/backoff.h"
 #include "common/failpoint.h"
+#include "common/mutex.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/timer.h"
+#include "datagen/profiles.h"
 #include "gtest/gtest.h"
+#include "relation/csv.h"
 #include "serve/admission.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -281,10 +289,10 @@ TEST(ServeAdmissionTest, DrainingAndQueueFullTakePrecedence) {
 }
 
 TEST(ServeAdmissionTest, CostTrackerConvergesOnObservedCost) {
-  CostTracker tracker(/*initial_ms=*/50.0, /*alpha=*/0.5);
+  CostTracker tracker(/*initial_ms=*/50.0);
   EXPECT_DOUBLE_EQ(tracker.EstimateMs(), 50.0);
   tracker.Record(150.0);
-  EXPECT_DOUBLE_EQ(tracker.EstimateMs(), 100.0);
+  EXPECT_DOUBLE_EQ(tracker.EstimateMs(), 80.0);  // 0.3 * 150 + 0.7 * 50
   for (int i = 0; i < 32; ++i) tracker.Record(10.0);
   EXPECT_NEAR(tracker.EstimateMs(), 10.0, 1.0);
 }
@@ -315,7 +323,7 @@ TEST(ServeSnapshotTest, PublishAssignsDenseIdsAndFindsBack) {
   EXPECT_EQ(store.Find(99), nullptr);
 }
 
-TEST(ServeSnapshotTest, FullStoreEvictsOldestUnpinnedInsteadOfRefusing) {
+TEST(ServeSnapshotTest, FullStoreEvictsOldestInsteadOfRefusing) {
   SnapshotStore store(/*capacity=*/2);
   for (uint64_t i = 1; i <= 3; ++i) {
     Snapshot snapshot(MedicalRelation());
@@ -324,7 +332,7 @@ TEST(ServeSnapshotTest, FullStoreEvictsOldestUnpinnedInsteadOfRefusing) {
     ASSERT_TRUE(id.ok()) << id.status().ToString();
     EXPECT_EQ(*id, i);
   }
-  // The third publish retired #1 (oldest unpinned); ids stay dense.
+  // The third publish retired #1 (the oldest); ids stay dense.
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.evicted(), 1u);
   EXPECT_EQ(store.Find(1), nullptr);
@@ -333,65 +341,28 @@ TEST(ServeSnapshotTest, FullStoreEvictsOldestUnpinnedInsteadOfRefusing) {
   EXPECT_EQ(store.latest_id(), 3u);
 }
 
-TEST(ServeSnapshotTest, PinBlocksEvictionAndFullyPinnedStoreRefuses) {
+TEST(ServeSnapshotTest, EvictedSnapshotStillStreamsItsFullCsvToItsHolder) {
+  // What `fetch` relies on: the shared_ptr it found keeps the snapshot
+  // alive through an eviction, so the CSV it writes out is whole.
   SnapshotStore store(/*capacity=*/1);
   Snapshot first(MedicalRelation());
   first.audited = true;
   ASSERT_TRUE(store.Publish(std::move(first)).ok());
+  std::ostringstream expected;
+  ASSERT_TRUE(WriteCsv(MedicalRelation(), expected).ok());
 
-  {
-    SnapshotPin pin = store.Acquire(1);
-    ASSERT_TRUE(static_cast<bool>(pin));
-    EXPECT_EQ(pin->id, 1u);
-    // The only retained snapshot is pinned: nothing can be evicted, so
-    // the publish is refused and the store is exactly as it was.
-    Snapshot second(MedicalRelation());
-    second.audited = true;
-    auto refused = store.Publish(std::move(second));
-    ASSERT_FALSE(refused.ok());
-    EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
-    EXPECT_EQ(store.size(), 1u);
-    EXPECT_EQ(store.latest_id(), 1u);
-    EXPECT_EQ(store.evicted(), 0u);
-  }
-
-  // Pin released: the next publish evicts #1 and lands.
-  Snapshot third(MedicalRelation());
-  third.audited = true;
-  auto id = store.Publish(std::move(third));
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-  EXPECT_EQ(*id, 2u);
+  std::shared_ptr<const Snapshot> held = store.Find(1);
+  ASSERT_NE(held, nullptr);
+  Snapshot second(MedicalRelation());
+  second.audited = true;
+  ASSERT_TRUE(store.Publish(std::move(second)).ok());
   EXPECT_EQ(store.Find(1), nullptr);
   EXPECT_EQ(store.evicted(), 1u);
-}
 
-TEST(ServeSnapshotTest, AgeRetentionCountsPublishGenerationsNotWallTime) {
-  // max_age=2: each publish retires unpinned snapshots two or more
-  // publishes old, regardless of capacity headroom.
-  SnapshotStore store(/*capacity=*/16, /*max_age=*/2);
-  for (int i = 0; i < 4; ++i) {
-    Snapshot snapshot(MedicalRelation());
-    snapshot.audited = true;
-    ASSERT_TRUE(store.Publish(std::move(snapshot)).ok());
-  }
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.evicted(), 2u);
-  EXPECT_EQ(store.Find(2), nullptr);
-  EXPECT_NE(store.Find(3), nullptr);
-  EXPECT_NE(store.Find(4), nullptr);
-
-  // A pinned snapshot outlives its age bound; unpinned peers do not.
-  SnapshotPin pin = store.Acquire(3);
-  ASSERT_TRUE(static_cast<bool>(pin));
-  for (int i = 0; i < 2; ++i) {
-    Snapshot snapshot(MedicalRelation());
-    snapshot.audited = true;
-    ASSERT_TRUE(store.Publish(std::move(snapshot)).ok());
-  }
-  EXPECT_NE(store.Find(3), nullptr);  // pinned: both age sweeps skipped it
-  EXPECT_EQ(store.Find(4), nullptr);
-  // The pinned data stays readable through the pin even while over-age.
-  EXPECT_TRUE(pin->audited);
+  std::ostringstream streamed;
+  ASSERT_TRUE(WriteCsv(held->relation, streamed).ok());
+  EXPECT_EQ(streamed.str(), expected.str());
+  EXPECT_EQ(held->id, 1u);
 }
 
 TEST(ServeSnapshotTest, InjectedPublishFaultLeavesStoreUntouched) {
@@ -965,15 +936,12 @@ TEST(ServeServerTest, ZeroDeadlineOnIdleServerIsAuditedAndDegraded) {
 }
 
 TEST(ServeServerTest, WatchdogTripsWedgedRequestIntoAuditedDegradation) {
-  // A request with no deadline is "wedged" once it overruns the wedge
-  // timeout; the watchdog trips its token, the pipeline degrades, and
-  // the response still arrives audited — no counter leaks either way.
-  // The base relation is big enough that the run cannot beat the 1 ms
-  // watchdog poll to the finish line.
+  // A request with no deadline gets the wedge timeout as its token's
+  // deadline. At -1 ms the token is born expired: the run degrades
+  // through the anytime pipeline and still answers audited, every time.
   diva::testing::FuzzWorkload workload = diva::testing::MakeWorkload(11);
   ServerOptions options = TestOptions();
-  options.watchdog_poll_ms = 1.0;
-  options.wedge_timeout_ms = -1.0;  // born over budget: trips immediately
+  options.wedge_timeout_ms = -1.0;
   Server server(workload.relation, workload.constraints, options);
   ASSERT_TRUE(server.Start().ok());
   auto client = Client::Connect("127.0.0.1", server.port());
@@ -984,23 +952,60 @@ TEST(ServeServerTest, WatchdogTripsWedgedRequestIntoAuditedDegradation) {
   anonymize.params["k"] = "2";
   auto response = client->Call(anonymize);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_TRUE(response->ok) << response->ToStatus().ToString();
+  EXPECT_EQ(response->Field("audited", "0"), "1");
+  EXPECT_EQ(response->Field("degraded", "0"), "1");
   server.Stop();
 
   ServerStats stats = server.stats();
-  if (response->ok) {
-    // The watchdog tripped mid-run (the common case — the run cannot
-    // finish inside one poll): the response is still audited, and a trip
-    // that landed while the run was in flight shows up as degradation.
-    EXPECT_EQ(response->Field("audited", "0"), "1");
-    if (stats.watchdog_cancels > 0) {
-      EXPECT_EQ(response->Field("degraded", "0"), "1");
-    }
-  } else {
-    // The trip landed in the admission-to-dispatch window and the run
-    // was skipped entirely; the request was shed, nothing leaked.
-    EXPECT_EQ(response->code, StatusCode::kUnavailable);
-  }
+  EXPECT_EQ(stats.degraded, 1u);
   EXPECT_EQ(server.inflight(), 0u);
+  EXPECT_EQ(stats.requests + stats.protocol_errors,
+            stats.responses + stats.response_failures);
+}
+
+TEST(ServeServerTest, RunInFlightPastTheDrainGraceIsCancelledThroughStop) {
+  // A Pop-Syn base whose uncancelled anonymize run takes far longer than
+  // the 20 ms drain grace: Stop trips the server's stop token, which
+  // every request token descends from, and the run answers audited and
+  // degraded instead of holding the drain up.
+  ProfileOptions profile_options;
+  profile_options.num_rows = 20000;
+  auto relation = GenerateProfile(DatasetProfile::kPopSyn, profile_options);
+  ASSERT_TRUE(relation.ok()) << relation.status().ToString();
+  auto constraints = DefaultConstraints(DatasetProfile::kPopSyn, *relation);
+  ASSERT_TRUE(constraints.ok()) << constraints.status().ToString();
+  ServerOptions options = TestOptions();
+  options.drain_grace_ms = 20.0;
+  Server server(std::move(relation).value(), std::move(constraints).value(),
+                options);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+
+  Request anonymize;
+  anonymize.verb = "anonymize";
+  anonymize.params["k"] = "10";
+  Result<Response> response = Status::Internal("no response yet");
+  TaskGroup caller(1);
+  uint64_t ticket =
+      caller.Submit([&]() { response = client->Call(anonymize); });
+  Mutex nap_mutex;
+  CondVar nap_cv;
+  while (server.inflight() == 0) {
+    MutexLock lock(nap_mutex);
+    nap_cv.WaitFor(lock, 0.001);
+  }
+  server.Stop();
+  caller.Wait(ticket);
+
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_TRUE(response->ok) << response->ToStatus().ToString();
+  EXPECT_EQ(response->Field("audited", "0"), "1");
+  EXPECT_EQ(response->Field("degraded", "0"), "1");
+  EXPECT_EQ(server.inflight(), 0u);
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.degraded, 1u);
   EXPECT_EQ(stats.requests + stats.protocol_errors,
             stats.responses + stats.response_failures);
 }
