@@ -30,7 +30,9 @@
 #  11. serve gate: diva_loadgen (steady + overload replay against an
 #      in-process server) vs bench/baselines/BENCH_serve.json — the
 #      crash-tolerance invariants gate, latency keys stay informational
-#  12. diva_bench selftest: the end-to-end benchmark builds from source
+#  12. bench_micro: one short pass of the baseline and CSV benches, no
+#      timing gate, so the DIVA_CHECKs inside them fire
+#  13. diva_bench selftest: the end-to-end benchmark builds from source
 #      and runs every workload at its tiny size, traced and untraced;
 #      its result format must match BENCHMARK.json
 #
@@ -173,6 +175,14 @@ DIVA_THREADS=8 \
 python3 tools/bench_diff.py --tolerance 0 \
   /tmp/BENCH_serve_t1.$$.json /tmp/BENCH_serve_t8.$$.json
 rm -f /tmp/BENCH_serve_t1.$$.json /tmp/BENCH_serve_t8.$$.json
+
+# bench_micro runs no timing gate; one short pass makes the DIVA_CHECKs
+# inside its baseline and CSV benches fire (every BuildClusters call
+# must succeed, every CSV read must return its rows).
+step "bench_micro: one short pass of the baseline and CSV benches"
+cmake --build --preset release -j "$JOBS" --target bench_micro
+./build/release/bench/bench_micro \
+  --benchmark_filter='KMember|Oka|Mondrian|Csv' --benchmark_min_time=0.01
 
 step "diva_bench selftest: every workload at --tiny size"
 python3 diva_bench/selftest.py

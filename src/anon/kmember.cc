@@ -102,28 +102,118 @@ void KMemberPool::SetCommon(std::span<const ValueCode> common) {
   }
 }
 
-namespace {
-
-/// Number of pool indices a greedy step scans: all of them in exact
-/// mode, or `sample_size` random ones.
-size_t ScanCount(const KMemberPool& pool, size_t sample_size) {
-  if (sample_size == 0 || pool.size() <= sample_size) return pool.size();
-  return sample_size;
+size_t KMemberPool::FurthestFromAnchor() const {
+  const size_t n = rows_.size();
+  const size_t width = qi_.size();
+  const double* const* terms = anchor_terms_.data();
+  const ValueCode* row = codes_.data();
+  double best_distance = -1.0;
+  size_t best_index = 0;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4, row += 4 * width) {
+    double d0 = 0.0;
+    double d1 = 0.0;
+    double d2 = 0.0;
+    double d3 = 0.0;
+    for (size_t j = 0; j < width; ++j) {
+      const double* term = terms[j];
+      d0 += term[row[j]];
+      d1 += term[row[width + j]];
+      d2 += term[row[2 * width + j]];
+      d3 += term[row[3 * width + j]];
+    }
+    if (d0 > best_distance) {
+      best_distance = d0;
+      best_index = i;
+    }
+    if (d1 > best_distance) {
+      best_distance = d1;
+      best_index = i + 1;
+    }
+    if (d2 > best_distance) {
+      best_distance = d2;
+      best_index = i + 2;
+    }
+    if (d3 > best_distance) {
+      best_distance = d3;
+      best_index = i + 3;
+    }
+  }
+  for (; i < n; ++i, row += width) {
+    double d = 0.0;
+    for (size_t j = 0; j < width; ++j) d += terms[j][row[j]];
+    if (d > best_distance) {
+      best_distance = d;
+      best_index = i;
+    }
+  }
+  return best_index;
 }
 
-size_t PickIndex(const KMemberPool& pool, size_t scan, size_t step,
-                 Rng* rng) {
-  if (scan == pool.size()) return step;  // exact scan
-  return static_cast<size_t>(rng->NextBounded(pool.size()));
+size_t KMemberPool::LeastDivergent(GrowResume* resume) const {
+  const size_t n = rows_.size();
+  const size_t words = words_per_row_;
+  const uint64_t* common = common_words_.data();
+  const uint64_t* live = live_masks_.data();
+  const uint64_t low_bits = low_bits_;
+  const uint64_t high_bits = high_bits_;
+  const uint64_t lane_ones = lane_ones_;
+  const uint64_t lane_mask = lane_mask_;
+  const size_t low_shift = lane_bits_ - 1;
+  const size_t top_shift = top_lane_shift_;
+  DIVA_DCHECK(resume->best_divergence > 0);
+  size_t best_divergence = resume->best_divergence;
+  size_t best_index = resume->best_index;
+  size_t i = resume->start;
+  *resume = GrowResume{};
+  const uint64_t* row = words_.data() + i * words;
+  for (; i < n && best_divergence > 1; ++i, row += words) {
+    size_t d = 0;
+    for (size_t w = 0; w < words; ++w) {
+      uint64_t x = (row[w] ^ common[w]) & live[w];
+      uint64_t y = ((((x & low_bits) + low_bits) | x) & high_bits) >> low_shift;
+      d += ((y * lane_ones) >> top_shift) & lane_mask;
+    }
+    if (d < best_divergence) {
+      if (d == 0) {  // nothing later is strictly cheaper
+        *resume = {i, best_divergence, best_index};
+        return i;
+      }
+      best_divergence = d;
+      best_index = i;
+    }
+  }
+  // Past here the best is d == 1 (or no entry is left), so only an exact
+  // match is strictly cheaper, and d == 0 iff no word has a differing
+  // live lane.
+  for (; i < n; ++i, row += words) {
+    uint64_t differs = 0;
+    for (size_t w = 0; w < words; ++w) {
+      differs |= (row[w] ^ common[w]) & live[w];
+    }
+    if (differs == 0) {
+      *resume = {i, best_divergence, best_index};
+      return i;
+    }
+  }
+  return best_index;
+}
+
+namespace {
+
+/// A greedy step scans every pool index, or `sample_size` random ones
+/// when the pool is larger than that.
+bool Sampled(const KMemberPool& pool, size_t sample_size) {
+  return sample_size > 0 && pool.size() > sample_size;
 }
 
 /// Seed step: the first scanned index furthest from the pool's anchor.
 size_t FurthestIndex(const KMemberPool& pool, size_t sample_size, Rng* rng) {
-  size_t scan = ScanCount(pool, sample_size);
+  if (!Sampled(pool, sample_size)) return pool.FurthestFromAnchor();
   double best_distance = -1.0;
   size_t best_index = 0;
-  for (size_t s = 0; s < scan; ++s) {
-    size_t i = PickIndex(pool, scan, s, rng);
+  for (size_t s = 0; s < sample_size; ++s) {
+    size_t i = static_cast<size_t>(rng->NextBounded(pool.size()));
     double d = pool.DistanceToAnchor(i);
     if (d > best_distance) {
       best_distance = d;
@@ -133,37 +223,22 @@ size_t FurthestIndex(const KMemberPool& pool, size_t sample_size, Rng* rng) {
   return best_index;
 }
 
-/// Where a cluster's next exact grow scan starts, and the first best
-/// (divergence, index) of the pool entries before that start.
-struct GrowResume {
-  size_t start = 0;
+/// Grow step: the first scanned index with the least divergence from the
+/// cluster's live columns, i.e. the least ★ increase. An exact scan
+/// resumes where the cluster's previous one stopped (see
+/// KMemberPool::LeastDivergent); a sampled scan resets `resume`.
+size_t CheapestIndex(KMemberPool& pool, const ClusterCostTracker& tracker,
+                     size_t sample_size, Rng* rng,
+                     KMemberPool::GrowResume* resume) {
+  pool.SetCommon(tracker.common());
+  if (!Sampled(pool, sample_size)) return pool.LeastDivergent(resume);
+  *resume = KMemberPool::GrowResume{};
   size_t best_divergence = std::numeric_limits<size_t>::max();
   size_t best_index = 0;
-};
-
-/// Grow step: the first scanned index with the least divergence from the
-/// cluster's live columns, i.e. the least ★ increase. An exact scan that
-/// stops at a d == 0 entry i leaves `resume` at i: adding that entry
-/// keeps the tracker's common(), and TakeAt(i) leaves entries [0, i) in
-/// place, so the cluster's next scan need not read them again. Any other
-/// outcome resets `resume`.
-size_t CheapestIndex(KMemberPool& pool, const ClusterCostTracker& tracker,
-                     size_t sample_size, Rng* rng, GrowResume* resume) {
-  pool.SetCommon(tracker.common());
-  size_t scan = ScanCount(pool, sample_size);
-  bool exact = scan == pool.size();
-  GrowResume from = exact ? *resume : GrowResume{};
-  *resume = GrowResume{};
-  size_t best_divergence = from.best_divergence;
-  size_t best_index = from.best_index;
-  for (size_t s = from.start; s < scan; ++s) {
-    size_t i = PickIndex(pool, scan, s, rng);
+  for (size_t s = 0; s < sample_size; ++s) {
+    size_t i = static_cast<size_t>(rng->NextBounded(pool.size()));
     size_t d = pool.Divergence(i);
     if (d < best_divergence) {
-      if (exact && d == 0) {  // nothing later is strictly cheaper
-        *resume = {i, best_divergence, best_index};
-        return i;
-      }
       best_divergence = d;
       best_index = i;
     }
@@ -211,7 +286,7 @@ Result<Clustering> KMemberAnonymizer::BuildClusters(
     ClusterCostTracker tracker(relation);
     tracker.Reset(seed);
     Cluster cluster = {seed};
-    GrowResume resume;
+    KMemberPool::GrowResume resume;
 
     while (cluster.size() < k) {
       RowId added = pool.TakeAt(

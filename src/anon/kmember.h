@@ -2,6 +2,7 @@
 #define DIVA_ANON_KMEMBER_H_
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -20,47 +21,36 @@ namespace diva {
 /// Both greedy scans read a KMemberPool: the not-yet-clustered rows'
 /// QI codes laid out densely in pool order, so a scan streams one small
 /// array instead of gathering cells from the row-major relation. The
-/// work is still O(N^2/k) in the worst case; the kernel makes each
-/// candidate cheap and lets most grow scans stop early.
+/// work is still O(N^2/k) in the worst case; the kernels make each
+/// candidate cheap and let most grow scans stop early.
 ///
 /// - Seed step: the first maximum of DistanceMetric::Distance from the
-///   previous seed. Per seed, the pool tabulates DistanceMetric::Term
-///   for every code of each QI column, then sums a candidate's terms in
-///   the metric's column order, so every distance is the same double.
-///   It reads the pool's int32 codes: extracting them from the packed
-///   words (a runtime j / lanes, j % lanes per term) made k-member ~2x
-///   slower.
-/// - Grow step: the ★ increase (size+1)*(div+d) - size*div is strictly
-///   increasing in d, the number of still-shared ("live") QI columns on
-///   which the candidate differs from the cluster's common value. So the
-///   scan compares the integer d over the live columns only, and the
-///   first minimum of d is the first minimum of the increase. d comes
-///   from the pool's packed words, a few SWAR steps per 64-bit word (see
-///   KMemberPool::Divergence); std::popcount would compile to a libgcc
-///   call without -mpopcnt and measured no faster than per-column
-///   compares.
-/// - Early exit: an exact grow scan stops at the first d == 0. No later
-///   candidate can be strictly cheaper, and a full scan would keep this
-///   first one.
-/// - Resume: adding a d == 0 candidate leaves the cluster's common()
-///   unchanged, and taking pool entry i moves only the last entry into
-///   slot i. So the cluster's next exact scan starts at i, carrying the
-///   first best (d, index) of entries [0, i); strict < keeps the same
-///   first minimum. A d > 0 pick, a sampled scan or a new cluster starts
-///   the next scan at 0.
+///   previous seed (KMemberPool::FurthestFromAnchor).
+/// - Grow step: the first minimum of the ★ increase
+///   (size+1)*(div+d) - size*div. It is strictly increasing in d, the
+///   number of still-shared ("live") QI columns on which the candidate
+///   differs from the cluster's common value, so the scan compares the
+///   integer d (KMemberPool::LeastDivergent).
+///
+/// Exact scans run in the pool's own loops, which keep every constant in
+/// locals and never touch the Rng. The shared loop they replaced picked
+/// each index through a sampled-or-exact branch and cost ~8 ns a row in
+/// both scans; a Pop-Syn publish makes ~27.5M seed-row and ~48.5M
+/// grow-row visits.
 ///
 /// Tie-break invariant: both scans keep the first best candidate in pool
 /// index order (strict > and <). The pool removes a taken row by moving
 /// its last entry into the hole, as the unpacked pool did. So the
-/// clusters are byte-identical to the plain scan. Every scan runs on the
-/// calling thread, so they are the same at every thread width. A 23k-row
-/// run makes ~23k scans. A fork-join per grow scan would cost more than
-/// the cheap kernel saves, and chunking would defeat the early exit. A
-/// chunked seed scan measured no faster at width 4.
+/// clusters are byte-identical to the plain one-row scan. Every scan runs
+/// on the calling thread, so they are the same at every thread width. A
+/// 23k-row run makes ~23k scans. A fork-join per grow scan would cost
+/// more than the cheap kernel saves, and chunking would defeat the early
+/// exit. A chunked seed scan measured no faster at width 4.
 ///
 /// With AnonymizerOptions::sample_size > 0 each greedy step scans
-/// `sample_size` random pool indices instead. Every draw is still made
-/// (no early exit), so the RNG sequence does not depend on the data.
+/// `sample_size` random pool indices instead, one DistanceToAnchor or
+/// Divergence per draw. Every draw is still made (no early exit), so the
+/// RNG sequence does not depend on the data.
 class KMemberAnonymizer final : public Anonymizer {
  public:
   explicit KMemberAnonymizer(const AnonymizerOptions& options)
@@ -86,6 +76,12 @@ class KMemberAnonymizer final : public Anonymizer {
 /// a word's count of differing lanes fits in one lane. Removal is
 /// O(|QI|): the last entry moves into the removed slot. `metric` must
 /// outlive the pool.
+///
+/// The seed scan reads the int32 codes: extracting them from the packed
+/// words (a runtime j / lanes, j % lanes per term) made k-member ~2x
+/// slower. The grow scan counts differing lanes with a few SWAR steps per
+/// word (see Divergence); std::popcount compiles to a libgcc call without
+/// -mpopcnt and measured no faster than per-column compares.
 class KMemberPool {
  public:
   KMemberPool(const Relation& relation, const DistanceMetric& metric,
@@ -142,6 +138,46 @@ class KMemberPool {
     }
     return d;
   }
+
+  /// The exact seed scan: the first index with the largest
+  /// DistanceToAnchor. It sums four rows per iteration, four independent
+  /// chains of adds instead of one. Each row's terms are still added
+  /// from 0.0 in the metric's column order, so every distance is the
+  /// same double, and the four sums are compared in index order with
+  /// strict >, so the first maximum wins. A tail loop takes the last
+  /// size() % 4 rows one at a time.
+  size_t FurthestFromAnchor() const;
+
+  /// Where a cluster's next exact grow scan starts, and the first best
+  /// (divergence, index) of the pool entries before that start.
+  struct GrowResume {
+    size_t start = 0;
+    size_t best_divergence = std::numeric_limits<size_t>::max();
+    size_t best_index = 0;
+  };
+
+  /// The exact grow scan: the first index with the least Divergence from
+  /// SetCommon's row, over entries [resume->start, size()) with
+  /// resume's best standing for the entries before it.
+  ///
+  /// - Early exit: the scan stops at the first d == 0. No later entry
+  ///   can be strictly cheaper, and a full scan would keep this one.
+  /// - Exact-match phase: once the best is d == 1, only an exact match
+  ///   can beat it, and d == 0 iff every word's (row ^ common) & live is
+  ///   0. So from there the scan tests only that: no lane count, one
+  ///   AND and compare per word. It returns the index, and leaves the
+  ///   resume, that the counting scan would.
+  /// - Resume: on a stop at entry i, `*resume` becomes {i, the best
+  ///   before i}. Adding a d == 0 entry leaves the cluster's common()
+  ///   unchanged, and TakeAt(i) moves only the last entry into slot i,
+  ///   so the cluster's next scan need not read [0, i) again; strict <
+  ///   keeps the same first minimum. Any other outcome resets `*resume`,
+  ///   so a d > 0 pick starts the next scan at 0, as does a new cluster
+  ///   (a fresh GrowResume) or a sampled scan.
+  ///
+  /// resume->best_divergence must be > 0, as in every resume a scan
+  /// leaves: it stopped at the first d == 0.
+  size_t LeastDivergent(GrowResume* resume) const;
 
  private:
   /// ORs `codes` (one row's, in QI-position order) into `words`, packed.

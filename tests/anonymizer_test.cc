@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <iterator>
+#include <limits>
+#include <memory>
 #include <numeric>
 
 #include "anon/anonymizer.h"
@@ -581,6 +583,223 @@ TEST(KMemberKernelTest, KernelMatchesMetricAndTrackerBitForBit) {
       }
     }
     EXPECT_GT(stars_in_common, 0u);
+  }
+}
+
+/// The one-row scans KMemberPool's exact kernels replaced, kept as their
+/// oracle: the first maximum of DistanceToAnchor, and the first minimum
+/// of Divergence from `resume`'s start and best, stopping at d == 0.
+size_t OneRowFurthest(const KMemberPool& pool) {
+  double best_distance = -1.0;
+  size_t best_index = 0;
+  for (size_t i = 0; i < pool.size(); ++i) {
+    double d = pool.DistanceToAnchor(i);
+    if (d > best_distance) {
+      best_distance = d;
+      best_index = i;
+    }
+  }
+  return best_index;
+}
+
+size_t OneRowLeastDivergent(const KMemberPool& pool,
+                            KMemberPool::GrowResume* resume) {
+  KMemberPool::GrowResume from = *resume;
+  *resume = KMemberPool::GrowResume{};
+  size_t best_divergence = from.best_divergence;
+  size_t best_index = from.best_index;
+  for (size_t i = from.start; i < pool.size(); ++i) {
+    size_t d = pool.Divergence(i);
+    if (d < best_divergence) {
+      if (d == 0) {
+        *resume = {i, best_divergence, best_index};
+        return i;
+      }
+      best_divergence = d;
+      best_index = i;
+    }
+  }
+  return best_index;
+}
+
+/// Both kernels against the one-row loops on the pool as it stands (the
+/// anchor and common set by the caller). The grow scan runs from every
+/// start, fresh and carrying the first best of the entries before the
+/// start, as a resumed scan does; a carried best of d == 0 is skipped,
+/// since a scan stops there and never resumes past it.
+void ExpectScansMatchOneRowLoop(const KMemberPool& pool,
+                                const std::string& where) {
+  EXPECT_EQ(pool.FurthestFromAnchor(), OneRowFurthest(pool))
+      << where << " size " << pool.size();
+  KMemberPool::GrowResume carried;
+  for (size_t start = 0; start <= pool.size(); ++start) {
+    carried.start = start;
+    KMemberPool::GrowResume fresh;
+    fresh.start = start;
+    for (const KMemberPool::GrowResume& from : {fresh, carried}) {
+      if (from.best_divergence == 0) continue;
+      KMemberPool::GrowResume expected = from;
+      KMemberPool::GrowResume actual = from;
+      size_t expected_index = OneRowLeastDivergent(pool, &expected);
+      EXPECT_EQ(pool.LeastDivergent(&actual), expected_index)
+          << where << " size " << pool.size() << " start " << start;
+      EXPECT_EQ(actual.start, expected.start) << where << " start " << start;
+      EXPECT_EQ(actual.best_divergence, expected.best_divergence)
+          << where << " start " << start;
+      EXPECT_EQ(actual.best_index, expected.best_index)
+          << where << " start " << start;
+    }
+    if (start < pool.size()) {
+      size_t d = pool.Divergence(start);
+      if (d < carried.best_divergence) {
+        carried.best_divergence = d;
+        carried.best_index = start;
+      }
+    }
+  }
+}
+
+/// One categorical QI per character of `reference` and of each pattern
+/// ('*' is a ★ input cell), plus a sensitive column. Row 0 is
+/// `reference`; rows 1.. are `patterns`. A pool over rows 1.. anchored
+/// and grown against row 0 has DistanceToAnchor = the count of columns
+/// where a pattern differs from `reference` or either holds '*', and
+/// Divergence = the count of columns where `reference` is not '*' and
+/// the pattern differs.
+struct PatternPool {
+  PatternPool(const std::string& reference,
+              const std::vector<std::string>& patterns)
+      : relation(MakeRelation(reference, patterns)), metric(relation) {
+    std::vector<RowId> rows(patterns.size());
+    std::iota(rows.begin(), rows.end(), RowId{1});
+    pool = std::make_unique<KMemberPool>(relation, metric, rows);
+    std::vector<ValueCode> codes = QiCodes(relation, 0);
+    pool->SetAnchor(codes);
+    pool->SetCommon(codes);
+  }
+
+  static Relation MakeRelation(const std::string& reference,
+                               const std::vector<std::string>& patterns) {
+    std::vector<Attribute> attributes;
+    for (size_t c = 0; c < reference.size(); ++c) {
+      attributes.push_back({"Q" + std::to_string(c),
+                            AttributeRole::kQuasiIdentifier,
+                            AttributeKind::kCategorical});
+    }
+    attributes.push_back(
+        {"S", AttributeRole::kSensitive, AttributeKind::kCategorical});
+    auto schema = Schema::Make(std::move(attributes));
+    DIVA_CHECK(schema.ok());
+    std::vector<std::vector<std::string>> rows;
+    auto add = [&](const std::string& pattern) {
+      DIVA_CHECK(pattern.size() == reference.size());
+      std::vector<std::string> row;
+      for (char c : pattern) row.push_back(std::string(1, c));
+      row.push_back("s");
+      rows.push_back(std::move(row));
+    };
+    add(reference);
+    for (const std::string& pattern : patterns) add(pattern);
+    auto relation = RelationFromRows(*schema, rows);
+    DIVA_CHECK(relation.ok());
+    return std::move(relation).value();
+  }
+
+  Relation relation;
+  DistanceMetric metric;
+  std::unique_ptr<KMemberPool> pool;
+};
+
+// The exact seed and grow kernels against the one-row loops they
+// replaced. Hand-built pools put ties at the maximum distance inside one
+// four-row block, across a block boundary and in the tail; make every
+// distance tie; follow a best divergence of 1 with a later exact match
+// or with none; hide a difference in a row's second word; and put ★ in
+// common(). Each then shrinks through TakeAt, covering pool sizes 1-9
+// around the block. A sweep over shrinking pools of four fixtures
+// compares every grow start, fresh and resumed.
+TEST(KMemberKernelTest, ExactScansMatchTheOneRowLoop) {
+  struct Case {
+    const char* what;
+    std::string reference;
+    std::vector<std::string> patterns;
+    size_t furthest;       // FurthestFromAnchor on the full pool
+    size_t least;          // LeastDivergent from a fresh resume
+    size_t resume_best_d;  // the resume it leaves (0: reset)
+    size_t resume_best_i;
+  };
+  const size_t kReset = 0;
+  const Case cases[] = {
+      {"tie inside one block", "0000",
+       {"0001", "1111", "1111", "0011", "0111"}, 1, 0, kReset, 0},
+      {"tie across a block boundary", "0000",
+       {"0000", "0001", "0011", "1111", "1111", "0111", "0001", "0000"}, 3,
+       0, kReset, 0},
+      {"tie in the tail", "0000",
+       {"0001", "0011", "0111", "0011", "1111", "0001", "1111"}, 4, 0,
+       kReset, 0},
+      {"every distance ties", "0000",
+       {"0101", "0101", "0101", "0101", "0101", "0101", "0101", "0101",
+        "0101"},
+       0, 0, kReset, 0},
+      {"best 1, then a later exact match", "0000",
+       {"0111", "0011", "0001", "0111", "1001", "0000", "0001"}, 0, 5, 1,
+       2},
+      {"best 2 then 1, no exact match", "0000",
+       {"0111", "0011", "0111", "0001", "0011", "0101"}, 0, 3, kReset, 0},
+      {"a second-word difference before the exact match",
+       "00000000000000000",
+       {"11111111111111111", "00000000000001000", "00000000000000100",
+        "00000000000000000", "00000000000000010"},
+       0, 3, 1, 1},
+      {"* in common()", "0*0*",
+       {"1111", "1010", "0110", "0101", "0*0*", "1*1*"}, 0, 3, 1, 2},
+  };
+  for (const Case& c : cases) {
+    PatternPool p(c.reference, c.patterns);
+    KMemberPool& pool = *p.pool;
+    EXPECT_EQ(pool.FurthestFromAnchor(), c.furthest) << c.what;
+    KMemberPool::GrowResume resume;
+    EXPECT_EQ(pool.LeastDivergent(&resume), c.least) << c.what;
+    if (c.resume_best_d == kReset) {
+      EXPECT_EQ(resume.start, 0u) << c.what;
+      EXPECT_EQ(resume.best_divergence, std::numeric_limits<size_t>::max())
+          << c.what;
+    } else {
+      EXPECT_EQ(resume.start, c.least) << c.what;
+      EXPECT_EQ(resume.best_divergence, c.resume_best_d) << c.what;
+      EXPECT_EQ(resume.best_index, c.resume_best_i) << c.what;
+    }
+    // Shrink from the middle, so the swap-remove reorders the tail.
+    while (!pool.empty()) {
+      ExpectScansMatchOneRowLoop(pool, c.what);
+      pool.TakeAt(pool.size() / 2);
+    }
+  }
+
+  std::vector<Relation> relations;
+  relations.push_back(PopSynFixture(300));
+  relations.push_back(StarFixture());
+  relations.push_back(PackingFixture(17, 6));
+  relations.push_back(DuplicateFixture());
+  for (const Relation& relation : relations) {
+    DistanceMetric metric(relation);
+    std::vector<RowId> rows = AllRows(relation);
+    KMemberPool pool(relation, metric, rows);
+    Rng rng(7);
+    while (!pool.empty()) {
+      pool.SetAnchor(QiCodes(relation, pool.row(rng.NextBounded(pool.size()))));
+      ClusterCostTracker tracker(relation);
+      tracker.Reset(pool.row(rng.NextBounded(pool.size())));
+      for (uint64_t n = rng.NextBounded(4); n > 0; --n) {
+        tracker.Add(static_cast<RowId>(rng.NextBounded(relation.NumRows())));
+      }
+      pool.SetCommon(tracker.common());
+      ExpectScansMatchOneRowLoop(pool, "sweep");
+      for (size_t taken = pool.size() > 9 ? 7 : 1; taken > 0; --taken) {
+        pool.TakeAt(static_cast<size_t>(rng.NextBounded(pool.size())));
+      }
+    }
   }
 }
 
