@@ -249,18 +249,20 @@ int main(int argc, char** argv) {
 
   const DivaOptions options = BenchOptions();
 
+  // Each rep runs both legs back to back, alternating which goes first,
+  // so a load burst on a noisy host lands on both legs rather than on
+  // whichever leg happened to be timed then. Each leg keeps its minimum.
   LegResult cold;
-  for (size_t rep = 0; rep < Reps(); ++rep) {
+  LegResult incremental;
+  uint64_t shards_reused = 0;
+  auto time_cold = [&](size_t rep) {
     StopWatch watch;
     auto run = RunDiva(*post, workload.constraints, options);
     double secs = watch.ElapsedSeconds();
     DIVA_CHECK_MSG(run.ok(), run.status().ToString());
     FoldRep(&cold, rep, secs, *run);
-  }
-
-  LegResult incremental;
-  uint64_t shards_reused = 0;
-  for (size_t rep = 0; rep < Reps(); ++rep) {
+  };
+  auto time_incremental = [&](size_t rep) {
     std::vector<counters::Sample> before = counters::Snapshot();
     StopWatch watch;
     auto run = ApplyDelta(*prior->snapshot, delta, options);
@@ -277,6 +279,15 @@ int main(int argc, char** argv) {
                      "incremental run did not re-capture a snapshot");
     }
     FoldRep(&incremental, rep, secs, *run);
+  };
+  for (size_t rep = 0; rep < Reps(); ++rep) {
+    if (rep % 2 == 0) {
+      time_cold(rep);
+      time_incremental(rep);
+    } else {
+      time_incremental(rep);
+      time_cold(rep);
+    }
   }
 
   // The headline contract: the shortcut never changes the bytes.

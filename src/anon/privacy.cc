@@ -65,38 +65,39 @@ Result<Clustering> EnforceLDiversity(Relation* relation, Clustering clusters,
         " distinct sensitive projections");
   }
 
-  // Iterate until stable: merge each violating cluster into the other
-  // cluster whose union costs the fewest additional stars. Each merge
-  // strictly reduces the cluster count, so this terminates. A tripped
-  // deadline token truncates the loop: merges done so far are kept
-  // (every intermediate state is a valid partition) and the caller
+  // Merge the first violating cluster into the other cluster whose union
+  // costs the fewest additional stars, until none violates. Each merge
+  // strictly reduces the cluster count, so this terminates. Clusters
+  // before the merged index were already l-diverse and a merge only
+  // grows its target, so the scan resumes there instead of at 0. A
+  // tripped deadline token truncates the loop: merges done so far are
+  // kept (every intermediate state is a valid partition) and the caller
   // re-verifies diversity.
-  bool changed = true;
-  while (changed && clusters.size() > 1 && !cancel.Cancelled()) {
-    changed = false;
-    for (size_t i = 0; i < clusters.size(); ++i) {
-      if (DistinctSensitive(*relation, clusters[i]) >= l) continue;
-      size_t best = clusters.size();
-      size_t best_cost = std::numeric_limits<size_t>::max();
-      for (size_t j = 0; j < clusters.size(); ++j) {
-        if (j == i) continue;
-        Cluster merged = clusters[i];
-        merged.insert(merged.end(), clusters[j].begin(), clusters[j].end());
-        size_t cost = SuppressionCost(*relation, merged);
-        if (cost < best_cost) {
-          best_cost = cost;
-          best = j;
-        }
-      }
-      DIVA_CHECK_MSG(best < clusters.size(),
-                     "no merge partner for l-diversity enforcement");
-      Cluster& target = clusters[best];
-      target.insert(target.end(), clusters[i].begin(), clusters[i].end());
-      clusters.erase(clusters.begin() + static_cast<long>(i));
-      DIVA_COUNTER_ADD("privacy.merges", 1);
-      changed = true;
-      break;  // indices shifted; rescan
+  size_t i = 0;
+  while (clusters.size() > 1 && !cancel.Cancelled()) {
+    while (i < clusters.size() &&
+           DistinctSensitive(*relation, clusters[i]) >= l) {
+      ++i;
     }
+    if (i == clusters.size()) break;
+    size_t best = clusters.size();
+    size_t best_cost = std::numeric_limits<size_t>::max();
+    for (size_t j = 0; j < clusters.size(); ++j) {
+      if (j == i) continue;
+      Cluster merged = clusters[i];
+      merged.insert(merged.end(), clusters[j].begin(), clusters[j].end());
+      size_t cost = SuppressionCost(*relation, merged);
+      if (cost < best_cost) {
+        best_cost = cost;
+        best = j;
+      }
+    }
+    DIVA_CHECK_MSG(best < clusters.size(),
+                   "no merge partner for l-diversity enforcement");
+    Cluster& target = clusters[best];
+    target.insert(target.end(), clusters[i].begin(), clusters[i].end());
+    clusters.erase(clusters.begin() + static_cast<long>(i));
+    DIVA_COUNTER_ADD("privacy.merges", 1);
   }
 
   // One cluster left but still short on sensitive variety is impossible:
@@ -167,17 +168,32 @@ double DistributionDistance(const Relation& relation, size_t col,
   return emd / static_cast<double>(support.size() - 1);
 }
 
-double MaxGroupDistance(const Relation& relation,
-                        const std::vector<std::vector<RowId>>& groups) {
-  double worst = 0.0;
+/// The whole relation's distribution of each sensitive attribute, in
+/// sensitive_indices() order.
+std::vector<std::map<ValueCode, double>> GlobalDistributions(
+    const Relation& relation) {
   std::vector<RowId> all(relation.NumRows());
   for (RowId i = 0; i < relation.NumRows(); ++i) all[i] = i;
+  std::vector<std::map<ValueCode, double>> globals;
   for (size_t col : relation.schema().sensitive_indices()) {
-    auto global = SensitiveDistribution(relation, col, all);
+    globals.push_back(SensitiveDistribution(relation, col, all));
+  }
+  return globals;
+}
+
+/// Largest distance of any group from the global distributions, over
+/// every sensitive attribute.
+double MaxGroupDistance(
+    const Relation& relation,
+    const std::vector<std::map<ValueCode, double>>& globals,
+    const std::vector<std::vector<RowId>>& groups) {
+  double worst = 0.0;
+  const std::vector<size_t>& sensitive = relation.schema().sensitive_indices();
+  for (size_t s = 0; s < sensitive.size(); ++s) {
     for (const auto& group : groups) {
-      auto local = SensitiveDistribution(relation, col, group);
-      worst = std::max(worst,
-                       DistributionDistance(relation, col, local, global));
+      auto local = SensitiveDistribution(relation, sensitive[s], group);
+      worst = std::max(worst, DistributionDistance(relation, sensitive[s],
+                                                   local, globals[s]));
     }
   }
   return worst;
@@ -191,7 +207,8 @@ double TClosenessDistance(const Relation& relation) {
     return 0.0;
   }
   QiGroups groups = ComputeQiGroups(relation);
-  return MaxGroupDistance(relation, groups.groups);
+  return MaxGroupDistance(relation, GlobalDistributions(relation),
+                          groups.groups);
 }
 
 bool IsTClose(const Relation& relation, double t) {
@@ -210,16 +227,26 @@ Result<Clustering> EnforceTCloseness(Relation* relation, Clustering clusters,
     return clusters;
   }
 
-  // A tripped deadline token truncates the merge loop (see
-  // EnforceLDiversity); the caller re-verifies closeness.
+  // The relation does not change inside the merge loop, so the global
+  // distributions are built once and each cluster's distance is kept
+  // until a merge grows that cluster. A tripped deadline token truncates
+  // the loop (see EnforceLDiversity); the caller re-verifies closeness.
+  const auto globals = GlobalDistributions(*relation);
+  auto cluster_distance = [&](const Cluster& cluster) {
+    return MaxGroupDistance(*relation, globals, {cluster});
+  };
+  std::vector<double> distance;
+  distance.reserve(clusters.size());
+  for (const Cluster& cluster : clusters) {
+    distance.push_back(cluster_distance(cluster));
+  }
   while (clusters.size() > 1 && !cancel.Cancelled()) {
     // Find the worst cluster.
     size_t worst = clusters.size();
     double worst_distance = t;
     for (size_t i = 0; i < clusters.size(); ++i) {
-      double d = MaxGroupDistance(*relation, {clusters[i]});
-      if (d > worst_distance + 1e-12) {
-        worst_distance = d;
+      if (distance[i] > worst_distance + 1e-12) {
+        worst_distance = distance[i];
         worst = i;
       }
     }
@@ -240,7 +267,9 @@ Result<Clustering> EnforceTCloseness(Relation* relation, Clustering clusters,
     Cluster& target = clusters[best];
     target.insert(target.end(), clusters[worst].begin(),
                   clusters[worst].end());
+    distance[best] = cluster_distance(target);
     clusters.erase(clusters.begin() + static_cast<long>(worst));
+    distance.erase(distance.begin() + static_cast<long>(worst));
     DIVA_COUNTER_ADD("privacy.merges", 1);
   }
 

@@ -11,8 +11,8 @@
 namespace diva {
 
 /// The one audited concurrency abstraction of the codebase (enforced by
-/// tools/lint_status.py: raw std::thread / std::async may appear only in
-/// common/parallel.*). Work is partitioned into index chunks whose
+/// tools/diva_analyze.py's `raw-thread` check: raw std::thread /
+/// std::jthread / std::async may appear only in common/parallel.*). Work is partitioned into index chunks whose
 /// boundaries depend solely on (count, grain) — never on the thread count
 /// or on completion order — and chunk results are always gathered by
 /// index, so every parallel algorithm built on this layer is bit-identical
@@ -26,8 +26,8 @@ namespace diva {
 size_t ResolveThreadCount(size_t threads);
 
 /// Detected hardware concurrency (>= 1). Call this instead of
-/// std::thread::hardware_concurrency() — raw thread APIs are linted out
-/// of every file but common/parallel.*.
+/// std::thread::hardware_concurrency() — the `raw-thread` check rejects
+/// raw thread APIs in every file but common/parallel.*.
 size_t HardwareConcurrency();
 
 /// The DIVA_THREADS environment knob, parsed per call: unset or

@@ -45,8 +45,9 @@ const char* StatusCodeToString(StatusCode code);
 ///
 /// [[nodiscard]]: silently dropping a Status hides failures, so every
 /// function returning one by value warns unless the caller consumes it
-/// (the build promotes that warning to an error). Deliberate discards —
-/// rare — must be spelled `(void)expr; // lint: allow-discard`.
+/// (the build promotes that warning to an error). A deliberate discard —
+/// rare — is a bare `(void)` cast with a comment giving the reason:
+/// `(void)RemoveStaleFile(path);  // best effort: a leftover is harmless`.
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.
@@ -118,8 +119,5 @@ inline Status ToStatus(Status status) { return status; }
         ::diva::internal::ToStatus((expr));                  \
     if (!_diva_st.ok()) return _diva_st;                     \
   } while (false)
-
-/// Back-compat alias; prefer DIVA_RETURN_IF_ERROR in new code.
-#define DIVA_RETURN_NOT_OK(expr) DIVA_RETURN_IF_ERROR(expr)
 
 #endif  // DIVA_COMMON_STATUS_H_

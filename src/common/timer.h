@@ -8,8 +8,9 @@ namespace diva {
 /// The one monotonic clock of the codebase. Every wall-clock measurement
 /// (StopWatch, Deadline, DivaReport timings, benchmarks) reads this
 /// helper; raw std::chrono clocks outside common/ are rejected by
-/// tools/lint_status.py so that timing behavior stays in one audited
-/// place (and a test clock could be swapped in here if ever needed).
+/// tools/diva_analyze.py's `raw-clock` check so that timing behavior
+/// stays in one audited place (and a test clock could be swapped in here
+/// if ever needed).
 inline double MonotonicSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())

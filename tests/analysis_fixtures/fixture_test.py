@@ -4,14 +4,18 @@ analysis fixtures.
 
 Every fixture .cc file declares its expected outcome inline:
 
+    // path-role: <role>        (optional; default src)
     // expect: <check>=<count> [<check>=<count> ...]
     // expect-suppressed: <check>=<count> ...
 
-Unlisted checks are expected to produce zero findings, so a clean
-fixture asserts the absence of false positives just as strictly as a
-violation fixture asserts detection. The expected exit code is derived:
-1 when any active finding is expected, else 0 (the suppression fixture
-must exit 0 despite five findings).
+The path role is passed to the analyzer's --path-role, so a fixture
+can stand in for a rule's sanctioned home (parallel-home, common) or
+for the search hot path (hot-path). Unlisted checks are expected to
+produce zero findings, so a clean fixture asserts the absence of false
+positives just as strictly as a violation fixture asserts detection.
+The expected exit code is derived: 1 when any active finding is
+expected, else 0 (the suppression fixture must exit 0 despite nine
+findings).
 
 Each fixture runs under the lexical fallback engine and under --engine
 auto; with the clang python bindings installed (CI) auto resolves to the
@@ -37,10 +41,20 @@ CHECKS = (
     "pointer-order",
     "raw-mutex",
     "raw-random",
+    "raw-thread",
+    "raw-clock",
+    "adhoc-instrumentation",
+    "vector-bool",
     "mutable-global",
 )
 
 EXPECT_RE = re.compile(r"^\s*//\s*expect(-suppressed)?:\s*(.*)$")
+ROLE_RE = re.compile(r"^\s*//\s*path-role:\s*([\w-]+)\s*$", re.MULTILINE)
+
+
+def read_role(path: Path) -> str:
+    match = ROLE_RE.search(path.read_text())
+    return match.group(1) if match else "src"
 
 
 def read_expectations(path: Path) -> tuple[dict[str, int], dict[str, int]]:
@@ -84,7 +98,7 @@ def run_fixture(path: Path, engine: str) -> list[str]:
                 "--engine",
                 engine,
                 "--path-role",
-                "src",
+                read_role(path),
                 "--json",
                 str(report_path),
                 str(path),

@@ -45,14 +45,35 @@ TEST(StatusTest, EqualityComparesCodeAndMessage) {
   EXPECT_FALSE(Status::NotFound("x") == Status::Internal("x"));
 }
 
-Status ReturnNotOkHelper(bool fail) {
-  DIVA_RETURN_NOT_OK(fail ? Status::Internal("inner") : Status::OK());
+Status ReturnIfErrorHelper(bool fail) {
+  DIVA_RETURN_IF_ERROR(fail ? Status::Internal("inner") : Status::OK());
   return Status::IoError("reached end");
 }
 
-TEST(StatusTest, ReturnNotOkPropagates) {
-  EXPECT_EQ(ReturnNotOkHelper(true).code(), StatusCode::kInternal);
-  EXPECT_EQ(ReturnNotOkHelper(false).code(), StatusCode::kIoError);
+Result<int> ParseCount(bool fail, int* calls) {
+  ++*calls;
+  if (fail) return Status::NotFound("no count");
+  return 3;
+}
+
+Status ReturnIfErrorResultHelper(bool fail, int* calls) {
+  DIVA_RETURN_IF_ERROR(ParseCount(fail, calls));
+  return Status::IoError("reached end");
+}
+
+TEST(StatusTest, ReturnIfErrorPropagates) {
+  EXPECT_EQ(ReturnIfErrorHelper(true).code(), StatusCode::kInternal);
+  EXPECT_EQ(ReturnIfErrorHelper(false).code(), StatusCode::kIoError);
+
+  // A Result<T> operand propagates its error Status and is evaluated
+  // exactly once.
+  int calls = 0;
+  EXPECT_EQ(ReturnIfErrorResultHelper(true, &calls),
+            Status::NotFound("no count"));
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(ReturnIfErrorResultHelper(false, &calls).code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(calls, 2);
 }
 
 // ---------------------------------------------------------------- Result

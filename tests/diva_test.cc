@@ -381,7 +381,7 @@ TEST(DivaConcurrencyTest, PeerTrippedLoopTokenCannotTruncateAnAuditedRun) {
   bool installed = false;
   bool release = false;
   // The peer must hold its token for the whole run on this thread.
-  // lint: allow-thread
+  // analyze: allow-raw-thread
   std::thread peer([&] {
     ScopedLoopCancellation scope(tripped);
     MutexLock lock(mutex);

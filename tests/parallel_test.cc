@@ -272,7 +272,7 @@ TEST(PoolCancellationTest, ExternalCancelDuringClaimKeepsPrefixExact) {
     std::vector<std::atomic<int>> executed(4096);
     std::atomic<bool> body_started{false};
     // The cancel must come from outside the loop to hit the claim race.
-    // lint: allow-thread
+    // analyze: allow-raw-thread
     std::thread canceller([&] {
       while (!body_started.load(std::memory_order_acquire)) {
       }
@@ -303,7 +303,7 @@ TEST(PoolCancellationTest, PeerThreadsTrippedTokenDoesNotTruncateThisLoop) {
   std::atomic<bool> installed{false};
   std::atomic<bool> release{false};
   // The peer must hold its scope across this thread's loops.
-  // lint: allow-thread
+  // analyze: allow-raw-thread
   std::thread peer([&] {
     ScopedLoopCancellation scope(tripped);
     installed.store(true, std::memory_order_release);

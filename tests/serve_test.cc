@@ -221,7 +221,7 @@ TEST(ServeProtocolTest, LargeFrameRoundTripsThroughInterruptedWrites) {
   SocketPair pair;
   Result<std::string> received = Status::Internal("reader did not run");
   // Reader and ticker must run beside the blocking write.
-  // lint: allow-thread
+  // analyze: allow-raw-thread
   std::thread reader([&] {
     // Only the writer thread takes the signal.
     sigset_t blocked;
@@ -232,7 +232,7 @@ TEST(ServeProtocolTest, LargeFrameRoundTripsThroughInterruptedWrites) {
   });
   const pthread_t writer = pthread_self();
   std::atomic<bool> written{false};
-  // lint: allow-thread
+  // analyze: allow-raw-thread — the ticker runs beside the blocking write
   std::thread ticker([&] {
     while (!written.load(std::memory_order_acquire)) {
       pthread_kill(writer, SIGUSR1);

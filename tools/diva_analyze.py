@@ -29,6 +29,26 @@ on every file, every run:
   raw-random       rand() / srand() / std::random_device outside
                    common/rng.*. Every randomized component must take an
                    explicit seed (diva::Rng) so runs are reproducible.
+  raw-thread       std::thread / std::jthread / std::async outside
+                   common/parallel.{h,cc}. Coarse work goes through
+                   ThreadPool / ParallelFor / TaskGroup, which carry the
+                   cancellation token and keep outputs bit-identical at
+                   every thread width.
+  raw-clock        std::chrono::{steady,system,high_resolution}_clock
+                   outside common/. Timings and deadlines come from one
+                   monotonic clock: timer.h (MonotonicSeconds, StopWatch,
+                   PhaseTimer) and deadline.h.
+  adhoc-instrumentation
+                   C timing calls (gettimeofday, clock_gettime,
+                   timespec_get, std::clock()) and the printf family
+                   (printf, fprintf, puts, fputs) in src/ outside common/.
+                   Library code measures with DIVA_TRACE_SPAN /
+                   DIVA_COUNTER_ADD and reports through Status; printing
+                   belongs to the CLIs.
+  vector-bool      std::vector<bool> in src/core/ and src/constraint/. The
+                   search hot path tests membership and intersects row
+                   sets word-wise with common/bitset.h; a vector<bool>
+                   reverts those kernels to bit-proxy loops.
   mutable-global   Mutable namespace-scope state in src/ outside common/
                    with no GUARDED_BY(...) / constinit justification.
                    Shared mutable globals outside the audited common/
@@ -49,11 +69,13 @@ resolved through typedefs/aliases/members and pointer comparisons are
 found by operand type, not by name. Without libclang the lexical engine
 (comment/string-stripped scan with brace-scope tracking and alias
 following) approximates both, so a plain checkout still gets the gate.
-The other three checks are lexical properties and behave identically in
-both engines.
+The other seven checks are lexical properties and behave identically in
+both engines. A dropped Status / Result<T> is the compiler's rule
+([[nodiscard]] with -Werror=unused-result), pinned by the
+tests/compile_fail/ ctests, so no check here repeats it.
 
 Usage:
-  tools/diva_analyze.py [paths...]              # default: src
+  tools/diva_analyze.py src examples bench tests  # the lint gate
   tools/diva_analyze.py --compdb build/release --json findings.json src
   tools/diva_analyze.py --engine fallback --path-role src fixture.cc
 
@@ -74,6 +96,10 @@ CHECKS = (
     "pointer-order",
     "raw-mutex",
     "raw-random",
+    "raw-thread",
+    "raw-clock",
+    "adhoc-instrumentation",
+    "vector-bool",
     "mutable-global",
 )
 
@@ -91,7 +117,6 @@ def strip_comments_and_strings(text: str) -> str:
     """Blanks comments and string/char literals, preserving offsets.
 
     Newlines inside block comments survive so line numbers stay correct.
-    (Same contract as tools/lint_status.py.)
     """
     out = []
     i, n = 0, len(text)
@@ -278,6 +303,10 @@ class FileContext:
 # Lexical checks (identical in both engines)
 # --------------------------------------------------------------------------
 
+# Path roles (see path_role). Each lexical rule skips its sanctioned home.
+COMMON_ROLES = ("common", "mutex-home", "rng", "parallel-home")
+LIBRARY_ROLES = ("src", "hot-path")  # src/ outside common/
+
 RAW_MUTEX_RE = re.compile(
     r"\bstd\s*::\s*(?:mutex|recursive_mutex|timed_mutex|recursive_timed_mutex|"
     r"shared_mutex|shared_timed_mutex|lock_guard|unique_lock|scoped_lock|"
@@ -286,6 +315,52 @@ RAW_MUTEX_RE = re.compile(
 
 RAW_RANDOM_RE = re.compile(
     r"(?<![\w.:>])s?rand\s*\(|(?:std\s*::\s*)?\brandom_device\b"
+)
+
+RAW_THREAD_RE = re.compile(r"std\s*::\s*(?:thread|jthread|async)\b")
+
+RAW_CLOCK_RE = re.compile(
+    r"std\s*::\s*chrono\s*::\s*"
+    r"(?:steady_clock|system_clock|high_resolution_clock)\b"
+)
+
+RAW_TIMING_RE = re.compile(
+    r"(?<![\w:])(?:std\s*::\s*)?(?:gettimeofday|clock_gettime|timespec_get)\s*\("
+    r"|(?<![\w.])std\s*::\s*clock\s*\(\s*\)"
+)
+
+PRINT_RE = re.compile(
+    r"(?<![\w.])(?:std\s*::\s*)?(?:printf|fprintf|puts|fputs)\s*\("
+)
+
+VECTOR_BOOL_RE = re.compile(r"std\s*::\s*vector\s*<\s*bool\s*>")
+
+# (check, pattern, applies to role, message). Matched on comment- and
+# string-stripped text, so prose mentions never fire.
+LEXICAL_RULES = (
+    ("raw-mutex", RAW_MUTEX_RE, lambda role: role != "mutex-home",
+     "raw standard-library locking primitive; use diva::Mutex / "
+     "MutexLock / CondVar from common/mutex.h so -Wthread-safety "
+     "can check the locking invariants"),
+    ("raw-random", RAW_RANDOM_RE, lambda role: role != "rng",
+     "nondeterministic randomness source; use diva::Rng from "
+     "common/rng.h with an explicit seed"),
+    ("raw-thread", RAW_THREAD_RE, lambda role: role != "parallel-home",
+     "raw threading primitive; use common/parallel.h (ThreadPool, "
+     "ParallelFor or TaskGroup) instead of std::thread / std::async"),
+    ("raw-clock", RAW_CLOCK_RE, lambda role: role not in COMMON_ROLES,
+     "raw chrono clock; use common/timer.h (MonotonicSeconds, "
+     "StopWatch, PhaseTimer) or common/deadline.h"),
+    ("adhoc-instrumentation", RAW_TIMING_RE,
+     lambda role: role in LIBRARY_ROLES,
+     "raw timing call in library code; instrument with DIVA_TRACE_SPAN / "
+     "DIVA_COUNTER_ADD and time with common/timer.h"),
+    ("adhoc-instrumentation", PRINT_RE, lambda role: role in LIBRARY_ROLES,
+     "stdio print in library code; report through Status, counters or "
+     "trace spans and leave printing to the CLIs"),
+    ("vector-bool", VECTOR_BOOL_RE, lambda role: role == "hot-path",
+     "std::vector<bool> in the search hot path; use Bitset from "
+     "common/bitset.h (packed words, popcount intersection kernels)"),
 )
 
 MUTABLE_GLOBAL_SKIP_RE = re.compile(
@@ -306,47 +381,21 @@ SINK_CALL_RE = re.compile(
 APPEND_RE = re.compile(r"([\w.>-]*?)(\w+)\s*\.\s*(?:push_back|emplace_back)\s*\(")
 
 
-def check_raw_mutex(ctx: FileContext) -> list[Finding]:
-    if ctx.role == "mutex-home":
-        return []
+def check_lexical_rules(ctx: FileContext) -> list[Finding]:
     findings = []
-    for match in RAW_MUTEX_RE.finditer(ctx.text):
-        line = line_of(ctx.text, match.start())
-        findings.append(
-            Finding(
-                "raw-mutex",
-                str(ctx.path),
-                line,
-                "raw standard-library locking primitive; use diva::Mutex / "
-                "MutexLock / CondVar from common/mutex.h so -Wthread-safety "
-                "can check the locking invariants",
-                ctx.snippet(line),
+    for check, pattern, applies, message in LEXICAL_RULES:
+        if not applies(ctx.role):
+            continue
+        for match in pattern.finditer(ctx.text):
+            line = line_of(ctx.text, match.start())
+            findings.append(
+                Finding(check, str(ctx.path), line, message, ctx.snippet(line))
             )
-        )
-    return findings
-
-
-def check_raw_random(ctx: FileContext) -> list[Finding]:
-    if ctx.role == "rng":
-        return []
-    findings = []
-    for match in RAW_RANDOM_RE.finditer(ctx.text):
-        line = line_of(ctx.text, match.start())
-        findings.append(
-            Finding(
-                "raw-random",
-                str(ctx.path),
-                line,
-                "nondeterministic randomness source; use diva::Rng from "
-                "common/rng.h with an explicit seed",
-                ctx.snippet(line),
-            )
-        )
     return findings
 
 
 def check_mutable_global(ctx: FileContext) -> list[Finding]:
-    if ctx.role != "src":
+    if ctx.role not in LIBRARY_ROLES:
         return []
     findings = []
     text = ctx.text
@@ -757,18 +806,25 @@ def make_engine(requested: str, compdb_dir: Path | None):
 # --------------------------------------------------------------------------
 
 
+# A rule's sanctioned home inside a common/ directory, by file name.
+HOME_ROLES = {
+    "mutex.h": "mutex-home",
+    "thread_annotations.h": "mutex-home",
+    "rng.h": "rng",
+    "rng.cc": "rng",
+    "parallel.h": "parallel-home",
+    "parallel.cc": "parallel-home",
+}
+
+
 def path_role(path: Path, override: str) -> str:
     if override != "auto":
         return override
-    p = str(path).replace("\\", "/")
-    if p.endswith(("common/mutex.h", "common/thread_annotations.h")):
-        return "mutex-home"
-    if re.search(r"common/rng\.(h|cc)$", p):
-        return "rng"
-    if "src/common/" in p:
-        return "common"
-    if "src/" in p:
-        return "src"
+    dirs = path.parent.parts
+    if "common" in dirs:
+        return HOME_ROLES.get(path.name, "common")
+    if "src" in dirs:
+        return "hot-path" if "core" in dirs or "constraint" in dirs else "src"
     return "other"
 
 
@@ -805,17 +861,9 @@ def find_compdb(explicit: str | None) -> Path | None:
     return None
 
 
-def analyze_file(ctx: FileContext, engine, only: set[str]) -> list[Finding]:
-    findings: list[Finding] = []
-    if "raw-mutex" in only:
-        findings.extend(check_raw_mutex(ctx))
-    if "raw-random" in only:
-        findings.extend(check_raw_random(ctx))
-    if "mutable-global" in only:
-        findings.extend(check_mutable_global(ctx))
-    if "unordered-sink" in only or "pointer-order" in only:
-        semantic = engine.semantic_findings(ctx)
-        findings.extend(f for f in semantic if f.check in only)
+def analyze_file(ctx: FileContext, engine) -> list[Finding]:
+    findings = check_lexical_rules(ctx) + check_mutable_global(ctx)
+    findings.extend(engine.semantic_findings(ctx))
     for finding in findings:
         finding.allowed = ctx.allowed(finding.check, finding.line)
     return findings
@@ -835,23 +883,13 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--engine", choices=("auto", "libclang", "fallback"),
                         default="auto")
     parser.add_argument("--path-role",
-                        choices=("auto", "src", "common", "rng", "mutex-home",
-                                 "other"),
+                        choices=("auto", "src", "hot-path", "common", "rng",
+                                 "mutex-home", "parallel-home", "other"),
                         default="auto",
                         help="override per-file path classification "
-                             "(fixtures use 'src' so every check applies)")
-    parser.add_argument("--only", default=None,
-                        help="comma-separated subset of checks to run")
+                             "(each fixture names its role in a "
+                             "'// path-role:' line)")
     args = parser.parse_args(argv[1:])
-
-    only = set(CHECKS)
-    if args.only:
-        only = {c.strip() for c in args.only.split(",")}
-        unknown = only - set(CHECKS)
-        if unknown:
-            print(f"diva_analyze: unknown check(s): {sorted(unknown)}",
-                  file=sys.stderr)
-            return 2
 
     paths = [Path(p) for p in (args.paths or ["src"])]
     try:
@@ -872,7 +910,7 @@ def main(argv: list[str]) -> int:
     findings: list[Finding] = []
     for path in files:
         ctx = FileContext(path, path_role(path, args.path_role))
-        findings.extend(analyze_file(ctx, engine, only))
+        findings.extend(analyze_file(ctx, engine))
 
     active = [f for f in findings if not f.allowed]
     suppressed = [f for f in findings if f.allowed]
@@ -886,7 +924,7 @@ def main(argv: list[str]) -> int:
             "engine": engine.name,
             "compdb": str(compdb_dir) if compdb_dir else None,
             "files_scanned": len(files),
-            "checks": sorted(only),
+            "checks": sorted(CHECKS),
             "findings": [asdict(f) for f in active],
             "suppressed": [asdict(f) for f in suppressed],
         }
