@@ -1,17 +1,15 @@
 // Ablation study for the design choices called out in DESIGN.md §5:
 //   (1) candidate-pool cap of the clustering enumerator,
 //   (2) ordered (minimal-suppression-first) vs shuffled candidates,
-//   (3) the single-block partition variant,
 //   (4) sampled vs exact k-member in the Anonymize phase,
-//   (5) coloring step budget.
+//   (5) coloring step budget,
+//   (6) portfolio coloring threads.
 // Each knob is varied in isolation on a fixed Pop-Syn workload.
 
 #include <functional>
 
 #include "bench/bench_common.h"
-#include "anon/suppress.h"
 #include "constraint/generator.h"
-#include "hierarchy/recoding.h"
 #include "metrics/metrics.h"
 
 using namespace diva;         // NOLINT
@@ -94,18 +92,6 @@ int main() {
     options->enumeration.seed = options->seed;
   });
 
-  std::printf("\n--- (3) single-block partition variant ---\n");
-  Report(workload, "with single-block variants", [](DivaOptions* options) {
-    options->auto_tune_enumeration = false;
-    options->enumeration.single_block_variant = true;
-    options->enumeration.seed = options->seed;
-  });
-  Report(workload, "k-blocks only", [](DivaOptions* options) {
-    options->auto_tune_enumeration = false;
-    options->enumeration.single_block_variant = false;
-    options->enumeration.seed = options->seed;
-  });
-
   std::printf("\n--- (4) Anonymize-phase k-member search ---\n");
   Report(workload, "sampled candidates (64)", [](DivaOptions* options) {
     options->anonymizer.sample_size = 64;
@@ -130,49 +116,5 @@ int main() {
     });
   }
 
-  // (7) Recoding family comparison: local suppression vs LCA
-  // generalization vs Samarati full-domain recoding, same k.
-  std::printf("\n--- (7) recoding family (k=10, NCP information loss) ---\n");
-  {
-    const Relation& r = workload.relation;
-    GeneralizationContext context(r.NumAttributes());
-    size_t age = *r.schema().IndexOf("AGE");
-    auto age_taxonomy = Taxonomy::Intervals(18, 98, 10);
-    DIVA_CHECK(age_taxonomy.ok());
-    context.SetTaxonomy(age, std::move(age_taxonomy).value());
-
-    std::vector<RowId> rows(r.NumRows());
-    for (RowId i = 0; i < r.NumRows(); ++i) rows[i] = i;
-    auto kmember = MakeKMember({});
-    auto clusters = kmember->BuildClusters(r, rows, 10);
-    DIVA_CHECK(clusters.ok());
-
-    Relation suppressed = r;
-    StopWatch suppress_watch;
-    SuppressClustersInPlace(&suppressed, *clusters);
-    std::printf("%-34s  ncp=%.4f  disc_acc=%.4f  time=%7.3fs\n",
-                "k-member + suppression", NcpLoss(suppressed, context),
-                DiscernibilityAccuracy(suppressed, 10),
-                suppress_watch.ElapsedSeconds());
-
-    Relation generalized = r;
-    StopWatch generalize_watch;
-    DIVA_CHECK(
-        GeneralizeClustersInPlace(&generalized, *clusters, context).ok());
-    std::printf("%-34s  ncp=%.4f  disc_acc=%.4f  time=%7.3fs\n",
-                "k-member + LCA generalization", NcpLoss(generalized, context),
-                DiscernibilityAccuracy(generalized, 10),
-                generalize_watch.ElapsedSeconds());
-
-    GlobalRecoder recoder(r, context);
-    StopWatch recode_watch;
-    auto recoded = recoder.FindMinimalRecoding(10);
-    DIVA_CHECK_MSG(recoded.ok(), recoded.status().ToString());
-    std::printf("%-34s  ncp=%.4f  disc_acc=%.4f  time=%7.3fs  vector=%s\n",
-                "Samarati full-domain recoding", recoded->ncp,
-                DiscernibilityAccuracy(recoded->relation, 10),
-                recode_watch.ElapsedSeconds(),
-                recoded->vector.ToString().c_str());
-  }
   return 0;
 }

@@ -4,7 +4,6 @@
 #include <limits>
 #include <cmath>
 #include <map>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "anon/suppress.h"
@@ -275,45 +274,6 @@ Result<Clustering> EnforceTCloseness(Relation* relation, Clustering clusters,
 
   SuppressClustersInPlace(relation, clusters);
   return clusters;
-}
-
-Result<bool> IsXYAnonymous(const Relation& relation,
-                           const std::vector<size_t>& x_attributes,
-                           const std::vector<size_t>& y_attributes,
-                           size_t k) {
-  if (x_attributes.empty() || y_attributes.empty()) {
-    return Status::InvalidArgument("X and Y must be non-empty");
-  }
-  for (size_t attr : x_attributes) {
-    if (attr >= relation.NumAttributes()) {
-      return Status::InvalidArgument("X attribute index out of range");
-    }
-  }
-  for (size_t attr : y_attributes) {
-    if (attr >= relation.NumAttributes()) {
-      return Status::InvalidArgument("Y attribute index out of range");
-    }
-  }
-  if (k <= 1) return true;
-
-  auto project = [&relation](const std::vector<size_t>& attrs, RowId row) {
-    uint64_t h = 1469598103934665603ULL;
-    for (size_t attr : attrs) {
-      h ^= static_cast<uint64_t>(static_cast<uint32_t>(relation.At(row, attr)));
-      h *= 1099511628211ULL;
-    }
-    return h;
-  };
-
-  // X-projection -> set of distinct Y-projections.
-  std::unordered_map<uint64_t, std::unordered_set<uint64_t>> links;
-  for (RowId row = 0; row < relation.NumRows(); ++row) {
-    links[project(x_attributes, row)].insert(project(y_attributes, row));
-  }
-  for (const auto& [x, ys] : links) {
-    if (ys.size() < k) return false;
-  }
-  return true;
 }
 
 }  // namespace diva

@@ -69,17 +69,6 @@ bool IsTClose(const Relation& relation, double t);
                                      double t,
                                      CancellationToken cancel = {});
 
-/// (X,Y)-anonymity (Wang & Fung — the third extension the paper lists):
-/// every value combination of attributes X that occurs in the relation
-/// must be linked to at least k distinct value combinations of
-/// attributes Y. Classic k-anonymity is the special case X = QI,
-/// Y = a tuple identifier. Suppressed cells count as one distinct value.
-/// Fails with InvalidArgument when X or Y is empty or references an
-/// out-of-range attribute.
-[[nodiscard]] Result<bool> IsXYAnonymous(const Relation& relation,
-                           const std::vector<size_t>& x_attributes,
-                           const std::vector<size_t>& y_attributes, size_t k);
-
 }  // namespace diva
 
 #endif  // DIVA_ANON_PRIVACY_H_

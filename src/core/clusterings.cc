@@ -27,6 +27,11 @@ std::vector<RowId> SortByQiSimilarity(const Relation& relation,
 
 namespace {
 
+/// How many preserved-count values m the ladder steps through, starting
+/// at max(k, min_preserve) and stepping by k (the largest admissible m
+/// is appended after them).
+constexpr size_t kPreservedSteps = 3;
+
 /// True when rows a and b agree on every quasi-identifier attribute.
 bool SameQiProjection(const Relation& relation, RowId a, RowId b) {
   for (size_t col : relation.schema().qi_indices()) {
@@ -40,8 +45,8 @@ bool SameQiProjection(const Relation& relation, RowId a, RowId b) {
 /// rows and cut at QI-projection boundaries whenever possible, so a block
 /// is a union of whole runs of identical tuples — identical runs keep
 /// their values (and their contribution to other constraints' counts)
-/// instead of being split across mixed clusters. The one-block variant is
-/// optionally emitted too.
+/// instead of being split across mixed clusters. A partition of more than
+/// one block is followed by its one-block variant (all m rows together).
 void AddPartitions(const Relation& relation, const std::vector<RowId>& subset,
                    size_t k, const ClusteringEnumOptions& options,
                    std::vector<CandidateClustering>* out) {
@@ -97,8 +102,7 @@ void AddPartitions(const Relation& relation, const std::vector<RowId>& subset,
   size_t num_blocks = blocked.clusters.size();
   out->push_back(std::move(blocked));
 
-  if (options.single_block_variant && num_blocks > 1 &&
-      out->size() < options.max_clusterings) {
+  if (num_blocks > 1 && out->size() < options.max_clusterings) {
     CandidateClustering single;
     single.preserved = m;
     single.clusters.emplace_back(subset.begin(), subset.end());
@@ -221,18 +225,15 @@ std::vector<CandidateClustering> EnumerateClusteringsQiSorted(
   Rng rng(options.seed);
 
   std::vector<size_t> preserved_values;
-  for (size_t step = 0; step < options.preserved_steps; ++step) {
+  for (size_t step = 0; step < kPreservedSteps; ++step) {
     size_t m = m_lo + step * k;
     if (m > m_hi) break;
     preserved_values.push_back(m);
   }
-  if (preserved_values.empty() ||
-      (preserved_values.back() != m_hi && preserved_values.size() > 0)) {
-    // Always consider the largest admissible subset too: preserving every
-    // target tuple is sometimes the only way to respect a tight range.
-    if (preserved_values.empty() || m_hi > preserved_values.back()) {
-      preserved_values.push_back(m_hi);
-    }
+  // Always consider the largest admissible subset too: preserving every
+  // target tuple is sometimes the only way to respect a tight range.
+  if (preserved_values.empty() || preserved_values.back() < m_hi) {
+    preserved_values.push_back(m_hi);
   }
 
   for (size_t m : preserved_values) {

@@ -35,14 +35,6 @@ struct ClusteringEnumOptions {
   /// Additional seeded random subsets per preserved-count value.
   size_t random_subsets = 4;
 
-  /// How many preserved-count values m to try, starting at
-  /// max(k, lambda_l) and stepping by k.
-  size_t preserved_steps = 3;
-
-  /// Also emit the single-cluster variant of each subset (all m rows in
-  /// one block) besides the size-k block partition.
-  bool single_block_variant = true;
-
   /// Minimal-suppression-first ordering. false = shuffled (DIVA-Basic).
   bool ordered = true;
 

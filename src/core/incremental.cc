@@ -38,8 +38,6 @@ uint64_t OptionsFingerprint(const DivaOptions& options) {
   h = FnvMix(h, options.enumeration.max_clusterings);
   h = FnvMix(h, options.enumeration.max_window_candidates);
   h = FnvMix(h, options.enumeration.random_subsets);
-  h = FnvMix(h, options.enumeration.preserved_steps);
-  h = FnvMix(h, options.enumeration.single_block_variant ? 1 : 0);
   h = FnvMix(h, options.enumeration.ordered ? 1 : 0);
   h = FnvMix(h, options.enumeration.seed);
   h = FnvMix(h, options.auto_tune_enumeration ? 1 : 0);

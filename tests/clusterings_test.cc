@@ -268,5 +268,62 @@ TEST(ClusteringsBoundsTest, SmallRunsBufferTogetherAwayFromBigRuns) {
   EXPECT_TRUE(found_pure_big_run);
 }
 
+TEST(ClusteringsBoundsTest, OneBlockVariantsAndPreservedLadderAreFixed) {
+  // Twelve rows with pairwise distinct QI projections.
+  std::vector<std::vector<std::string>> rows;
+  for (int i = 0; i < 12; ++i) {
+    rows.push_back({"F", "Eth" + std::to_string(i), "30", "BC", "V", "x"});
+  }
+  auto relation = RelationFromRows(testing::MedicalSchema(), rows);
+  ASSERT_TRUE(relation.ok());
+  std::vector<RowId> all(12);
+  for (RowId i = 0; i < 12; ++i) all[i] = i;
+  ClusteringEnumOptions options;
+  options.max_clusterings = 1000;  // no cap: every tried m must show
+
+  auto row_set = [](const CandidateClustering& candidate) {
+    std::set<RowId> out;
+    for (const Cluster& cluster : candidate.clusters) {
+      out.insert(cluster.begin(), cluster.end());
+    }
+    return out;
+  };
+
+  // (a) Preserving all six of six rows leaves no room for the strided
+  // interleaved candidate, so every candidate is a block partition of a
+  // subset. Each one with more than one block is followed by its
+  // one-block variant over the same rows.
+  std::vector<RowId> six(all.begin(), all.begin() + 6);
+  auto full = EnumerateClusteringsWithBounds(*relation, six, 2, 6, 6, options);
+  size_t multi_block = 0;
+  for (size_t i = 0; i < full.size(); ++i) {
+    if (full[i].clusters.size() <= 1) continue;
+    ++multi_block;
+    ASSERT_LT(i + 1, full.size()) << "partition " << i << " has no variant";
+    EXPECT_EQ(full[i + 1].clusters.size(), 1u) << "after candidate " << i;
+    EXPECT_EQ(row_set(full[i + 1]), row_set(full[i]))
+        << "after candidate " << i;
+    EXPECT_EQ(full[i + 1].preserved, full[i].preserved);
+  }
+  EXPECT_GT(multi_block, 0u);
+
+  // (b) The preserved counts tried, in order: max(k, min_preserve), +k,
+  // +2k, then the largest admissible m when that is larger.
+  auto ladder = [&](size_t k, size_t min_preserve, size_t max_preserve) {
+    std::vector<size_t> tried;
+    for (const CandidateClustering& candidate : EnumerateClusteringsWithBounds(
+             *relation, all, k, min_preserve, max_preserve, options)) {
+      if (tried.empty() || tried.back() != candidate.preserved) {
+        tried.push_back(candidate.preserved);
+      }
+    }
+    return tried;
+  };
+  EXPECT_EQ(ladder(2, 1, 100), (std::vector<size_t>{2, 4, 6, 12}));
+  EXPECT_EQ(ladder(2, 3, 100), (std::vector<size_t>{3, 5, 7, 12}));
+  EXPECT_EQ(ladder(4, 1, 100), (std::vector<size_t>{4, 8, 12}));
+  EXPECT_EQ(ladder(2, 1, 5), (std::vector<size_t>{2, 4, 5}));
+}
+
 }  // namespace
 }  // namespace diva
