@@ -181,6 +181,29 @@ class SeriesTable {
   std::vector<std::string> series_;
 };
 
+/// One sweep point of a figure pair: its x label and one averaged result
+/// per series.
+struct SweepRow {
+  std::string x;
+  std::vector<RunResult> results;
+};
+
+/// Prints `field` of every result in `rows` as one table under `title`,
+/// so a figure pair that shares one sweep prints its runtime and its
+/// accuracy table from a single run.
+inline void PrintSweepTable(const char* title, const std::string& x_label,
+                            const std::vector<std::string>& series,
+                            const std::vector<SweepRow>& rows,
+                            double RunResult::*field) {
+  std::printf("\n%s\n", title);
+  SeriesTable table(x_label, series);
+  for (const SweepRow& row : rows) {
+    std::vector<double> values;
+    for (const RunResult& result : row.results) values.push_back(result.*field);
+    table.Row(row.x, values);
+  }
+}
+
 inline void PrintPreamble(const char* figure, const char* description) {
   std::printf("==============================================================\n");
   std::printf("%s — %s\n", figure, description);

@@ -4,7 +4,9 @@
 #   1. release build + full ctest (includes the analyze_tree and
 #      dropped_status_* tests)
 #   2. asan-ubsan build + full ctest, then the fault sweep: the
-#      failpoint + deadline suites re-run with DIVA_THREADS=8
+#      failpoint + deadline suites re-run with DIVA_THREADS=8, and the
+#      serve chaos sweep: the serve suites re-run with DIVA_THREADS=8
+#      (the CI serve-chaos job)
 #   3. tsan build + full ctest with DIVA_THREADS>=8 (gates the thread
 #      pool: the parallel layer must be race-free at real width)
 #   4. static checks: tools/diva_analyze.py src examples bench tests
@@ -33,7 +35,9 @@
 #      crash-tolerance invariants gate, latency keys stay informational
 #  12. bench_micro: one short pass of the baseline and CSV benches, no
 #      timing gate, so the DIVA_CHECKs inside them fire
-#  13. diva_bench selftest: the end-to-end benchmark builds from source
+#  13. bench_smoke: the thread sweep at widths 1, 2 and nproc (the CI
+#      bench-smoke job); fails on nondeterminism
+#  14. diva_bench selftest: the end-to-end benchmark builds from source
 #      and runs every workload at its tiny size, traced and untraced;
 #      its result format must match BENCHMARK.json
 #
@@ -95,6 +99,13 @@ if [[ "$SKIP_SANITIZERS" -eq 0 ]]; then
   step "fault sweep: asan-ubsan failpoint + deadline tests (DIVA_THREADS=8)"
   DIVA_THREADS=8 ctest --preset asan-ubsan -j "$JOBS" \
     -R "FaultInjectionTest|DeadlineTest|CancellationTokenTest|PoolCancellationTest|TaskGroupTest|ColoringBudgetTest|DivaDeadlineTest|CsvTest|CsvFuzzTest|WireFuzzTest|DeltaFuzzTest"
+
+  # Every serve.* failpoint under client storms, overload and
+  # SIGTERM-mid-storm drain, with the pool at real width (mirrors the CI
+  # serve-chaos job).
+  step "serve chaos sweep: asan-ubsan serve suites (DIVA_THREADS=8)"
+  DIVA_THREADS=8 ctest --preset asan-ubsan -j "$JOBS" --output-on-failure \
+    -R "ServeChaosTest|ServeProtocolTest|ServeAdmissionTest|ServeSnapshotTest|ServeBackoffTest|ServeServerTest"
 
   step "tsan: configure + build"
   cmake --preset tsan
@@ -184,6 +195,14 @@ step "bench_micro: one short pass of the baseline and CSV benches"
 cmake --build --preset release -j "$JOBS" --target bench_micro
 ./build/release/bench/bench_micro \
   --benchmark_filter='KMember|Oka|Mondrian|Csv' --benchmark_min_time=0.01
+
+# Mirrors the CI bench-smoke job: the same workloads at widths 1, 2 and
+# nproc must publish identical results.
+step "bench_smoke: thread sweep (DIVA_BENCH_THREADS=1,2,$(nproc))"
+cmake --build --preset release -j "$JOBS" --target bench_smoke
+DIVA_BENCH_THREADS="1,2,$(nproc)" \
+  ./build/release/bench/bench_smoke /tmp/BENCH_smoke.$$.json
+rm -f /tmp/BENCH_smoke.$$.json
 
 step "diva_bench selftest: every workload at --tiny size"
 python3 diva_bench/selftest.py

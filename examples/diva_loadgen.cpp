@@ -259,8 +259,8 @@ ScenarioResult RunScenario(const ScenarioConfig& config,
       auto snapshot = store.Find(id);
       if (snapshot == nullptr) continue;
       if (!snapshot->audited) ++result.unaudited_snapshots;
-      // Independent of the flag: the server is stopped, so nothing
-      // interns into the shared dictionaries while the auditor reads.
+      // Independent of the flag: every retained snapshot is re-audited
+      // against the base it was anonymized from.
       AuditOptions audit_options;
       audit_options.waived_constraints = snapshot->waived_constraints;
       auto audit = AuditAnonymization(

@@ -53,12 +53,6 @@ uint64_t Rng::NextBounded(uint64_t bound) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  DIVA_DCHECK(lo <= hi);
-  uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  return lo + static_cast<int64_t>(NextBounded(span));
-}
-
 double Rng::UniformDouble() {
   // 53 high bits -> double in [0, 1).
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
@@ -78,8 +72,6 @@ double Rng::Gaussian() {
   have_cached_gaussian_ = true;
   return radius * std::cos(theta);
 }
-
-Rng Rng::Fork() { return Rng(Next()); }
 
 ZipfSampler::ZipfSampler(size_t n, double s) : n_(n), s_(s) {
   DIVA_CHECK_MSG(n >= 1, "ZipfSampler domain must be non-empty");

@@ -22,9 +22,6 @@ class Rng {
   /// nearly-divisionless rejection method (unbiased).
   uint64_t NextBounded(uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t UniformInt(int64_t lo, int64_t hi);
-
   /// Uniform double in [0, 1).
   double UniformDouble();
 
@@ -39,10 +36,6 @@ class Rng {
       std::swap((*items)[i - 1], (*items)[j]);
     }
   }
-
-  /// Derives an independent child generator; useful to give each worker
-  /// or repetition its own stream.
-  Rng Fork();
 
  private:
   uint64_t state_[4];

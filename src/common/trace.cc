@@ -118,11 +118,6 @@ void SetRingCapacity(size_t events_per_thread) {
       events_per_thread > 0 ? events_per_thread : 1;
 }
 
-size_t RingCapacity() {
-  MutexLock lock(internal::g_registry_mutex);
-  return internal::g_ring_capacity;
-}
-
 uint64_t DroppedEvents() {
   std::vector<std::shared_ptr<internal::ThreadBuffer>> buffers;
   {

@@ -103,7 +103,6 @@ bool IsEnabled();
 /// Per-thread ring capacity in events. Takes effect for buffers created
 /// by the *next* Enable(); the default is 65536 events per thread.
 void SetRingCapacity(size_t events_per_thread);
-size_t RingCapacity();
 
 /// Events dropped to overflow since the last Enable().
 uint64_t DroppedEvents();

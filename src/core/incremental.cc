@@ -61,10 +61,6 @@ void FinalizeSnapshot(PipelineSnapshot* snapshot, Relation input,
                       const DivaOptions& options) {
   if (!snapshot->valid) return;
   snapshot->constraints = constraints;
-  snapshot->dictionary_sizes.clear();
-  for (size_t col = 0; col < input.NumAttributes(); ++col) {
-    snapshot->dictionary_sizes.push_back(input.dictionary(col).size());
-  }
   snapshot->options_fingerprint = OptionsFingerprint(options);
   snapshot->input.emplace(std::move(input));
 }
@@ -162,17 +158,19 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
 
   // Global reuse preconditions; any failure dirties every component
   // (still byte-identical to cold, just without the speedup).
-  bool reusable = OptionsFingerprint(options) == prior.options_fingerprint &&
-                  post.NumAttributes() == prior.dictionary_sizes.size();
+  // `post` copies a dictionary before interning into it, so the input's
+  // sizes are still the capture-time sizes.
+  bool reusable = OptionsFingerprint(options) == prior.options_fingerprint;
   for (size_t col = 0; reusable && col < post.NumAttributes(); ++col) {
-    reusable = post.dictionary(col).size() == prior.dictionary_sizes[col];
+    reusable = post.dictionary(col).size() == input.dictionary(col).size();
   }
 
   // The dirty-component rule: a shard is clean iff it has the same
   // member-constraint list at the same component index (the positional
   // seed stream) and the same rows, cell for cell, in row-list order.
-  // `post` shares the prior input's dictionaries, so equal codes are equal
-  // values; local target positions and adjacency follow from content.
+  // With no new value interned, `post` shares the prior input's
+  // dictionaries, so equal codes are equal values; local target positions
+  // and adjacency follow from content.
   PipelineHooks hooks;
   hooks.graph = &graph;
   hooks.plan = &plan;

@@ -21,15 +21,18 @@
 ///  - same DivaOptions fingerprint (k, strategy, seed, budgets,
 ///    enumeration, baseline + anonymizer knobs, privacy layers) and no
 ///    generalization context;
-///  - unchanged per-attribute dictionary sizes (Mondrian's Spread scans
-///    the global dictionary domain, so interning a new value dirties
-///    every shard);
+///  - the post-delta relation interned no new value: its per-attribute
+///    dictionary sizes equal the snapshot input's, which never grow
+///    (Relation copies a shared dictionary before interning). Mondrian's
+///    Spread scans the global dictionary domain, so a new value dirties
+///    every shard;
 ///  - same member-constraint index list at the same component index
 ///    (positional match keeps the splitmix seed stream aligned);
 ///  - the same number of rows, equal cell for cell in row-list order to
-///    the snapshot input's rows (the post-delta relation shares its
-///    dictionaries, so equal codes are equal values; local target
-///    positions and adjacency follow from content).
+///    the snapshot input's rows (with no new value interned, the
+///    post-delta relation still shares the input's dictionaries, so equal
+///    codes are equal values; local target positions and adjacency
+///    follow from content).
 
 #include <cstdint>
 #include <memory>
@@ -50,7 +53,8 @@ namespace diva {
 /// A batch of row changes against a snapshot's input relation: `deleted`
 /// are row ids of that relation (any order, duplicates tolerated),
 /// `inserted` rows are appended in order after the survivors, encoded
-/// through the shared dictionaries ("*" cells stay suppressed).
+/// through the input's dictionaries ("*" cells stay suppressed; a new
+/// value lands in a copy, never in the input's dictionary).
 struct DeltaBatch {
   std::vector<RowId> deleted;
   std::vector<std::vector<std::string>> inserted;
@@ -88,8 +92,6 @@ struct PipelineSnapshot {
   ConstraintSet constraints;
   ShardPlan plan;
 
-  /// Per-attribute dictionary sizes at capture time.
-  std::vector<size_t> dictionary_sizes;
   /// Fingerprint of every DivaOptions knob that steers the search.
   uint64_t options_fingerprint = 0;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 #include "common/string_util.h"
 
 namespace diva {
@@ -63,18 +62,6 @@ Result<Taxonomy> Taxonomy::FromText(std::string_view text) {
                        std::string(Trim(parts[1])));
   }
   return FromParentPairs(pairs);
-}
-
-Taxonomy Taxonomy::Flat(const std::vector<std::string>& leaves,
-                        const std::string& root_label) {
-  std::vector<std::pair<std::string, std::string>> pairs;
-  pairs.reserve(leaves.size());
-  for (const std::string& leaf : leaves) {
-    pairs.emplace_back(leaf, root_label);
-  }
-  auto taxonomy = FromParentPairs(pairs);
-  DIVA_CHECK_MSG(taxonomy.ok(), taxonomy.status().ToString());
-  return std::move(taxonomy).value();
 }
 
 Result<Taxonomy> Taxonomy::Intervals(int64_t lo, int64_t hi, size_t fanout) {
@@ -181,23 +168,6 @@ Taxonomy::NodeId Taxonomy::Lca(NodeId a, NodeId b) const {
     b = parents_[b];
   }
   return a;
-}
-
-Result<Taxonomy::NodeId> Taxonomy::LcaOfLabels(
-    const std::vector<std::string>& labels) const {
-  if (labels.empty()) {
-    return Status::InvalidArgument("LCA of an empty label set");
-  }
-  NodeId lca = kInvalidNode;
-  for (const std::string& label : labels) {
-    auto node = Find(label);
-    if (!node.has_value()) {
-      return Status::NotFound("taxonomy has no node labelled '" + label +
-                              "'");
-    }
-    lca = (lca == kInvalidNode) ? *node : Lca(lca, *node);
-  }
-  return lca;
 }
 
 }  // namespace diva

@@ -34,11 +34,6 @@ class Taxonomy {
   /// lines and '#' comments ignored.
   [[nodiscard]] static Result<Taxonomy> FromText(std::string_view text);
 
-  /// Flat two-level taxonomy: every value under a single root label.
-  /// Generalizing with it is exactly suppression.
-  static Taxonomy Flat(const std::vector<std::string>& leaves,
-                       const std::string& root_label = "*");
-
   /// Interval hierarchy over the integers [lo, hi]: leaves are single
   /// values, parents are ranges of `fanout` children ("[20-29]"), up to a
   /// root spanning everything. fanout >= 2.
@@ -61,9 +56,6 @@ class Taxonomy {
 
   /// Lowest common ancestor of two nodes.
   NodeId Lca(NodeId a, NodeId b) const;
-
-  /// LCA of a set of labels; fails if any label is unknown.
-  [[nodiscard]] Result<NodeId> LcaOfLabels(const std::vector<std::string>& labels) const;
 
  private:
   Taxonomy() = default;

@@ -40,10 +40,17 @@ Result<RowId> Relation::AppendRowStrings(
     if (f == kStarToken || f == kStarTokenUnicode) {
       data_.push_back(kSuppressed);
     } else {
-      data_.push_back(dictionaries_[i]->GetOrInsert(f));
+      data_.push_back(Encode(i, f));
     }
   }
   return static_cast<RowId>(num_rows_++);
+}
+
+ValueCode Relation::EncodeShared(size_t col, std::string_view value) {
+  std::shared_ptr<Dictionary>& dictionary = dictionaries_[col];
+  if (std::optional<ValueCode> code = dictionary->Find(value)) return *code;
+  dictionary = std::make_shared<Dictionary>(*dictionary);
+  return dictionary->GetOrInsert(value);
 }
 
 std::string Relation::ValueString(RowId row, size_t col) const {

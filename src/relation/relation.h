@@ -1,6 +1,7 @@
 #ifndef DIVA_RELATION_RELATION_H_
 #define DIVA_RELATION_RELATION_H_
 
+#include <atomic>
 #include <memory>
 #include <span>
 #include <string>
@@ -18,8 +19,12 @@ namespace diva {
 /// immutable schema. Suppressed cells hold kSuppressed.
 ///
 /// Relations derived from one another (e.g., R and its anonymization R*)
-/// share dictionaries, so equal codes mean equal values across them, and
-/// row ids are stable: row i of R* is the anonymized row i of R.
+/// share dictionaries until one of them interns a value, and row ids are
+/// stable: row i of R* is the anonymized row i of R. Interning never
+/// writes a dictionary another relation shares: the interning relation
+/// copies it first (see Encode). So codes below the source's dictionary
+/// size mean the same value in both relations, and deriving R* never
+/// changes R.
 class Relation {
  public:
   /// Creates an empty relation over `schema` with fresh dictionaries.
@@ -69,8 +74,8 @@ class Relation {
   /// Textual value of a cell ("*" when suppressed).
   std::string ValueString(RowId row, size_t col) const;
 
-  /// Dictionary of attribute `col` (shared with derived relations).
-  Dictionary& dictionary(size_t col) { return *dictionaries_[col]; }
+  /// Dictionary of attribute `col` (possibly shared with derived
+  /// relations, hence read-only).
   const Dictionary& dictionary(size_t col) const {
     return *dictionaries_[col];
   }
@@ -87,7 +92,16 @@ class Relation {
                       size_t spare_rows = 0) const;
 
   /// Interns `value` in attribute `col`'s dictionary and returns its code.
+  /// A dictionary that another relation shares and that lacks `value` is
+  /// copied first, so the other relation never sees the new value; a sole
+  /// owner interns in place. A use count of 1 cannot rise while this runs:
+  /// only a copy of this relation could share the dictionary, and copying
+  /// a relation while it is being written is already a data race.
   ValueCode Encode(size_t col, std::string_view value) {
+    if (dictionaries_[col].use_count() > 1) return EncodeShared(col, value);
+    // The count may have just dropped to 1 on another thread: pair with
+    // that owner's releasing decrement so its reads precede this write.
+    std::atomic_thread_fence(std::memory_order_acquire);
     return dictionaries_[col]->GetOrInsert(value);
   }
 
@@ -97,6 +111,8 @@ class Relation {
   }
 
  private:
+  ValueCode EncodeShared(size_t col, std::string_view value);
+
   std::shared_ptr<const Schema> schema_;
   std::vector<std::shared_ptr<Dictionary>> dictionaries_;
   std::vector<ValueCode> data_;

@@ -4,28 +4,6 @@
 
 namespace diva {
 
-const char* AttributeRoleToString(AttributeRole role) {
-  switch (role) {
-    case AttributeRole::kIdentifier:
-      return "identifier";
-    case AttributeRole::kQuasiIdentifier:
-      return "quasi-identifier";
-    case AttributeRole::kSensitive:
-      return "sensitive";
-  }
-  return "unknown";
-}
-
-const char* AttributeKindToString(AttributeKind kind) {
-  switch (kind) {
-    case AttributeKind::kCategorical:
-      return "categorical";
-    case AttributeKind::kNumeric:
-      return "numeric";
-  }
-  return "unknown";
-}
-
 Schema::Schema(std::vector<Attribute> attributes)
     : attributes_(std::move(attributes)) {
   for (size_t i = 0; i < attributes_.size(); ++i) {

@@ -28,9 +28,6 @@ enum class AttributeKind {
   kNumeric,
 };
 
-const char* AttributeRoleToString(AttributeRole role);
-const char* AttributeKindToString(AttributeKind kind);
-
 /// A single attribute declaration.
 struct Attribute {
   std::string name;

@@ -573,8 +573,10 @@ Response Server::HandleAnonymize(const Request& request) {
     auto options = RunOptions(request, token);
     if (!options.ok()) return Response::Error(options.status());
 
-    // The lease keeps `update` from swapping the base (or interning into
-    // its shared dictionaries) while this run reads it.
+    // The lease spans the run and its publication, so no update publishes
+    // between this run's read of the base and its own publication:
+    // snapshot ids stay in the order of the base versions they were
+    // anonymized from.
     auto lease = BeginRead(token);
     if (!lease.ok()) return Response::Error(lease.status());
     auto result = RunDiva(lease->relation(), constraints_, *options);
@@ -598,7 +600,7 @@ Response Server::HandleAnonymize(const Request& request) {
 }
 
 Response Server::HandleVerify(const Request& request) {
-  return AdmitAndRun(request, [&](CancellationToken token) -> Response {
+  return AdmitAndRun(request, [&](CancellationToken /*token*/) -> Response {
     auto id = request.IntParam(
         "snapshot", static_cast<int64_t>(snapshots_.latest_id()));
     if (!id.ok()) return Response::Error(id.status());
@@ -613,13 +615,8 @@ Response Server::HandleVerify(const Request& request) {
     if (!k.ok()) return Response::Error(k.status());
 
     // The audit replays against the base the snapshot was produced from
-    // (it may predate an update); the lease still blocks concurrent
-    // dictionary interning, which old bases share with the live one.
-    auto lease = BeginRead(token);
-    if (!lease.ok()) return Response::Error(lease.status());
-    const Relation& original = snapshot->source != nullptr
-                                   ? *snapshot->source
-                                   : lease->relation();
+    // (it may predate an update); Publish always records it.
+    const Relation& original = *snapshot->source;
     AuditOptions audit_options;
     audit_options.waived_constraints = snapshot->waived_constraints;
     auto audit = AuditAnonymization(original, snapshot->relation,
@@ -651,10 +648,6 @@ Response Server::HandleFetch(const Request& request) {
     return Response::Error(
         Status::NotFound("no snapshot " + std::to_string(*id)));
   }
-  // Published relations share dictionaries with the served base; the
-  // lease keeps an update from interning into them mid-encode.
-  auto lease = BeginRead(CancellationToken());
-  if (!lease.ok()) return Response::Error(lease.status());
   std::ostringstream csv;
   Status written = WriteCsv(snapshot->relation, csv);
   if (!written.ok()) return Response::Error(written);

@@ -101,9 +101,9 @@ struct ServerStats {
 /// incremental.h): it re-anonymizes the post-delta relation — reusing
 /// the prior run's clean components when a pipeline snapshot chains —
 /// audits, publishes-or-refuses, and only then swaps the base the other
-/// verbs see. Because applying a delta interns new values into
-/// dictionaries shared with the live base, updates run exclusively:
-/// work verbs hold a read lease and an update waits them out.
+/// verbs see. `anonymize` holds a read lease from its read of the base
+/// through its publication and an update waits leases out, so snapshot
+/// ids follow the order of the base versions they were anonymized from.
 class Server {
  public:
   Server(Relation base, ConstraintSet constraints, ServerOptions options);
@@ -246,12 +246,13 @@ class Server {
   const ConstraintSet constraints_;
   const ServerOptions options_;
 
-  /// Served state. `base_` is what anonymize/verify run against; an
+  /// Served state. `base_` is what anonymize runs against; an
   /// `update` swaps it for the post-delta relation and caches the run's
   /// pipeline snapshot so the next delta re-colors only dirty
-  /// components. Updates are exclusive (update_active_), read verbs
-  /// share (active_leases_) — applying a delta interns into dictionaries
-  /// the live base shares, so the two must never overlap.
+  /// components. Updates are exclusive (update_active_); an anonymize
+  /// holds a read lease (active_leases_) across its run and publication,
+  /// so no update publishes in between and snapshot ids stay in base
+  /// version order.
   mutable Mutex state_mutex_;
   CondVar state_cv_;
   size_t active_leases_ DIVA_GUARDED_BY(state_mutex_) = 0;

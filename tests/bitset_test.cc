@@ -1,64 +1,32 @@
 #include "common/bitset.h"
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
 #include <gtest/gtest.h>
-
-#include "common/parallel.h"
-#include "common/rng.h"
 
 namespace diva {
 namespace {
 
-// Reference popcount of the intersection, one bit at a time.
-size_t NaiveIntersectionCount(const Bitset& a, const Bitset& b) {
-  size_t count = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a.Test(i) && b.Test(i)) ++count;
-  }
-  return count;
-}
-
-Bitset RandomBitset(size_t bits, double density, uint64_t seed) {
-  Bitset set(bits);
-  Rng rng(seed);
-  for (size_t i = 0; i < bits; ++i) {
-    if (rng.UniformDouble() < density) set.Set(i);
-  }
-  return set;
-}
-
 TEST(BitsetTest, EmptyBitset) {
   Bitset set;
   EXPECT_EQ(set.size(), 0u);
-  EXPECT_EQ(set.num_words(), 0u);
-  EXPECT_TRUE(set.empty());
   EXPECT_EQ(set.Count(), 0u);
-  EXPECT_FALSE(set.Any());
-  EXPECT_TRUE(set.None());
-  size_t visited = 0;
-  set.ForEachSetBit([&](size_t) { ++visited; });
-  EXPECT_EQ(visited, 0u);
 }
 
 // Widths straddling the word boundary: 63 (partial word), 64 (exact),
 // 65 (one spillover bit). The tail-masking invariant — bits >= size()
-// in the last word stay zero — is what keeps Count()/None() honest.
+// in the last word stay zero — is what keeps Count() honest.
 TEST(BitsetTest, WordBoundaryWidths) {
   for (size_t bits : {size_t{63}, size_t{64}, size_t{65}}) {
     SCOPED_TRACE(bits);
     Bitset set(bits);
     EXPECT_EQ(set.size(), bits);
-    EXPECT_EQ(set.num_words(), (bits + 63) / 64);
     EXPECT_EQ(set.Count(), 0u);
 
     // Set every bit; the count must equal the logical width, not the
     // word capacity.
     for (size_t i = 0; i < bits; ++i) set.Set(i);
     EXPECT_EQ(set.Count(), bits);
-    EXPECT_TRUE(set.Any());
-    EXPECT_FALSE(set.None());
 
     // First/last bit round trips.
     set.Reset(0);
@@ -67,94 +35,7 @@ TEST(BitsetTest, WordBoundaryWidths) {
     EXPECT_FALSE(set.Test(0));
     EXPECT_FALSE(set.Test(bits - 1));
     EXPECT_TRUE(set.Test(1));
-
-    set.Clear();
-    EXPECT_EQ(set.Count(), 0u);
-    EXPECT_TRUE(set.None());
   }
-}
-
-TEST(BitsetTest, ForEachSetBitVisitsAscending) {
-  Bitset set(130);
-  std::vector<size_t> expected = {0, 1, 63, 64, 65, 127, 128, 129};
-  for (size_t i : expected) set.Set(i);
-  std::vector<size_t> visited;
-  set.ForEachSetBit([&](size_t i) { visited.push_back(i); });
-  EXPECT_EQ(visited, expected);
-}
-
-TEST(BitsetTest, IntersectionCountMatchesNaive) {
-  for (size_t bits : {size_t{1}, size_t{63}, size_t{64}, size_t{65},
-                      size_t{1000}, size_t{4096}}) {
-    SCOPED_TRACE(bits);
-    Bitset a = RandomBitset(bits, 0.3, 42 + bits);
-    Bitset b = RandomBitset(bits, 0.7, 1000 + bits);
-    EXPECT_EQ(Bitset::IntersectionCount(a, b), NaiveIntersectionCount(a, b));
-    EXPECT_EQ(a.Intersects(b), NaiveIntersectionCount(a, b) > 0);
-  }
-}
-
-TEST(BitsetTest, WordWiseOps) {
-  size_t bits = 200;
-  Bitset a = RandomBitset(bits, 0.5, 7);
-  Bitset b = RandomBitset(bits, 0.5, 8);
-
-  Bitset and_result = a;
-  and_result.And(b);
-  Bitset andnot_result = a;
-  andnot_result.AndNot(b);
-  Bitset or_result = a;
-  or_result.Or(b);
-
-  for (size_t i = 0; i < bits; ++i) {
-    EXPECT_EQ(and_result.Test(i), a.Test(i) && b.Test(i)) << i;
-    EXPECT_EQ(andnot_result.Test(i), a.Test(i) && !b.Test(i)) << i;
-    EXPECT_EQ(or_result.Test(i), a.Test(i) || b.Test(i)) << i;
-  }
-  EXPECT_EQ(and_result.Count(), NaiveIntersectionCount(a, b));
-}
-
-TEST(BitsetTest, SubsetAndEquality) {
-  Bitset a(100);
-  Bitset b(100);
-  a.Set(3);
-  a.Set(64);
-  b.Set(3);
-  b.Set(64);
-  b.Set(99);
-  EXPECT_TRUE(a.IsSubsetOf(b));
-  EXPECT_FALSE(b.IsSubsetOf(a));
-  EXPECT_FALSE(a == b);
-  a.Set(99);
-  EXPECT_TRUE(a == b);
-}
-
-// The parallel kernels must be bit-identical to the sequential ones at
-// every thread width — Count/IntersectionCount parallelize above
-// kParallelWordCutoff words, and popcount sums are order-independent
-// integers, so the results must agree exactly.
-TEST(BitsetTest, ParallelKernelsMatchSequentialAcrossWidths) {
-  // Big enough to cross the parallel cutoff (words >= 1<<16).
-  size_t bits = (Bitset::kParallelWordCutoff + 100) * 64;
-  Bitset a = RandomBitset(bits, 0.4, 99);
-  Bitset b = RandomBitset(bits, 0.6, 100);
-
-  SetParallelThreads(1);
-  size_t count1 = a.Count();
-  size_t inter1 = Bitset::IntersectionCount(a, b);
-  Bitset and1 = a;
-  and1.And(b);
-
-  for (size_t threads : {size_t{2}, size_t{8}}) {
-    SCOPED_TRACE(threads);
-    SetParallelThreads(threads);
-    EXPECT_EQ(a.Count(), count1);
-    EXPECT_EQ(Bitset::IntersectionCount(a, b), inter1);
-    Bitset and_t = a;
-    and_t.And(b);
-    EXPECT_TRUE(and_t == and1);
-  }
-  SetParallelThreads(0);  // restore default
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include "anon/anonymizer.h"
 #include "anon/suppress.h"
+#include "constraint/generator.h"
 #include "core/diva.h"
+#include "datagen/profiles.h"
 #include "hierarchy/generalize.h"
 #include "hierarchy/taxonomy.h"
 #include "relation/qi_groups.h"
@@ -56,12 +58,6 @@ TEST(TaxonomyTest, Lca) {
   EXPECT_EQ(t.Lca(id("Calgary"), id("Winnipeg")), id("Canada"));
   EXPECT_EQ(t.Lca(id("Calgary"), id("Calgary")), id("Calgary"));
   EXPECT_EQ(t.Lca(id("West"), id("Vancouver")), id("West"));
-
-  auto lca = t.LcaOfLabels({"Calgary", "Vancouver", "Winnipeg"});
-  ASSERT_TRUE(lca.ok());
-  EXPECT_EQ(*lca, id("Canada"));
-  EXPECT_FALSE(t.LcaOfLabels({"Calgary", "Mars"}).ok());
-  EXPECT_FALSE(t.LcaOfLabels({}).ok());
 }
 
 TEST(TaxonomyTest, RejectsMalformed) {
@@ -77,14 +73,6 @@ TEST(TaxonomyTest, RejectsMalformed) {
   EXPECT_FALSE(Taxonomy::FromText("justonefield\n").ok());
   // Empty.
   EXPECT_FALSE(Taxonomy::FromText("# only a comment\n").ok());
-}
-
-TEST(TaxonomyTest, FlatEqualsSuppressionShape) {
-  Taxonomy t = Taxonomy::Flat({"a", "b", "c"}, "*");
-  EXPECT_EQ(t.NumLeaves(), 3u);
-  EXPECT_EQ(t.Label(t.root()), "*");
-  EXPECT_EQ(t.LeafCount(t.root()), 3u);
-  EXPECT_EQ(t.Lca(*t.Find("a"), *t.Find("b")), t.root());
 }
 
 TEST(TaxonomyTest, IntervalHierarchy) {
@@ -245,6 +233,75 @@ TEST(GeneralizeTest, DivaWithGeneralizationContext) {
     if (age.front() == '[') saw_generalized_label = true;
   }
   EXPECT_TRUE(saw_generalized_label);
+}
+
+// Counts the rows of `a` and `b` that differ in some cell's value.
+size_t DifferingRows(const Relation& a, const Relation& b) {
+  size_t differing = 0;
+  for (RowId row = 0; row < a.NumRows(); ++row) {
+    for (size_t col = 0; col < a.NumAttributes(); ++col) {
+      if (a.ValueString(row, col) != b.ValueString(row, col)) {
+        ++differing;
+        break;
+      }
+    }
+  }
+  return differing;
+}
+
+// A generalized run interns taxonomy labels into its output, never into
+// its input: the input keeps its dictionaries (AGE stays numeric), and a
+// later plain run on it publishes what a run on a fresh copy publishes.
+TEST(GeneralizeTest, DivaWithGeneralizationLeavesInputDictionariesAlone) {
+  ProfileOptions profile_options;
+  profile_options.num_rows = 3000;
+  profile_options.seed = 7;
+  auto input = GenerateProfile(DatasetProfile::kPopSyn, profile_options);
+  auto fresh = GenerateProfile(DatasetProfile::kPopSyn, profile_options);
+  ASSERT_TRUE(input.ok() && fresh.ok());
+  ConstraintGenOptions gen;
+  gen.count = DefaultConstraintCount(DatasetProfile::kPopSyn);
+  gen.min_support = 8;
+  auto constraints = GenerateConstraints(*input, gen);
+  ASSERT_TRUE(constraints.ok()) << constraints.status().ToString();
+
+  const size_t age = *input->schema().IndexOf("AGE");
+  std::vector<size_t> sizes;
+  for (size_t col = 0; col < input->NumAttributes(); ++col) {
+    sizes.push_back(input->dictionary(col).size());
+  }
+  ASSERT_TRUE(input->dictionary(age).AllNumeric());
+
+  auto context = std::make_shared<GeneralizationContext>(
+      input->NumAttributes());
+  auto intervals = Taxonomy::Intervals(0, 99, 10);
+  ASSERT_TRUE(intervals.ok());
+  context->SetTaxonomy(age, std::move(intervals).value());
+  DivaOptions generalized;
+  generalized.k = 10;
+  generalized.threads = 1;
+  generalized.generalization = context;
+  auto run = RunDiva(*input, *constraints, generalized);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+  for (size_t col = 0; col < input->NumAttributes(); ++col) {
+    EXPECT_EQ(input->dictionary(col).size(), sizes[col]) << col;
+  }
+  EXPECT_TRUE(input->dictionary(age).AllNumeric());
+
+  for (BaselineAlgorithm baseline :
+       {BaselineAlgorithm::kKMember, BaselineAlgorithm::kOka,
+        BaselineAlgorithm::kMondrian}) {
+    SCOPED_TRACE(BaselineAlgorithmToString(baseline));
+    DivaOptions plain;
+    plain.k = 10;
+    plain.threads = 1;
+    plain.baseline = baseline;
+    auto after = RunDiva(*input, *constraints, plain);
+    auto cold = RunDiva(*fresh, *constraints, plain);
+    ASSERT_TRUE(after.ok() && cold.ok());
+    EXPECT_EQ(DifferingRows(after->relation, cold->relation), 0u);
+  }
 }
 
 TEST(GeneralizeTest, DivaGeneralizationArityMismatchRejected) {

@@ -12,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/counters.h"
@@ -207,28 +208,34 @@ void RunChurnSeed(uint64_t seed, const ChurnPins& expected) {
     local.inserted.push_back(std::move(row));
   }
 
-  // The local batch runs first: the churn batch may intern new values
-  // into the dictionaries the prior snapshot shares, which dirties every
-  // component of any later delta against that snapshot.
-  for (const auto& [batch, pinned] :
-       {std::pair{&local, expected.local}, std::pair{&delta, expected.churn}}) {
-    auto post = ApplyDeltaToRelation(*prior->snapshot->input, *batch);
-    ASSERT_TRUE(post.ok()) << post.status().ToString();
+  // Both batches run against the one prior snapshot, in both orders: a
+  // batch never changes what a later delta against that snapshot sees.
+  using Batch = std::pair<const DeltaBatch*, Reuse>;
+  const Batch local_batch{&local, expected.local};
+  const Batch churn_batch{&delta, expected.churn};
+  for (const auto& order : {std::vector<Batch>{local_batch, churn_batch},
+                            std::vector<Batch>{churn_batch, local_batch}}) {
+    SCOPED_TRACE(order.front().first == &local ? "local first"
+                                               : "churn first");
+    for (const auto& [batch, pinned] : order) {
+      auto post = ApplyDeltaToRelation(*prior->snapshot->input, *batch);
+      ASSERT_TRUE(post.ok()) << post.status().ToString();
 
-    RunFingerprint cold_baseline;
-    for (size_t threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE("threads = " + std::to_string(threads));
-      auto cold = RunDiva(*post, constraints, ChurnOptions(k, threads));
-      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-      Reuse reuse;
-      auto incremental = ApplyDeltaCounting(*prior->snapshot, *batch,
-                                            ChurnOptions(k, threads), &reuse);
-      ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
-      if (threads == 1u) cold_baseline = Fingerprint(*cold);
-      EXPECT_EQ(Fingerprint(*cold), cold_baseline);
-      EXPECT_EQ(Fingerprint(*incremental), cold_baseline);
-      EXPECT_EQ(reuse.reused, pinned.reused);
-      EXPECT_EQ(reuse.recolored, pinned.recolored);
+      RunFingerprint cold_baseline;
+      for (size_t threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE("threads = " + std::to_string(threads));
+        auto cold = RunDiva(*post, constraints, ChurnOptions(k, threads));
+        ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+        Reuse reuse;
+        auto incremental = ApplyDeltaCounting(
+            *prior->snapshot, *batch, ChurnOptions(k, threads), &reuse);
+        ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
+        if (threads == 1u) cold_baseline = Fingerprint(*cold);
+        EXPECT_EQ(Fingerprint(*cold), cold_baseline);
+        EXPECT_EQ(Fingerprint(*incremental), cold_baseline);
+        EXPECT_EQ(reuse.reused, pinned.reused);
+        EXPECT_EQ(reuse.recolored, pinned.recolored);
+      }
     }
   }
   SetParallelThreads(1);

@@ -123,15 +123,47 @@ TEST(RelationTest, ArityMismatchRejected) {
   EXPECT_FALSE(r.AppendRowStrings({"too", "short"}).ok());
 }
 
+// Derived relations share dictionaries until one of them interns a new
+// value: the interning relation copies the dictionary first, so the
+// source never sees the value, and codes below the source's size keep
+// their meaning in both.
 TEST(RelationTest, EmptyLikeSharesDictionaries) {
   Relation r = MedicalRelation();
+  const size_t source_size = r.dictionary(1).size();
+  std::vector<std::string> source_values;
+  for (size_t code = 0; code < source_size; ++code) {
+    source_values.push_back(
+        r.dictionary(1).ValueOf(static_cast<ValueCode>(code)));
+  }
+
   Relation empty = r.EmptyLike();
   EXPECT_EQ(empty.NumRows(), 0u);
-  // Codes must be compatible: the same string resolves to the same code.
-  EXPECT_EQ(*empty.FindCode(1, "Asian"), *r.FindCode(1, "Asian"));
-  // Interning through the copy is visible to the original (shared).
+  EXPECT_EQ(&empty.dictionary(1), &r.dictionary(1));
+  // A value the shared dictionary already holds resolves without a copy.
+  EXPECT_EQ(empty.Encode(1, "Asian"), *r.FindCode(1, "Asian"));
+  EXPECT_EQ(&empty.dictionary(1), &r.dictionary(1));
+
+  // A new value lands in the derived relation's own copy only.
   ValueCode code = empty.Encode(1, "Martian");
-  EXPECT_EQ(*r.FindCode(1, "Martian"), code);
+  EXPECT_EQ(static_cast<size_t>(code), source_size);
+  EXPECT_EQ(r.dictionary(1).size(), source_size);
+  EXPECT_FALSE(r.FindCode(1, "Martian").has_value());
+  EXPECT_NE(&empty.dictionary(1), &r.dictionary(1));
+  for (size_t c = 0; c < source_size; ++c) {
+    const auto value_code = static_cast<ValueCode>(c);
+    EXPECT_EQ(r.dictionary(1).ValueOf(value_code), source_values[c]);
+    EXPECT_EQ(empty.dictionary(1).ValueOf(value_code), source_values[c]);
+  }
+
+  // Each is now the sole owner of its dictionary and interns in place.
+  const Dictionary* owned = &empty.dictionary(1);
+  empty.Encode(1, "Venusian");
+  EXPECT_EQ(&empty.dictionary(1), owned);
+  EXPECT_EQ(empty.dictionary(1).size(), source_size + 2);
+  const Dictionary* source = &r.dictionary(1);
+  r.Encode(1, "Plutonian");
+  EXPECT_EQ(&r.dictionary(1), source);
+  EXPECT_FALSE(empty.FindCode(1, "Plutonian").has_value());
 }
 
 TEST(RelationTest, SelectRowsPreservesValues) {

@@ -30,6 +30,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/timer.h"
+#include "constraint/generator.h"
 #include "datagen/profiles.h"
 #include "gtest/gtest.h"
 #include "relation/csv.h"
@@ -854,6 +855,29 @@ TEST(ServeServerTest, ShardParamChangesNothing) {
   server.Stop();
 }
 
+// Anonymizes the served base at k = 10 with `baseline` and returns the
+// published snapshot's CSV ("" after a reported failure).
+std::string AnonymizeAndFetch(Client* client, const std::string& baseline) {
+  Request anonymize;
+  anonymize.verb = "anonymize";
+  anonymize.params["k"] = "10";
+  anonymize.params["baseline"] = baseline;
+  auto published = client->Call(anonymize);
+  if (!published.ok() || !published->ok) {
+    ADD_FAILURE() << "anonymize failed";
+    return "";
+  }
+  Request fetch;
+  fetch.verb = "fetch";
+  fetch.params["snapshot"] = published->Field("snapshot", "");
+  auto fetched = client->Call(fetch);
+  if (!fetched.ok() || !fetched->ok) {
+    ADD_FAILURE() << "fetch failed";
+    return "";
+  }
+  return fetched->body;
+}
+
 TEST(ServeServerTest, UpdateRejectsBadDeltasWithoutTouchingServedState) {
   Server server(MedicalRelation(), MedicalConstraints(*MedicalSchema()),
                 TestOptions());
@@ -898,6 +922,49 @@ TEST(ServeServerTest, UpdateRejectsBadDeltasWithoutTouchingServedState) {
   EXPECT_EQ(stats.updates, 0u);
   EXPECT_EQ(stats.requests + stats.protocol_errors,
             stats.responses + stats.response_failures);
+
+  // A delta whose first inserted row is well formed but carries unseen
+  // QI values and whose second row is short is refused, and leaves no
+  // value behind: on a base where one more dictionary value moves OKA's
+  // and Mondrian's output, the next anonymize publishes the same bytes.
+  ProfileOptions profile_options;
+  profile_options.num_rows = 3000;
+  profile_options.seed = 7;
+  auto popsyn = GenerateProfile(DatasetProfile::kPopSyn, profile_options);
+  ASSERT_TRUE(popsyn.ok()) << popsyn.status().ToString();
+  ConstraintGenOptions gen;
+  gen.count = DefaultConstraintCount(DatasetProfile::kPopSyn);
+  gen.min_support = 8;
+  auto popsyn_constraints = GenerateConstraints(*popsyn, gen);
+  ASSERT_TRUE(popsyn_constraints.ok())
+      << popsyn_constraints.status().ToString();
+  // Each baseline's delta carries its own unseen GEN/ETH/AGE/PRV/CTY
+  // values (a value already interned would not show the defect).
+  const std::pair<std::string, std::string> deltas[] = {
+      {"oka", "+ ID_0,GEN_x1,ETH_x1,123,PRV_x1,CTY_x1,DIAG_v0\n+ short,row\n"},
+      {"mondrian",
+       "+ ID_0,GEN_x2,ETH_x2,124,PRV_x2,CTY_x2,DIAG_v0\n+ short,row\n"},
+  };
+  Server popsyn_server(std::move(popsyn).value(),
+                       std::move(popsyn_constraints).value(), TestOptions());
+  ASSERT_TRUE(popsyn_server.Start().ok());
+  auto popsyn_client = Client::Connect("127.0.0.1", popsyn_server.port());
+  ASSERT_TRUE(popsyn_client.ok());
+  for (const auto& [baseline, body] : deltas) {
+    SCOPED_TRACE(baseline);
+    const std::string before = AnonymizeAndFetch(&*popsyn_client, baseline);
+    ASSERT_FALSE(before.empty());
+    Request unseen_then_short;
+    unseen_then_short.verb = "update";
+    unseen_then_short.body = body;
+    auto refused_update = popsyn_client->Call(unseen_then_short);
+    ASSERT_TRUE(refused_update.ok()) << refused_update.status().ToString();
+    EXPECT_FALSE(refused_update->ok);
+    EXPECT_TRUE(AnonymizeAndFetch(&*popsyn_client, baseline) == before)
+        << "the refused update changed the next anonymize's bytes";
+  }
+  popsyn_server.Stop();
+  EXPECT_EQ(popsyn_server.stats().updates, 0u);
 }
 
 TEST(ServeServerTest, ZeroDeadlineOnIdleServerIsAuditedAndDegraded) {
