@@ -1,7 +1,6 @@
 // Ablation study for the design choices called out in DESIGN.md §5:
 //   (1) candidate-pool cap of the clustering enumerator,
 //   (2) ordered (minimal-suppression-first) vs shuffled candidates,
-//   (4) sampled vs exact k-member in the Anonymize phase,
 //   (5) coloring step budget,
 //   (6) portfolio coloring threads.
 // Each knob is varied in isolation on a fixed Pop-Syn workload.
@@ -45,7 +44,6 @@ void Report(const Workload& workload, const char* label,
   options.k = 10;
   options.seed = 33;
   options.coloring_budget = ColoringBudget();
-  options.anonymizer.sample_size = 64;
   tweak(&options);
 
   StopWatch watch;
@@ -90,14 +88,6 @@ int main() {
     options->auto_tune_enumeration = false;
     options->enumeration.ordered = false;
     options->enumeration.seed = options->seed;
-  });
-
-  std::printf("\n--- (4) Anonymize-phase k-member search ---\n");
-  Report(workload, "sampled candidates (64)", [](DivaOptions* options) {
-    options->anonymizer.sample_size = 64;
-  });
-  Report(workload, "exact (quadratic) search", [](DivaOptions* options) {
-    options->anonymizer.sample_size = 0;
   });
 
   std::printf("\n--- (5) coloring step budget ---\n");

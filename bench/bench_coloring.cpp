@@ -153,15 +153,6 @@ ShapeResult RunShape(const Shape& shape) {
   return result;
 }
 
-void AppendMetric(std::string* json, const char* key, double value,
-                  bool* first) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%s    \"%s\": %.6g", *first ? "" : ",\n",
-                key, value);
-  *json += buf;
-  *first = false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -207,12 +198,6 @@ int main(int argc, char** argv) {
   }
   json += "}\n";
 
-  if (argc > 1) {
-    std::FILE* out = std::fopen(argv[1], "w");
-    DIVA_CHECK_MSG(out != nullptr, "cannot open output file");
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::printf("wrote %s\n", argv[1]);
-  }
+  WriteJsonArg(argc, argv, json);
   return 0;
 }

@@ -1,6 +1,7 @@
 #ifndef DIVA_BENCH_BENCH_COMMON_H_
 #define DIVA_BENCH_BENCH_COMMON_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -8,6 +9,7 @@
 
 #include "anon/anonymizer.h"
 #include "common/counters.h"
+#include "common/logging.h"
 #include "common/timer.h"
 #include "core/diva.h"
 #include "datagen/profiles.h"
@@ -99,7 +101,6 @@ inline RunResult RunDivaOnce(const Relation& relation,
   options.threads = threads;
   options.coloring_budget = ColoringBudget();
   options.anonymizer.seed = seed;
-  options.anonymizer.sample_size = 64;  // sampled k-member (DESIGN.md §3)
 
   StopWatch watch;
   auto result = RunDiva(relation, constraints, options);
@@ -122,7 +123,6 @@ inline RunResult RunBaselineOnce(const Relation& relation,
   DivaOptions factory_options;
   factory_options.baseline = algorithm;
   factory_options.anonymizer.seed = seed;
-  factory_options.anonymizer.sample_size = 64;
   auto anonymizer = MakeBaselineAnonymizer(factory_options);
 
   // Baselines carry no report, so the counter delta is taken around the
@@ -202,6 +202,38 @@ inline void PrintSweepTable(const char* title, const std::string& x_label,
     for (const RunResult& result : row.results) values.push_back(result.*field);
     table.Row(row.x, values);
   }
+}
+
+/// Appends `"key": value` (%.6g) to a BENCH_*.json object body, after a
+/// ",\n" unless it is the object's first key.
+inline void AppendMetric(std::string* json, const char* key, double value,
+                         bool* first) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "%s    \"%s\": %.6g", *first ? "" : ",\n",
+                key, value);
+  *json += buf;
+  *first = false;
+}
+
+/// AppendMetric with exact integer output: %.6g would round a 32-bit
+/// hash half.
+inline void AppendIntMetric(std::string* json, const char* key,
+                            uint64_t value, bool* first) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "%s    \"%s\": %llu", *first ? "" : ",\n",
+                key, (unsigned long long)value);
+  *json += buf;
+  *first = false;
+}
+
+/// Writes `json` to argv[1] when the bench was given an output path.
+inline void WriteJsonArg(int argc, char** argv, const std::string& json) {
+  if (argc <= 1) return;
+  std::FILE* out = std::fopen(argv[1], "w");
+  DIVA_CHECK_MSG(out != nullptr, "cannot open output file");
+  std::fputs(json.c_str(), out);
+  std::fclose(out);
+  std::printf("wrote %s\n", argv[1]);
 }
 
 inline void PrintPreamble(const char* figure, const char* description) {

@@ -1,11 +1,11 @@
 // Incremental re-anonymization benchmark — the delta-path gate's probe.
 //
-// The pinned bench_scale shape (1,000,000 rows, 64 independent
-// conflict-graph components, 192 constraints, seed 1000) under a 1% row
-// churn confined to regions 0 and 1: 5,000 deletes alternating across
-// the two regions and 5,000 inserts mirroring the deleted rows' REGION
-// and GROUP (so every constraint's occurrence count is exactly
-// restored, and no dictionary grows). 62 of the 64 components are
+// The pinned bench_scale shape (bench/scale_shape.h: 1,000,000 rows,
+// 64 independent conflict-graph components, 192 constraints, seed 1000)
+// under a 1% row churn confined to regions 0 and 1: 5,000 deletes
+// alternating across the two regions and 5,000 inserts mirroring the
+// deleted rows' REGION and GROUP (so every constraint's occurrence count
+// is exactly restored, and no dictionary grows). 62 of the 64 components are
 // untouched by construction, so the incremental leg adopts them and
 // re-colors only the two dirty ones.
 //
@@ -28,112 +28,20 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/scale_shape.h"
 #include "common/rng.h"
 #include "common/timer.h"
-#include "constraint/parser.h"
 #include "core/diva.h"
 #include "core/incremental.h"
-#include "relation/relation.h"
-#include "relation/schema.h"
 
 using namespace diva;         // NOLINT
 using namespace diva::bench;  // NOLINT
 
 namespace {
 
-// Pinned shape — identical to bench_scale; changing any knob invalidates
-// the recorded baseline.
-constexpr size_t kNumRows = 1000000;
-constexpr size_t kNumRegions = 64;
-constexpr size_t kNumJobs = 40;
-constexpr size_t kNumDiagnoses = 8;
-constexpr size_t kK = 10;
-constexpr uint64_t kSeed = 1000;
-constexpr uint64_t kPreserveNumerator = 7;
-constexpr uint64_t kPreserveDenominator = 10;
-
 /// 1% churn: 5,000 deletes + 5,000 matching inserts, regions 0-1 only.
 constexpr size_t kChurnRows = 5000;
 constexpr size_t kChurnRegions = 2;
-
-struct ScaleWorkload {
-  Relation relation;
-  ConstraintSet constraints;
-};
-
-/// bench_scale's pinned builder: row i gets REGION i%64 and GROUP
-/// 2*region + (i/64)%2; three overlapping constraints per region.
-ScaleWorkload BuildWorkload() {
-  auto schema = Schema::Make({
-      {"REGION", AttributeRole::kQuasiIdentifier, AttributeKind::kCategorical},
-      {"GROUP", AttributeRole::kQuasiIdentifier, AttributeKind::kCategorical},
-      {"AGE", AttributeRole::kQuasiIdentifier, AttributeKind::kNumeric},
-      {"JOB", AttributeRole::kQuasiIdentifier, AttributeKind::kCategorical},
-      {"DIAG", AttributeRole::kSensitive, AttributeKind::kCategorical},
-  });
-  DIVA_CHECK_MSG(schema.ok(), schema.status().ToString());
-  Relation relation(*schema);
-
-  std::vector<ValueCode> regions(kNumRegions);
-  std::vector<ValueCode> groups(2 * kNumRegions);
-  for (size_t r = 0; r < kNumRegions; ++r) {
-    regions[r] = relation.Encode(0, "r" + std::to_string(r));
-  }
-  for (size_t g = 0; g < 2 * kNumRegions; ++g) {
-    groups[g] = relation.Encode(1, "g" + std::to_string(g));
-  }
-  std::vector<ValueCode> ages(60);
-  for (size_t a = 0; a < ages.size(); ++a) {
-    ages[a] = relation.Encode(2, std::to_string(18 + a));
-  }
-  std::vector<ValueCode> jobs(kNumJobs);
-  for (size_t j = 0; j < kNumJobs; ++j) {
-    jobs[j] = relation.Encode(3, "j" + std::to_string(j));
-  }
-  std::vector<ValueCode> diagnoses(kNumDiagnoses);
-  for (size_t d = 0; d < kNumDiagnoses; ++d) {
-    diagnoses[d] = relation.Encode(4, "d" + std::to_string(d));
-  }
-
-  std::vector<uint64_t> region_count(kNumRegions, 0);
-  std::vector<uint64_t> group_count(2 * kNumRegions, 0);
-  Rng rng(kSeed);
-  std::vector<ValueCode> row(5);
-  for (size_t i = 0; i < kNumRows; ++i) {
-    const size_t region = i % kNumRegions;
-    const size_t group = 2 * region + (i / kNumRegions) % 2;
-    ++region_count[region];
-    ++group_count[group];
-    row[0] = regions[region];
-    row[1] = groups[group];
-    row[2] = ages[rng.NextBounded(ages.size())];
-    row[3] = jobs[rng.NextBounded(kNumJobs)];
-    row[4] = diagnoses[rng.NextBounded(kNumDiagnoses)];
-    relation.AppendRow(row);
-  }
-
-  auto lower = [](uint64_t count) {
-    uint64_t bound = count * kPreserveNumerator / kPreserveDenominator;
-    return bound < kK ? kK : bound;
-  };
-  std::string sigma;
-  char line[96];
-  for (size_t r = 0; r < kNumRegions; ++r) {
-    std::snprintf(line, sizeof(line), "REGION[r%zu] in [%llu,%llu]\n", r,
-                  (unsigned long long)lower(region_count[r]),
-                  (unsigned long long)region_count[r]);
-    sigma += line;
-    for (size_t g = 2 * r; g < 2 * r + 2; ++g) {
-      std::snprintf(line, sizeof(line), "GROUP[g%zu] in [%llu,%llu]\n", g,
-                    (unsigned long long)lower(group_count[g]),
-                    (unsigned long long)group_count[g]);
-      sigma += line;
-    }
-  }
-  auto constraints = ParseConstraintSet(relation.schema(), sigma);
-  DIVA_CHECK_MSG(constraints.ok(), constraints.status().ToString());
-  return {std::move(relation), std::move(constraints).value()};
-}
 
 /// 1% churn confined to regions 0-1: delete the first kChurnRows rows
 /// whose region is < kChurnRegions, insert one row per delete carrying
@@ -157,62 +65,12 @@ DeltaBatch BuildChurn() {
   return delta;
 }
 
-/// Order-sensitive FNV-1a over every published cell.
-uint64_t HashRelation(const Relation& relation) {
-  uint64_t hash = 1469598103934665603ULL;
-  for (RowId row = 0; row < relation.NumRows(); ++row) {
-    for (const ValueCode code : relation.Row(row)) {
-      hash ^= static_cast<uint64_t>(code) + 1;
-      hash *= 1099511628211ULL;
-    }
-  }
-  return hash;
-}
-
 DivaOptions BenchOptions() {
   DivaOptions options;
   options.k = kK;
   options.seed = kSeed;
   options.baseline = BaselineAlgorithm::kMondrian;
   return options;
-}
-
-struct LegResult {
-  double wall_seconds = 0.0;  // min over reps
-  uint64_t output_hash = 0;
-  DivaReport report;
-};
-
-void FoldRep(LegResult* leg, size_t rep, double secs, const DivaResult& run) {
-  uint64_t hash = HashRelation(run.relation);
-  if (rep == 0) {
-    leg->wall_seconds = secs;
-    leg->output_hash = hash;
-    leg->report = run.report;
-  } else {
-    DIVA_CHECK_MSG(hash == leg->output_hash,
-                   "published bytes differ across reps");
-    if (secs < leg->wall_seconds) leg->wall_seconds = secs;
-  }
-}
-
-void AppendMetric(std::string* json, const char* key, double value,
-                  bool* first) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%s    \"%s\": %.6g", *first ? "" : ",\n",
-                key, value);
-  *json += buf;
-  *first = false;
-}
-
-/// Exact integer emission — %.6g would round the 32-bit hash halves.
-void AppendIntMetric(std::string* json, const char* key, uint64_t value,
-                     bool* first) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%s    \"%s\": %llu", *first ? "" : ",\n",
-                key, (unsigned long long)value);
-  *json += buf;
-  *first = false;
 }
 
 }  // namespace
@@ -222,7 +80,7 @@ int main(int argc, char** argv) {
                 "1M-row 1% churn — incremental re-anonymization gate");
 
   StopWatch build_watch;
-  ScaleWorkload workload = BuildWorkload();
+  ScaleWorkload workload = BuildScaleWorkload();
   DeltaBatch delta = BuildChurn();
   std::printf("built %zu rows, %zu constraints, %zu+%zu churn in %.2fs\n",
               workload.relation.NumRows(), workload.constraints.size(),
@@ -345,12 +203,6 @@ int main(int argc, char** argv) {
   AppendMetric(&json, "exec_incremental_speedup", speedup, &first);
   json += "\n  }\n}\n";
 
-  if (argc > 1) {
-    std::FILE* out = std::fopen(argv[1], "w");
-    DIVA_CHECK_MSG(out != nullptr, "cannot open output file");
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::printf("wrote %s\n", argv[1]);
-  }
+  WriteJsonArg(argc, argv, json);
   return 0;
 }

@@ -150,7 +150,6 @@ void BM_Baseline(benchmark::State& state, BaselineAlgorithm algorithm) {
   const Relation& relation = FixtureRelation(state.range(0));
   DivaOptions factory;
   factory.baseline = algorithm;
-  factory.anonymizer.sample_size = 64;
   auto anonymizer = MakeBaselineAnonymizer(factory);
   std::vector<RowId> rows(relation.NumRows());
   std::iota(rows.begin(), rows.end(), 0);
@@ -161,16 +160,12 @@ void BM_Baseline(benchmark::State& state, BaselineAlgorithm algorithm) {
   }
   state.SetItemsProcessed(state.iterations() * relation.NumRows());
 }
-void BM_KMemberSampled(benchmark::State& state) {
-  BM_Baseline(state, BaselineAlgorithm::kKMember);
-}
 void BM_Oka(benchmark::State& state) {
   BM_Baseline(state, BaselineAlgorithm::kOka);
 }
 void BM_Mondrian(benchmark::State& state) {
   BM_Baseline(state, BaselineAlgorithm::kMondrian);
 }
-BENCHMARK(BM_KMemberSampled)->Arg(1000)->Arg(10000);
 BENCHMARK(BM_Oka)->Arg(1000)->Arg(10000);
 BENCHMARK(BM_Mondrian)->Arg(1000)->Arg(10000);
 

@@ -111,7 +111,6 @@ int main(int argc, char** argv) {
     options.threads = threads;
     options.coloring_budget = bench::ColoringBudget();
     options.anonymizer.seed = kSeed;
-    options.anonymizer.sample_size = 64;
     auto result = RunDiva(*relation, *constraints, options);
     if (!result.ok()) {
       std::fprintf(stderr, "RunDiva failed at threads=%zu: %s\n", threads,
@@ -166,7 +165,6 @@ int main(int argc, char** argv) {
     options.threads = runs.back().threads;
     options.coloring_budget = bench::ColoringBudget();
     options.anonymizer.seed = kSeed;
-    options.anonymizer.sample_size = 64;
     options.deadline_ms = deadline_ms;
     auto result = RunDiva(*relation, *constraints, options);
     if (!result.ok()) {
@@ -230,7 +228,6 @@ int main(int argc, char** argv) {
       options.threads = 1;
       options.coloring_budget = bench::ColoringBudget();
       options.anonymizer.seed = kSeed;
-      options.anonymizer.sample_size = 64;
       if (tracing_on) trace::Enable();
       auto result = RunDiva(*relation, *constraints, options);
       if (tracing_on) trace::Disable();

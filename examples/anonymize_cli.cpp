@@ -72,7 +72,6 @@
 #include "core/diva.h"
 #include "core/incremental.h"
 #include "core/report_json.h"
-#include "hierarchy/generalize.h"
 #include "examples/example_util.h"
 #include "metrics/metrics.h"
 #include "relation/csv.h"
@@ -153,32 +152,8 @@ int main(int argc, char** argv) {
   }
 
   // Optional per-attribute taxonomies (LCA generalization instead of *).
-  std::shared_ptr<GeneralizationContext> generalization;
-  if (args.Has("taxonomy")) {
-    generalization =
-        std::make_shared<GeneralizationContext>((*schema)->NumAttributes());
-    for (const std::string& spec : args.GetAll("taxonomy")) {
-      size_t eq = spec.find('=');
-      if (eq == std::string::npos) {
-        return Fail("--taxonomy expects ATTR=path, got '" + spec + "'");
-      }
-      auto attr = (*schema)->IndexOf(spec.substr(0, eq));
-      if (!attr.has_value()) {
-        return Fail("--taxonomy references unknown attribute '" +
-                    spec.substr(0, eq) + "'");
-      }
-      std::ifstream taxonomy_file(spec.substr(eq + 1));
-      if (!taxonomy_file) {
-        return Fail("cannot open taxonomy file '" + spec.substr(eq + 1) +
-                    "'");
-      }
-      std::ostringstream buffer;
-      buffer << taxonomy_file.rdbuf();
-      auto taxonomy = Taxonomy::FromText(buffer.str());
-      if (!taxonomy.ok()) return Fail(taxonomy.status().ToString());
-      generalization->SetTaxonomy(*attr, std::move(taxonomy).value());
-    }
-  }
+  auto generalization = LoadTaxonomies(**schema, args.GetAll("taxonomy"));
+  if (!generalization.ok()) return Fail(generalization.status().message());
 
   // Pre-flight lint: warn about constraints no algorithm can satisfy.
   for (const ConstraintIssue& issue :
@@ -195,7 +170,7 @@ int main(int argc, char** argv) {
     options.k = static_cast<size_t>(*k);
     options.seed = seed;
     options.strict = args.Has("strict");
-    options.generalization = generalization;
+    options.generalization = *generalization;
     options.cancel = InterruptToken();
     // A traced run audits too, so the trace shows every pipeline phase.
     if (tracing) options.audit = true;

@@ -48,8 +48,7 @@ int main() {
       options.k = k;
       options.strategy = strategy;
       options.seed = 17;
-      options.anonymizer.sample_size = 64;  // keep k-member sub-quadratic
-      options.coloring_budget = 100000;     // keep the demo interactive
+      options.coloring_budget = 100000;  // keep the demo interactive
 
       StopWatch watch;
       auto result = RunDiva(*census, *constraints, options);

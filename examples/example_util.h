@@ -9,12 +9,14 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/deadline.h"
 #include "common/string_util.h"
 #include "core/diva.h"
+#include "hierarchy/generalize.h"
 #include "metrics/metrics.h"
 #include "relation/relation.h"
 #include "relation/schema.h"
@@ -168,6 +170,45 @@ inline Result<std::shared_ptr<const Schema>> LoadSchemaFile(
     attributes.push_back(std::move(attribute));
   }
   return Schema::Make(std::move(attributes));
+}
+
+/// Loads taxonomies given as "ATTR=path" specs (the CLIs' --taxonomy
+/// flag) into one GeneralizationContext; a later spec for the same
+/// attribute replaces an earlier one. Returns null when `specs` is empty.
+/// A malformed spec, an unknown attribute, an unreadable file or a bad
+/// taxonomy is an error naming it.
+inline Result<std::shared_ptr<GeneralizationContext>> LoadTaxonomies(
+    const Schema& schema, const std::vector<std::string>& specs) {
+  if (specs.empty()) return std::shared_ptr<GeneralizationContext>();
+  auto generalization =
+      std::make_shared<GeneralizationContext>(schema.NumAttributes());
+  for (const std::string& spec : specs) {
+    size_t eq = spec.find('=');
+    if (eq == std::string::npos) {
+      return Status::InvalidArgument("--taxonomy expects ATTR=path, got '" +
+                                     spec + "'");
+    }
+    const std::string name = spec.substr(0, eq);
+    const std::string path = spec.substr(eq + 1);
+    auto attr = schema.IndexOf(name);
+    if (!attr.has_value()) {
+      return Status::InvalidArgument(
+          "--taxonomy references unknown attribute '" + name + "'");
+    }
+    std::ifstream file(path);
+    if (!file) {
+      return Status::IoError("cannot open taxonomy file '" + path + "'");
+    }
+    std::ostringstream buffer;
+    buffer << file.rdbuf();
+    auto taxonomy = Taxonomy::FromText(buffer.str());
+    if (!taxonomy.ok()) {
+      return Status::InvalidArgument("taxonomy file '" + path +
+                                     "': " + taxonomy.status().message());
+    }
+    generalization->SetTaxonomy(*attr, std::move(taxonomy).value());
+  }
+  return generalization;
 }
 
 /// Prints a relation as an aligned text table (up to `max_rows` rows).

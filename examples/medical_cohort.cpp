@@ -82,9 +82,7 @@ int main() {
   PrintVisible("  GEN", *cohort, gen);
 
   // Plain k-member baseline.
-  AnonymizerOptions anon_options;
-  anon_options.sample_size = 64;
-  auto kmember = MakeKMember(anon_options);
+  auto kmember = MakeKMember();
   auto baseline = Anonymize(kmember.get(), *cohort, kK);
   DIVA_CHECK(baseline.ok());
   std::printf("\n=== Plain k-member (k = %zu) ===\n", kK);
@@ -96,7 +94,6 @@ int main() {
   DivaOptions options;
   options.k = kK;
   options.strategy = SelectionStrategy::kMaxFanOut;
-  options.anonymizer = anon_options;
   options.coloring_budget = 100000;  // keep the demo interactive
   auto diva_result = RunDiva(*cohort, *constraints, options);
   DIVA_CHECK(diva_result.ok());

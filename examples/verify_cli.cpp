@@ -6,13 +6,16 @@
 //
 // With --original the full output auditor (verify/auditor.h) also
 // re-checks the suppression-only containment R ⊑ R* and the ★
-// bookkeeping against the pre-anonymization relation.
+// bookkeeping against the pre-anonymization relation. Give it the
+// --taxonomy files the producer anonymized with: a cell recoded to a
+// taxonomy ancestor then counts as generalized, not as an edit.
 //
 // Usage:
 //   verify_cli --input anonymized.csv --schema schema.txt --k 10
 //       [--l 3] [--t 0.4] [--constraints sigma.txt]
-//       [--original raw.csv] [--expected-stars N] [--threads N]
-//       [--deadline-ms N] [--trace-out trace.json]
+//       [--original raw.csv] [--taxonomy ATTR=taxonomy.txt]...
+//       [--expected-stars N] [--threads N] [--deadline-ms N]
+//       [--trace-out trace.json]
 //   verify_cli --list-failpoints
 //
 // An unknown flag or a flag without its value exits 2 before anything
@@ -72,7 +75,7 @@ int main(int argc, char** argv) {
   auto parsed_args = Flags::Parse(
       argc, argv,
       {"input", "schema", "k", "l", "t", "constraints", "original",
-       "expected-stars", "threads", "deadline-ms", "trace-out"},
+       "taxonomy", "expected-stars", "threads", "deadline-ms", "trace-out"},
       {"list-failpoints"});
   if (!parsed_args.ok()) return Fail(parsed_args.status().message());
   const Flags args = std::move(parsed_args).value();
@@ -104,6 +107,8 @@ int main(int argc, char** argv) {
 
   auto schema = LoadSchemaFile(args.Get("schema"));
   if (!schema.ok()) return Fail(schema.status().ToString());
+  auto generalization = LoadTaxonomies(**schema, args.GetAll("taxonomy"));
+  if (!generalization.ok()) return Fail(generalization.status().message());
   auto relation = ReadCsvFile(args.Get("input"), *schema);
   if (!relation.ok()) return Fail(relation.status().ToString());
   auto k = ParseInt64(args.Get("k"));
@@ -188,6 +193,7 @@ int main(int argc, char** argv) {
     auto original = ReadCsvFile(args.Get("original"), *schema);
     if (!original.ok()) return Fail(original.status().ToString());
     AuditOptions audit_options;
+    audit_options.generalization = *generalization;
     if (args.Has("expected-stars")) {
       auto expected = ParseInt64(args.Get("expected-stars"));
       if (!expected.ok() || *expected < 0) {

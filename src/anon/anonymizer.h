@@ -17,12 +17,6 @@ struct AnonymizerOptions {
   /// Seed for any randomized choice (seed selection, tie breaks).
   uint64_t seed = 42;
 
-  /// When > 0, greedy candidate searches (k-member) evaluate at most this
-  /// many randomly sampled candidates per step instead of all remaining
-  /// rows. 0 = exact (quadratic) search. Keeps large |R| sweeps tractable;
-  /// see DESIGN.md §3.
-  size_t sample_size = 0;
-
   /// Cooperative cancellation. The iterative baselines (k-member, OKA)
   /// poll it once per outer greedy step and fail with kDeadlineExceeded
   /// when it trips — their half-built clusterings are useless, so RunDiva

@@ -199,55 +199,6 @@ size_t KMemberPool::LeastDivergent(GrowResume* resume) const {
   return best_index;
 }
 
-namespace {
-
-/// A greedy step scans every pool index, or `sample_size` random ones
-/// when the pool is larger than that.
-bool Sampled(const KMemberPool& pool, size_t sample_size) {
-  return sample_size > 0 && pool.size() > sample_size;
-}
-
-/// Seed step: the first scanned index furthest from the pool's anchor.
-size_t FurthestIndex(const KMemberPool& pool, size_t sample_size, Rng* rng) {
-  if (!Sampled(pool, sample_size)) return pool.FurthestFromAnchor();
-  double best_distance = -1.0;
-  size_t best_index = 0;
-  for (size_t s = 0; s < sample_size; ++s) {
-    size_t i = static_cast<size_t>(rng->NextBounded(pool.size()));
-    double d = pool.DistanceToAnchor(i);
-    if (d > best_distance) {
-      best_distance = d;
-      best_index = i;
-    }
-  }
-  return best_index;
-}
-
-/// Grow step: the first scanned index with the least divergence from the
-/// cluster's live columns, i.e. the least ★ increase. An exact scan
-/// resumes where the cluster's previous one stopped (see
-/// KMemberPool::LeastDivergent); a sampled scan resets `resume`.
-size_t CheapestIndex(KMemberPool& pool, const ClusterCostTracker& tracker,
-                     size_t sample_size, Rng* rng,
-                     KMemberPool::GrowResume* resume) {
-  pool.SetCommon(tracker.common());
-  if (!Sampled(pool, sample_size)) return pool.LeastDivergent(resume);
-  *resume = KMemberPool::GrowResume{};
-  size_t best_divergence = std::numeric_limits<size_t>::max();
-  size_t best_index = 0;
-  for (size_t s = 0; s < sample_size; ++s) {
-    size_t i = static_cast<size_t>(rng->NextBounded(pool.size()));
-    size_t d = pool.Divergence(i);
-    if (d < best_divergence) {
-      best_divergence = d;
-      best_index = i;
-    }
-  }
-  return best_index;
-}
-
-}  // namespace
-
 Result<Clustering> KMemberAnonymizer::BuildClusters(
     const Relation& relation, std::span<const RowId> rows, size_t k) {
   DIVA_TRACE_SPAN("baseline/kmember");
@@ -279,7 +230,7 @@ Result<Clustering> KMemberAnonymizer::BuildClusters(
     if (options_.cancel.Cancelled()) {
       return DeadlineExceededStatus("k-member clustering");
     }
-    size_t seed_index = FurthestIndex(pool, options_.sample_size, &rng);
+    size_t seed_index = pool.FurthestFromAnchor();
     pool.SetAnchor(pool.codes(seed_index));  // the next seed's anchor
     RowId seed = pool.TakeAt(seed_index);
 
@@ -289,8 +240,8 @@ Result<Clustering> KMemberAnonymizer::BuildClusters(
     KMemberPool::GrowResume resume;
 
     while (cluster.size() < k) {
-      RowId added = pool.TakeAt(
-          CheapestIndex(pool, tracker, options_.sample_size, &rng, &resume));
+      pool.SetCommon(tracker.common());
+      RowId added = pool.TakeAt(pool.LeastDivergent(&resume));
       tracker.Add(added);
       cluster.push_back(added);
     }

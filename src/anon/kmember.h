@@ -32,11 +32,10 @@ namespace diva {
 ///   differs from the cluster's common value, so the scan compares the
 ///   integer d (KMemberPool::LeastDivergent).
 ///
-/// Exact scans run in the pool's own loops, which keep every constant in
-/// locals and never touch the Rng. The shared loop they replaced picked
-/// each index through a sampled-or-exact branch and cost ~8 ns a row in
-/// both scans; a Pop-Syn publish makes ~27.5M seed-row and ~48.5M
-/// grow-row visits.
+/// Both scans run in the pool's own loops, which keep every constant in
+/// locals; a Pop-Syn publish makes ~27.5M seed-row and ~48.5M grow-row
+/// visits. The only random draw is the first anchor, from
+/// AnonymizerOptions::seed.
 ///
 /// Tie-break invariant: both scans keep the first best candidate in pool
 /// index order (strict > and <). The pool removes a taken row by moving
@@ -46,11 +45,6 @@ namespace diva {
 /// 23k-row run makes ~23k scans. A fork-join per grow scan would cost
 /// more than the cheap kernel saves, and chunking would defeat the early
 /// exit. A chunked seed scan measured no faster at width 4.
-///
-/// With AnonymizerOptions::sample_size > 0 each greedy step scans
-/// `sample_size` random pool indices instead, one DistanceToAnchor or
-/// Divergence per draw. Every draw is still made (no early exit), so the
-/// RNG sequence does not depend on the data.
 class KMemberAnonymizer final : public Anonymizer {
  public:
   explicit KMemberAnonymizer(const AnonymizerOptions& options)
@@ -173,7 +167,7 @@ class KMemberPool {
   ///   so the cluster's next scan need not read [0, i) again; strict <
   ///   keeps the same first minimum. Any other outcome resets `*resume`,
   ///   so a d > 0 pick starts the next scan at 0, as does a new cluster
-  ///   (a fresh GrowResume) or a sampled scan.
+  ///   (a fresh GrowResume).
   ///
   /// resume->best_divergence must be > 0, as in every resume a scan
   /// leaves: it stopped at the first d == 0.

@@ -34,6 +34,27 @@ size_t DistinctSensitive(const Relation& relation,
   return keys.size();
 }
 
+/// The cluster other than clusters[i] whose union with it costs the
+/// fewest stars (SuppressionCost), the first one on ties. Needs at least
+/// two clusters.
+size_t CheapestPartner(const Relation& relation, const Clustering& clusters,
+                       size_t i) {
+  size_t best = clusters.size();
+  size_t best_cost = std::numeric_limits<size_t>::max();
+  for (size_t j = 0; j < clusters.size(); ++j) {
+    if (j == i) continue;
+    Cluster merged = clusters[i];
+    merged.insert(merged.end(), clusters[j].begin(), clusters[j].end());
+    size_t cost = SuppressionCost(relation, merged);
+    if (cost < best_cost) {
+      best_cost = cost;
+      best = j;
+    }
+  }
+  DIVA_CHECK_MSG(best < clusters.size(), "no merge partner");
+  return best;
+}
+
 }  // namespace
 
 bool IsDistinctLDiverse(const Relation& relation, size_t l) {
@@ -79,21 +100,7 @@ Result<Clustering> EnforceLDiversity(Relation* relation, Clustering clusters,
       ++i;
     }
     if (i == clusters.size()) break;
-    size_t best = clusters.size();
-    size_t best_cost = std::numeric_limits<size_t>::max();
-    for (size_t j = 0; j < clusters.size(); ++j) {
-      if (j == i) continue;
-      Cluster merged = clusters[i];
-      merged.insert(merged.end(), clusters[j].begin(), clusters[j].end());
-      size_t cost = SuppressionCost(*relation, merged);
-      if (cost < best_cost) {
-        best_cost = cost;
-        best = j;
-      }
-    }
-    DIVA_CHECK_MSG(best < clusters.size(),
-                   "no merge partner for l-diversity enforcement");
-    Cluster& target = clusters[best];
+    Cluster& target = clusters[CheapestPartner(*relation, clusters, i)];
     target.insert(target.end(), clusters[i].begin(), clusters[i].end());
     clusters.erase(clusters.begin() + static_cast<long>(i));
     DIVA_COUNTER_ADD("privacy.merges", 1);
@@ -251,18 +258,7 @@ Result<Clustering> EnforceTCloseness(Relation* relation, Clustering clusters,
     }
     if (worst == clusters.size()) break;  // all within t
 
-    size_t best = clusters.size();
-    size_t best_cost = std::numeric_limits<size_t>::max();
-    for (size_t j = 0; j < clusters.size(); ++j) {
-      if (j == worst) continue;
-      Cluster merged = clusters[worst];
-      merged.insert(merged.end(), clusters[j].begin(), clusters[j].end());
-      size_t cost = SuppressionCost(*relation, merged);
-      if (cost < best_cost) {
-        best_cost = cost;
-        best = j;
-      }
-    }
+    size_t best = CheapestPartner(*relation, clusters, worst);
     Cluster& target = clusters[best];
     target.insert(target.end(), clusters[worst].begin(),
                   clusters[worst].end());

@@ -44,7 +44,6 @@ uint64_t OptionsFingerprint(const DivaOptions& options) {
   h = FnvMix(h, options.strict ? 1 : 0);
   h = FnvMix(h, static_cast<uint64_t>(options.baseline));
   h = FnvMix(h, options.anonymizer.seed);
-  h = FnvMix(h, options.anonymizer.sample_size);
   h = FnvMix(h, options.l_diversity);
   uint64_t t_bits = 0;
   static_assert(sizeof(t_bits) == sizeof(options.t_closeness));

@@ -167,7 +167,6 @@ void Server::Stop() {
           " in-flight request(s)");
     }
     stop_.RequestCancel();
-    stopping_.store(true, std::memory_order_relaxed);
     queue_cv_.NotifyAll();
     for (uint64_t ticket : tickets_) threads_->Wait(ticket);
     threads_.reset();
@@ -206,7 +205,7 @@ void Server::Log(const std::string& message) const {
 }
 
 void Server::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_relaxed) && !draining()) {
+  while (!stop_.Cancelled() && !draining()) {
     pollfd pfd;
     pfd.fd = listen_fd_;
     pfd.events = POLLIN;
@@ -288,8 +287,7 @@ void Server::SessionLoop() {
     int fd = -1;
     {
       MutexLock lock(queue_mutex_);
-      while (queue_.empty() && !stopping_.load(std::memory_order_relaxed) &&
-             !draining()) {
+      while (queue_.empty() && !stop_.Cancelled() && !draining()) {
         queue_cv_.WaitFor(lock, 0.05);
       }
       if (!queue_.empty()) {
@@ -299,7 +297,7 @@ void Server::SessionLoop() {
         return;  // terminal (stop or drain) with nothing queued
       }
     }
-    if (stopping_.load(std::memory_order_relaxed)) {
+    if (stop_.Cancelled()) {
       ::close(fd);  // hard stop: clean close
       continue;
     }
@@ -310,7 +308,7 @@ void Server::SessionLoop() {
 
 void Server::HandleConnection(int fd) {
   while (true) {
-    if (stopping_.load(std::memory_order_relaxed)) return;
+    if (stop_.Cancelled()) return;
     if (draining()) {
       const double started = drain_started_at_.load(std::memory_order_relaxed);
       if (started > 0.0 && (MonotonicSeconds() - started) * 1e3 >

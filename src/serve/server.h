@@ -265,12 +265,12 @@ class Server {
   CostTracker cost_tracker_;
 
   std::atomic<bool> draining_{false};
-  std::atomic<bool> stopping_{false};
   /// MonotonicSeconds when the acceptor (or Stop) first observed
   /// draining_ (0 = not yet); the drain grace counts from here.
   std::atomic<double> drain_started_at_{0.0};
   /// Parent of every request token; Stop trips it when the drain grace
-  /// runs out, cancelling whatever is still in flight.
+  /// runs out, cancelling whatever is still in flight. The acceptor and
+  /// the sessions read it as the hard-stop flag.
   const CancellationToken stop_ = CancellationToken::Manual();
 
   /// Closed by whichever of AcceptLoop (drain/stop exit) or Stop gets

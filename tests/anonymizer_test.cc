@@ -214,17 +214,6 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, AnonymizerCommonTest,
                            return AlgoName(info.param);
                          });
 
-TEST(KMemberTest, SampledModeStaysKAnonymous) {
-  Relation r = SyntheticFixture(500, 13);
-  AnonymizerOptions options;
-  options.seed = 3;
-  options.sample_size = 16;
-  auto algo = MakeKMember(options);
-  auto anonymized = Anonymize(algo.get(), r, 10);
-  ASSERT_TRUE(anonymized.ok());
-  EXPECT_TRUE(IsKAnonymous(*anonymized, 10));
-}
-
 TEST(MondrianTest, PartitionsAreContiguousInSortOrder) {
   // Mondrian on a single numeric attribute must produce contiguous value
   // ranges: group extents must not overlap.
@@ -422,10 +411,9 @@ void ExpectPinnedAtEveryWidth(Algo algo, const AnonymizerOptions& options,
   SetParallelThreads(saved);
 }
 
-AnonymizerOptions SeededOptions(uint64_t seed, size_t sample_size = 0) {
+AnonymizerOptions SeededOptions(uint64_t seed) {
   AnonymizerOptions options;
   options.seed = seed;
-  options.sample_size = sample_size;
   return options;
 }
 
@@ -468,12 +456,6 @@ TEST(KMemberKernelTest, DistinctRowsPins) {
   Relation relation = DistinctFixture();
   ExpectPinnedAtEveryWidth(Algo::kKMember, SeededOptions(17), relation, 4,
                            0xdaaf23ba755d07b4ull);
-}
-
-TEST(KMemberKernelTest, SampledModePins) {
-  Relation relation = PopSynFixture(5000);
-  ExpectPinnedAtEveryWidth(Algo::kKMember, SeededOptions(3, 64), relation,
-                           5, 0x8838bceecc338d56ull);
 }
 
 /// QI codes of `row`, in the pool's QI-position order.
