@@ -66,11 +66,11 @@ inline void Add(Cell* cell, uint64_t delta) {
 
 /// Deferred batch of deterministic-scope updates. Work whose telemetry
 /// must land in a fixed order, or not at all, records into a Buffer
-/// instead of the global cells: the shard driver Commit()s each shard's
-/// buffer in shard-index order and Discard()s them all when a shard
-/// fails, and a snapshot keeps a shard's buffer to replay when a later
-/// delta adopts it. Not thread-safe: one buffer belongs to one worker
-/// at a time.
+/// instead of the global cells: each shard's reuse record keeps the
+/// buffer its run filled, and the shard driver commits a copy of every
+/// record's buffer in shard-index order (none when a shard fails), the
+/// same replay a later delta that adopts the record performs. Not
+/// thread-safe: one buffer belongs to one worker at a time.
 class Buffer {
  public:
   void Add(Cell* cell, uint64_t delta);

@@ -222,15 +222,19 @@ std::vector<std::vector<RowId>> ConstraintIndex::Targets(
 
   // Turn the counts into each chunk's first slot in I_c, then fill the
   // slices (pass 2): chunks write disjoint ranges in ascending row order.
-  for (size_t c = 0; c < n; ++c) {
-    uint32_t total = 0;
-    for (ChunkScan& scan : scans) {
-      const uint32_t count = scan.counts[c];
-      scan.counts[c] = total;
-      total += count;
+  // Constraints are independent here, so the lists are sized (and their
+  // pages first touched) in parallel.
+  ParallelFor(n, /*grain=*/1, [&](size_t c_begin, size_t c_end) {
+    for (size_t c = c_begin; c < c_end; ++c) {
+      uint32_t total = 0;
+      for (ChunkScan& scan : scans) {
+        const uint32_t count = scan.counts[c];
+        scan.counts[c] = total;
+        total += count;
+      }
+      targets[c].resize(total);
     }
-    targets[c].resize(total);
-  }
+  });
   ParallelFor(chunks, /*grain=*/1, [&](size_t chunk_begin, size_t chunk_end) {
     for (size_t chunk = chunk_begin; chunk < chunk_end; ++chunk) {
       std::vector<uint32_t>& next = scans[chunk].counts;

@@ -1,12 +1,14 @@
 #include "core/coloring.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <numeric>
 #include <span>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 
 #include "common/bitset.h"
 #include "common/counters.h"
@@ -126,7 +128,20 @@ struct PreparedCandidate {
   size_t preserved = 0;
   std::vector<PreparedCluster> clusters;
 };
-using CandidateList = std::shared_ptr<const std::vector<PreparedCandidate>>;
+
+/// One entry of a candidate list: the enumerated clustering, replaced in
+/// place by its prepared form the first time the search tries it. A
+/// search usually takes an early admissible entry, so most entries are
+/// never tried and never pay for the sort, fingerprint and contribution
+/// pass; a memo replay finds the tried ones already prepared.
+using CandidateEntry = std::variant<CandidateClustering, PreparedCandidate>;
+
+/// A node's candidate list in trial order. A list is touched only by the
+/// engine that owns it: the greedy pass takes attempt 0's memo after
+/// attempt 0 has finished, and portfolio searches never share memos.
+/// Lists are reference-counted so an epoch eviction during a recursive
+/// Color() call cannot free a list an outer stack frame still iterates.
+using CandidateList = std::shared_ptr<std::vector<CandidateEntry>>;
 
 /// Backtracking engine implementing Algorithm 4 with dynamic candidate
 /// enumeration: a node's clusterings are built from the target rows not
@@ -167,14 +182,14 @@ class ColoringEngine {
     claimed_fp_.assign(n, 0);
     in_target_scratch_.assign(n, 0);
     delta_scratch_.assign(n, 0);
-    // The single empty clustering handed to zero-deficit nodes — shared
-    // so the hot "lower bound already met" path allocates nothing.
-    trivial_candidates_ =
-        std::make_shared<const std::vector<PreparedCandidate>>(1);
+    // The single empty clustering handed to zero-deficit nodes, born
+    // prepared and shared so the hot "lower bound already met" path
+    // allocates nothing.
+    trivial_candidates_ = std::make_shared<std::vector<CandidateEntry>>(
+        1, CandidateEntry(PreparedCandidate{}));
     // Shared zero-element list for structurally dead nodes (the
     // EnumerationIsTriviallyEmpty fast path skips enumeration and memo).
-    empty_candidates_ =
-        std::make_shared<const std::vector<PreparedCandidate>>();
+    empty_candidates_ = std::make_shared<std::vector<CandidateEntry>>();
     claimed_.Resize(relation.NumRows());
     memo_.resize(n);
     outcome_.assignment.assign(n, -1);
@@ -218,10 +233,9 @@ class ColoringEngine {
       return static_cast<size_t>(h);
     }
   };
-  /// Memo values are shared immutable lists: a hit hands back a refcount
-  /// bump, not a deep copy, and an epoch eviction during a recursive
-  /// Color() call cannot pull a list out from under an outer stack frame
-  /// still iterating it.
+  /// Memo values are the engine's own candidate lists: a hit hands back
+  /// a refcount bump, not a deep copy, with the entries earlier visits
+  /// tried already prepared.
   using Memo = std::unordered_map<MemoKey, CandidateList, MemoKeyHash>;
 
   uint64_t FingerprintOf(const std::vector<RowId>& rows) const {
@@ -272,7 +286,10 @@ class ColoringEngine {
       return false;
     }
 
-    for (const PreparedCandidate& candidate : *candidates) {
+    // Entries are prepared in place, never added or removed, so a
+    // recursive visit that tries later entries of this same list (a memo
+    // hit) leaves this frame's references valid.
+    for (CandidateEntry& entry : *candidates) {
       ++steps_;
       if (steps_ > options_.step_budget ||
           steps_ - last_improvement_ > stall_limit_ ||
@@ -280,6 +297,7 @@ class ColoringEngine {
         budget_exhausted_ = true;
         return false;
       }
+      const PreparedCandidate& candidate = PrepareOnFirstTrial(&entry);
       std::vector<uint64_t> activated;
       if (!TryAssign(candidate, &activated)) continue;
       assignment_[node] = static_cast<int>(candidate.preserved);
@@ -294,13 +312,13 @@ class ColoringEngine {
   }
 
   /// Candidate clusterings of `node` under the current partial coloring,
-  /// already in trial order with their static facts prepared. The result
-  /// is a pure function of (free target set, deficit, headroom) — the
-  /// enumeration seed is fixed per node and the least-constraining
-  /// ordering reads only static target bitmaps — so backtracking
-  /// re-visits replay the memo instead of re-enumerating. No engine RNG
-  /// is consumed here, which is why the search tree is identical with the
-  /// memo on or off.
+  /// in trial order; Color() prepares each one when it first tries it.
+  /// The result is a pure function of (free target set, deficit,
+  /// headroom) — the enumeration seed is fixed per node and the
+  /// least-constraining ordering reads only static target bitmaps — so
+  /// backtracking re-visits replay the memo instead of re-enumerating.
+  /// No engine RNG is consumed here, which is why the search tree is
+  /// identical with the memo on or off.
   CandidateList CandidatesFor(size_t node) {
     const DiversityConstraint& constraint = constraints_[node];
     uint64_t have = preserved_[node];
@@ -348,7 +366,9 @@ class ColoringEngine {
     if (options_.strategy != SelectionStrategy::kBasic) {
       OrderLeastConstrainingFirst(node, &enumerated);
     }
-    CandidateList candidates = Prepare(std::move(enumerated));
+    auto candidates = std::make_shared<std::vector<CandidateEntry>>(
+        std::make_move_iterator(enumerated.begin()),
+        std::make_move_iterator(enumerated.end()));
 
     if (options_.memo) {
       if (memo_entries_ >= options_.memo_capacity) {
@@ -364,39 +384,44 @@ class ColoringEngine {
     return candidates;
   }
 
-  /// Precomputes the static facts of each enumerated candidate (sorted
-  /// rows, fingerprint, sparse contributions) so every later trial — and
-  /// every memo replay — skips straight to the dynamic checks.
-  CandidateList Prepare(std::vector<CandidateClustering>&& enumerated) {
-    auto prepared = std::make_shared<std::vector<PreparedCandidate>>();
-    prepared->reserve(enumerated.size());
-    for (CandidateClustering& candidate : enumerated) {
-      PreparedCandidate out;
-      out.preserved = candidate.preserved;
-      out.clusters.reserve(candidate.clusters.size());
-      for (Cluster& cluster : candidate.clusters) {
-        PreparedCluster entry;
-        entry.rows = std::move(cluster);
-        std::sort(entry.rows.begin(), entry.rows.end());
-        entry.fingerprint = FingerprintOf(entry.rows);
-        // Per-constraint overlap in one incidence pass; full containment
-        // (|overlap| == |cluster|) is the only way a cluster preserves
-        // occurrences for constraint j.
-        std::fill(in_target_scratch_.begin(), in_target_scratch_.end(), 0);
-        for (RowId row : entry.rows) {
-          for (uint32_t j : context_.Incident(row)) ++in_target_scratch_[j];
-        }
-        for (size_t j = 0; j < constraints_.size(); ++j) {
-          if (in_target_scratch_[j] == entry.rows.size()) {
-            entry.contrib.emplace_back(static_cast<uint32_t>(j),
-                                       entry.rows.size());
-          }
-        }
-        out.clusters.push_back(std::move(entry));
-      }
-      prepared->push_back(std::move(out));
+  /// The prepared form of `entry`, built in place on the first call:
+  /// the static facts of the candidate (sorted rows, fingerprint, sparse
+  /// contributions), so this trial and every later one — memo replays
+  /// included — skip straight to the dynamic checks.
+  const PreparedCandidate& PrepareOnFirstTrial(CandidateEntry* entry) {
+    if (auto* raw = std::get_if<CandidateClustering>(entry)) {
+      PreparedCandidate prepared = Prepare(std::move(*raw));
+      *entry = std::move(prepared);
+      DIVA_COUNTER_ADD("coloring.candidates_prepared", 1);
     }
-    return prepared;
+    return std::get<PreparedCandidate>(*entry);
+  }
+
+  PreparedCandidate Prepare(CandidateClustering&& candidate) {
+    PreparedCandidate out;
+    out.preserved = candidate.preserved;
+    out.clusters.reserve(candidate.clusters.size());
+    for (Cluster& cluster : candidate.clusters) {
+      PreparedCluster entry;
+      entry.rows = std::move(cluster);
+      std::sort(entry.rows.begin(), entry.rows.end());
+      entry.fingerprint = FingerprintOf(entry.rows);
+      // Per-constraint overlap in one incidence pass; full containment
+      // (|overlap| == |cluster|) is the only way a cluster preserves
+      // occurrences for constraint j.
+      std::fill(in_target_scratch_.begin(), in_target_scratch_.end(), 0);
+      for (RowId row : entry.rows) {
+        for (uint32_t j : context_.Incident(row)) ++in_target_scratch_[j];
+      }
+      for (size_t j = 0; j < constraints_.size(); ++j) {
+        if (in_target_scratch_[j] == entry.rows.size()) {
+          entry.contrib.emplace_back(static_cast<uint32_t>(j),
+                                     entry.rows.size());
+        }
+      }
+      out.clusters.push_back(std::move(entry));
+    }
+    return out;
   }
 
   /// Least-constraining-value ordering for the selective strategies:
@@ -717,8 +742,9 @@ class ColoringEngine {
  public:
   using MemoTable = std::vector<Memo>;
 
-  /// Moves the engine's candidate memo out (leaving it empty), for
-  /// handoff to another engine with the same per-node enumeration seeds.
+  /// Moves the engine's candidate memo out (leaving it empty), for a
+  /// sequential handoff to another engine with the same per-node
+  /// enumeration seeds: the lists change owner, they are never shared.
   MemoTable ExportMemo() {
     MemoTable table = std::move(memo_);
     memo_.clear();

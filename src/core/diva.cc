@@ -1,10 +1,12 @@
 #include "core/diva.h"
 
 #include <algorithm>
+#include <iterator>
+#include <memory>
+#include <utility>
 
 #include "anon/privacy.h"
 #include "anon/suppress.h"
-#include "common/bitset.h"
 #include "common/counters.h"
 #include "common/deadline.h"
 #include "common/failpoint.h"
@@ -76,6 +78,36 @@ ClusteringEnumOptions TuneEnumeration(const DivaOptions& options) {
   return enumeration;
 }
 
+/// The row ids at(i), i in [0, count), that `keep` accepts, in index
+/// order. Chunks count their hits, then fill their slices, in parallel;
+/// never under a loop token, since the list must be complete.
+template <typename At, typename Keep>
+std::vector<RowId> CollectRows(size_t count, const At& at, const Keep& keep) {
+  ScopedLoopCancellation exact(CancellationToken{});
+  const size_t grain = count / 64 + 1;
+  const size_t chunks = (count + grain - 1) / grain;
+  std::vector<size_t> first = ParallelMap<size_t>(chunks, 1, [&](size_t c) {
+    size_t hits = 0;
+    const size_t end = std::min(count, (c + 1) * grain);
+    for (size_t i = c * grain; i < end; ++i) hits += keep(at(i)) ? 1 : 0;
+    return hits;
+  });
+  size_t total = 0;
+  for (size_t& slot : first) total += std::exchange(slot, total);
+  std::vector<RowId> out(total);
+  ParallelFor(chunks, 1, [&](size_t chunk_begin, size_t chunk_end) {
+    for (size_t c = chunk_begin; c < chunk_end; ++c) {
+      size_t next = first[c];
+      const size_t end = std::min(count, (c + 1) * grain);
+      for (size_t i = c * grain; i < end; ++i) {
+        const RowId row = at(i);
+        if (keep(row)) out[next++] = row;
+      }
+    }
+  });
+  return out;
+}
+
 /// The baseline phase. With an effective plan, shard s's uncovered rows
 /// are clustered over a gathered sub-relation with local ids, in shard
 /// order; shards left with fewer than k uncovered rows pool together
@@ -89,41 +121,65 @@ ClusteringEnumOptions TuneEnumeration(const DivaOptions& options) {
 /// only on row positions, so a gathered call clusters exactly as an
 /// in-place one would. A deadline hitting any call falls back to the
 /// anytime single-pass Mondrian over all remaining rows and invalidates
-/// the capture.
-Status BuildShardedBaseline(const Relation& relation, const Bitset& covered,
+/// the capture. `covered` flags every row of an S_Sigma cluster;
+/// `remaining` lists the others, ascending.
+Status BuildShardedBaseline(const Relation& relation,
+                            const std::vector<uint8_t>& covered,
                             const std::vector<RowId>& remaining,
                             const ShardPlan& plan, const DivaOptions& options,
                             const CancellationToken& token,
                             const PipelineHooks& hooks, Clustering* rk_clusters,
                             std::vector<RowId>* leftover, DivaReport* report) {
   const size_t num_shards = plan.Effective() ? plan.shards.size() : 0;
+  auto adoptable = [&](size_t s) -> const ShardBaselineRecord* {
+    return s < hooks.adopt_baseline.size() ? hooks.adopt_baseline[s].get()
+                                           : nullptr;
+  };
+  // Per shard, in parallel: its uncovered rows (ascending) and an
+  // adopted record's clusters remapped to global ids.
   std::vector<std::vector<RowId>> uncovered(num_shards);
-  Bitset targeted(relation.NumRows());
-  for (size_t s = 0; s < num_shards; ++s) {
-    for (RowId row : plan.shards[s].rows) {
-      targeted.Set(static_cast<size_t>(row));
-      if (!covered.Test(row)) uncovered[s].push_back(row);
-    }
+  std::vector<Clustering> adopted(num_shards);
+  {
+    ScopedLoopCancellation exact(CancellationToken{});
+    ParallelFor(num_shards, /*grain=*/1, [&](size_t begin, size_t end) {
+      for (size_t s = begin; s < end; ++s) {
+        std::vector<RowId>& rows = uncovered[s];
+        for (RowId row : plan.shards[s].rows) {
+          if (!covered[row]) rows.push_back(row);
+        }
+        const ShardBaselineRecord* record = adoptable(s);
+        if (rows.size() < options.k || record == nullptr) continue;
+        adopted[s].reserve(record->clusters.size());
+        for (const Cluster& cluster : record->clusters) {
+          Cluster& global = adopted[s].emplace_back();
+          global.reserve(cluster.size());
+          for (RowId row : cluster) {
+            global.push_back(rows[static_cast<size_t>(row)]);
+          }
+        }
+      }
+    });
+  }
+  // A flag on each uncovered row of a shard that clusters on its own.
+  // Set on one thread: shards interleave row by row, so writers split by
+  // shard would share every cache line of the flags.
+  std::vector<uint8_t> own_baseline(num_shards > 0 ? relation.NumRows() : 0, 0);
+  for (const std::vector<RowId>& rows : uncovered) {
+    if (rows.size() < options.k) continue;  // empty or pooled
+    for (RowId row : rows) own_baseline[row] = 1;
   }
   // The pool: residual (untargeted) remaining rows plus every
   // undersized shard's uncovered rows, in ascending row order.
-  std::vector<RowId> pool;
-  for (RowId row : remaining) {
-    if (!targeted.Test(static_cast<size_t>(row))) pool.push_back(row);
-  }
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (!uncovered[s].empty() && uncovered[s].size() < options.k) {
-      pool.insert(pool.end(), uncovered[s].begin(), uncovered[s].end());
-    }
-  }
-  std::sort(pool.begin(), pool.end());
+  std::vector<RowId> pool =
+      num_shards == 0
+          ? remaining
+          : CollectRows(
+                remaining.size(), [&](size_t i) { return remaining[i]; },
+                [&](RowId row) { return own_baseline[row] == 0; });
 
-  std::vector<ShardBaselineRecord>* capture =
+  std::vector<std::shared_ptr<const ShardBaselineRecord>>* capture =
       hooks.capture != nullptr ? &hooks.capture->baseline : nullptr;
-  if (capture != nullptr) {
-    capture->clear();
-    capture->resize(num_shards);
-  }
+  if (capture != nullptr) capture->assign(num_shards, nullptr);
 
   DivaOptions baseline_options = options;
   baseline_options.anonymizer.cancel = token;
@@ -146,31 +202,23 @@ Status BuildShardedBaseline(const Relation& relation, const Bitset& covered,
   for (size_t s = 0; s < num_shards && deadline_status.ok(); ++s) {
     const std::vector<RowId>& rows = uncovered[s];
     if (rows.size() < options.k) continue;  // empty or pooled above
-    const ShardBaselineRecord* record =
-        s < hooks.adopt_baseline.size() ? hooks.adopt_baseline[s] : nullptr;
-    if (record != nullptr && record->used) {
+    if (const ShardBaselineRecord* record = adoptable(s)) {
       // Clean shard: replay the recorded counter ops at this slot and
-      // remap the local clusters through the current uncovered list.
-      if (capture != nullptr) (*capture)[s] = *record;
+      // take its clusters, remapped above through the current uncovered
+      // list.
+      if (capture != nullptr) (*capture)[s] = hooks.adopt_baseline[s];
       counters::Buffer replay = record->telemetry;
       replay.Commit();
-      for (const Cluster& cluster : record->clusters) {
-        Cluster global;
-        global.reserve(cluster.size());
-        for (RowId row : cluster) {
-          global.push_back(rows[static_cast<size_t>(row)]);
-        }
-        built_all.push_back(std::move(global));
-      }
+      std::move(adopted[s].begin(), adopted[s].end(),
+                std::back_inserter(built_all));
       continue;
     }
-    counters::Buffer buffer;
+    auto record = std::make_shared<ShardBaselineRecord>();
     Result<Clustering> built = [&]() -> Result<Clustering> {
-      counters::ScopedBufferedCounters buffered(&buffer);
+      counters::ScopedBufferedCounters buffered(&record->telemetry);
       return build_local(rows);
     }();
     if (!built.ok()) {
-      buffer.Discard();
       if (built.status().code() != StatusCode::kDeadlineExceeded) {
         return built.status();
       }
@@ -178,12 +226,13 @@ Status BuildShardedBaseline(const Relation& relation, const Bitset& covered,
       break;
     }
     Clustering local_clusters = std::move(built).value();
+    // Replay a copy: the record keeps the uncommitted op sequence.
+    counters::Buffer replay = record->telemetry;
+    replay.Commit();
     if (capture != nullptr) {
-      (*capture)[s].used = true;
-      (*capture)[s].clusters = local_clusters;
-      (*capture)[s].telemetry = buffer;  // the uncommitted op sequence
+      record->clusters = local_clusters;
+      (*capture)[s] = std::move(record);
     }
-    buffer.Commit();
     for (Cluster& cluster : local_clusters) {
       for (RowId& row : cluster) row = rows[static_cast<size_t>(row)];
       built_all.push_back(std::move(cluster));
@@ -340,9 +389,9 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
       // options.shard only picks concurrent vs inline execution.
       const size_t workers =
           options.shard ? ResolveThreadCount(options.threads) : 1;
-      const std::vector<const ShardColoringRecord*>* adopt =
+      const auto* adopt =
           hooks.adopt_coloring.empty() ? nullptr : &hooks.adopt_coloring;
-      std::vector<ShardColoringRecord>* capture_coloring =
+      auto* capture_coloring =
           hooks.capture != nullptr ? &hooks.capture->coloring : nullptr;
       DIVA_ASSIGN_OR_RETURN(
           coloring,
@@ -399,15 +448,16 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
   {
     DIVA_TRACE_SPAN("diva/anonymize");
     PhaseTimer phase_timer(&report.anonymize_seconds);
-    Bitset covered(relation.NumRows());
+    // Flags set on one thread: clusters of different shards interleave
+    // row by row, so writers split by cluster would share cache lines.
+    // The scan for the rest runs in parallel.
+    std::vector<uint8_t> covered(relation.NumRows(), 0);
     for (const Cluster& cluster : sigma_clusters) {
-      for (RowId row : cluster) covered.Set(row);
+      for (RowId row : cluster) covered[row] = 1;
     }
-    std::vector<RowId> remaining;
-    remaining.reserve(relation.NumRows() - report.sigma_rows);
-    for (RowId row = 0; row < relation.NumRows(); ++row) {
-      if (!covered.Test(row)) remaining.push_back(row);
-    }
+    const std::vector<RowId> remaining = CollectRows(
+        relation.NumRows(), [](size_t i) { return static_cast<RowId>(i); },
+        [&](RowId row) { return covered[row] == 0; });
 
     std::vector<RowId> leftover;
     DIVA_RETURN_IF_ERROR(BuildShardedBaseline(relation, covered, remaining,
@@ -538,7 +588,7 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
   // Reuse capture: only an undegraded, suppression-recoded run whose
   // plan recorded every shard's coloring (the portfolio records none) is
   // a sound adoption source. The caller finishes the snapshot (relation,
-  // dictionary sizes, fingerprint) via FinalizeSnapshot.
+  // constraints, options fingerprint) via FinalizeSnapshot.
   if (hooks.capture != nullptr) {
     PipelineSnapshot& snapshot = *hooks.capture;
     snapshot.valid = options.generalization == nullptr &&

@@ -68,8 +68,14 @@ size_t DeltaBatch::RowsDeleted() const {
   return std::set<RowId>(deleted.begin(), deleted.end()).size();
 }
 
-Result<Relation> ApplyDeltaToRelation(const Relation& input,
-                                      const DeltaBatch& delta) {
+namespace {
+
+/// ApplyDeltaToRelation, also returning in `survivors` the input row
+/// that each surviving post-delta row copies (post row r < survivors'
+/// size is input row survivors[r]).
+Result<Relation> ApplyDeltaWithSurvivors(const Relation& input,
+                                         const DeltaBatch& delta,
+                                         std::vector<RowId>* survivors) {
   // Sorted and deduplicated: a row listed twice is deleted once.
   std::vector<RowId> deleted = delta.deleted;
   std::sort(deleted.begin(), deleted.end());
@@ -80,7 +86,8 @@ Result<Relation> ApplyDeltaToRelation(const Relation& input,
         "delta deletes row " + std::to_string(deleted.back()) +
         " of a relation with " + std::to_string(input.NumRows()) + " rows");
   }
-  std::vector<RowId> keep;
+  std::vector<RowId>& keep = *survivors;
+  keep.clear();
   keep.reserve(input.NumRows() - deleted.size());
   size_t next_delete = 0;
   for (RowId row = 0; row < static_cast<RowId>(input.NumRows()); ++row) {
@@ -96,6 +103,14 @@ Result<Relation> ApplyDeltaToRelation(const Relation& input,
     if (!appended.ok()) return appended.status();
   }
   return post;
+}
+
+}  // namespace
+
+Result<Relation> ApplyDeltaToRelation(const Relation& input,
+                                      const DeltaBatch& delta) {
+  std::vector<RowId> survivors;
+  return ApplyDeltaWithSurvivors(input, delta, &survivors);
 }
 
 Result<DeltaBatch> ParseDeltaFile(const std::string& text) {
@@ -142,7 +157,9 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
   }
   const Relation& input = *prior.input;
   const ConstraintSet& constraints = prior.constraints;
-  DIVA_ASSIGN_OR_RETURN(Relation post, ApplyDeltaToRelation(input, delta));
+  std::vector<RowId> survivors;
+  DIVA_ASSIGN_OR_RETURN(Relation post,
+                        ApplyDeltaWithSurvivors(input, delta, &survivors));
   DIVA_COUNTER_ADD_EXEC("incremental.rows_deleted",
                         input.NumRows() + delta.inserted.size() -
                             post.NumRows());
@@ -188,6 +205,12 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
                  std::equal(shard.rows.begin(), shard.rows.end(),
                             prior_shard.rows.begin(), prior_shard.rows.end(),
                             [&](RowId row, RowId prior_row) {
+                              // A survivor copies its source row, so the
+                              // same source means the same cells.
+                              if (row < survivors.size() &&
+                                  survivors[row] == prior_row) {
+                                return true;
+                              }
                               const auto cells = post.Row(row);
                               return std::equal(cells.begin(), cells.end(),
                                                 input.Row(prior_row).begin());
@@ -195,10 +218,8 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
         });
     for (size_t s = 0; s < overlap; ++s) {
       if (!clean[s]) continue;
-      hooks.adopt_coloring[s] = &prior.coloring[s];
-      if (s < prior.baseline.size() && prior.baseline[s].used) {
-        hooks.adopt_baseline[s] = &prior.baseline[s];
-      }
+      hooks.adopt_coloring[s] = prior.coloring[s];
+      if (s < prior.baseline.size()) hooks.adopt_baseline[s] = prior.baseline[s];
       ++reused_shards;
     }
   }

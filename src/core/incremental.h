@@ -70,10 +70,10 @@ struct DeltaBatch {
 /// shard's uncovered rows in *local* coordinates (positions into the
 /// uncovered-row list, which is itself a pure function of the shard's
 /// contents and its adopted coloring), plus the buffered deterministic
-/// counter ops. `used` is false for shards whose uncovered rows were
-/// pooled (fewer than k of them) — the pool is always recomputed.
+/// counter ops. Immutable once built and shared by pointer, like
+/// ShardColoringRecord. A shard whose uncovered rows were pooled (fewer
+/// than k of them) has no record: the pool is always recomputed.
 struct ShardBaselineRecord {
-  bool used = false;
   Clustering clusters;
   counters::Buffer telemetry;
 };
@@ -82,8 +82,9 @@ struct ShardBaselineRecord {
 /// relation (pre-anonymization), its shard plan, and the per-shard
 /// coloring/baseline records. No conflict graph: the
 /// next delta rebuilds it from the post-delta relation. Snapshots chain:
-/// ApplyDelta emits a fresh snapshot for the post-delta relation, with
-/// clean shards' records copied forward.
+/// ApplyDelta emits a fresh snapshot for the post-delta relation that
+/// shares each clean shard's records with the prior snapshot (the same
+/// objects, not copies).
 struct PipelineSnapshot {
   bool valid = false;
 
@@ -95,8 +96,12 @@ struct PipelineSnapshot {
   /// Fingerprint of every DivaOptions knob that steers the search.
   uint64_t options_fingerprint = 0;
 
-  std::vector<ShardColoringRecord> coloring;
-  std::vector<ShardBaselineRecord> baseline;
+  /// One entry per shard, never null in a valid snapshot.
+  std::vector<std::shared_ptr<const ShardColoringRecord>> coloring;
+  /// One entry per shard of an effective plan; null for a shard whose
+  /// uncovered rows were pooled. Empty when the plan has fewer than 2
+  /// shards.
+  std::vector<std::shared_ptr<const ShardBaselineRecord>> baseline;
 };
 
 /// Caller-supplied precomputations and reuse directives for one pipeline
@@ -109,10 +114,11 @@ struct PipelineHooks {
   const ConstraintGraph* graph = nullptr;
   const ShardPlan* plan = nullptr;
 
-  /// Per-shard adoption (empty, or one entry per shard, nullptr = run
-  /// live). Records must come from an identical local sub-instance.
-  std::vector<const ShardColoringRecord*> adopt_coloring;
-  std::vector<const ShardBaselineRecord*> adopt_baseline;
+  /// Per-shard adoption (empty, or one entry per shard, null = run
+  /// live). Records must come from an identical local sub-instance; an
+  /// adopted record passes into the capture as the same object.
+  std::vector<std::shared_ptr<const ShardColoringRecord>> adopt_coloring;
+  std::vector<std::shared_ptr<const ShardBaselineRecord>> adopt_baseline;
 
   /// When non-null, the pipeline fills the per-shard reuse records and
   /// the `valid` eligibility flag; the caller finishes the snapshot with
@@ -131,8 +137,8 @@ struct PipelineHooks {
 /// Completes a pipeline-captured snapshot, whose plan and reuse records
 /// the pipeline already stored. Takes the input relation (an incremental
 /// caller moves its post-delta relation in), copies the constraints, and
-/// records the dictionary sizes and the options fingerprint. No-op when
-/// the pipeline marked the capture invalid.
+/// records the options fingerprint. No-op when the pipeline marked the
+/// capture invalid.
 void FinalizeSnapshot(PipelineSnapshot* snapshot, Relation input,
                       const ConstraintSet& constraints,
                       const DivaOptions& options);

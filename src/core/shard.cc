@@ -1,8 +1,9 @@
 #include "core/shard.h"
 
 #include <algorithm>
+#include <iterator>
+#include <memory>
 
-#include "common/bitset.h"
 #include "common/counters.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -62,23 +63,28 @@ ShardPlan ComputeShardPlan(const ConstraintGraph& graph, size_t num_rows) {
 
   // A shard's rows = union of its constraints' target sets, ascending.
   // Target lists are sorted, so a merge + dedup keeps the order without
-  // a global sort. A row targeted by two constraints forces an edge
-  // between them, so each targeted row lands in exactly one shard.
-  Bitset targeted(num_rows);
-  for (Shard& shard : plan.shards) {
-    std::vector<RowId> rows;
-    for (size_t c : shard.constraints) {
-      const std::vector<RowId>& targets = graph.targets[c];
-      std::vector<RowId> merged;
-      merged.reserve(rows.size() + targets.size());
-      std::set_union(rows.begin(), rows.end(), targets.begin(),
-                     targets.end(), std::back_inserter(merged));
-      rows = std::move(merged);
+  // a global sort. Shards merge independently, in parallel, and never
+  // under a caller's loop token: a plan must hold every row.
+  ScopedLoopCancellation exact(CancellationToken{});
+  ParallelFor(plan.shards.size(), /*grain=*/1, [&](size_t begin, size_t end) {
+    for (size_t s = begin; s < end; ++s) {
+      std::vector<RowId> rows;
+      for (size_t c : plan.shards[s].constraints) {
+        const std::vector<RowId>& targets = graph.targets[c];
+        std::vector<RowId> merged;
+        merged.reserve(rows.size() + targets.size());
+        std::set_union(rows.begin(), rows.end(), targets.begin(),
+                       targets.end(), std::back_inserter(merged));
+        rows = std::move(merged);
+      }
+      plan.shards[s].rows = std::move(rows);
     }
-    for (RowId row : rows) targeted.Set(static_cast<size_t>(row));
-    shard.rows = std::move(rows);
-  }
-  plan.residual_rows = num_rows - targeted.Count();
+  });
+  // A row targeted by two constraints forces an edge between them, so
+  // each targeted row lands in exactly one shard: the shards are
+  // disjoint, and the rows none of them holds are the residual.
+  plan.residual_rows = num_rows;
+  for (const Shard& shard : plan.shards) plan.residual_rows -= shard.rows.size();
   return plan;
 }
 
@@ -99,102 +105,100 @@ uint64_t ShardSeed(uint64_t seed, size_t shard_index) {
 
 namespace {
 
-/// Everything one shard produces: its (globalized) outcome plus the
-/// deterministic counters buffered while it ran, committed by the
-/// driver in shard-index order.
+/// Everything one shard produces: its record (the outcome in local
+/// coordinates plus the deterministic counter ops buffered while it
+/// ran, replayed by the driver in shard-index order) and the record's
+/// clusters in global row ids.
 struct ShardRun {
   Status status = Status::OK();
-  ColoringOutcome outcome;
-  counters::Buffer counters;
+  std::shared_ptr<const ShardColoringRecord> record;
+  Clustering clusters;
 };
+
+/// `local` with every row mapped from its position in the shard's
+/// ascending row list to its global id. The map is monotone, so the
+/// clusters stay sorted.
+Clustering GlobalClusters(const Clustering& local, const Shard& shard) {
+  Clustering global;
+  global.reserve(local.size());
+  for (const Cluster& cluster : local) {
+    Cluster& rows = global.emplace_back();
+    rows.reserve(cluster.size());
+    for (RowId row : cluster) rows.push_back(shard.rows[static_cast<size_t>(row)]);
+  }
+  return global;
+}
 
 /// Colors shard `shard_index`: gathers its rows from the input, remaps
 /// the component's constraints/graph to local ids, and runs the search
-/// with the shard's seed stream. Row ids in the returned outcome's
-/// clusters are mapped back to global ids; assignment/preserved stay in
-/// local (component) order for the driver to scatter.
+/// with the shard's seed stream. The record keeps the outcome in local
+/// coordinates — positions into the row list, valid against any future
+/// shard with identical contents; the run's clusters are in global ids.
 void RunOneShard(const ColumnStore& store, const ConstraintSet& constraints,
                  const ConstraintGraph& graph, const ShardPlan& plan,
                  size_t shard_index, const ColoringOptions& base_options,
-                 ShardRun* run, ColoringOutcome* local_capture) {
+                 ShardRun* run) {
   const Shard& shard = plan.shards[shard_index];
-  // Buffered counters: updates made on this thread land in the shard's
-  // buffer; inner pool workers write straight to the registry, which is
-  // safe — deterministic counters commute, so totals are identical no
-  // matter which thread recorded them. Spans stay on this thread.
-  counters::ScopedBufferedCounters buffered_counters(&run->counters);
-  run->status = DIVA_FAIL("shard.run");
-  if (!run->status.ok()) return;
-  DIVA_TRACE_SPAN_RANGE("diva/shard", static_cast<int64_t>(shard_index),
-                        static_cast<int64_t>(shard_index + 1));
-  DIVA_HISTOGRAM_RECORD("shard.rows", shard.rows.size());
+  auto record = std::make_shared<ShardColoringRecord>();
+  {
+    // Buffered counters: updates made on this thread land in the shard's
+    // buffer; inner pool workers write straight to the registry, which is
+    // safe — deterministic counters commute, so totals are identical no
+    // matter which thread recorded them. Spans stay on this thread.
+    counters::ScopedBufferedCounters buffered_counters(&record->telemetry);
+    run->status = DIVA_FAIL("shard.run");
+    if (!run->status.ok()) return;
+    DIVA_TRACE_SPAN_RANGE("diva/shard", static_cast<int64_t>(shard_index),
+                          static_cast<int64_t>(shard_index + 1));
+    DIVA_HISTOGRAM_RECORD("shard.rows", shard.rows.size());
 
-  Relation sub = store.GatherRows(shard.rows);
+    Relation sub = store.GatherRows(shard.rows);
 
-  const size_t n = shard.constraints.size();
-  ConstraintSet local_constraints;
-  local_constraints.reserve(n);
-  ConstraintGraph local_graph;
-  local_graph.targets.resize(n);
-  local_graph.adjacency.resize(n);
-  for (size_t j = 0; j < n; ++j) {
-    const size_t global = shard.constraints[j];
-    local_constraints.push_back(constraints[global]);
-    // Global target rows -> local positions. Both lists are ascending
-    // and targets ⊆ shard.rows, so one merge walk suffices.
-    const std::vector<RowId>& targets = graph.targets[global];
-    std::vector<RowId>& local_targets = local_graph.targets[j];
-    local_targets.reserve(targets.size());
-    size_t pos = 0;
-    for (RowId target : targets) {
-      while (pos < shard.rows.size() && shard.rows[pos] < target) ++pos;
-      DIVA_CHECK_MSG(pos < shard.rows.size() && shard.rows[pos] == target,
-                     "shard plan dropped a target row");
-      local_targets.push_back(static_cast<RowId>(pos));
+    const size_t n = shard.constraints.size();
+    ConstraintSet local_constraints;
+    local_constraints.reserve(n);
+    ConstraintGraph local_graph;
+    local_graph.targets.resize(n);
+    local_graph.adjacency.resize(n);
+    for (size_t j = 0; j < n; ++j) {
+      const size_t global = shard.constraints[j];
+      local_constraints.push_back(constraints[global]);
+      // Global target rows -> local positions. Both lists are ascending
+      // and targets ⊆ shard.rows, so one merge walk suffices.
+      const std::vector<RowId>& targets = graph.targets[global];
+      std::vector<RowId>& local_targets = local_graph.targets[j];
+      local_targets.reserve(targets.size());
+      size_t pos = 0;
+      for (RowId target : targets) {
+        while (pos < shard.rows.size() && shard.rows[pos] < target) ++pos;
+        DIVA_CHECK_MSG(pos < shard.rows.size() && shard.rows[pos] == target,
+                       "shard plan dropped a target row");
+        local_targets.push_back(static_cast<RowId>(pos));
+      }
+      for (size_t neighbor : graph.adjacency[global]) {
+        auto it = std::lower_bound(shard.constraints.begin(),
+                                   shard.constraints.end(), neighbor);
+        DIVA_CHECK_MSG(it != shard.constraints.end() && *it == neighbor,
+                       "conflict edge crosses shards");
+        local_graph.adjacency[j].push_back(
+            static_cast<size_t>(it - shard.constraints.begin()));
+      }
     }
-    for (size_t neighbor : graph.adjacency[global]) {
-      auto it = std::lower_bound(shard.constraints.begin(),
-                                 shard.constraints.end(), neighbor);
-      DIVA_CHECK_MSG(it != shard.constraints.end() && *it == neighbor,
-                     "conflict edge crosses shards");
-      local_graph.adjacency[j].push_back(
-          static_cast<size_t>(it - shard.constraints.begin()));
+
+    // A lone shard holds every constraint: it keeps the run's seeds, so
+    // it searches exactly as one search over the whole relation would.
+    ColoringOptions local_options = base_options;
+    if (plan.shards.size() > 1) {
+      local_options.seed = ShardSeed(base_options.seed, shard_index);
+      local_options.enumeration.seed =
+          ShardSeed(base_options.enumeration.seed, shard_index);
     }
-  }
 
-  // A lone shard holds every constraint: it keeps the run's seeds, so it
-  // searches exactly as one search over the whole relation would.
-  ColoringOptions local_options = base_options;
-  if (plan.shards.size() > 1) {
-    local_options.seed = ShardSeed(base_options.seed, shard_index);
-    local_options.enumeration.seed =
-        ShardSeed(base_options.enumeration.seed, shard_index);
+    record->outcome =
+        ColorConstraints(sub, local_constraints, local_graph, local_options);
   }
-
-  run->outcome =
-      ColorConstraints(sub, local_constraints, local_graph, local_options);
-  // Reuse capture wants local coordinates: positions into the row list,
-  // valid against any future shard with identical contents.
-  if (local_capture != nullptr) *local_capture = run->outcome;
-
-  // Back to global row ids. Local ids are positions into the ascending
-  // shard.rows list, so the map is monotone and clusters stay sorted.
-  for (Cluster& cluster : run->outcome.chosen_clusters) {
-    for (RowId& row : cluster) row = shard.rows[static_cast<size_t>(row)];
-  }
-}
-
-/// Installs an adopted record as the shard's run: the local outcome is
-/// remapped through the current row list and the recorded telemetry
-/// becomes the run's buffer, replayed at the same merge slot a live
-/// search would have used.
-void AdoptOneShard(const ShardColoringRecord& record, const Shard& shard,
-                   ShardRun* run) {
-  run->outcome = record.outcome;
-  for (Cluster& cluster : run->outcome.chosen_clusters) {
-    for (RowId& row : cluster) row = shard.rows[static_cast<size_t>(row)];
-  }
-  run->counters = record.telemetry;
+  run->clusters = GlobalClusters(record->outcome.chosen_clusters, shard);
+  run->record = std::move(record);
 }
 
 }  // namespace
@@ -203,76 +207,78 @@ Result<ColoringOutcome> RunShardedColoring(
     const ColumnStore& store, const ConstraintSet& constraints,
     const ConstraintGraph& graph, const ShardPlan& plan,
     const ColoringOptions& base_options, size_t workers,
-    const std::vector<const ShardColoringRecord*>* adopt,
-    std::vector<ShardColoringRecord>* capture) {
+    const std::vector<std::shared_ptr<const ShardColoringRecord>>* adopt,
+    std::vector<std::shared_ptr<const ShardColoringRecord>>* capture) {
   const size_t num_shards = plan.shards.size();
   std::vector<ShardRun> runs(num_shards);
-  if (capture != nullptr) {
-    capture->clear();
-    capture->resize(num_shards);
-  }
+  if (capture != nullptr) capture->clear();
 
-  // Adopted shards never enter the scheduler: their runs are installed
-  // up front, and their records (still in local coordinates) pass
-  // through the capture verbatim so snapshots chain across deltas.
-  std::vector<uint8_t> adopted(num_shards, 0);
+  // Adopted shards never enter the scheduler: each takes its record by
+  // pointer, and their global clusters are remapped in parallel up front.
+  // The remap is never truncated by a caller's loop token: an adopted
+  // shard is complete.
+  std::vector<size_t> adopted;
   if (adopt != nullptr) {
     for (size_t s = 0; s < num_shards && s < adopt->size(); ++s) {
       if ((*adopt)[s] == nullptr) continue;
-      adopted[s] = 1;
-      AdoptOneShard(*(*adopt)[s], plan.shards[s], &runs[s]);
-      if (capture != nullptr) (*capture)[s] = *(*adopt)[s];
+      runs[s].record = (*adopt)[s];
+      adopted.push_back(s);
     }
   }
-  auto local_capture = [&](size_t s) -> ColoringOutcome* {
-    return capture != nullptr ? &(*capture)[s].outcome : nullptr;
-  };
+  {
+    ScopedLoopCancellation exact(CancellationToken{});
+    ParallelFor(adopted.size(), /*grain=*/1, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        ShardRun& run = runs[adopted[i]];
+        run.clusters = GlobalClusters(run.record->outcome.chosen_clusters,
+                                      plan.shards[adopted[i]]);
+      }
+    });
+  }
 
   // One work item per live shard, claimed FIFO; with 0 workers (width 1)
   // Wait runs every item inline in shard order. Scheduling never changes
   // a result: every shard's computation is fixed by the plan, and the
   // merge below reads results in shard-index order.
-  TaskGroup group(workers > 1 ? std::min(workers, num_shards) : 0);
+  const size_t live = num_shards - adopted.size();
+  TaskGroup group(workers > 1 ? std::min(workers, live) : 0);
   std::vector<uint64_t> tickets;
-  tickets.reserve(num_shards);
+  tickets.reserve(live);
   for (size_t s = 0; s < num_shards; ++s) {
-    if (adopted[s]) continue;
+    if (runs[s].record != nullptr) continue;
     tickets.push_back(group.Submit([&, s] {
-      RunOneShard(store, constraints, graph, plan, s, base_options, &runs[s],
-                  local_capture(s));
+      RunOneShard(store, constraints, graph, plan, s, base_options, &runs[s]);
     }));
   }
   for (uint64_t ticket : tickets) group.Wait(ticket);
 
   // A faulted shard (or a merge fault) must never leak a partial merge:
-  // every shard's buffered counters are dropped and the first error in
+  // no shard's buffered counters are replayed and the first error in
   // shard-index order surfaces as the run's Status.
-  Status merge_fault = DIVA_FAIL("shard.merge");
-  Status first_error = merge_fault;
+  Status first_error = DIVA_FAIL("shard.merge");
   for (const ShardRun& run : runs) {
     if (first_error.ok() && !run.status.ok()) first_error = run.status;
   }
-  if (!first_error.ok()) {
-    for (ShardRun& run : runs) run.counters.Discard();
-    if (capture != nullptr) capture->clear();
-    return first_error;
-  }
+  if (!first_error.ok()) return first_error;
 
-  // Deterministic adoption: counters and outcomes merge in shard-index
+  // Deterministic merge: counters and outcomes merge in shard-index
   // order regardless of which worker ran what, so counters and the
-  // merged coloring are byte-identical at every width.
+  // merged coloring are byte-identical at every width. Every shard,
+  // live or adopted, replays its record's uncommitted op sequence here:
+  // the exact sequence an adopting run will replay at this slot.
   ColoringOutcome merged;
   merged.complete = true;
   merged.assignment.assign(constraints.size(), -1);
   merged.preserved.assign(constraints.size(), 0);
+  size_t num_clusters = 0;
+  for (const ShardRun& run : runs) num_clusters += run.clusters.size();
+  merged.chosen_clusters.reserve(num_clusters);
   for (size_t s = 0; s < num_shards; ++s) {
     ShardRun& run = runs[s];
-    // Live shards hand their uncommitted buffer to the capture here —
-    // the exact op sequence an adopting run will replay at this slot.
-    if (capture != nullptr && !adopted[s]) (*capture)[s].telemetry = run.counters;
-    run.counters.Commit();
+    counters::Buffer replay = run.record->telemetry;
+    replay.Commit();
     const Shard& shard = plan.shards[s];
-    const ColoringOutcome& outcome = run.outcome;
+    const ColoringOutcome& outcome = run.record->outcome;
     merged.complete = merged.complete && outcome.complete;
     merged.budget_exhausted =
         merged.budget_exhausted || outcome.budget_exhausted;
@@ -282,9 +288,12 @@ Result<ColoringOutcome> RunShardedColoring(
       merged.assignment[shard.constraints[j]] = outcome.assignment[j];
       merged.preserved[shard.constraints[j]] = outcome.preserved[j];
     }
-    merged.chosen_clusters.insert(merged.chosen_clusters.end(),
-                                  outcome.chosen_clusters.begin(),
-                                  outcome.chosen_clusters.end());
+    std::move(run.clusters.begin(), run.clusters.end(),
+              std::back_inserter(merged.chosen_clusters));
+  }
+  if (capture != nullptr) {
+    capture->reserve(num_shards);
+    for (ShardRun& run : runs) capture->push_back(std::move(run.record));
   }
   return merged;
 }

@@ -29,6 +29,7 @@
 /// uncovered row into one call.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/counters.h"
@@ -84,19 +85,22 @@ struct ShardPlan {
 };
 
 /// Computes the component partition from the already-built conflict
-/// graph. Pure function of (graph, num_rows): identical at every thread
-/// width and in both execution modes.
+/// graph, merging each shard's target lists in parallel. Pure function
+/// of (graph, num_rows): identical at every thread width and in both
+/// execution modes.
 ShardPlan ComputeShardPlan(const ConstraintGraph& graph, size_t num_rows);
 
 /// A reusable record of one shard's coloring: the outcome in *local*
 /// coordinates (cluster rows are positions into the shard's ascending
-/// row list, captured before the global remap) plus the deterministic
-/// counter updates buffered while the shard ran. An incremental run
-/// adopts the record for a clean shard by remapping the local clusters
-/// through the new shard's row list and replaying the counter buffer in
-/// shard-index order — every search decision and every deterministic
-/// counter op is a pure function of the shard's local sub-instance, so
-/// adoption is byte-identical to re-running the search.
+/// row list) plus the deterministic counter updates buffered while the
+/// shard ran. An incremental run adopts the record for a clean shard by
+/// remapping the local clusters through the new shard's row list and
+/// replaying the counter buffer in shard-index order — every search
+/// decision and every deterministic counter op is a pure function of the
+/// shard's local sub-instance, so adoption is byte-identical to
+/// re-running the search. Records are immutable once built and shared
+/// by pointer: a clean shard's record passes from one snapshot to the
+/// next without a copy.
 struct ShardColoringRecord {
   ColoringOutcome outcome;
   counters::Buffer telemetry;
@@ -115,20 +119,23 @@ struct ShardColoringRecord {
 /// shard's buffered counters and surfaces a clean Status, never a
 /// partially merged coloring.
 ///
-/// `adopt` (optional, per-shard, nullptr entries allowed) replaces a
+/// `adopt` (optional, per-shard, null entries allowed) replaces a
 /// shard's live search with a prior ShardColoringRecord: the recorded
-/// local outcome is remapped through the shard's current rows and its
-/// telemetry replayed at the shard's merge slot. Callers must only
-/// adopt records captured from an identical local sub-instance (same
-/// member constraints, same row contents, same options/seed stream).
-/// `capture` (optional) receives one record per shard, adopted records
-/// copied through verbatim so snapshots chain across deltas.
+/// local outcome is remapped through the shard's current rows (adopted
+/// shards in parallel) and its telemetry replayed at the shard's merge
+/// slot. Callers must only adopt records captured from an identical
+/// local sub-instance (same member constraints, same row contents, same
+/// options/seed stream). `capture` (optional) receives one record per
+/// shard: a live shard's new record, or the adopted record itself (the
+/// same object), so snapshots chain across deltas without copies.
 [[nodiscard]] Result<ColoringOutcome> RunShardedColoring(
     const ColumnStore& store, const ConstraintSet& constraints,
     const ConstraintGraph& graph, const ShardPlan& plan,
     const ColoringOptions& base_options, size_t workers,
-    const std::vector<const ShardColoringRecord*>* adopt = nullptr,
-    std::vector<ShardColoringRecord>* capture = nullptr);
+    const std::vector<std::shared_ptr<const ShardColoringRecord>>* adopt =
+        nullptr,
+    std::vector<std::shared_ptr<const ShardColoringRecord>>* capture =
+        nullptr);
 
 /// The per-shard seed stream: a splitmix64 mix of the run seed and the
 /// shard index, so shards draw from decorrelated deterministic streams.

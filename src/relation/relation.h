@@ -6,6 +6,8 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -14,6 +16,27 @@
 #include "relation/value.h"
 
 namespace diva {
+
+/// std::allocator, except that a value-less construct default-initializes:
+/// resizing a vector of codes leaves the new cells unwritten, so a copy
+/// can fill them in parallel and each thread takes the page faults of the
+/// pages it writes, instead of one thread zeroing the buffer first.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  using std::allocator<T>::allocator;
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
 
 /// A dictionary-encoded relation: row-major int32 codes over a shared
 /// immutable schema. Suppressed cells hold kSuppressed.
@@ -30,8 +53,11 @@ class Relation {
   /// Creates an empty relation over `schema` with fresh dictionaries.
   explicit Relation(std::shared_ptr<const Schema> schema);
 
-  Relation(const Relation&) = default;
-  Relation& operator=(const Relation&) = default;
+  /// Copies fill the cells in parallel (ParallelFor) once they exceed
+  /// one copy chunk, so a large copy may not start inside a ParallelFor
+  /// body.
+  Relation(const Relation& other);
+  Relation& operator=(const Relation& other);
   Relation(Relation&&) = default;
   Relation& operator=(Relation&&) = default;
 
@@ -85,11 +111,16 @@ class Relation {
   Relation EmptyLike() const;
 
   /// A relation containing copies of the given rows (in the given order),
-  /// sharing schema and dictionaries.
+  /// sharing schema and dictionaries. Like a copy, it gathers in parallel
+  /// above one copy chunk.
   /// `spare_rows` reserves room for that many rows appended afterwards,
   /// so the appends do not reallocate the copied rows.
   Relation SelectRows(std::span<const RowId> rows,
                       size_t spare_rows = 0) const;
+
+  /// Cells one parallel copy chunk moves (256 KiB of codes). A copy or
+  /// gather of at most this many cells runs inline on the calling thread.
+  static constexpr size_t kCopyChunkCells = size_t{1} << 16;
 
   /// Interns `value` in attribute `col`'s dictionary and returns its code.
   /// A dictionary that another relation shares and that lacks `value` is
@@ -115,7 +146,7 @@ class Relation {
 
   std::shared_ptr<const Schema> schema_;
   std::vector<std::shared_ptr<Dictionary>> dictionaries_;
-  std::vector<ValueCode> data_;
+  std::vector<ValueCode, DefaultInitAllocator<ValueCode>> data_;
   size_t stride_ = 0;
   size_t num_rows_ = 0;
 };

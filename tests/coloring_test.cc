@@ -405,6 +405,36 @@ TEST(ColoringTest, MemoReplaysAfterBacktracking) {
   }
 }
 
+// A candidate is prepared (rows sorted, fingerprinted, contributions
+// counted) when the search first tries it, never on enumeration: at most
+// one preparation per step, far fewer than the candidates enumerated,
+// and the same count at every thread width.
+TEST(ColoringTest, PreparesOnlyTriedCandidates) {
+  StressWorkload workload = MakeStressWorkload();
+  ConstraintGraph graph =
+      BuildConstraintGraph(workload.relation, workload.constraints);
+  uint64_t reference = 0;
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    SetParallelThreads(threads);
+    auto before = counters::Snapshot();
+    ColoringOutcome outcome = ColorConstraints(
+        workload.relation, workload.constraints, graph, StressOptions());
+    auto delta = counters::Delta(before, counters::Snapshot());
+    const uint64_t prepared =
+        CounterDelta(delta, "coloring.candidates_prepared");
+    const uint64_t enumerated = CounterDelta(delta, "clusterings.enumerated");
+    EXPECT_GT(prepared, 0u) << "threads=" << threads;
+    EXPECT_LE(prepared, outcome.steps) << "threads=" << threads;
+    EXPECT_LT(prepared, enumerated) << "threads=" << threads;
+    if (threads == 1) {
+      reference = prepared;
+    } else {
+      EXPECT_EQ(prepared, reference) << "threads=" << threads;
+    }
+  }
+  SetParallelThreads(1);
+}
+
 // The memo is a pure cache: candidate lists are a deterministic function
 // of (free target set, deficit, headroom), so disabling it — or forcing
 // constant evictions — must not move a single byte of the outcome. The

@@ -289,6 +289,85 @@ TEST(IncrementalTest, EmptyDeltaReusesEveryComponent) {
   SetParallelThreads(1);
 }
 
+/// Deletes the first row of `region` in `input`: a delta that dirties
+/// that region's shard alone.
+DeltaBatch DeleteFirstRowOf(const Relation& input, const std::string& region) {
+  DeltaBatch delta;
+  for (RowId row = 0; row < static_cast<RowId>(input.NumRows()); ++row) {
+    if (input.ValueString(row, 0) == region) {
+      delta.deleted.push_back(row);
+      break;
+    }
+  }
+  DIVA_CHECK(!delta.deleted.empty());
+  return delta;
+}
+
+// A clean shard's records pass to the next snapshot by pointer: after
+// each chained ApplyDelta, every reused shard's coloring and baseline
+// records are the very objects of the snapshot it replayed (so a shard
+// clean through both deltas still holds the first run's records), and
+// the recolored shard holds new ones.
+TEST(IncrementalTest, ChainedDeltasShareCleanShardRecords) {
+  Rng rng(91);
+  auto schema = ChurnSchema();
+  std::vector<std::vector<std::string>> rows;
+  for (size_t i = 0; i < 160; ++i) rows.push_back(MakeChurnRow(rng, 4));
+  auto base = RelationFromRows(schema, rows);
+  ASSERT_TRUE(base.ok());
+  ConstraintSet constraints = RegionConstraints(*schema, 4);
+
+  for (size_t threads : {1u, 8u}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    auto first = RunDiva(*base, constraints, ChurnOptions(2, threads));
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ASSERT_NE(first->snapshot, nullptr);
+    std::shared_ptr<const PipelineSnapshot> prior = first->snapshot;
+    const std::shared_ptr<const PipelineSnapshot> original = prior;
+    ASSERT_EQ(original->coloring.size(), 4u);
+    ASSERT_EQ(original->baseline.size(), 4u);
+
+    // Shard s holds region rs's constraint: r0 goes dirty first, then r2.
+    const size_t dirty_order[] = {0, 2};
+    for (size_t dirty : dirty_order) {
+      SCOPED_TRACE("dirty shard = " + std::to_string(dirty));
+      Reuse reuse;
+      auto next = ApplyDeltaCounting(
+          *prior, DeleteFirstRowOf(*prior->input, "r" + std::to_string(dirty)),
+          ChurnOptions(2, threads), &reuse);
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      ASSERT_NE(next->snapshot, nullptr);
+      EXPECT_EQ(reuse.reused, 3u);
+      const PipelineSnapshot& after = *next->snapshot;
+      ASSERT_EQ(after.coloring.size(), 4u);
+      ASSERT_EQ(after.baseline.size(), 4u);
+      size_t shared_baselines = 0;
+      for (size_t s = 0; s < 4; ++s) {
+        ASSERT_NE(after.coloring[s], nullptr) << "shard " << s;
+        if (s == dirty) {
+          EXPECT_NE(after.coloring[s], prior->coloring[s]);
+          if (prior->baseline[s] != nullptr) {
+            EXPECT_NE(after.baseline[s], prior->baseline[s]);
+          }
+          continue;
+        }
+        EXPECT_EQ(after.coloring[s], prior->coloring[s]) << "shard " << s;
+        EXPECT_EQ(after.baseline[s], prior->baseline[s]) << "shard " << s;
+        shared_baselines += after.baseline[s] != nullptr;
+      }
+      EXPECT_GT(shared_baselines, 0u)
+          << "the workload must exercise baseline sharing";
+      prior = next->snapshot;
+    }
+    // Shards 1 and 3 stayed clean through both deltas.
+    for (size_t s : {size_t{1}, size_t{3}}) {
+      EXPECT_EQ(prior->coloring[s], original->coloring[s]) << "shard " << s;
+      EXPECT_EQ(prior->baseline[s], original->baseline[s]) << "shard " << s;
+    }
+  }
+  SetParallelThreads(1);
+}
+
 /// Runs `delta` against a fresh 4-region, 160-row base cold and
 /// incrementally at widths 1/2/8: the outputs must match and the reuse
 /// split must be {shards - recolored, recolored}.

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/parallel.h"
 #include "relation/dictionary.h"
 #include "relation/qi_groups.h"
 #include "relation/relation.h"
@@ -181,6 +186,114 @@ TEST(RelationTest, CopyIsIndependent) {
   copy.Set(0, 0, kSuppressed);
   EXPECT_TRUE(copy.IsSuppressed(0, 0));
   EXPECT_FALSE(r.IsSuppressed(0, 0));
+}
+
+/// A `rows`-row relation over the Medical schema whose cell (r, c) holds
+/// the code r * 8 + c, so every cell is distinct. Codes stand alone here:
+/// copies compare codes, never dictionary values.
+Relation NumberedRelation(size_t rows) {
+  Relation relation(MedicalSchema());
+  const size_t stride = relation.NumAttributes();
+  std::vector<ValueCode> codes(rows * stride);
+  for (size_t i = 0; i < codes.size(); ++i) {
+    codes[i] = static_cast<ValueCode>(i / stride * 8 + i % stride);
+  }
+  relation.AppendRows(codes);
+  return relation;
+}
+
+/// Expects row i of `actual` to hold the codes of row source_rows[i] of
+/// `source`, cell for cell.
+void ExpectRows(const Relation& actual, const Relation& source,
+                const std::vector<RowId>& source_rows) {
+  ASSERT_EQ(actual.NumRows(), source_rows.size());
+  ASSERT_EQ(actual.NumAttributes(), source.NumAttributes());
+  for (size_t i = 0; i < source_rows.size(); ++i) {
+    const auto got = actual.Row(static_cast<RowId>(i));
+    const auto want = source.Row(source_rows[i]);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
+        << "row " << i;
+  }
+}
+
+/// Rows per parallel copy chunk of a Medical-schema relation.
+size_t CopyChunkRows() {
+  return Relation::kCopyChunkCells / MedicalSchema()->NumAttributes();
+}
+
+// Copies and gathers above one chunk run on the pool; whatever the
+// width, they must hold exactly the cells a one-row-at-a-time copy would,
+// including 0 and 1 rows and row counts on either side of a chunk
+// boundary.
+TEST(RelationTest, ParallelCopiesMatchTheSequentialCellsAtEveryWidth) {
+  const size_t chunk = CopyChunkRows();
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    SetParallelThreads(threads);
+    for (size_t rows : {size_t{0}, size_t{1}, chunk - 1, chunk, chunk + 1,
+                        3 * chunk + 2}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " rows=" + std::to_string(rows));
+      const Relation source = NumberedRelation(rows);
+      std::vector<RowId> all(rows);
+      for (size_t i = 0; i < rows; ++i) all[i] = static_cast<RowId>(i);
+
+      const Relation copy = source;
+      ExpectRows(copy, source, all);
+
+      Relation assigned = NumberedRelation(7);
+      assigned = source;
+      ExpectRows(assigned, source, all);
+      const Relation& alias = assigned;
+      assigned = alias;  // self-assignment keeps every cell
+      ExpectRows(assigned, source, all);
+
+      // An ascending run over the upper half, then the lower half
+      // backwards: long block copies and single-row copies in one gather.
+      std::vector<RowId> pick;
+      for (size_t i = rows / 2; i < rows; ++i) pick.push_back(all[i]);
+      for (size_t i = rows / 2; i > 0; --i) pick.push_back(all[i - 1]);
+      ExpectRows(source.SelectRows(pick), source, pick);
+    }
+  }
+  SetParallelThreads(1);
+}
+
+TEST(RelationTest, SelectRowsSpareRowsAppendWithoutMovingTheRows) {
+  SetParallelThreads(8);
+  const size_t rows = 2 * CopyChunkRows() + 5;
+  const Relation source = NumberedRelation(rows);
+  std::vector<RowId> pick(rows);
+  for (size_t i = 0; i < rows; ++i) pick[i] = static_cast<RowId>(rows - 1 - i);
+  constexpr size_t kSpare = 37;
+  Relation selected = source.SelectRows(pick, kSpare);
+  ExpectRows(selected, source, pick);
+  const ValueCode* first_row = selected.Row(0).data();
+  const std::vector<ValueCode> extra(selected.NumAttributes(), 3);
+  for (size_t i = 0; i < kSpare; ++i) selected.AppendRow(extra);
+  EXPECT_EQ(selected.Row(0).data(), first_row);
+  ASSERT_EQ(selected.NumRows(), rows + kSpare);
+  EXPECT_EQ(selected.At(static_cast<RowId>(rows + kSpare - 1), 0), 3);
+  SetParallelThreads(1);
+}
+
+// The range check runs inside each parallel chunk and must still abort,
+// whichever chunk holds the stale id.
+TEST(RelationDeathTest, SelectRowsRejectsAnOutOfRangeIdAtEveryWidth) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const size_t rows = 3 * CopyChunkRows();
+  const Relation source = NumberedRelation(rows);
+  std::vector<RowId> late(rows);
+  for (size_t i = 0; i < rows; ++i) late[i] = static_cast<RowId>(i);
+  late.back() = static_cast<RowId>(rows);
+  const std::vector<RowId> lone = {static_cast<RowId>(rows + 5)};
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    SetParallelThreads(threads);
+    EXPECT_DEATH((void)source.SelectRows(late),
+                 "SelectRows: row id out of range");
+    EXPECT_DEATH((void)source.SelectRows(lone),
+                 "SelectRows: row id out of range");
+  }
+  SetParallelThreads(1);
 }
 
 // ------------------------------------------------------------- QI groups
