@@ -99,7 +99,7 @@ if [[ "$SKIP_SANITIZERS" -eq 0 ]]; then
   # claiming chunks (mirrors the CI fault-sweep job).
   step "fault sweep: asan-ubsan failpoint + deadline tests (DIVA_THREADS=8)"
   DIVA_THREADS=8 ctest --preset asan-ubsan -j "$JOBS" \
-    -R "FaultInjectionTest|DeadlineTest|CancellationTokenTest|PoolCancellationTest|TaskGroupTest|ColoringBudgetTest|DivaDeadlineTest|CsvTest|CsvFuzzTest|WireFuzzTest|DeltaFuzzTest"
+    -R "FaultInjectionTest|DeadlineTest|CancellationTokenTest|TaskGroupTest|ColoringBudgetTest|DivaDeadlineTest|CsvTest|CsvFuzzTest|WireFuzzTest|DeltaFuzzTest"
 
   # Every serve.* failpoint under client storms, overload and
   # SIGTERM-mid-storm drain, with the pool at real width (mirrors the CI

@@ -37,12 +37,12 @@
 //
 // --deadline-ms N bounds the run's wall time: on expiry DIVA publishes
 // its best-effort (still k-anonymous) relation and flags the degraded
-// phases in the report; with --strict expiry is an error. Equivalent to
-// the DIVA_DEADLINE_MS environment knob, which it overrides.
+// phases in the report; with --strict expiry is an error. 0 (the
+// default) means no deadline.
 //
 // --trace-out FILE enables span tracing for the run and writes a
 // Chrome-trace JSON (open in ui.perfetto.dev or chrome://tracing) with
-// one span per pipeline phase and per pool chunk; see "Observability"
+// one span per pipeline phase and per parallel loop; see "Observability"
 // in docs/development.md. A traced DIVA run also turns on the self-audit
 // so the trace covers all five phases (clustering, suppress, anonymize,
 // integrate, audit), between the input's csv/read span and the output's

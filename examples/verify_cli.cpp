@@ -25,7 +25,7 @@
 // library (one per line) and exits — the names DIVA_FAILPOINTS accepts.
 //
 // --trace-out FILE enables span tracing for the verification run and
-// writes Chrome-trace JSON (CSV reads, audit sub-checks, pool chunks);
+// writes Chrome-trace JSON (CSV reads, audit sub-checks, parallel loops);
 // open in ui.perfetto.dev.
 //
 // --threads N sets the verification pool width (0 = one per hardware
@@ -35,8 +35,8 @@
 // --deadline-ms N bounds the total wall time. The deadline is polled
 // between checks; every check that ran reports normally, the rest are
 // skipped, and the process exits 3 ("verification incomplete") — never
-// a false PASS or FAIL for a check that did not run. Overrides the
-// DIVA_DEADLINE_MS environment knob.
+// a false PASS or FAIL for a check that did not run. 0 (the default)
+// means no deadline.
 
 #include <cstdio>
 #include <string>
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   auto k = ParseInt64(args.Get("k"));
   if (!k.ok() || *k < 1) return Fail("--k must be a positive integer");
 
-  int64_t deadline_ms = EnvDeadlineMillis();
+  int64_t deadline_ms = 0;
   if (args.Has("deadline-ms")) {
     auto parsed = ParseInt64(args.Get("deadline-ms"));
     if (!parsed.ok() || *parsed < 0) {

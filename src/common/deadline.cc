@@ -1,7 +1,6 @@
 #include "common/deadline.h"
 
 #include <atomic>
-#include <cstdlib>
 
 #include "common/counters.h"
 #include "common/timer.h"
@@ -75,15 +74,6 @@ bool CancellationToken::Cancelled() const {
 
 Deadline CancellationToken::deadline() const {
   return state_ == nullptr ? Deadline::Infinite() : state_->deadline;
-}
-
-int64_t EnvDeadlineMillis() {
-  const char* env = std::getenv("DIVA_DEADLINE_MS");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  long long value = std::strtoll(env, &end, 10);
-  if (end == env || value < 0) return 0;
-  return static_cast<int64_t>(value);
 }
 
 Status DeadlineExceededStatus(const std::string& phase) {

@@ -90,10 +90,6 @@ class CancellationToken {
   std::shared_ptr<State> state_;
 };
 
-/// The DIVA_DEADLINE_MS environment knob: unset, unparsable or negative
-/// => 0 (no deadline), otherwise the wall budget in milliseconds.
-int64_t EnvDeadlineMillis();
-
 /// Convenience: a kDeadlineExceeded Status naming the phase that hit it.
 Status DeadlineExceededStatus(const std::string& phase);
 

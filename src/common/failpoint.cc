@@ -103,7 +103,6 @@ bool ParseStatusCode(const std::string& text, StatusCode* code) {
       {"invalid", StatusCode::kInvalidArgument},
       {"notfound", StatusCode::kNotFound},
       {"infeasible", StatusCode::kInfeasible},
-      {"budgetexhausted", StatusCode::kBudgetExhausted},
       {"internal", StatusCode::kInternal},
       {"ioerror", StatusCode::kIoError},
       {"io", StatusCode::kIoError},

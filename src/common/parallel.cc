@@ -53,43 +53,31 @@ struct Job {
   size_t count = 0;
   size_t grain = 0;
   size_t chunks = 0;
-  CancellationToken cancel;  // copied at submission; null = never trips
   std::atomic<size_t> next_chunk{0};
 
   Mutex mutex;
   CondVar done_cv;
   size_t completed_chunks DIVA_GUARDED_BY(mutex) = 0;
-  /// Chunk index where the fully-executed prefix ends; `chunks` when
-  /// every chunk ran.
-  size_t first_unrun_chunk DIVA_GUARDED_BY(mutex) = 0;
   std::exception_ptr first_error DIVA_GUARDED_BY(mutex);
 
   /// Marks every not-yet-claimed chunk as cancelled: no thread will run
-  /// them, so account for them as completed and remember where the
-  /// executed prefix ends. Claims are monotonic (fetch_add), so the
-  /// chunks claimed before the exchange are exactly [0, raw) and all of
-  /// them drain to completion.
+  /// them, so account for them as completed. Claims are monotonic
+  /// (fetch_add), so every chunk claimed before the exchange drains to
+  /// completion and counts itself.
   void CancelUnclaimedLocked() DIVA_REQUIRES(mutex) {
     size_t raw = next_chunk.exchange(chunks, std::memory_order_relaxed);
     size_t claimed = raw < chunks ? raw : chunks;
     DIVA_COUNTER_ADD_EXEC("pool.chunks_cancelled", chunks - claimed);
     completed_chunks += chunks - claimed;
-    if (claimed < first_unrun_chunk) first_unrun_chunk = claimed;
   }
 
-  /// Claims and runs chunks until none remain or the token trips. Any
-  /// thread may call this; chunk -> index-range mapping is fixed by
-  /// (count, grain) alone. `is_worker` is observability-only: it decides
-  /// whether a completed chunk counts as stolen (run by a pool worker
-  /// rather than the submitting thread).
+  /// Claims and runs chunks until none remain. Any thread may call this;
+  /// chunk -> index-range mapping is fixed by (count, grain) alone.
+  /// `is_worker` is observability-only: it decides whether a completed
+  /// chunk counts as stolen (run by a pool worker rather than the
+  /// submitting thread).
   void RunChunks(bool is_worker) {
     while (true) {
-      if (cancel.Cancelled()) {
-        MutexLock lock(mutex);
-        CancelUnclaimedLocked();
-        if (completed_chunks == chunks) done_cv.NotifyAll();
-        return;
-      }
       size_t chunk = next_chunk.fetch_add(1, std::memory_order_relaxed);
       if (chunk >= chunks) return;
       size_t begin = chunk * grain;
@@ -98,8 +86,6 @@ struct Job {
       if (is_worker) DIVA_COUNTER_ADD_EXEC("pool.chunks_stolen", 1);
       std::exception_ptr error;
       try {
-        DIVA_TRACE_SPAN_RANGE("pool/chunk", static_cast<int64_t>(begin),
-                              static_cast<int64_t>(end));
         BodyScope scope;
         (*body)(begin, end);
       } catch (...) {
@@ -108,9 +94,6 @@ struct Job {
       MutexLock lock(mutex);
       if (error != nullptr) {
         if (first_error == nullptr) first_error = error;
-        // Cancel chunks nobody claimed yet; account for them as completed
-        // since no thread will ever run (and count) them. In-flight
-        // chunks drain normally and count themselves.
         CancelUnclaimedLocked();
       }
       if (++completed_chunks == chunks) done_cv.NotifyAll();
@@ -128,35 +111,18 @@ struct Job {
     MutexLock lock(mutex);
     return first_error;
   }
-
-  /// Index-space prefix [0, n) that fully executed. Call after Join.
-  size_t CompletedPrefix() {
-    MutexLock lock(mutex);
-    size_t done = first_unrun_chunk * grain;
-    return done < count ? done : count;
-  }
 };
 
-size_t RunInline(size_t count, size_t grain,
-                 const std::function<void(size_t, size_t)>& body,
-                 const CancellationToken& cancel) {
+void RunInline(size_t count, size_t grain,
+               const std::function<void(size_t, size_t)>& body) {
   DIVA_COUNTER_ADD_EXEC("pool.inline_loops", 1);
   for (size_t begin = 0; begin < count; begin += grain) {
-    if (cancel.Cancelled()) return begin;
     size_t end = begin + grain < count ? begin + grain : count;
     DIVA_COUNTER_ADD_EXEC("pool.chunks", 1);
-    DIVA_TRACE_SPAN_RANGE("pool/chunk", static_cast<int64_t>(begin),
-                          static_cast<int64_t>(end));
     BodyScope scope;
     body(begin, end);
   }
-  return count;
 }
-
-/// This thread's loop-cancellation token; read once per submitted loop.
-/// Per-thread, so concurrent pipelines (serve sessions) never observe
-/// each other's deadlines; tasks inherit their submitter's token.
-thread_local CancellationToken tl_loop_cancel;
 
 }  // namespace
 
@@ -228,46 +194,32 @@ ThreadPool::~ThreadPool() {
 
 size_t ThreadPool::threads() const { return impl_->threads; }
 
-namespace {
-
-/// Leaves a zero-length marker span in the trace when a loop was cut
-/// short, carrying the completed prefix [0, prefix) against the full
-/// count — the trace-side view of PR 3's anytime semantics.
-void AnnotateCancelledPrefix(size_t prefix, size_t count) {
-  if (prefix >= count) return;
-  DIVA_TRACE_SPAN_RANGE("pool/cancelled_prefix",
-                        static_cast<int64_t>(prefix),
-                        static_cast<int64_t>(count));
-}
-
-}  // namespace
-
-size_t ThreadPool::ParallelFor(
+void ThreadPool::ParallelFor(
     size_t count, size_t grain,
     const std::function<void(size_t, size_t)>& body) {
-  if (count == 0) return 0;
-  DIVA_COUNTER_ADD_EXEC("pool.loops", 1);
+  if (count == 0) return;
   if (tl_in_parallel_body) {
     throw std::logic_error(
         "nested ParallelFor: a parallel body may not start another "
         "parallel loop (the inner loop would block a worker the outer "
         "loop owns)");
   }
-  const CancellationToken cancel = tl_loop_cancel;
+  DIVA_COUNTER_ADD_EXEC("pool.loops", 1);
   if (grain == 0) grain = AutoGrain(count, impl_->threads);
   size_t chunks = (count + grain - 1) / grain;
+  // One span per loop on the submitting thread; its range is the loop's
+  // chunk indices [0, chunks).
+  DIVA_TRACE_SPAN_RANGE("pool/loop", 0, static_cast<int64_t>(chunks));
   if (impl_->threads == 1 || chunks == 1) {
-    size_t prefix = RunInline(count, grain, body, cancel);
-    AnnotateCancelledPrefix(prefix, count);
-    return prefix;
+    RunInline(count, grain, body);
+    return;
   }
   if (!impl_->submit_mutex.TryLock()) {
     // Another thread is mid-loop on this pool (e.g. two portfolio
     // searches enumerating concurrently): degrade to inline execution of
     // the identical chunks rather than queueing behind it.
-    size_t prefix = RunInline(count, grain, body, cancel);
-    AnnotateCancelledPrefix(prefix, count);
-    return prefix;
+    RunInline(count, grain, body);
+    return;
   }
   // Adopt the try-acquired submit lock so every exit path below —
   // including the rethrow — releases it.
@@ -277,11 +229,6 @@ size_t ThreadPool::ParallelFor(
   job->count = count;
   job->grain = grain;
   job->chunks = chunks;
-  job->cancel = cancel;
-  {
-    MutexLock lock(job->mutex);
-    job->first_unrun_chunk = chunks;
-  }
   {
     MutexLock lock(impl_->mutex);
     impl_->current_job = job;
@@ -297,9 +244,6 @@ size_t ThreadPool::ParallelFor(
   if (std::exception_ptr error = job->FirstError()) {
     std::rethrow_exception(error);
   }
-  size_t prefix = job->CompletedPrefix();
-  AnnotateCancelledPrefix(prefix, count);
-  return prefix;
 }
 
 namespace {
@@ -331,9 +275,9 @@ void SetParallelThreads(size_t threads) {
   }
 }
 
-size_t ParallelFor(size_t count, size_t grain,
-                   const std::function<void(size_t, size_t)>& body) {
-  return GlobalPool()->ParallelFor(count, grain, body);
+void ParallelFor(size_t count, size_t grain,
+                 const std::function<void(size_t, size_t)>& body) {
+  GlobalPool()->ParallelFor(count, grain, body);
 }
 
 struct TaskGroup::Impl {
@@ -431,14 +375,7 @@ uint64_t TaskGroup::Submit(std::function<void()> fn) {
   {
     MutexLock lock(impl_->mutex);
     ticket = impl_->next_ticket++;
-    Impl::Item item;
-    // Whichever thread claims the item runs it under the submitter's
-    // token, so a truncating deadline follows the work across threads.
-    item.fn = [cancel = tl_loop_cancel, fn = std::move(fn)] {
-      ScopedLoopCancellation inherited(cancel);
-      fn();
-    };
-    impl_->items.emplace(ticket, std::move(item));
+    impl_->items[ticket].fn = std::move(fn);
     impl_->pending.push_back(ticket);
   }
   impl_->work_cv.NotifyOne();
@@ -471,14 +408,5 @@ void TaskGroup::Wait(uint64_t ticket) {
     impl_->RunItem(help_ticket, help_fn);
   }
 }
-
-ScopedLoopCancellation::ScopedLoopCancellation(CancellationToken token)
-    : previous_(std::exchange(tl_loop_cancel, std::move(token))) {}
-
-ScopedLoopCancellation::~ScopedLoopCancellation() {
-  tl_loop_cancel = std::move(previous_);
-}
-
-CancellationToken CurrentLoopCancellation() { return tl_loop_cancel; }
 
 }  // namespace diva

@@ -2,11 +2,10 @@
 #define DIVA_COMMON_PARALLEL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
-
-#include "common/deadline.h"
 
 namespace diva {
 
@@ -60,19 +59,11 @@ class ThreadPool {
   /// std::logic_error: nested use is rejected, because the inner loop
   /// would block a worker the outer loop needs. If another thread is
   /// already running a loop on this pool, the call degrades to inline
-  /// sequential execution of the same chunks.
-  ///
-  /// Cancellation (see ScopedLoopCancellation): when the installed token
-  /// trips mid-loop, threads stop CLAIMING chunks — chunks already
-  /// claimed drain normally. Chunks are claimed in ascending index
-  /// order, so the completed work is always the prefix [0, R) of the
-  /// index space, where R is the returned value; gathering the finished
-  /// prefix by index stays deterministic. Without a token (or when it
-  /// never trips) the return value is always `count`. Callers that
-  /// install a token MUST consult the return value (or re-poll the
-  /// token) before trusting gathered results past the prefix.
-  size_t ParallelFor(size_t count, size_t grain,
-                     const std::function<void(size_t, size_t)>& body);
+  /// sequential execution of the same chunks. Only an exception stops a
+  /// loop early; phases that can stop early poll their own token between
+  /// their own steps.
+  void ParallelFor(size_t count, size_t grain,
+                   const std::function<void(size_t, size_t)>& body);
 
  private:
   struct Impl;
@@ -92,10 +83,9 @@ size_t ParallelThreads();
 /// the old pool, which is reclaimed when its last user releases it.
 void SetParallelThreads(size_t threads);
 
-/// ParallelFor on the global pool. Returns the completed index prefix
-/// (always `count` unless an installed cancellation token tripped).
-size_t ParallelFor(size_t count, size_t grain,
-                   const std::function<void(size_t, size_t)>& body);
+/// ParallelFor on the global pool.
+void ParallelFor(size_t count, size_t grain,
+                 const std::function<void(size_t, size_t)>& body);
 
 /// The one executor for coarse tasks: dedicated threads running
 /// submitted closures with DETERMINISTIC CLAIM ORDERING — pending items
@@ -126,8 +116,7 @@ class TaskGroup {
   size_t workers() const;
 
   /// Enqueues `fn` and returns its ticket. Tickets are dense and
-  /// ascending in submission order. `fn` runs under the submitting
-  /// thread's loop-cancellation token (ScopedLoopCancellation).
+  /// ascending in submission order.
   uint64_t Submit(std::function<void()> fn);
 
   /// Blocks until the item behind `ticket` has run, then rethrows the
@@ -140,32 +129,6 @@ class TaskGroup {
   struct Impl;
   Impl* impl_;
 };
-
-/// Installs `token` as the cancellation signal every ParallelFor call
-/// and TaskGroup::Submit made ON THIS THREAD observes until the scope
-/// exits (the previous token is restored — scopes nest). The token is
-/// per-thread, so concurrent pipelines (RunDiva calls from different
-/// serve sessions) never truncate each other's loops. It follows the
-/// work it governs: a loop stops claiming chunks when its submitter's
-/// token trips, whichever pool threads run them, and TaskGroup items run
-/// under the token current on the thread that submitted them.
-/// A tripped token makes loops stop claiming work; it never corrupts
-/// completed chunks — see ThreadPool::ParallelFor. Install it only
-/// around phases whose drivers tolerate a truncated prefix of results.
-class ScopedLoopCancellation {
- public:
-  explicit ScopedLoopCancellation(CancellationToken token);
-  ~ScopedLoopCancellation();
-
-  ScopedLoopCancellation(const ScopedLoopCancellation&) = delete;
-  ScopedLoopCancellation& operator=(const ScopedLoopCancellation&) = delete;
-
- private:
-  CancellationToken previous_;
-};
-
-/// This thread's installed loop-cancellation token (null when none).
-CancellationToken CurrentLoopCancellation();
 
 /// Applies fn(i) to every i in [0, count), gathering results by index —
 /// the output vector is identical for every thread count.

@@ -12,8 +12,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "NotFound";
     case StatusCode::kInfeasible:
       return "Infeasible";
-    case StatusCode::kBudgetExhausted:
-      return "BudgetExhausted";
     case StatusCode::kInternal:
       return "Internal";
     case StatusCode::kIoError:

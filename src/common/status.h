@@ -16,14 +16,11 @@ enum class StatusCode {
   /// The requested result provably does not exist (e.g., no diverse
   /// k-anonymous relation for the given (R, Sigma, k)).
   kInfeasible,
-  /// A configured budget (search steps, enumeration cap) was exhausted
-  /// before an exact answer was found.
-  kBudgetExhausted,
   /// Internal invariant violation surfaced as an error instead of a crash.
   kInternal,
   /// I/O failure reading or writing a file.
   kIoError,
-  /// A wall-clock deadline (DivaOptions::deadline_ms, DIVA_DEADLINE_MS)
+  /// A wall-clock deadline (DivaOptions::deadline_ms, --deadline-ms)
   /// expired before the operation finished. In non-strict pipelines this
   /// degrades to a best-effort result instead of surfacing as an error.
   kDeadlineExceeded,
@@ -65,9 +62,6 @@ class [[nodiscard]] Status {
   }
   static Status Infeasible(std::string msg) {
     return Status(StatusCode::kInfeasible, std::move(msg));
-  }
-  static Status BudgetExhausted(std::string msg) {
-    return Status(StatusCode::kBudgetExhausted, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

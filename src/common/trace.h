@@ -2,13 +2,13 @@
 #define DIVA_COMMON_TRACE_H_
 
 /// Span tracing: where the wall time of a run went, phase by phase and
-/// chunk by chunk, exportable as Chrome-trace / Perfetto JSON.
+/// loop by loop, exportable as Chrome-trace / Perfetto JSON.
 ///
 ///   {
 ///     DIVA_TRACE_SPAN("diva/clustering");   // RAII: closes on scope exit
 ///     ...
 ///   }
-///   DIVA_TRACE_SPAN_RANGE("pool/chunk", begin, end);  // + index range
+///   DIVA_TRACE_SPAN_RANGE("pool/loop", 0, chunks);  // + index range
 ///
 /// Design contract (docs/development.md "Observability"):
 ///
@@ -172,7 +172,8 @@ class Span {
 #define DIVA_TRACE_SPAN(name) \
   ::diva::trace::Span DIVA_TRACE_CONCAT_(diva_trace_span_, __LINE__)(name)
 
-/// Span with an index-range payload (e.g. a pool chunk's [begin, end)).
+/// Span with an index-range payload (e.g. a parallel loop's chunk
+/// indices [0, chunks)).
 #define DIVA_TRACE_SPAN_RANGE(name, range_begin, range_end)          \
   ::diva::trace::Span DIVA_TRACE_CONCAT_(diva_trace_span_,           \
                                          __LINE__)((name),           \

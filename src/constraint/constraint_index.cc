@@ -159,9 +159,6 @@ bool ConstraintIndex::Matches(size_t c, RowId row) const {
 
 std::vector<size_t> ConstraintIndex::CountAll() const {
   const size_t n = NumConstraints();
-  // Exact counts need every chunk: no caller's loop token may cut the
-  // pass short.
-  ScopedLoopCancellation exact(CancellationToken{});
   return ParallelReduce<std::vector<size_t>>(
       tables_.empty() ? 0 : relation_->NumRows(), /*grain=*/0,
       std::vector<size_t>(n, 0),
@@ -186,7 +183,6 @@ std::vector<std::vector<RowId>> ConstraintIndex::Targets(
   std::vector<std::vector<RowId>> targets(n);
   if (adjacency != nullptr) adjacency->assign(n, {});
   if (tables_.empty() || rows == 0) return targets;
-  ScopedLoopCancellation exact(CancellationToken{});
   // Row chunks are a pure function of the row count, so each chunk's
   // slice of every I_c is the same at every thread width.
   const size_t grain = rows / 64 + 1;

@@ -1,6 +1,7 @@
 #include "core/coloring.h"
 
 #include <algorithm>
+#include <atomic>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -59,9 +60,12 @@ std::vector<uint64_t> MakeRowTags(size_t num_rows) {
 /// call spawns (all restart attempts plus the greedy pass): the hoisted
 /// QI-similarity target orders, the row->constraint incidence lists that
 /// drive O(incidence) bookkeeping updates and the forward check, and the
-/// row tag table behind every set fingerprint.
+/// row tag table behind every set fingerprint. Once `deadline` trips, the
+/// target sorts left are skipped: ColorConstraints then builds no engine,
+/// so nothing reads the incomplete orders.
 struct SearchContext {
-  SearchContext(const Relation& relation, const ConstraintGraph& graph) {
+  SearchContext(const Relation& relation, const ConstraintGraph& graph,
+                const CancellationToken& deadline) {
     size_t n = graph.NumNodes();
     size_t num_rows = relation.NumRows();
     // Incidence as one flat array with per-row offsets (no allocation
@@ -89,11 +93,14 @@ struct SearchContext {
     // by the claimed bitset reproduces a fresh sort of the free subset
     // exactly, because SortByQiSimilarity's comparator is a strict total
     // order independent of which rows are present.
+    std::atomic<size_t> sorts{0};
     sorted_targets = ParallelMap<std::vector<RowId>>(
-        n, /*grain=*/1, [&](size_t j) {
+        n, /*grain=*/1, [&](size_t j) -> std::vector<RowId> {
+          if (deadline.Cancelled()) return {};
+          sorts.fetch_add(1, std::memory_order_relaxed);
           return SortByQiSimilarity(relation, graph.targets[j]);
         });
-    DIVA_COUNTER_ADD("coloring.target_sorts", n);
+    DIVA_COUNTER_ADD("coloring.target_sorts", sorts.load());
     row_tags = MakeRowTags(num_rows);
   }
 
@@ -777,8 +784,9 @@ ColoringOutcome ColorConstraints(const Relation& relation,
                  "graph must be built from the same constraint set");
   // Bitmaps, QI-sorted target orders, incidence lists, and row tags are
   // pure functions of (relation, graph): build them once and share across
-  // every restart attempt and the greedy pass.
-  SearchContext context(relation, graph);
+  // every restart attempt and the greedy pass. A tripped deadline stops
+  // the attempts loop below before any engine reads the context.
+  SearchContext context(relation, graph, options.deadline);
   // Strict passes (lower-bound forward checking) with randomized
   // restarts: complete colorings are typically found within a few dozen
   // steps of a good ordering, so several cheap diversified attempts beat

@@ -79,11 +79,9 @@ ClusteringEnumOptions TuneEnumeration(const DivaOptions& options) {
 }
 
 /// The row ids at(i), i in [0, count), that `keep` accepts, in index
-/// order. Chunks count their hits, then fill their slices, in parallel;
-/// never under a loop token, since the list must be complete.
+/// order. Chunks count their hits, then fill their slices, in parallel.
 template <typename At, typename Keep>
 std::vector<RowId> CollectRows(size_t count, const At& at, const Keep& keep) {
-  ScopedLoopCancellation exact(CancellationToken{});
   const size_t grain = count / 64 + 1;
   const size_t chunks = (count + grain - 1) / grain;
   std::vector<size_t> first = ParallelMap<size_t>(chunks, 1, [&](size_t c) {
@@ -139,27 +137,24 @@ Status BuildShardedBaseline(const Relation& relation,
   // adopted record's clusters remapped to global ids.
   std::vector<std::vector<RowId>> uncovered(num_shards);
   std::vector<Clustering> adopted(num_shards);
-  {
-    ScopedLoopCancellation exact(CancellationToken{});
-    ParallelFor(num_shards, /*grain=*/1, [&](size_t begin, size_t end) {
-      for (size_t s = begin; s < end; ++s) {
-        std::vector<RowId>& rows = uncovered[s];
-        for (RowId row : plan.shards[s].rows) {
-          if (!covered[row]) rows.push_back(row);
-        }
-        const ShardBaselineRecord* record = adoptable(s);
-        if (rows.size() < options.k || record == nullptr) continue;
-        adopted[s].reserve(record->clusters.size());
-        for (const Cluster& cluster : record->clusters) {
-          Cluster& global = adopted[s].emplace_back();
-          global.reserve(cluster.size());
-          for (RowId row : cluster) {
-            global.push_back(rows[static_cast<size_t>(row)]);
-          }
+  ParallelFor(num_shards, /*grain=*/1, [&](size_t begin, size_t end) {
+    for (size_t s = begin; s < end; ++s) {
+      std::vector<RowId>& rows = uncovered[s];
+      for (RowId row : plan.shards[s].rows) {
+        if (!covered[row]) rows.push_back(row);
+      }
+      const ShardBaselineRecord* record = adoptable(s);
+      if (rows.size() < options.k || record == nullptr) continue;
+      adopted[s].reserve(record->clusters.size());
+      for (const Cluster& cluster : record->clusters) {
+        Cluster& global = adopted[s].emplace_back();
+        global.reserve(cluster.size());
+        for (RowId row : cluster) {
+          global.push_back(rows[static_cast<size_t>(row)]);
         }
       }
-    });
-  }
+    }
+  });
   // A flag on each uncovered row of a shard that clusters on its own.
   // Set on one thread: shards interleave row by row, so writers split by
   // shard would share every cache line of the flags.
@@ -187,10 +182,6 @@ Status BuildShardedBaseline(const Relation& relation,
       MakeBaselineAnonymizer(baseline_options);
 
   auto build_local = [&](const std::vector<RowId>& rows) -> Result<Clustering> {
-    // The iterative baselines discard their half-built state on expiry,
-    // so truncated inner scans cannot leak into the output; installing
-    // the loop token just makes them stop sooner.
-    ScopedLoopCancellation loop_cancel(token);
     Relation sub = relation.SelectRows(rows);
     std::vector<RowId> local(rows.size());
     for (size_t i = 0; i < local.size(); ++i) local[i] = static_cast<RowId>(i);
@@ -373,11 +364,6 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
     DIVA_COUNTER_ADD("shard.max_rows", plan->MaxShardRows());
     DIVA_COUNTER_ADD("shard.residual_rows", plan->residual_rows);
 
-    // The search tolerates truncated candidate enumeration (it just sees
-    // fewer candidates), so the pool-level token is installed for this
-    // phase: when the deadline trips, enumeration loops stop claiming
-    // chunks instead of finishing a doomed sweep.
-    ScopedLoopCancellation loop_cancel(token);
     if (options.portfolio_threads > 1 && !plan->Effective()) {
       // The opt-in portfolio races seeded whole-instance searches; which
       // complete coloring wins may vary, so such a run never captures.
@@ -421,8 +407,6 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
   report.sigma_rows = TotalRows(sigma_clusters);
 
   // Phase 2: Suppress (or generalize) S_Sigma inside a working copy of R.
-  // Never run under the loop token: a truncated suppression would publish
-  // rows that are not unanimous with their QI-group.
   if (options.generalization != nullptr &&
       options.generalization->num_attributes() != relation.NumAttributes()) {
     return Status::InvalidArgument(

@@ -112,18 +112,18 @@ struct DivaOptions {
   bool audit = false;
 
   /// Wall-clock budget for the whole run in milliseconds (0 = none).
-  /// Defaults to the DIVA_DEADLINE_MS environment knob. When the budget
-  /// expires mid-run, RunDiva degrades to *anytime* behaviour instead of
-  /// failing: the coloring keeps its best partial assignment (the
-  /// budget-exhaustion path), an interrupted k-member/OKA baseline falls
-  /// back to the single-pass Mondrian, the Integrate repair is skipped
-  /// (its violations surface in DivaReport::unsatisfied), and the
-  /// privacy merge loops stop where they are. The published relation is
-  /// still k-anonymous and suppression-only — the self-audit, which a
-  /// deadline never skips, re-proves that — and the report flags what
-  /// was cut short (deadline_exceeded and the per-phase degradation
-  /// flags). Under `strict`, expiry is an error (kDeadlineExceeded).
-  int64_t deadline_ms = EnvDeadlineMillis();
+  /// When the budget expires mid-run, RunDiva degrades to *anytime*
+  /// behaviour instead of failing: the coloring keeps its best partial
+  /// assignment (the budget-exhaustion path), an interrupted
+  /// k-member/OKA baseline falls back to the single-pass Mondrian, the
+  /// Integrate repair is skipped (its violations surface in
+  /// DivaReport::unsatisfied), and the privacy merge loops stop where
+  /// they are. The published relation is still k-anonymous and
+  /// suppression-only — the self-audit, which a deadline never skips,
+  /// re-proves that — and the report flags what was cut short
+  /// (deadline_exceeded and the per-phase degradation flags). Under
+  /// `strict`, expiry is an error (kDeadlineExceeded).
+  int64_t deadline_ms = 0;
 
   /// Capture a reusable PipelineSnapshot (core/incremental.h) alongside
   /// the result: the input relation, its shard plan, and per-shard

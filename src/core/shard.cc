@@ -63,9 +63,7 @@ ShardPlan ComputeShardPlan(const ConstraintGraph& graph, size_t num_rows) {
 
   // A shard's rows = union of its constraints' target sets, ascending.
   // Target lists are sorted, so a merge + dedup keeps the order without
-  // a global sort. Shards merge independently, in parallel, and never
-  // under a caller's loop token: a plan must hold every row.
-  ScopedLoopCancellation exact(CancellationToken{});
+  // a global sort. Shards merge independently, in parallel.
   ParallelFor(plan.shards.size(), /*grain=*/1, [&](size_t begin, size_t end) {
     for (size_t s = begin; s < end; ++s) {
       std::vector<RowId> rows;
@@ -215,8 +213,6 @@ Result<ColoringOutcome> RunShardedColoring(
 
   // Adopted shards never enter the scheduler: each takes its record by
   // pointer, and their global clusters are remapped in parallel up front.
-  // The remap is never truncated by a caller's loop token: an adopted
-  // shard is complete.
   std::vector<size_t> adopted;
   if (adopt != nullptr) {
     for (size_t s = 0; s < num_shards && s < adopt->size(); ++s) {
@@ -225,16 +221,13 @@ Result<ColoringOutcome> RunShardedColoring(
       adopted.push_back(s);
     }
   }
-  {
-    ScopedLoopCancellation exact(CancellationToken{});
-    ParallelFor(adopted.size(), /*grain=*/1, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        ShardRun& run = runs[adopted[i]];
-        run.clusters = GlobalClusters(run.record->outcome.chosen_clusters,
-                                      plan.shards[adopted[i]]);
-      }
-    });
-  }
+  ParallelFor(adopted.size(), /*grain=*/1, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      ShardRun& run = runs[adopted[i]];
+      run.clusters = GlobalClusters(run.record->outcome.chosen_clusters,
+                                    plan.shards[adopted[i]]);
+    }
+  });
 
   // One work item per live shard, claimed FIFO; with 0 workers (width 1)
   // Wait runs every item inline in shard order. Scheduling never changes

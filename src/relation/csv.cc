@@ -602,9 +602,6 @@ Result<Relation> ReadCsv(std::istream& input,
                          std::shared_ptr<const Schema> schema,
                          const CsvOptions& options) {
   DIVA_TRACE_SPAN("csv/read");
-  // Every chunk of a block must be parsed before its merge; no deadline
-  // governs CSV I/O.
-  ScopedLoopCancellation exact(CancellationToken{});
   CsvReader reader(input, std::move(schema), options);
   return reader.Read();
 }
@@ -623,7 +620,6 @@ Result<Relation> ReadCsvFile(const std::string& path,
 Status WriteCsv(const Relation& relation, std::ostream& output,
                 const CsvOptions& options) {
   DIVA_TRACE_SPAN("csv/write");
-  ScopedLoopCancellation exact(CancellationToken{});
   const char delimiter = options.delimiter;
   const size_t columns = relation.NumAttributes();
   if (options.has_header) {

@@ -22,9 +22,6 @@ void ForEachCopyChunk(size_t rows, size_t stride, const CopyFn& copy) {
     if (rows > 0) copy(size_t{0}, rows);
     return;
   }
-  // A copy is never truncated: a tripped loop token installed by the
-  // caller must not leave cells unwritten.
-  ScopedLoopCancellation exact(CancellationToken{});
   const size_t chunks = (rows + chunk_rows - 1) / chunk_rows;
   ParallelFor(chunks, /*grain=*/0, [&](size_t chunk_begin, size_t chunk_end) {
     copy(chunk_begin * chunk_rows, std::min(rows, chunk_end * chunk_rows));

@@ -317,7 +317,7 @@ StatusCode ParseStatusCodeName(const std::string& name) {
   static const StatusCode kCodes[] = {
       StatusCode::kOk,           StatusCode::kInvalidArgument,
       StatusCode::kNotFound,     StatusCode::kInfeasible,
-      StatusCode::kBudgetExhausted, StatusCode::kInternal,
+      StatusCode::kInternal,
       StatusCode::kIoError,      StatusCode::kDeadlineExceeded,
       StatusCode::kUnavailable,
   };

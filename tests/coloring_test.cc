@@ -375,6 +375,28 @@ TEST(ColoringTest, TargetSortsHoistedOncePerConstraint) {
             workload.constraints.size());
 }
 
+TEST(ColoringBudgetTest, TrippedDeadlineSkipsTheTargetSortsAndTheSearch) {
+  // The coloring polls its own deadline: a token tripped before the call
+  // runs no QI-similarity target sort and no search step, and the
+  // outcome is the empty budget-exhausted coloring.
+  Relation r = MedicalRelation();
+  ConstraintSet constraints = MedicalConstraints(*MedicalSchema());
+  ConstraintGraph graph = BuildConstraintGraph(r, constraints);
+  ColoringOptions options;
+  options.k = 2;
+  options.deadline = CancellationToken::Manual();
+  options.deadline.RequestCancel();
+  auto before = counters::Snapshot();
+  ColoringOutcome outcome = ColorConstraints(r, constraints, graph, options);
+  auto delta = counters::Delta(before, counters::Snapshot());
+  EXPECT_TRUE(outcome.budget_exhausted);
+  EXPECT_FALSE(outcome.complete);
+  EXPECT_EQ(outcome.steps, 0u);
+  EXPECT_EQ(outcome.NumColored(), 0u);
+  EXPECT_TRUE(outcome.chosen_clusters.empty());
+  EXPECT_EQ(CounterDelta(delta, "coloring.target_sorts"), 0u);
+}
+
 TEST(ColoringTest, MemoReplaysAfterBacktracking) {
   StressWorkload workload = MakeStressWorkload();
   ConstraintGraph graph =

@@ -32,8 +32,6 @@ TEST(StatusTest, AllCodesHaveNames) {
   EXPECT_STREQ(StatusCodeToString(StatusCode::kOk), "OK");
   EXPECT_STREQ(StatusCodeToString(StatusCode::kNotFound), "NotFound");
   EXPECT_STREQ(StatusCodeToString(StatusCode::kInfeasible), "Infeasible");
-  EXPECT_STREQ(StatusCodeToString(StatusCode::kBudgetExhausted),
-               "BudgetExhausted");
   EXPECT_STREQ(StatusCodeToString(StatusCode::kInternal), "Internal");
   EXPECT_STREQ(StatusCodeToString(StatusCode::kIoError), "IoError");
 }

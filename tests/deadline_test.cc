@@ -1,12 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "common/deadline.h"
-#include "common/parallel.h"
 #include "common/timer.h"
 #include "core/diva.h"
 #include "core/report_json.h"
@@ -102,101 +99,6 @@ TEST(DeadlineStatusTest, NamesThePhase) {
   Status status = DeadlineExceededStatus("clustering");
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(status.message().find("clustering"), std::string::npos);
-}
-
-TEST(EnvDeadlineTest, ParsesTheKnob) {
-  ASSERT_EQ(setenv("DIVA_DEADLINE_MS", "250", 1), 0);
-  EXPECT_EQ(EnvDeadlineMillis(), 250);
-  ASSERT_EQ(setenv("DIVA_DEADLINE_MS", "junk", 1), 0);
-  EXPECT_EQ(EnvDeadlineMillis(), 0);
-  ASSERT_EQ(setenv("DIVA_DEADLINE_MS", "-5", 1), 0);
-  EXPECT_EQ(EnvDeadlineMillis(), 0);
-  ASSERT_EQ(unsetenv("DIVA_DEADLINE_MS"), 0);
-  EXPECT_EQ(EnvDeadlineMillis(), 0);
-}
-
-// ------------------------------------------- pool-level cancellation
-
-TEST(PoolCancellationTest, WithoutTokenParallelForCompletesEverything) {
-  SetParallelThreads(4);
-  std::vector<char> done(1000, 0);
-  size_t prefix = ParallelFor(1000, 8, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) done[i] = 1;
-  });
-  EXPECT_EQ(prefix, 1000u);
-  for (size_t i = 0; i < done.size(); ++i) EXPECT_EQ(done[i], 1) << i;
-}
-
-TEST(PoolCancellationTest, PreTrippedTokenRunsNoChunks) {
-  SetParallelThreads(4);
-  CancellationToken token = CancellationToken::Manual();
-  token.RequestCancel();
-  ScopedLoopCancellation scope(token);
-  std::atomic<size_t> ran{0};
-  size_t prefix = ParallelFor(1000, 8, [&](size_t begin, size_t end) {
-    ran.fetch_add(end - begin, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(prefix, 0u);
-  EXPECT_EQ(ran.load(), 0u);
-}
-
-TEST(PoolCancellationTest, SequentialCancelStopsAtAnExactPrefix) {
-  SetParallelThreads(1);
-  CancellationToken token = CancellationToken::Manual();
-  ScopedLoopCancellation scope(token);
-  std::vector<char> executed(256, 0);
-  size_t prefix = ParallelFor(256, 1, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      executed[i] = 1;
-      if (i == 64) token.RequestCancel();
-    }
-  });
-  // Width 1 runs chunks in index order, so the prefix is exact: the
-  // cancelling chunk finishes, nothing after it starts.
-  EXPECT_EQ(prefix, 65u);
-  for (size_t i = 0; i < executed.size(); ++i) {
-    EXPECT_EQ(executed[i] != 0, i < prefix) << i;
-  }
-}
-
-TEST(PoolCancellationTest, ParallelCancelCompletesExactlyThePrefix) {
-  SetParallelThreads(4);
-  CancellationToken token = CancellationToken::Manual();
-  ScopedLoopCancellation scope(token);
-  std::vector<char> executed(4096, 0);
-  size_t prefix = ParallelFor(4096, 1, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      executed[i] = 1;
-      if (i == 64) token.RequestCancel();
-    }
-  });
-  // Chunks are claimed in ascending order and claimed chunks drain, so
-  // the completed work is the prefix [0, prefix): the cancelling index
-  // is inside it, the tail was never claimed, and no index outside the
-  // prefix ran.
-  EXPECT_GE(prefix, 65u);
-  EXPECT_LT(prefix, 4096u);
-  for (size_t i = 0; i < executed.size(); ++i) {
-    EXPECT_EQ(executed[i] != 0, i < prefix) << i;
-  }
-}
-
-TEST(PoolCancellationTest, ScopedInstallationNestsAndRestores) {
-  EXPECT_FALSE(CurrentLoopCancellation().CanBeCancelled());
-  CancellationToken outer = CancellationToken::Manual();
-  {
-    ScopedLoopCancellation outer_scope(outer);
-    EXPECT_TRUE(CurrentLoopCancellation().CanBeCancelled());
-    outer.RequestCancel();
-    EXPECT_TRUE(CurrentLoopCancellation().Cancelled())
-        << "the installed token is the caller's token, not a copy signal";
-    {
-      ScopedLoopCancellation inner_scope{CancellationToken()};
-      EXPECT_FALSE(CurrentLoopCancellation().CanBeCancelled());
-    }
-    EXPECT_TRUE(CurrentLoopCancellation().Cancelled());
-  }
-  EXPECT_FALSE(CurrentLoopCancellation().CanBeCancelled());
 }
 
 // --------------------------------------- coloring budget exhaustion

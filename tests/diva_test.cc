@@ -2,10 +2,7 @@
 
 #include <sstream>
 #include <string>
-#include <thread>
 
-#include "common/deadline.h"
-#include "common/mutex.h"
 #include "common/parallel.h"
 #include "constraint/generator.h"
 #include "core/diva.h"
@@ -357,60 +354,6 @@ TEST(DivaOneComponentPinTest, PublishedCsvPerBaselineAtWidthsOneAndFour) {
     }
   }
   SetParallelThreads(1);
-}
-
-// ------------------------------------------------ concurrent runs
-
-TEST(DivaConcurrencyTest, PeerTrippedLoopTokenCannotTruncateAnAuditedRun) {
-  // Two pipelines in one process (diva_serverd sessions) each install
-  // their own loop-cancellation token. A peer whose deadline tripped
-  // must not cut this run's suppress or self-audit loops short: the
-  // published-only-if-audited contract depends on both running in full.
-  Relation r = MedicalRelation();
-  ConstraintSet constraints = MedicalConstraints(*MedicalSchema());
-  DivaOptions options;
-  options.k = 2;
-  options.audit = true;
-  auto solo = RunDiva(r, constraints, options);
-  ASSERT_TRUE(solo.ok()) << solo.status().ToString();
-
-  CancellationToken tripped = CancellationToken::Manual();
-  tripped.RequestCancel();
-  Mutex mutex;
-  CondVar cv;
-  bool installed = false;
-  bool release = false;
-  // The peer must hold its token for the whole run on this thread.
-  // analyze: allow-raw-thread
-  std::thread peer([&] {
-    ScopedLoopCancellation scope(tripped);
-    MutexLock lock(mutex);
-    installed = true;
-    cv.NotifyAll();
-    while (!release) cv.Wait(lock);
-  });
-  {
-    MutexLock lock(mutex);
-    while (!installed) cv.Wait(lock);
-  }
-  auto concurrent = RunDiva(r, constraints, options);
-  {
-    MutexLock lock(mutex);
-    release = true;
-    cv.NotifyAll();
-  }
-  peer.join();
-  ASSERT_TRUE(concurrent.ok()) << concurrent.status().ToString();
-
-  EXPECT_TRUE(concurrent->report.audited);
-  EXPECT_EQ(ToCsv(concurrent->relation), ToCsv(solo->relation));
-  EXPECT_TRUE(IsKAnonymous(concurrent->relation, 2));
-  AuditOptions audit_options;
-  audit_options.waived_constraints = concurrent->report.unsatisfied;
-  auto audit = AuditAnonymization(r, concurrent->relation, 2, constraints,
-                                  audit_options);
-  ASSERT_TRUE(audit.ok()) << audit.status().ToString();
-  EXPECT_TRUE(audit->ok()) << audit->ToString();
 }
 
 }  // namespace

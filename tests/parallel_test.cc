@@ -7,10 +7,8 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/deadline.h"
 
 namespace diva {
 namespace {
@@ -257,76 +255,6 @@ TEST(ParallelTest, TasksMayUseTheDataParallelLayer) {
   SetParallelThreads(1);
 }
 
-TEST(PoolCancellationTest, ExternalCancelDuringClaimKeepsPrefixExact) {
-  // Regression guard for the cancel-during-claim window: a cancel that
-  // lands while workers are actively claiming chunks must still leave
-  // exactly the completed prefix [0, prefix) executed — CancelUnclaimed
-  // exchanges the claim cursor, so a chunk is either fully run (it was
-  // claimed before the exchange) or never started. The canceller is an
-  // asynchronous external thread so the request races the fetch_add
-  // claims themselves, not just the body's poll points.
-  SetParallelThreads(4);
-  for (int iteration = 0; iteration < 20; ++iteration) {
-    CancellationToken token = CancellationToken::Manual();
-    ScopedLoopCancellation scope(token);
-    std::vector<std::atomic<int>> executed(4096);
-    std::atomic<bool> body_started{false};
-    // The cancel must come from outside the loop to hit the claim race.
-    // analyze: allow-raw-thread
-    std::thread canceller([&] {
-      while (!body_started.load(std::memory_order_acquire)) {
-      }
-      token.RequestCancel();
-    });
-    size_t prefix = ParallelFor(4096, 1, [&](size_t begin, size_t end) {
-      body_started.store(true, std::memory_order_release);
-      for (size_t i = begin; i < end; ++i) {
-        executed[i].store(1, std::memory_order_relaxed);
-      }
-    });
-    canceller.join();
-    ASSERT_LE(prefix, executed.size());
-    for (size_t i = 0; i < executed.size(); ++i) {
-      ASSERT_EQ(executed[i].load(std::memory_order_relaxed) != 0, i < prefix)
-          << "iteration " << iteration << " index " << i;
-    }
-  }
-  SetParallelThreads(1);
-}
-
-TEST(PoolCancellationTest, PeerThreadsTrippedTokenDoesNotTruncateThisLoop) {
-  // The token is per-thread: a peer holding a tripped token (another
-  // serve session whose deadline expired) leaves this thread's loops
-  // untouched, on the shared pool and inline alike.
-  CancellationToken tripped = CancellationToken::Manual();
-  tripped.RequestCancel();
-  std::atomic<bool> installed{false};
-  std::atomic<bool> release{false};
-  // The peer must hold its scope across this thread's loops.
-  // analyze: allow-raw-thread
-  std::thread peer([&] {
-    ScopedLoopCancellation scope(tripped);
-    installed.store(true, std::memory_order_release);
-    while (!release.load(std::memory_order_acquire)) {
-    }
-  });
-  while (!installed.load(std::memory_order_acquire)) {
-  }
-  EXPECT_FALSE(CurrentLoopCancellation().CanBeCancelled());
-  for (size_t width : {size_t{1}, size_t{4}}) {
-    SetParallelThreads(width);
-    std::vector<std::atomic<int>> marks(1000);
-    size_t done = ParallelFor(marks.size(), 7, [&](size_t begin, size_t end) {
-      MarkRange(&marks, begin, end);
-    });
-    EXPECT_EQ(done, marks.size()) << "width " << width;
-    ExpectAllMarkedOnce(marks);
-  }
-  release.store(true, std::memory_order_release);
-  peer.join();
-  SetParallelThreads(1);
-}
-
 // ------------------------------------------------------------ TaskGroup
 
 TEST(TaskGroupTest, SubmitAndWaitRunsEverything) {
@@ -345,35 +273,6 @@ TEST(TaskGroupTest, SubmitAndWaitRunsEverything) {
   for (uint64_t ticket : tickets) group.Wait(ticket);
   for (size_t i = 0; i < ran.size(); ++i) {
     EXPECT_EQ(ran[i].load(), 1) << "item " << i;
-  }
-}
-
-TEST(TaskGroupTest, ItemRunsUnderItsSubmittersToken) {
-  // The item carries the token current at Submit, whichever thread
-  // claims it: a worker, or a waiter helping under a different scope.
-  CancellationToken tripped = CancellationToken::Manual();
-  tripped.RequestCancel();
-  for (size_t workers : {size_t{0}, size_t{1}}) {
-    TaskGroup group(workers);
-    std::atomic<size_t> prefix{12345};
-    std::atomic<bool> saw_token{true};
-    uint64_t cut;
-    {
-      ScopedLoopCancellation scope(tripped);
-      cut = group.Submit([&] {
-        prefix.store(ParallelFor(100, 10, [](size_t, size_t) {}));
-      });
-    }
-    uint64_t free_item = group.Submit([&] {
-      saw_token.store(CurrentLoopCancellation().CanBeCancelled());
-    });
-    {
-      ScopedLoopCancellation scope(tripped);  // the waiter's own token
-      group.Wait(free_item);
-    }
-    group.Wait(cut);
-    EXPECT_EQ(prefix.load(), 0u) << "workers " << workers;
-    EXPECT_FALSE(saw_token.load()) << "workers " << workers;
   }
 }
 

@@ -203,6 +203,44 @@ TEST(TraceTest, PipelineSpansAgreeAcrossThreadWidths) {
   EXPECT_EQ(phase_spans[1], phase_spans[8]);
 }
 
+TEST(TraceTest, OnePoolLoopSpanPerParallelLoop) {
+  // Each parallel loop leaves one pool/loop span on the thread that
+  // submitted it, with its chunk indices [0, chunks) as the range, and
+  // no span per chunk.
+  FuzzWorkload workload = MakeWorkload(5);
+  ASSERT_GE(workload.relation.NumRows(), workload.k);
+  DivaOptions options;
+  options.k = workload.k;
+  options.seed = 7;
+  options.threads = 4;
+  options.audit = true;
+  trace::SetRingCapacity(65536);
+  trace::Enable();
+  const std::vector<counters::Sample> before = counters::Snapshot();
+  auto result = RunDiva(workload.relation, workload.constraints, options);
+  const std::vector<counters::Sample> delta =
+      counters::Delta(before, counters::Snapshot());
+  trace::Disable();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(trace::DroppedEvents(), 0u);
+
+  uint64_t loop_spans = 0;
+  for (const trace::SpanEvent& event : trace::Collect()) {
+    const std::string name = event.name;
+    if (name.rfind("pool/", 0) != 0) continue;
+    EXPECT_EQ(name, "pool/loop");
+    EXPECT_TRUE(event.has_range);
+    EXPECT_EQ(event.arg_begin, 0);
+    EXPECT_GE(event.arg_end, 1);
+    ++loop_spans;
+  }
+  const counters::Sample* loops = Find(delta, "pool.loops");
+  ASSERT_NE(loops, nullptr);
+  EXPECT_GT(loops->value, 0u);
+  EXPECT_EQ(loop_spans, loops->value);
+  SetParallelThreads(1);
+}
+
 TEST(TraceTest, CountersMatchTheReportExactly) {
   FuzzWorkload workload = MakeWorkload(11);
   ASSERT_GE(workload.relation.NumRows(), workload.k);
