@@ -12,6 +12,7 @@
 #include <streambuf>
 
 #include "anon/anonymizer.h"
+#include "bench/scale_shape.h"
 #include "anon/distance.h"
 #include "anon/suppress.h"
 #include "common/parallel.h"
@@ -20,6 +21,7 @@
 #include "core/clusterings.h"
 #include "core/constraint_graph.h"
 #include "core/diva.h"
+#include "core/shard.h"
 #include "datagen/profiles.h"
 #include "relation/csv.h"
 #include "relation/qi_groups.h"
@@ -145,6 +147,60 @@ void BM_EnumerateClusterings(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EnumerateClusterings);
+
+/// Shard 0 of the pinned 1M-row scale shape (15,625 rows, one region's
+/// three constraints), gathered as the sharded coloring gathers it, with
+/// its local conflict graph.
+struct ScaleShard {
+  Relation relation;
+  ConstraintSet constraints;
+  ConstraintGraph graph;
+};
+
+const ScaleShard& FixtureScaleShard() {
+  static const ScaleShard* shard = [] {
+    bench::ScaleWorkload workload = bench::BuildScaleWorkload();
+    const ConstraintGraph graph =
+        BuildConstraintGraph(workload.relation, workload.constraints);
+    const ShardPlan plan = ComputeShardPlan(graph, workload.relation.NumRows());
+    const Shard& first = plan.shards[0];
+    ConstraintSet local;
+    for (size_t c : first.constraints) local.push_back(workload.constraints[c]);
+    Relation sub = workload.relation.SelectRows(first.rows);
+    ConstraintGraph local_graph = BuildConstraintGraph(sub, local);
+    return new ScaleShard{std::move(sub), std::move(local),
+                          std::move(local_graph)};
+  }();
+  return *shard;
+}
+
+// The search context's QI order: one packed-key sort of every targeted
+// row of the shard (ungated; numbers in BENCH_shard_coloring.json).
+void BM_ShardSearchOrder(benchmark::State& state) {
+  const ScaleShard& shard = FixtureScaleShard();
+  std::vector<RowId> targeted(shard.relation.NumRows());
+  std::iota(targeted.begin(), targeted.end(), RowId{0});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SortByQiSimilarity(shard.relation, targeted));
+  }
+}
+BENCHMARK(BM_ShardSearchOrder)->Unit(benchmark::kMillisecond);
+
+// One enumeration of the shard's first constraint over its whole sorted
+// target list, sized to its lower bound (the first node a search visits).
+void BM_ShardEnumeration(benchmark::State& state) {
+  const ScaleShard& shard = FixtureScaleShard();
+  const std::vector<RowId> sorted =
+      SortByQiSimilarity(shard.relation, shard.graph.targets[0]);
+  const DiversityConstraint& constraint = shard.constraints[0];
+  ClusteringEnumOptions options;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(EnumerateClusteringsQiSorted(
+        shard.relation, sorted, bench::kK, constraint.lower(),
+        constraint.upper(), options));
+  }
+}
+BENCHMARK(BM_ShardEnumeration)->Unit(benchmark::kMillisecond);
 
 void BM_Baseline(benchmark::State& state, BaselineAlgorithm algorithm) {
   const Relation& relation = FixtureRelation(state.range(0));

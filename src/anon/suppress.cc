@@ -106,6 +106,23 @@ void SuppressIdentifiers(Relation* relation) {
   }
 }
 
+uint8_t StarMask(const Relation& relation, std::span<const RowId> cluster) {
+  if (cluster.empty()) return 0;
+  const auto& qi = relation.schema().qi_indices();
+  const std::span<const ValueCode> first = relation.Row(cluster[0]);
+  uint8_t mask = 0;
+  for (size_t q = 0; q < qi.size(); ++q) {
+    mask |= static_cast<uint8_t>(first[qi[q]] == kSuppressed) << q;
+  }
+  for (size_t i = 1; i < cluster.size(); ++i) {
+    const std::span<const ValueCode> cells = relation.Row(cluster[i]);
+    for (size_t q = 0; q < qi.size(); ++q) {
+      mask |= static_cast<uint8_t>(cells[qi[q]] != first[qi[q]]) << q;
+    }
+  }
+  return mask;
+}
+
 size_t SuppressionCost(const Relation& relation,
                        std::span<const RowId> cluster) {
   size_t suppressed_columns = 0;

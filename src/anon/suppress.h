@@ -1,6 +1,8 @@
 #ifndef DIVA_ANON_SUPPRESS_H_
 #define DIVA_ANON_SUPPRESS_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "anon/cluster.h"
@@ -25,6 +27,15 @@ Relation Suppress(const Relation& relation, const Clustering& clustering);
 /// identify an individual and must never be published). Called by the
 /// anonymizers on their final output.
 void SuppressIdentifiers(Relation* relation);
+
+/// The widest QI projection StarMask describes.
+inline constexpr size_t kStarMaskColumns = 7;
+
+/// The QI columns suppressing `cluster` stars, as bit q for column
+/// qi_indices()[q]: those on which its rows disagree or one holds a ★
+/// (SuppressClustersInPlace's rule). Requires at most kStarMaskColumns
+/// QI columns.
+uint8_t StarMask(const Relation& relation, std::span<const RowId> cluster);
 
 /// Number of ★s that suppressing `cluster` would introduce:
 /// |cluster| x (number of QI attributes without a unanimous,

@@ -177,9 +177,10 @@ std::vector<size_t> ConstraintIndex::CountAll() const {
 }
 
 std::vector<std::vector<RowId>> ConstraintIndex::Targets(
-    std::vector<std::vector<size_t>>* adjacency) const {
+    std::vector<std::vector<size_t>>* adjacency, RowId first_row) const {
   const size_t n = NumConstraints();
-  const size_t rows = relation_->NumRows();
+  const size_t rows = relation_->NumRows() - std::min<size_t>(
+                                                first_row, relation_->NumRows());
   std::vector<std::vector<RowId>> targets(n);
   if (adjacency != nullptr) adjacency->assign(n, {});
   if (tables_.empty() || rows == 0) return targets;
@@ -203,7 +204,7 @@ std::vector<std::vector<RowId>> ConstraintIndex::Targets(
         const size_t end = std::min(rows, (chunk + 1) * grain);
         for (size_t row = chunk * grain; row < end; ++row) {
           hits.clear();
-          ForEachMatch(static_cast<RowId>(row), [&](uint32_t c) {
+          ForEachMatch(static_cast<RowId>(first_row + row), [&](uint32_t c) {
             ++scan.counts[c];
             hits.push_back(c);
           });
@@ -236,8 +237,8 @@ std::vector<std::vector<RowId>> ConstraintIndex::Targets(
       std::vector<uint32_t>& next = scans[chunk].counts;
       const size_t end = std::min(rows, (chunk + 1) * grain);
       for (size_t row = chunk * grain; row < end; ++row) {
-        ForEachMatch(static_cast<RowId>(row), [&](uint32_t c) {
-          targets[c][next[c]++] = static_cast<RowId>(row);
+        ForEachMatch(static_cast<RowId>(first_row + row), [&](uint32_t c) {
+          targets[c][next[c]++] = static_cast<RowId>(first_row + row);
         });
       }
     }

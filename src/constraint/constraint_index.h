@@ -48,9 +48,11 @@ class ConstraintIndex {
   /// then fill each chunk's exact slice), so the lists are byte-equal to
   /// a sequential scan at every thread width. Edges come from each
   /// distinct hit list of two or more constraints, once, not from every
-  /// row that carries it.
+  /// row that carries it. Rows below `first_row` are skipped: the lists
+  /// and edges then come from rows first_row, first_row + 1, ... only.
   std::vector<std::vector<RowId>> Targets(
-      std::vector<std::vector<size_t>>* adjacency = nullptr) const;
+      std::vector<std::vector<size_t>>* adjacency = nullptr,
+      RowId first_row = 0) const;
 
  private:
   /// One target cell: attribute and resolved code.

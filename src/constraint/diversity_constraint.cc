@@ -71,7 +71,12 @@ bool SatisfiesAll(const Relation& relation,
 
 std::vector<size_t> ViolatedConstraints(const Relation& relation,
                                         const ConstraintSet& constraints) {
-  std::vector<size_t> counts = CountAllOccurrences(relation, constraints);
+  return ViolatedConstraints(CountAllOccurrences(relation, constraints),
+                             constraints);
+}
+
+std::vector<size_t> ViolatedConstraints(const std::vector<size_t>& counts,
+                                        const ConstraintSet& constraints) {
   std::vector<size_t> violated;
   for (size_t i = 0; i < constraints.size(); ++i) {
     if (counts[i] < constraints[i].lower() || counts[i] > constraints[i].upper())

@@ -70,6 +70,11 @@ bool SatisfiesAll(const Relation& relation, const ConstraintSet& constraints);
 std::vector<size_t> ViolatedConstraints(const Relation& relation,
                                         const ConstraintSet& constraints);
 
+/// Indices of constraints whose occurrence count, counts[i], lies
+/// outside [lower, upper].
+std::vector<size_t> ViolatedConstraints(const std::vector<size_t>& counts,
+                                        const ConstraintSet& constraints);
+
 /// Occurrence counts of every constraint (the validation count query of
 /// Definition 2.3: tuples carrying the target values, suppressed cells
 /// never matching) in one ConstraintIndex pass over the relation. Exact

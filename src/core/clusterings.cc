@@ -1,6 +1,7 @@
 #include "core/clusterings.h"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 
 #include "common/counters.h"
@@ -12,17 +13,82 @@ namespace diva {
 
 std::vector<RowId> SortByQiSimilarity(const Relation& relation,
                                       const std::vector<RowId>& targets) {
-  std::vector<RowId> sorted = targets;
   const auto& qi = relation.schema().qi_indices();
-  std::stable_sort(sorted.begin(), sorted.end(), [&](RowId a, RowId b) {
-    for (size_t col : qi) {
-      ValueCode ca = relation.At(a, col);
-      ValueCode cb = relation.At(b, col);
-      if (ca != cb) return ca < cb;
+  // Each column's field is wide enough for its largest code + 1 (a ★,
+  // code -1, packs as 0, below every value), so comparing packed keys,
+  // first column in the top bits, compares the columns in order.
+  const std::vector<ValueCode> widest = ParallelReduce<std::vector<ValueCode>>(
+      targets.size(), /*grain=*/0, std::vector<ValueCode>(qi.size(), kSuppressed),
+      [&](size_t begin, size_t end) {
+        std::vector<ValueCode> most(qi.size(), kSuppressed);
+        for (size_t i = begin; i < end; ++i) {
+          for (size_t c = 0; c < qi.size(); ++c) {
+            most[c] = std::max(most[c], relation.At(targets[i], qi[c]));
+          }
+        }
+        return most;
+      },
+      [](std::vector<ValueCode> a, const std::vector<ValueCode>& b) {
+        for (size_t c = 0; c < a.size(); ++c) a[c] = std::max(a[c], b[c]);
+        return a;
+      });
+  std::vector<int> bits(qi.size());
+  int total_bits = 0;
+  for (size_t c = 0; c < qi.size(); ++c) {
+    bits[c] = std::bit_width(static_cast<uint64_t>(widest[c]) + 1);
+    total_bits += bits[c];
+  }
+
+  std::vector<RowId> sorted = targets;
+  if (total_bits > 64) {
+    std::stable_sort(sorted.begin(), sorted.end(), [&](RowId a, RowId b) {
+      for (size_t col : qi) {
+        ValueCode ca = relation.At(a, col);
+        ValueCode cb = relation.At(b, col);
+        if (ca != cb) return ca < cb;
+      }
+      return a < b;
+    });
+    return sorted;
+  }
+  struct Keyed {
+    uint64_t key;
+    RowId row;
+  };
+  std::vector<Keyed> keyed(targets.size());
+  ParallelFor(targets.size(), /*grain=*/0, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      uint64_t key = 0;
+      for (size_t c = 0; c < qi.size(); ++c) {
+        key = (key << bits[c]) |
+              static_cast<uint64_t>(relation.At(targets[i], qi[c]) + 1);
+      }
+      keyed[i] = {key, targets[i]};
     }
-    return a < b;
   });
+  std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
+    return a.key != b.key ? a.key < b.key : a.row < b.row;
+  });
+  for (size_t i = 0; i < keyed.size(); ++i) sorted[i] = keyed[i].row;
   return sorted;
+}
+
+std::vector<RowId> SubsetInOrder(std::span<const RowId> order,
+                                 std::vector<uint32_t> positions) {
+  const size_t m = positions.size();
+  std::vector<RowId> subset;
+  subset.reserve(m);
+  if (m * static_cast<size_t>(std::bit_width(m) - 1) > order.size()) {
+    std::vector<uint8_t> marked(order.size(), 0);
+    for (uint32_t position : positions) marked[position] = 1;
+    for (size_t i = 0; i < order.size(); ++i) {
+      if (marked[i]) subset.push_back(order[i]);
+    }
+    return subset;
+  }
+  std::sort(positions.begin(), positions.end());
+  for (uint32_t position : positions) subset.push_back(order[position]);
+  return subset;
 }
 
 namespace {
@@ -117,10 +183,9 @@ void AddPartitions(const Relation& relation, const std::vector<RowId>& subset,
 struct EnumerationJob {
   std::vector<RowId> subset;  // rows, already in QI-similarity order
   /// When non-empty, `subset` is ignored: these are positions into the
-  /// caller's sorted target order. Sorting positions ascending and
-  /// gathering reproduces SortByQiSimilarity of the subset exactly (the
-  /// similarity order IS the position order) without ever touching the
-  /// relation's comparator.
+  /// caller's sorted target order, and SubsetInOrder turns them into
+  /// exactly SortByQiSimilarity of the subset (the similarity order IS
+  /// the position order) without ever reading the relation.
   std::vector<uint32_t> positions;
   /// When set, everything else is ignored and this candidate is emitted
   /// as-is.
@@ -140,11 +205,7 @@ std::vector<CandidateClustering> RunEnumerationJob(
     return local;
   }
   if (!job.positions.empty()) {
-    std::sort(job.positions.begin(), job.positions.end());
-    job.subset.reserve(job.positions.size());
-    for (uint32_t position : job.positions) {
-      job.subset.push_back(sorted[position]);
-    }
+    job.subset = SubsetInOrder(sorted, std::move(job.positions));
   }
   AddPartitions(relation, job.subset, k, options, &local);
   return local;
@@ -188,12 +249,12 @@ std::vector<CandidateClustering> EnumerateClusteringsWithBounds(
     return out;
   }
 
-  // coloring.target_sorts counts full-target stable_sorts; the coloring
-  // engine hoists them to construction time, so after one ColorConstraints
+  // coloring.target_sorts counts constraint target orders: one here,
+  // and one per constraint when the coloring engine filters every order
+  // out of its search context's single sort. After one ColorConstraints
   // the deterministic counter equals the constraint count exactly
-  // (coloring_test asserts this). Any future code path that reaches this
-  // per-call sort from inside the search loop breaks that invariant
-  // loudly instead of silently regressing.
+  // (coloring_test asserts this), so a code path that reaches this
+  // per-call sort from inside the search loop shows up in the count.
   std::vector<RowId> sorted = SortByQiSimilarity(relation, free_targets);
   DIVA_COUNTER_ADD("coloring.target_sorts", 1);
   return EnumerateClusteringsQiSorted(relation, sorted, k, min_preserve,
@@ -284,8 +345,8 @@ std::vector<CandidateClustering> EnumerateClusteringsQiSorted(
 
     // Seeded random subsets for diversity beyond the similarity order.
     // The pool holds positions into `sorted`, not rows: the RNG swap
-    // sequence is unchanged, and the job re-sorts positions instead of
-    // running the QI comparator over the relation again.
+    // sequence is unchanged, and the job orders positions (SubsetInOrder)
+    // instead of running the QI comparator over the relation again.
     std::vector<uint32_t> pool(sorted.size());
     for (size_t i = 0; i < pool.size(); ++i) {
       pool[i] = static_cast<uint32_t>(i);

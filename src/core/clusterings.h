@@ -2,6 +2,7 @@
 #define DIVA_CORE_CLUSTERINGS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "anon/cluster.h"
@@ -42,13 +43,24 @@ struct ClusteringEnumOptions {
 };
 
 /// Sorts target rows by their QI projection (column by column, row id as
-/// the final tie-break). The comparator is a strict total order that does
-/// not depend on which rows are present, so filtering a presorted list
-/// down to a subset yields exactly the order this function would produce
-/// for that subset — the property the coloring engine relies on to hoist
-/// the sort out of its per-visit candidate enumeration.
+/// the final tie-break). The order is a strict total order that does not
+/// depend on which rows are present, so filtering a presorted list down
+/// to a subset yields exactly the order this function would produce for
+/// that subset — the property the coloring engine relies on to sort a
+/// search context's targeted rows once and filter every constraint's
+/// order, and each node's free targets, out of that list. When every QI
+/// column's largest code + 1 fits, the columns pack into one 64-bit key
+/// (first column in the top bits) and rows sort by (key, row); wider
+/// codes sort with the column-by-column comparator.
 std::vector<RowId> SortByQiSimilarity(const Relation& relation,
                                       const std::vector<RowId>& targets);
+
+/// The entries of `order` at `positions` (distinct indices into it), in
+/// `order`'s order. Sorting m positions costs ~m·log2(m) steps and
+/// marking them and scanning `order` costs ~|order|, so it marks when
+/// m·log2(m) exceeds |order| and sorts otherwise; both give one result.
+std::vector<RowId> SubsetInOrder(std::span<const RowId> order,
+                                 std::vector<uint32_t> positions);
 
 /// Enumerates candidate clusterings satisfying `constraint` over
 /// `relation` with minimum cluster size `k` (the Clusterings routine of

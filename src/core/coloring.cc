@@ -1,7 +1,6 @@
 #include "core/coloring.h"
 
 #include <algorithm>
-#include <atomic>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -60,9 +59,9 @@ std::vector<uint64_t> MakeRowTags(size_t num_rows) {
 /// call spawns (all restart attempts plus the greedy pass): the hoisted
 /// QI-similarity target orders, the row->constraint incidence lists that
 /// drive O(incidence) bookkeeping updates and the forward check, and the
-/// row tag table behind every set fingerprint. Once `deadline` trips, the
-/// target sorts left are skipped: ColorConstraints then builds no engine,
-/// so nothing reads the incomplete orders.
+/// row tag table behind every set fingerprint. A `deadline` already
+/// tripped skips the target sort and leaves the orders empty:
+/// ColorConstraints then builds no engine, so nothing reads them.
 struct SearchContext {
   SearchContext(const Relation& relation, const ConstraintGraph& graph,
                 const CancellationToken& deadline) {
@@ -88,19 +87,28 @@ struct SearchContext {
         incidence[cursor[row]++] = static_cast<uint32_t>(j);
       }
     }
-    // One stable_sort per constraint, once, in parallel — CandidatesFor
-    // used to redo this sort on every node visit. Filtering these orders
-    // by the claimed bitset reproduces a fresh sort of the free subset
-    // exactly, because SortByQiSimilarity's comparator is a strict total
-    // order independent of which rows are present.
-    std::atomic<size_t> sorts{0};
-    sorted_targets = ParallelMap<std::vector<RowId>>(
-        n, /*grain=*/1, [&](size_t j) -> std::vector<RowId> {
-          if (deadline.Cancelled()) return {};
-          sorts.fetch_add(1, std::memory_order_relaxed);
-          return SortByQiSimilarity(relation, graph.targets[j]);
-        });
-    DIVA_COUNTER_ADD("coloring.target_sorts", sorts.load());
+    // Every targeted row sorted once by QI similarity; each constraint's
+    // order is that list filtered to its targets, in one pass over the
+    // incidence lists. Filtering these orders by the claimed bitset
+    // reproduces a fresh sort of the free subset exactly, because
+    // SortByQiSimilarity's order is a strict total order independent of
+    // which rows are present. coloring.target_sorts counts the orders.
+    sorted_targets.resize(n);
+    if (!deadline.Cancelled()) {
+      std::vector<RowId> targeted;
+      for (size_t row = 0; row < num_rows; ++row) {
+        if (incidence_begin[row + 1] > incidence_begin[row]) {
+          targeted.push_back(static_cast<RowId>(row));
+        }
+      }
+      for (size_t j = 0; j < n; ++j) {
+        sorted_targets[j].reserve(graph.targets[j].size());
+      }
+      for (RowId row : SortByQiSimilarity(relation, targeted)) {
+        for (uint32_t j : Incident(row)) sorted_targets[j].push_back(row);
+      }
+      DIVA_COUNTER_ADD("coloring.target_sorts", n);
+    }
     row_tags = MakeRowTags(num_rows);
   }
 

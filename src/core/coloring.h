@@ -88,6 +88,12 @@ struct ColoringOutcome {
   /// chosen_clusters.
   std::vector<uint64_t> preserved;
 
+  /// Per chosen cluster, its StarMask (anon/suppress.h). Only
+  /// RunShardedColoring fills it, reading each shard's masks off the
+  /// shard's gathered rows, and only when the QI projection has at most
+  /// kStarMaskColumns columns; empty otherwise.
+  std::vector<uint8_t> star_masks;
+
   uint64_t steps = 0;
   uint64_t backtracks = 0;
 

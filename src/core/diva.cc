@@ -1,8 +1,10 @@
 #include "core/diva.h"
 
 #include <algorithm>
+#include <atomic>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "anon/privacy.h"
@@ -61,6 +63,80 @@ Status Recode(const DivaOptions& options, Relation* out,
   return Status::OK();
 }
 
+/// A row's byte in the pipeline's row marks: kCovered when a cluster
+/// holds the row, plus, when the marks carry star masks, its cluster's
+/// StarMask.
+constexpr uint8_t kCovered = 0x80;
+static_assert(kStarMaskColumns < 8, "star masks must fit beside kCovered");
+
+/// True when suppression writes from star masks: plain suppression
+/// over a QI projection StarMask can describe.
+bool MarksCarryStarMasks(const Relation& relation, const DivaOptions& options) {
+  return options.generalization == nullptr &&
+         relation.schema().qi_indices().size() <= kStarMaskColumns;
+}
+
+/// Marks every row of `clusters` kCovered, with its cluster's star mask
+/// when `with_masks`: masks[c] when given for every cluster, else built
+/// here in parallel. Marks are set on one thread: clusters of different
+/// shards interleave row by row, so writers split by cluster would share
+/// cache lines. Returns how many rows were not marked before: fewer than
+/// TotalRows(clusters) when the clusters overlap each other or earlier
+/// marks.
+size_t MarkRows(const Relation& relation, const Clustering& clusters,
+                std::vector<uint8_t> masks, bool with_masks,
+                std::vector<uint8_t>* marks) {
+  if (with_masks && masks.size() != clusters.size()) {
+    masks = ParallelMap<uint8_t>(clusters.size(), /*grain=*/0, [&](size_t c) {
+      return StarMask(relation, clusters[c]);
+    });
+  }
+  size_t marked = 0;
+  for (size_t c = 0; c < clusters.size(); ++c) {
+    const uint8_t mark = kCovered | (with_masks ? masks[c] : 0);
+    for (RowId row : clusters[c]) {
+      marked += (*marks)[row] == 0;
+      (*marks)[row] = mark;
+    }
+  }
+  return marked;
+}
+
+/// What suppressing the clusters behind `marks` (MarkRows with masks,
+/// disjoint clusters) writes into a copy of `relation`, in one streaming
+/// pass: each marked row is copied with its mask's columns starred.
+/// Adds to *stars the cells it turns into stars and counts the starred
+/// cluster cells as suppress.cells, as SuppressClustersInPlace would.
+Relation SuppressMarked(const Relation& relation,
+                        const std::vector<uint8_t>& marks, uint64_t* stars) {
+  const std::vector<size_t>& qi = relation.schema().qi_indices();
+  const size_t stride = relation.NumAttributes();
+  std::atomic<uint64_t> added{0};
+  std::atomic<uint64_t> written{0};
+  Relation out = relation.CopyEditing(
+      [&](size_t begin, size_t end, std::span<ValueCode> cells) {
+        uint64_t local_added = 0;
+        uint64_t local_written = 0;
+        for (size_t row = begin; row < end; ++row) {
+          const uint8_t mask = marks[row] & ~kCovered;
+          if (mask == 0) continue;
+          ValueCode* row_cells = cells.data() + (row - begin) * stride;
+          for (size_t q = 0; q < qi.size(); ++q) {
+            if ((mask >> q & 1) == 0) continue;
+            ValueCode& cell = row_cells[qi[q]];
+            local_added += cell != kSuppressed;
+            cell = kSuppressed;
+            ++local_written;
+          }
+        }
+        added.fetch_add(local_added, std::memory_order_relaxed);
+        written.fetch_add(local_written, std::memory_order_relaxed);
+      });
+  DIVA_COUNTER_ADD("suppress.cells", written.load());
+  *stars += added.load();
+  return out;
+}
+
 ClusteringEnumOptions TuneEnumeration(const DivaOptions& options) {
   ClusteringEnumOptions enumeration = options.enumeration;
   if (!options.auto_tune_enumeration) return enumeration;
@@ -78,16 +154,18 @@ ClusteringEnumOptions TuneEnumeration(const DivaOptions& options) {
   return enumeration;
 }
 
-/// The row ids at(i), i in [0, count), that `keep` accepts, in index
-/// order. Chunks count their hits, then fill their slices, in parallel.
-template <typename At, typename Keep>
-std::vector<RowId> CollectRows(size_t count, const At& at, const Keep& keep) {
-  const size_t grain = count / 64 + 1;
-  const size_t chunks = (count + grain - 1) / grain;
+/// The rows in [0, num_rows) that `keep` accepts, ascending. Chunks
+/// count their hits, then fill their slices, in parallel.
+template <typename Keep>
+std::vector<RowId> CollectRows(size_t num_rows, const Keep& keep) {
+  const size_t grain = num_rows / 64 + 1;
+  const size_t chunks = (num_rows + grain - 1) / grain;
   std::vector<size_t> first = ParallelMap<size_t>(chunks, 1, [&](size_t c) {
     size_t hits = 0;
-    const size_t end = std::min(count, (c + 1) * grain);
-    for (size_t i = c * grain; i < end; ++i) hits += keep(at(i)) ? 1 : 0;
+    const size_t end = std::min(num_rows, (c + 1) * grain);
+    for (size_t row = c * grain; row < end; ++row) {
+      hits += keep(static_cast<RowId>(row)) ? 1 : 0;
+    }
     return hits;
   });
   size_t total = 0;
@@ -96,19 +174,34 @@ std::vector<RowId> CollectRows(size_t count, const At& at, const Keep& keep) {
   ParallelFor(chunks, 1, [&](size_t chunk_begin, size_t chunk_end) {
     for (size_t c = chunk_begin; c < chunk_end; ++c) {
       size_t next = first[c];
-      const size_t end = std::min(count, (c + 1) * grain);
-      for (size_t i = c * grain; i < end; ++i) {
-        const RowId row = at(i);
-        if (keep(row)) out[next++] = row;
+      const size_t end = std::min(num_rows, (c + 1) * grain);
+      for (size_t row = c * grain; row < end; ++row) {
+        if (keep(static_cast<RowId>(row))) out[next++] = static_cast<RowId>(row);
       }
     }
   });
   return out;
 }
 
+/// True when some constraint reads an identifier column, whose cells
+/// SuppressIdentifiers blanks.
+bool ReadsIdentifiers(const Relation& relation,
+                      const ConstraintSet& constraints) {
+  for (const DiversityConstraint& constraint : constraints) {
+    for (size_t attr : constraint.attribute_indices()) {
+      if (relation.schema().attribute(attr).role ==
+          AttributeRole::kIdentifier) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 /// The baseline phase. With an effective plan, shard s's uncovered rows
-/// are clustered over a gathered sub-relation with local ids, in shard
-/// order; shards left with fewer than k uncovered rows pool together
+/// are clustered over a gathered sub-relation with local ids, the shards
+/// concurrently and merged in shard order; shards left with fewer than k
+/// uncovered rows pool together
 /// with the residual rows into one trailing baseline run. A plan with
 /// fewer than 2 shards pools every remaining row. A pool still smaller
 /// than k is returned in `leftover` for the caller to fold into existing
@@ -119,14 +212,18 @@ std::vector<RowId> CollectRows(size_t count, const At& at, const Keep& keep) {
 /// only on row positions, so a gathered call clusters exactly as an
 /// in-place one would. A deadline hitting any call falls back to the
 /// anytime single-pass Mondrian over all remaining rows and invalidates
-/// the capture. `covered` flags every row of an S_Sigma cluster;
-/// `remaining` lists the others, ascending.
+/// the capture. `marks` is nonzero on every row of an S_Sigma cluster;
+/// the `num_remaining` others are listed only when a pool or the
+/// fallback needs them. `rk_masks` receives each cluster's StarMask
+/// when the calls read them off their gathered rows (the fallback does
+/// not).
 Status BuildShardedBaseline(const Relation& relation,
-                            const std::vector<uint8_t>& covered,
-                            const std::vector<RowId>& remaining,
+                            const std::vector<uint8_t>& marks,
+                            size_t num_remaining,
                             const ShardPlan& plan, const DivaOptions& options,
                             const CancellationToken& token,
                             const PipelineHooks& hooks, Clustering* rk_clusters,
+                            std::vector<uint8_t>* rk_masks,
                             std::vector<RowId>* leftover, DivaReport* report) {
   const size_t num_shards = plan.Effective() ? plan.shards.size() : 0;
   auto adoptable = [&](size_t s) -> const ShardBaselineRecord* {
@@ -139,38 +236,52 @@ Status BuildShardedBaseline(const Relation& relation,
   std::vector<Clustering> adopted(num_shards);
   ParallelFor(num_shards, /*grain=*/1, [&](size_t begin, size_t end) {
     for (size_t s = begin; s < end; ++s) {
+      // Stores through a cursor, not push_back: these loops are hot.
       std::vector<RowId>& rows = uncovered[s];
+      rows.resize(plan.shards[s].rows.size());
+      RowId* next = rows.data();
       for (RowId row : plan.shards[s].rows) {
-        if (!covered[row]) rows.push_back(row);
+        *next = row;
+        next += marks[row] == 0;
       }
+      rows.resize(static_cast<size_t>(next - rows.data()));
       const ShardBaselineRecord* record = adoptable(s);
       if (rows.size() < options.k || record == nullptr) continue;
       adopted[s].reserve(record->clusters.size());
       for (const Cluster& cluster : record->clusters) {
-        Cluster& global = adopted[s].emplace_back();
-        global.reserve(cluster.size());
-        for (RowId row : cluster) {
-          global.push_back(rows[static_cast<size_t>(row)]);
-        }
+        Cluster& global = adopted[s].emplace_back(cluster.size());
+        std::transform(cluster.begin(), cluster.end(), global.begin(),
+                       [&](RowId row) { return rows[row]; });
       }
     }
   });
-  // A flag on each uncovered row of a shard that clusters on its own.
-  // Set on one thread: shards interleave row by row, so writers split by
-  // shard would share every cache line of the flags.
-  std::vector<uint8_t> own_baseline(num_shards > 0 ? relation.NumRows() : 0, 0);
-  for (const std::vector<RowId>& rows : uncovered) {
-    if (rows.size() < options.k) continue;  // empty or pooled
-    for (RowId row : rows) own_baseline[row] = 1;
-  }
   // The pool: residual (untargeted) remaining rows plus every
-  // undersized shard's uncovered rows, in ascending row order.
-  std::vector<RowId> pool =
-      num_shards == 0
-          ? remaining
-          : CollectRows(
-                remaining.size(), [&](size_t i) { return remaining[i]; },
-                [&](RowId row) { return own_baseline[row] == 0; });
+  // undersized shard's uncovered rows, in ascending row order. It is
+  // empty when the shards' own calls take every remaining row.
+  size_t own_rows = 0;
+  for (const std::vector<RowId>& rows : uncovered) {
+    if (rows.size() >= options.k) own_rows += rows.size();
+  }
+  auto collect_remaining = [&] {
+    return CollectRows(relation.NumRows(),
+                       [&](RowId row) { return marks[row] == 0; });
+  };
+  std::vector<RowId> pool;
+  if (num_shards == 0) {
+    pool = collect_remaining();
+  } else if (own_rows < num_remaining) {
+    // A flag on each uncovered row of a shard that clusters on its own.
+    // Set on one thread: shards interleave row by row, so writers split
+    // by shard would share every cache line of the flags.
+    std::vector<uint8_t> own_baseline(relation.NumRows(), 0);
+    for (const std::vector<RowId>& rows : uncovered) {
+      if (rows.size() < options.k) continue;  // empty or pooled
+      for (RowId row : rows) own_baseline[row] = 1;
+    }
+    pool = CollectRows(relation.NumRows(), [&](RowId row) {
+      return marks[row] == 0 && own_baseline[row] == 0;
+    });
+  }
 
   std::vector<std::shared_ptr<const ShardBaselineRecord>>* capture =
       hooks.capture != nullptr ? &hooks.capture->baseline : nullptr;
@@ -178,18 +289,70 @@ Status BuildShardedBaseline(const Relation& relation,
 
   DivaOptions baseline_options = options;
   baseline_options.anonymizer.cancel = token;
-  std::unique_ptr<Anonymizer> baseline =
-      MakeBaselineAnonymizer(baseline_options);
-
-  auto build_local = [&](const std::vector<RowId>& rows) -> Result<Clustering> {
+  const bool masked = MarksCarryStarMasks(relation, options);
+  // Clusters `rows` into `built` in local ids, with their star masks,
+  // read off the gathered rows while they are hot. One anonymizer per
+  // call: calls run concurrently, and an anonymizer may keep state
+  // between the steps of one call. The token is polled before the rows
+  // are copied, so a tripped run gathers nothing.
+  auto build_local = [&](const std::vector<RowId>& rows,
+                         ShardBaselineRecord* built) -> Status {
+    if (token.Cancelled()) return DeadlineExceededStatus("baseline");
     Relation sub = relation.SelectRows(rows);
     std::vector<RowId> local(rows.size());
     for (size_t i = 0; i < local.size(); ++i) local[i] = static_cast<RowId>(i);
-    return baseline->BuildClusters(sub, local, options.k);
+    DIVA_ASSIGN_OR_RETURN(built->clusters,
+                          MakeBaselineAnonymizer(baseline_options)
+                              ->BuildClusters(sub, local, options.k));
+    if (masked) {
+      for (const Cluster& cluster : built->clusters) {
+        built->star_masks.push_back(StarMask(sub, cluster));
+      }
+    }
+    return Status::OK();
+  };
+  // Appends `built`'s clusters mapped through `rows` to global ids.
+  Clustering built_all;
+  auto take = [&](const ShardBaselineRecord& built,
+                  const std::vector<RowId>& rows) {
+    for (const Cluster& cluster : built.clusters) {
+      Cluster& global = built_all.emplace_back(cluster.size());
+      std::transform(cluster.begin(), cluster.end(), global.begin(),
+                     [&](RowId row) { return rows[row]; });
+    }
+    rk_masks->insert(rk_masks->end(), built.star_masks.begin(),
+                     built.star_masks.end());
   };
 
+  // Every live shard's call is one TaskGroup item, like the coloring,
+  // with its counters buffered into its record; results, counter replays
+  // and the first error merge in shard order below, so the merge is the
+  // same at every width. With 0 workers Wait runs the items inline.
+  std::vector<Status> statuses(num_shards, Status::OK());
+  std::vector<std::shared_ptr<ShardBaselineRecord>> records(num_shards);
+  std::vector<size_t> live;
+  for (size_t s = 0; s < num_shards; ++s) {
+    if (uncovered[s].size() >= options.k && adoptable(s) == nullptr) {
+      live.push_back(s);
+    }
+  }
+  {
+    const size_t workers =
+        options.shard ? ResolveThreadCount(options.threads) : 1;
+    TaskGroup group(workers > 1 ? std::min(workers, live.size()) : 0);
+    std::vector<uint64_t> tickets;
+    tickets.reserve(live.size());
+    for (size_t s : live) {
+      tickets.push_back(group.Submit([&, s] {
+        records[s] = std::make_shared<ShardBaselineRecord>();
+        counters::ScopedBufferedCounters buffered(&records[s]->telemetry);
+        statuses[s] = build_local(uncovered[s], records[s].get());
+      }));
+    }
+    for (uint64_t ticket : tickets) group.Wait(ticket);
+  }
+
   Status deadline_status = Status::OK();
-  Clustering built_all;
   for (size_t s = 0; s < num_shards && deadline_status.ok(); ++s) {
     const std::vector<RowId>& rows = uncovered[s];
     if (rows.size() < options.k) continue;  // empty or pooled above
@@ -202,48 +365,33 @@ Status BuildShardedBaseline(const Relation& relation,
       replay.Commit();
       std::move(adopted[s].begin(), adopted[s].end(),
                 std::back_inserter(built_all));
+      rk_masks->insert(rk_masks->end(), record->star_masks.begin(),
+                       record->star_masks.end());
       continue;
     }
-    auto record = std::make_shared<ShardBaselineRecord>();
-    Result<Clustering> built = [&]() -> Result<Clustering> {
-      counters::ScopedBufferedCounters buffered(&record->telemetry);
-      return build_local(rows);
-    }();
-    if (!built.ok()) {
-      if (built.status().code() != StatusCode::kDeadlineExceeded) {
-        return built.status();
+    if (!statuses[s].ok()) {
+      if (statuses[s].code() != StatusCode::kDeadlineExceeded) {
+        return statuses[s];
       }
-      deadline_status = built.status();
+      deadline_status = statuses[s];
       break;
     }
-    Clustering local_clusters = std::move(built).value();
     // Replay a copy: the record keeps the uncommitted op sequence.
-    counters::Buffer replay = record->telemetry;
+    counters::Buffer replay = records[s]->telemetry;
     replay.Commit();
-    if (capture != nullptr) {
-      record->clusters = local_clusters;
-      (*capture)[s] = std::move(record);
-    }
-    for (Cluster& cluster : local_clusters) {
-      for (RowId& row : cluster) row = rows[static_cast<size_t>(row)];
-      built_all.push_back(std::move(cluster));
-    }
+    take(*records[s], rows);
+    if (capture != nullptr) (*capture)[s] = std::move(records[s]);
   }
 
   if (deadline_status.ok() && pool.size() >= options.k) {
     // The pool is never adopted: its membership mixes shards, so it is
     // recomputed by cold and incremental runs alike.
-    Result<Clustering> built = build_local(pool);
-    if (!built.ok()) {
-      if (built.status().code() != StatusCode::kDeadlineExceeded) {
-        return built.status();
-      }
-      deadline_status = built.status();
-    } else {
-      for (Cluster& cluster : std::move(built).value()) {
-        for (RowId& row : cluster) row = pool[static_cast<size_t>(row)];
-        built_all.push_back(std::move(cluster));
-      }
+    ShardBaselineRecord built;
+    deadline_status = build_local(pool, &built);
+    if (deadline_status.ok()) {
+      take(built, pool);
+    } else if (deadline_status.code() != StatusCode::kDeadlineExceeded) {
+      return deadline_status;
     }
   }
 
@@ -252,9 +400,11 @@ Status BuildShardedBaseline(const Relation& relation,
     // Anytime fallback: the single-pass Mondrian always finishes.
     report->baseline_degraded = true;
     if (capture != nullptr) capture->clear();
+    rk_masks->clear();
     std::unique_ptr<Anonymizer> mondrian = MakeMondrian(options.anonymizer);
     DIVA_ASSIGN_OR_RETURN(
-        *rk_clusters, mondrian->BuildClusters(relation, remaining, options.k));
+        *rk_clusters,
+        mondrian->BuildClusters(relation, collect_remaining(), options.k));
     return Status::OK();
   }
 
@@ -406,21 +556,25 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
   Clustering sigma_clusters = std::move(coloring.chosen_clusters);
   report.sigma_rows = TotalRows(sigma_clusters);
 
-  // Phase 2: Suppress (or generalize) S_Sigma inside a working copy of R.
   if (options.generalization != nullptr &&
       options.generalization->num_attributes() != relation.NumAttributes()) {
     return Status::InvalidArgument(
         "generalization context arity mismatch with the relation");
   }
   DIVA_RETURN_IF_ERROR(DIVA_FAIL("diva.suppress"));
-  Relation out = relation;
-  {
-    DIVA_TRACE_SPAN("diva/suppress");
-    DIVA_RETURN_IF_ERROR(Recode(options, &out, sigma_clusters));
-  }
   for (const Cluster& cluster : sigma_clusters) {
     DIVA_HISTOGRAM_RECORD("diva.cluster_size", cluster.size());
   }
+  // Phase 2: mark S_Sigma's rows. With plain suppression over a narrow
+  // QI projection each mark carries its cluster's star mask, and one
+  // streaming pass after the baseline writes every suppression at once;
+  // otherwise the clusters are recoded one by one.
+  const bool masked = MarksCarryStarMasks(relation, options);
+  std::vector<uint8_t> marks(relation.NumRows(), 0);
+  const size_t covered_rows =
+      MarkRows(relation, sigma_clusters, std::move(coloring.star_masks),
+               masked, &marks);
+  bool disjoint = covered_rows == report.sigma_rows;
 
   // Phase 3: Anonymize the remaining tuples with the baseline. With an
   // effective shard plan the baseline runs per component (uncovered rows
@@ -429,49 +583,59 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
   // the reuse unit of incremental runs. Without one, every remaining row
   // is pooled into one call.
   Clustering rk_clusters;
+  std::vector<uint8_t> rk_masks;
+  std::vector<RowId> leftover;
   {
     DIVA_TRACE_SPAN("diva/anonymize");
     PhaseTimer phase_timer(&report.anonymize_seconds);
-    // Flags set on one thread: clusters of different shards interleave
-    // row by row, so writers split by cluster would share cache lines.
-    // The scan for the rest runs in parallel.
-    std::vector<uint8_t> covered(relation.NumRows(), 0);
-    for (const Cluster& cluster : sigma_clusters) {
-      for (RowId row : cluster) covered[row] = 1;
-    }
-    const std::vector<RowId> remaining = CollectRows(
-        relation.NumRows(), [](size_t i) { return static_cast<RowId>(i); },
-        [&](RowId row) { return covered[row] == 0; });
-
-    std::vector<RowId> leftover;
-    DIVA_RETURN_IF_ERROR(BuildShardedBaseline(relation, covered, remaining,
-                                              *plan, options, token, hooks,
-                                              &rk_clusters, &leftover,
-                                              &report));
-
-    if (!rk_clusters.empty()) {
-      DIVA_RETURN_IF_ERROR(Recode(options, &out, rk_clusters));
-    }
-    if (!leftover.empty()) {
-      // Fewer than k stragglers: fold them into the cheapest existing
-      // cluster (there must be one, or the relation itself had < k rows,
-      // rejected above — unless S_Sigma is empty too).
-      Clustering* host = !sigma_clusters.empty()   ? &sigma_clusters
-                         : !rk_clusters.empty()    ? &rk_clusters
-                                                   : nullptr;
-      if (host == nullptr) {
-        return Status::Infeasible(
-            "cannot k-anonymize " + std::to_string(leftover.size()) +
-            " tuples with k = " + std::to_string(options.k));
-      }
-      FoldLeftoverRows(&out, host, leftover, constraints);
-    }
+    DIVA_RETURN_IF_ERROR(BuildShardedBaseline(
+        relation, marks, relation.NumRows() - covered_rows, *plan, options,
+        token, hooks, &rk_clusters, &rk_masks, &leftover, &report));
+    disjoint = MarkRows(relation, rk_clusters, std::move(rk_masks), masked,
+                        &marks) == TotalRows(rk_clusters) &&
+               disjoint;
   }
 
-  // Phase 4: Integrate — repair upper bounds breached by R_k. Skipped
+  // Phase 4: Suppress (or generalize) S_Sigma and R_k into the output.
+  // `stars` holds the stars added while nothing else has written `out`.
+  std::optional<uint64_t> stars;
+  Result<Relation> recoded = [&]() -> Result<Relation> {
+    DIVA_TRACE_SPAN("diva/suppress");
+    if (masked && disjoint) {
+      stars = 0;
+      return SuppressMarked(relation, marks, &*stars);
+    }
+    Relation copy = relation;
+    DIVA_RETURN_IF_ERROR(Recode(options, &copy, sigma_clusters));
+    if (!rk_clusters.empty()) {
+      DIVA_RETURN_IF_ERROR(Recode(options, &copy, rk_clusters));
+    }
+    return copy;
+  }();
+  if (!recoded.ok()) return recoded.status();
+  Relation out = std::move(recoded).value();
+  if (!leftover.empty()) {
+    // Fewer than k stragglers: fold them into the cheapest existing
+    // cluster (there must be one, or the relation itself had < k rows,
+    // rejected above — unless S_Sigma is empty too).
+    Clustering* host = !sigma_clusters.empty()   ? &sigma_clusters
+                       : !rk_clusters.empty()    ? &rk_clusters
+                                                 : nullptr;
+    if (host == nullptr) {
+      return Status::Infeasible(
+          "cannot k-anonymize " + std::to_string(leftover.size()) +
+          " tuples with k = " + std::to_string(options.k));
+    }
+    FoldLeftoverRows(&out, host, leftover, constraints);
+    stars.reset();
+  }
+
+  // Phase 5: Integrate — repair upper bounds breached by R_k. Skipped
   // once the deadline tripped: the unrepaired violations surface in
   // report.unsatisfied below (and are waived for the audit), which is an
-  // honest degradation — a half-applied repair would not be.
+  // honest degradation — a half-applied repair would not be. `counts`
+  // keeps the repair's occurrence counts of the output.
+  std::vector<size_t> counts;
   {
     DIVA_TRACE_SPAN("diva/integrate");
     PhaseTimer phase_timer(&report.integrate_seconds);
@@ -482,6 +646,7 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
     } else {
       IntegrateStats repair = IntegrateRepair(&out, constraints, rk_clusters);
       report.repair_cells = repair.suppressed_cells;
+      counts = std::move(repair.counts);
     }
   }
 
@@ -490,7 +655,8 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
   // and Sigma's upper bounds survive, lower bounds re-verified below).
   // The deadline token truncates the merge loops; whether the target was
   // actually missed is re-checked afterwards.
-  if (options.l_diversity > 1 || options.t_closeness < 1.0) {
+  const bool privacy = options.l_diversity > 1 || options.t_closeness < 1.0;
+  if (privacy) {
     DIVA_TRACE_SPAN("diva/privacy");
     Clustering all_clusters = sigma_clusters;
     all_clusters.insert(all_clusters.end(), rk_clusters.begin(),
@@ -516,7 +682,12 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
   }
 
   SuppressIdentifiers(&out);
-  report.unsatisfied = ViolatedConstraints(out, constraints);
+  // The repair's counts are the output's unless a later write reached a
+  // cell some constraint reads: a privacy merge, or identifier blanking.
+  report.unsatisfied =
+      !counts.empty() && !privacy && !ReadsIdentifiers(out, constraints)
+          ? ViolatedConstraints(counts, constraints)
+          : ViolatedConstraints(out, constraints);
   if (!report.unsatisfied.empty() && options.strict) {
     return Status::Infeasible(
         "output violates " + std::to_string(report.unsatisfied.size()) +
@@ -530,21 +701,29 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
   // here — rather than inside SuppressClustersInPlace, which rewrites
   // cells already suppressed (leftover folds, privacy merges) and would
   // overcount — keeps the figure equal to what the auditor's star
-  // accounting re-derives from the published pair.
+  // accounting re-derives from the published pair. The suppression
+  // pass's own count is that figure when nothing else wrote a cell.
   {
-    const uint64_t added_stars = ParallelReduce<uint64_t>(
-        out.NumRows(), /*grain=*/0, uint64_t{0},
-        [&](size_t begin, size_t end) {
-          uint64_t stars = 0;
-          for (size_t row = begin; row < end; ++row) {
-            for (size_t col = 0; col < out.NumAttributes(); ++col) {
-              stars += out.At(static_cast<RowId>(row), col) == kSuppressed &&
-                       relation.At(static_cast<RowId>(row), col) != kSuppressed;
+    const bool rewritten = !stars.has_value() ||
+                           report.repair_cells > 0 || privacy ||
+                           !out.schema().identifier_indices().empty();
+    uint64_t added_stars = stars.value_or(0);
+    if (rewritten) {
+      added_stars = ParallelReduce<uint64_t>(
+          out.NumRows(), /*grain=*/0, uint64_t{0},
+          [&](size_t begin, size_t end) {
+            uint64_t count = 0;
+            for (size_t row = begin; row < end; ++row) {
+              for (size_t col = 0; col < out.NumAttributes(); ++col) {
+                count +=
+                    out.At(static_cast<RowId>(row), col) == kSuppressed &&
+                    relation.At(static_cast<RowId>(row), col) != kSuppressed;
+              }
             }
-          }
-          return stars;
-        },
-        [](uint64_t a, uint64_t b) { return a + b; });
+            return count;
+          },
+          [](uint64_t a, uint64_t b) { return a + b; });
+    }
     DIVA_COUNTER_ADD("suppress.stars", added_stars);
   }
 
@@ -579,7 +758,12 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
                      !report.deadline_exceeded && !report.baseline_degraded &&
                      !report.integrate_skipped && !report.privacy_truncated &&
                      snapshot.coloring.size() == plan->shards.size();
-    if (snapshot.valid) snapshot.plan = *plan;
+    if (snapshot.valid && graph == &built_graph) {
+      snapshot.graph = std::move(built_graph);
+    }
+    if (snapshot.valid && plan == &built_plan) {
+      snapshot.plan = std::move(built_plan);
+    }
   }
 
   report.counters = counters::Delta(counters_before, counters::Snapshot());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <string_view>
@@ -11,6 +12,7 @@
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "common/trace.h"
+#include "constraint/constraint_index.h"
 
 namespace diva {
 
@@ -61,7 +63,7 @@ void FinalizeSnapshot(PipelineSnapshot* snapshot, Relation input,
   if (!snapshot->valid) return;
   snapshot->constraints = constraints;
   snapshot->options_fingerprint = OptionsFingerprint(options);
-  snapshot->input.emplace(std::move(input));
+  snapshot->input = std::make_shared<const Relation>(std::move(input));
 }
 
 size_t DeltaBatch::RowsDeleted() const {
@@ -72,32 +74,49 @@ namespace {
 
 /// ApplyDeltaToRelation, also returning in `survivors` the input row
 /// that each surviving post-delta row copies (post row r < survivors'
-/// size is input row survivors[r]).
+/// size is input row survivors[r]) and in `deleted` the deleted input
+/// rows, ascending and distinct.
 Result<Relation> ApplyDeltaWithSurvivors(const Relation& input,
                                          const DeltaBatch& delta,
-                                         std::vector<RowId>* survivors) {
+                                         std::vector<RowId>* survivors,
+                                         std::vector<RowId>* deleted) {
   // Sorted and deduplicated: a row listed twice is deleted once.
-  std::vector<RowId> deleted = delta.deleted;
-  std::sort(deleted.begin(), deleted.end());
-  deleted.erase(std::unique(deleted.begin(), deleted.end()), deleted.end());
-  if (!deleted.empty() &&
-      static_cast<size_t>(deleted.back()) >= input.NumRows()) {
+  *deleted = delta.deleted;
+  std::sort(deleted->begin(), deleted->end());
+  deleted->erase(std::unique(deleted->begin(), deleted->end()),
+                 deleted->end());
+  const std::vector<RowId>& gone = *deleted;
+  if (!gone.empty() && static_cast<size_t>(gone.back()) >= input.NumRows()) {
     return Status::InvalidArgument(
-        "delta deletes row " + std::to_string(deleted.back()) +
+        "delta deletes row " + std::to_string(gone.back()) +
         " of a relation with " + std::to_string(input.NumRows()) + " rows");
   }
-  std::vector<RowId>& keep = *survivors;
-  keep.clear();
-  keep.reserve(input.NumRows() - deleted.size());
-  size_t next_delete = 0;
-  for (RowId row = 0; row < static_cast<RowId>(input.NumRows()); ++row) {
-    if (next_delete < deleted.size() && deleted[next_delete] == row) {
-      ++next_delete;
-      continue;
+  // Survivor o is input row o + k, where k counts the deleted rows below
+  // it: the deleted rows i with gone[i] - i <= o. Each chunk finds its
+  // first k by binary search, then steps over the deleted rows it meets.
+  survivors->resize(input.NumRows() - gone.size());
+  ParallelFor(survivors->size(), /*grain=*/0, [&](size_t begin, size_t end) {
+    size_t lo = 0;
+    size_t hi = gone.size();
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (gone[mid] - mid <= begin) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
     }
-    keep.push_back(row);
-  }
-  Relation post = input.SelectRows(keep, delta.inserted.size());
+    size_t k = lo;
+    RowId row = static_cast<RowId>(begin + k);
+    for (size_t o = begin; o < end; ++o, ++row) {
+      while (k < gone.size() && gone[k] == row) {
+        ++k;
+        ++row;
+      }
+      (*survivors)[o] = row;
+    }
+  });
+  Relation post = input.SelectRows(*survivors, delta.inserted.size());
   for (const std::vector<std::string>& fields : delta.inserted) {
     Result<RowId> appended = post.AppendRowStrings(fields);
     if (!appended.ok()) return appended.status();
@@ -107,10 +126,81 @@ Result<Relation> ApplyDeltaWithSurvivors(const Relation& input,
 
 }  // namespace
 
+ConstraintGraph CarryConstraintGraph(const ConstraintGraph& prior,
+                                     const Relation& post,
+                                     const ConstraintSet& constraints,
+                                     const std::vector<RowId>& deleted,
+                                     size_t survivors) {
+  // A survivor keeps its cells, and interning only appends codes, so it
+  // matches exactly the constraints its input row matched: each prior
+  // target list maps through the survivor ids (an input row moves down
+  // by the deleted rows below it), and the new rows, which follow every
+  // survivor, are matched afresh and appended.
+  const size_t n = constraints.size();
+  std::vector<std::vector<size_t>> fresh_adjacency;
+  const std::vector<std::vector<RowId>> fresh =
+      ConstraintIndex(post, constraints)
+          .Targets(&fresh_adjacency, static_cast<RowId>(survivors));
+  ConstraintGraph graph;
+  graph.targets.resize(n);
+  std::vector<uint8_t> lost(n, 0);
+  ParallelFor(n, /*grain=*/1, [&](size_t begin, size_t end) {
+    for (size_t c = begin; c < end; ++c) {
+      std::vector<RowId>& targets = graph.targets[c];
+      targets.resize(prior.targets[c].size() + fresh[c].size());
+      RowId* next = targets.data();
+      auto below = deleted.begin();  // first deleted row >= the target
+      for (RowId row : prior.targets[c]) {
+        if (below != deleted.end() && *below < row) {
+          below = std::lower_bound(below, deleted.end(), row);
+        }
+        if (below != deleted.end() && *below == row) {
+          lost[c] = 1;
+          continue;
+        }
+        *next++ = row - static_cast<RowId>(below - deleted.begin());
+      }
+      next = std::copy(fresh[c].begin(), fresh[c].end(), next);
+      targets.resize(static_cast<size_t>(next - targets.data()));
+    }
+  });
+  // An edge stays while some row matches both ends. Only an edge whose
+  // ends both lost rows can have lost its last such row, so those alone
+  // look for one; the new rows' edges join the rest.
+  graph.adjacency.resize(n);
+  ParallelFor(n, /*grain=*/1, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      std::vector<size_t> kept;
+      for (size_t j : prior.adjacency[i]) {
+        if (lost[i] && lost[j]) {
+          const std::vector<RowId>& a = graph.targets[i];
+          const std::vector<RowId>& b = graph.targets[j];
+          auto x = a.begin();
+          auto y = b.begin();
+          while (x != a.end() && y != b.end() && *x != *y) {
+            if (*x < *y) {
+              ++x;
+            } else {
+              ++y;
+            }
+          }
+          if (x == a.end() || y == b.end()) continue;
+        }
+        kept.push_back(j);
+      }
+      std::set_union(kept.begin(), kept.end(), fresh_adjacency[i].begin(),
+                     fresh_adjacency[i].end(),
+                     std::back_inserter(graph.adjacency[i]));
+    }
+  });
+  return graph;
+}
+
 Result<Relation> ApplyDeltaToRelation(const Relation& input,
                                       const DeltaBatch& delta) {
   std::vector<RowId> survivors;
-  return ApplyDeltaWithSurvivors(input, delta, &survivors);
+  std::vector<RowId> deleted;
+  return ApplyDeltaWithSurvivors(input, delta, &survivors, &deleted);
 }
 
 Result<DeltaBatch> ParseDeltaFile(const std::string& text) {
@@ -150,7 +240,7 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
                               const DivaOptions& options) {
   DIVA_TRACE_SPAN("diva/delta");
   DIVA_RETURN_IF_ERROR(DIVA_FAIL("delta.apply"));
-  if (!prior.valid || !prior.input.has_value()) {
+  if (!prior.valid || prior.input == nullptr) {
     return Status::InvalidArgument(
         "prior snapshot is not reusable (captured from a degraded, "
         "generalized or portfolio run)");
@@ -158,17 +248,17 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
   const Relation& input = *prior.input;
   const ConstraintSet& constraints = prior.constraints;
   std::vector<RowId> survivors;
-  DIVA_ASSIGN_OR_RETURN(Relation post,
-                        ApplyDeltaWithSurvivors(input, delta, &survivors));
+  std::vector<RowId> deleted;
+  DIVA_ASSIGN_OR_RETURN(
+      Relation post,
+      ApplyDeltaWithSurvivors(input, delta, &survivors, &deleted));
   DIVA_COUNTER_ADD_EXEC("incremental.rows_deleted",
                         input.NumRows() + delta.inserted.size() -
                             post.NumRows());
   DIVA_COUNTER_ADD_EXEC("incremental.rows_inserted", delta.inserted.size());
 
-  // The conflict graph is rebuilt, not maintained: one ConstraintIndex
-  // pass over the post-delta relation costs less than remapping every
-  // target list and re-merging the pairs a changed constraint touches.
-  const ConstraintGraph graph = BuildConstraintGraph(post, constraints);
+  ConstraintGraph graph = CarryConstraintGraph(prior.graph, post, constraints,
+                                               deleted, survivors.size());
   ShardPlan plan = ComputeShardPlan(graph, post.NumRows());
   DIVA_RETURN_IF_ERROR(DIVA_FAIL("delta.recolor"));
 
@@ -238,6 +328,8 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
   DIVA_RETURN_IF_ERROR(DIVA_FAIL("delta.merge"));
 
   if (snapshot->valid) {
+    snapshot->graph = std::move(graph);
+    snapshot->plan = std::move(plan);
     FinalizeSnapshot(snapshot.get(), std::move(post), constraints, options);
     result.snapshot = std::move(snapshot);
   }

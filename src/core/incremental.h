@@ -7,9 +7,10 @@
 /// I_sigma target sets it touches: a component's coloring and baseline
 /// clustering are pure functions of its local sub-instance (member
 /// constraints, row contents in row-list order, and the positionally
-/// derived per-shard seed stream). ApplyDelta therefore rebuilds the
-/// conflict graph of the post-delta relation in one ConstraintIndex
-/// pass, compares each shard of the new plan with the prior plan's shard
+/// derived per-shard seed stream). ApplyDelta therefore carries the
+/// snapshot's conflict graph over to the post-delta relation (matching
+/// only the inserted rows afresh), compares each shard of the new plan
+/// with the prior plan's shard
 /// at the same index row by row, and re-runs the pipeline adopting the
 /// prior per-shard coloring and baseline records for every *clean*
 /// component — producing output, counters, and audit byte-identical to a
@@ -36,7 +37,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,22 +75,28 @@ struct DeltaBatch {
 /// than k of them) has no record: the pool is always recomputed.
 struct ShardBaselineRecord {
   Clustering clusters;
+  /// Per cluster, its StarMask (anon/suppress.h); empty when the QI
+  /// projection is wider than kStarMaskColumns or the run generalizes.
+  std::vector<uint8_t> star_masks;
   counters::Buffer telemetry;
 };
 
 /// Everything an incremental run needs to reuse a prior run: the input
-/// relation (pre-anonymization), its shard plan, and the per-shard
-/// coloring/baseline records. No conflict graph: the
-/// next delta rebuilds it from the post-delta relation. Snapshots chain:
+/// relation (pre-anonymization), its conflict graph and shard plan, and
+/// the per-shard coloring/baseline records. Snapshots chain:
 /// ApplyDelta emits a fresh snapshot for the post-delta relation that
 /// shares each clean shard's records with the prior snapshot (the same
 /// objects, not copies).
 struct PipelineSnapshot {
   bool valid = false;
 
-  /// Null until FinalizeSnapshot runs (Relation has no empty state).
-  std::optional<Relation> input;
+  /// Null until FinalizeSnapshot runs. Shared, so a holder of the
+  /// relation alone (the server's published base) does not keep the
+  /// graph, plan and records alive.
+  std::shared_ptr<const Relation> input;
   ConstraintSet constraints;
+  /// The input's conflict graph, which the next delta carries over.
+  ConstraintGraph graph;
   ShardPlan plan;
 
   /// Fingerprint of every DivaOptions knob that steers the search.
@@ -110,7 +116,9 @@ struct PipelineHooks {
   /// Precomputed conflict graph + shard plan for the input relation
   /// (both or neither): the pipeline skips BuildConstraintGraph /
   /// ComputeShardPlan, which an incremental caller has already run on
-  /// the post-delta relation.
+  /// the post-delta relation. The capture stores only a graph and plan
+  /// the pipeline built itself; a caller passing its own moves them
+  /// into a valid capture.
   const ConstraintGraph* graph = nullptr;
   const ShardPlan* plan = nullptr;
 
@@ -150,8 +158,20 @@ void FinalizeSnapshot(PipelineSnapshot* snapshot, Relation input,
 [[nodiscard]] Result<Relation> ApplyDeltaToRelation(const Relation& input,
                                                     const DeltaBatch& delta);
 
+/// The conflict graph of `post`, carried over from `prior`, the graph
+/// of an input relation under the same `constraints`: post's first
+/// `survivors` rows copy the input's rows other than `deleted`
+/// (ascending, distinct), in order, and its remaining rows are new.
+/// Equal to BuildConstraintGraph(post, constraints), but it matches only
+/// the new rows against the constraints.
+ConstraintGraph CarryConstraintGraph(const ConstraintGraph& prior,
+                                     const Relation& post,
+                                     const ConstraintSet& constraints,
+                                     const std::vector<RowId>& deleted,
+                                     size_t survivors);
+
 /// Incremental re-anonymization: applies `delta` to the snapshot's
-/// input, rebuilds the conflict graph and shard plan of the post-delta
+/// input, carries over the conflict graph, plans the post-delta
 /// relation, re-colors only the dirty components (clean ones adopt the
 /// snapshot's records), and runs the downstream phases. The
 /// result — relation bytes, report counters, audit — is byte-identical

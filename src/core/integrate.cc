@@ -57,6 +57,8 @@ class MaintainedCounts {
     return counts_[constraint_index];
   }
 
+  std::vector<size_t> Release() { return std::move(counts_); }
+
   /// Suppresses cell (row, attr) in *relation. A cell can only stop
   /// matching (target codes are never kSuppressed), so the count of every
   /// constraint the row matched on `attr` drops by exactly one.
@@ -165,6 +167,7 @@ IntegrateStats IntegrateRepair(Relation* relation,
   DIVA_COUNTER_ADD("integrate.repaired_constraints",
                    stats.repaired_constraints);
   DIVA_COUNTER_ADD("integrate.suppressed_cells", stats.suppressed_cells);
+  stats.counts = counts.Release();
   return stats;
 }
 

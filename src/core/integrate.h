@@ -1,6 +1,8 @@
 #ifndef DIVA_CORE_INTEGRATE_H_
 #define DIVA_CORE_INTEGRATE_H_
 
+#include <vector>
+
 #include "anon/cluster.h"
 #include "constraint/diversity_constraint.h"
 #include "relation/relation.h"
@@ -13,6 +15,8 @@ struct IntegrateStats {
   size_t repaired_constraints = 0;
   /// Cells suppressed by the repair.
   size_t suppressed_cells = 0;
+  /// Every constraint's occurrence count in the repaired relation.
+  std::vector<size_t> counts;
 };
 
 /// The Integrate phase (paper Fig. 1): R' = R_Sigma ∪ R_k may exceed a

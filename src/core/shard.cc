@@ -4,6 +4,7 @@
 #include <iterator>
 #include <memory>
 
+#include "anon/suppress.h"
 #include "common/counters.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -120,9 +121,9 @@ Clustering GlobalClusters(const Clustering& local, const Shard& shard) {
   Clustering global;
   global.reserve(local.size());
   for (const Cluster& cluster : local) {
-    Cluster& rows = global.emplace_back();
-    rows.reserve(cluster.size());
-    for (RowId row : cluster) rows.push_back(shard.rows[static_cast<size_t>(row)]);
+    Cluster& rows = global.emplace_back(cluster.size());
+    std::transform(cluster.begin(), cluster.end(), rows.begin(),
+                   [&](RowId row) { return shard.rows[row]; });
   }
   return global;
 }
@@ -194,6 +195,11 @@ void RunOneShard(const ColumnStore& store, const ConstraintSet& constraints,
 
     record->outcome =
         ColorConstraints(sub, local_constraints, local_graph, local_options);
+    if (sub.schema().qi_indices().size() <= kStarMaskColumns) {
+      for (const Cluster& cluster : record->outcome.chosen_clusters) {
+        record->outcome.star_masks.push_back(StarMask(sub, cluster));
+      }
+    }
   }
   run->clusters = GlobalClusters(record->outcome.chosen_clusters, shard);
   run->record = std::move(record);
@@ -283,6 +289,9 @@ Result<ColoringOutcome> RunShardedColoring(
     }
     std::move(run.clusters.begin(), run.clusters.end(),
               std::back_inserter(merged.chosen_clusters));
+    merged.star_masks.insert(merged.star_masks.end(),
+                             outcome.star_masks.begin(),
+                             outcome.star_masks.end());
   }
   if (capture != nullptr) {
     capture->reserve(num_shards);

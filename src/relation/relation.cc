@@ -51,6 +51,21 @@ Relation::Relation(const Relation& other)
   });
 }
 
+Relation Relation::CopyEditing(
+    const std::function<void(size_t, size_t, std::span<ValueCode>)>& edit)
+    const {
+  Relation out = EmptyLike();
+  out.data_.resize(data_.size());
+  ForEachCopyChunk(num_rows_, stride_, [&](size_t begin, size_t end) {
+    ValueCode* cells = out.data_.data() + begin * stride_;
+    std::copy_n(data_.data() + begin * stride_, (end - begin) * stride_,
+                cells);
+    edit(begin, end, {cells, (end - begin) * stride_});
+  });
+  out.num_rows_ = num_rows_;
+  return out;
+}
+
 Relation& Relation::operator=(const Relation& other) {
   if (this != &other) *this = Relation(other);
   return *this;

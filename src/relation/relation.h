@@ -2,6 +2,7 @@
 #define DIVA_RELATION_RELATION_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -117,6 +118,15 @@ class Relation {
   /// so the appends do not reallocate the copied rows.
   Relation SelectRows(std::span<const RowId> rows,
                       size_t spare_rows = 0) const;
+
+  /// A copy whose rows `edit(begin, end, cells)` rewrites as they are
+  /// copied: `cells` holds rows [begin, end), row-major, already copied.
+  /// Copying and editing share one pass over the cells, in the copy
+  /// constructor's chunks, so `edit` may run concurrently on disjoint
+  /// row ranges.
+  Relation CopyEditing(
+      const std::function<void(size_t, size_t, std::span<ValueCode>)>& edit)
+      const;
 
   /// Cells one parallel copy chunk moves (256 KiB of codes). A copy or
   /// gather of at most this many cells runs inline on the calling thread.

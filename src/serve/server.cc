@@ -723,12 +723,13 @@ Response Server::RunUpdate(const DeltaBatch& delta,
   if (!run.ok()) return Response::Error(run.status());
 
   // The base the swapped state serves next: the captured snapshot's
-  // input whenever the run produced a snapshot (aliased, so the daemon
-  // holds one copy of it), recomputed otherwise — ApplyDeltaToRelation is
-  // deterministic, so both name the same relation.
+  // input whenever the run produced a snapshot (shared, so the daemon
+  // holds one copy of it, and a retained published snapshot keeps only
+  // that relation, not the pipeline snapshot), recomputed otherwise —
+  // ApplyDeltaToRelation is deterministic, so both name the same
+  // relation.
   if (run->snapshot != nullptr) {
-    post = std::shared_ptr<const Relation>(run->snapshot,
-                                           &*run->snapshot->input);
+    post = run->snapshot->input;
   } else if (post == nullptr) {
     auto applied = ApplyDeltaToRelation(*base, delta);
     if (!applied.ok()) return Response::Error(applied.status());

@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
+
+#include "common/parallel.h"
+#include "common/rng.h"
 
 #include "core/clusterings.h"
 #include "tests/test_util.h"
@@ -27,6 +32,92 @@ std::set<std::set<RowId>> Canonical(const Clustering& clustering) {
     out.insert(std::set<RowId>(c.begin(), c.end()));
   }
   return out;
+}
+
+// ------------------------------------------------ one packed QI order
+
+/// The column-by-column comparator SortByQiSimilarity's packed keys
+/// stand in for, kept here as the oracle.
+std::vector<RowId> ComparatorOrder(const Relation& r,
+                                   std::vector<RowId> rows) {
+  const auto& qi = r.schema().qi_indices();
+  std::stable_sort(rows.begin(), rows.end(), [&](RowId a, RowId b) {
+    for (size_t col : qi) {
+      if (r.At(a, col) != r.At(b, col)) return r.At(a, col) < r.At(b, col);
+    }
+    return a < b;
+  });
+  return rows;
+}
+
+/// A relation of `rows` random rows over three QI columns and one
+/// sensitive column, whose QI codes lie in [-1, domain): code -1 is a ★,
+/// drawn about one cell in eight.
+Relation RandomQiRelation(uint64_t seed, size_t rows, uint64_t domain) {
+  auto schema = Schema::Make({
+      {"A", AttributeRole::kQuasiIdentifier, AttributeKind::kCategorical},
+      {"S", AttributeRole::kSensitive, AttributeKind::kCategorical},
+      {"B", AttributeRole::kQuasiIdentifier, AttributeKind::kCategorical},
+      {"C", AttributeRole::kQuasiIdentifier, AttributeKind::kCategorical},
+  });
+  DIVA_CHECK(schema.ok());
+  Relation r(schema.value());
+  Rng rng(seed);
+  for (size_t i = 0; i < rows; ++i) {
+    std::vector<ValueCode> codes(4);
+    for (ValueCode& code : codes) {
+      code = rng.NextBounded(8) == 0
+                 ? kSuppressed
+                 : static_cast<ValueCode>(rng.NextBounded(domain));
+    }
+    r.AppendRow(codes);
+  }
+  return r;
+}
+
+// Packed keys (first QI column in the top bits, codes + 1 so a star
+// sorts first) order rows exactly as the comparator does, on samples
+// with ★ cells, at every width. Domains of 2^30 need 93 bits, which
+// takes the comparator path; the small domains pack.
+TEST(SortByQiSimilarityTest, PackedOrderMatchesTheComparator) {
+  for (uint64_t domain : {uint64_t{3}, uint64_t{40}, uint64_t{1} << 30}) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      Relation r = RandomQiRelation(seed, 3000, domain);
+      Rng rng(seed + 100);
+      std::vector<RowId> sample;
+      for (RowId row = 0; row < r.NumRows(); ++row) {
+        if (rng.NextBounded(3) != 0) sample.push_back(row);
+      }
+      const std::vector<RowId> expected = ComparatorOrder(r, sample);
+      for (size_t threads : {1u, 2u, 8u}) {
+        SetParallelThreads(threads);
+        EXPECT_EQ(SortByQiSimilarity(r, sample), expected)
+            << "domain " << domain << ", seed " << seed << ", threads "
+            << threads;
+      }
+    }
+  }
+  SetParallelThreads(1);
+}
+
+// Marking positions and scanning the order (m·log2(m) > |order|) and
+// sorting them (otherwise) pick the same entries in the same order.
+TEST(SubsetInOrderTest, MarkedAndSortedSubsetsAgree) {
+  Rng rng(7);
+  std::vector<RowId> order(5000);
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<RowId>(i);
+  rng.Shuffle(&order);
+  for (size_t m : {1u, 10u, 300u, 600u, 2500u, 5000u}) {
+    std::vector<uint32_t> pool(order.size());
+    for (size_t i = 0; i < pool.size(); ++i) pool[i] = static_cast<uint32_t>(i);
+    rng.Shuffle(&pool);
+    std::vector<uint32_t> positions(pool.begin(), pool.begin() + m);
+    std::vector<uint32_t> sorted = positions;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<RowId> expected;
+    for (uint32_t position : sorted) expected.push_back(order[position]);
+    EXPECT_EQ(SubsetInOrder(order, positions), expected) << "m = " << m;
+  }
 }
 
 TEST(ClusteringsTest, PaperSigma2HasUniqueClustering) {

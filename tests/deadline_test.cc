@@ -5,6 +5,7 @@
 
 #include "common/deadline.h"
 #include "common/timer.h"
+#include "common/trace.h"
 #include "core/diva.h"
 #include "core/report_json.h"
 #include "datagen/profiles.h"
@@ -190,6 +191,30 @@ TEST(DivaDeadlineTest, TinyDeadlinePublishesDegradedButAuditedOutput) {
   std::string json = ReportToJson(result->report);
   EXPECT_NE(json.find("\"deadline_exceeded\":true"), std::string::npos);
   EXPECT_NE(json.find("\"audit_s\":"), std::string::npos);
+}
+
+// A token tripped before the run reaches the baseline stops each call
+// before it gathers its rows: k-member never starts (no span), the
+// anytime Mondrian fallback publishes, and the audit still runs.
+TEST(DivaDeadlineTest, PreTrippedTokenSkipsTheBaselineGather) {
+  ConstraintSet constraints;
+  Relation relation = AnytimeWorkload(&constraints);
+  DivaOptions options;
+  options.k = 10;
+  options.baseline = BaselineAlgorithm::kKMember;
+  options.audit = true;
+  options.cancel = CancellationToken::Manual();
+  options.cancel.RequestCancel();
+  trace::Enable();
+  auto result = RunDiva(relation, constraints, options);
+  trace::Disable();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  for (const trace::SpanEvent& event : trace::Collect()) {
+    EXPECT_NE(std::string(event.name), "baseline/kmember");
+  }
+  EXPECT_TRUE(result->report.baseline_degraded);
+  EXPECT_TRUE(result->report.audited);
+  EXPECT_TRUE(IsKAnonymous(result->relation, 10));
 }
 
 TEST(DivaDeadlineTest, StrictModeTurnsExpiryIntoAnError) {

@@ -16,10 +16,12 @@
 #include <vector>
 
 #include "common/counters.h"
+#include "common/failpoint.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "constraint/generator.h"
 #include "constraint/parser.h"
+#include "core/constraint_graph.h"
 #include "core/diva.h"
 #include "core/incremental.h"
 #include "datagen/profiles.h"
@@ -119,6 +121,179 @@ DivaOptions ChurnOptions(size_t k, size_t threads) {
   options.audit = true;
   options.incremental = true;
   return options;
+}
+
+// The carried graph equals a rebuild: survivors keep their target
+// lists and edges, new rows (some with a never-seen value) add theirs,
+// and an edge whose every witness row is deleted disappears.
+TEST(CarryConstraintGraphTest, EqualsARebuildOfThePostDeltaRelation) {
+  for (uint64_t seed : {3u, 4u, 5u, 6u}) {
+    SCOPED_TRACE("seed = " + std::to_string(seed));
+    Rng rng(seed);
+    const size_t regions = 3;
+    auto schema = ChurnSchema();
+    std::vector<std::vector<std::string>> rows;
+    for (size_t i = 0; i < 200; ++i) rows.push_back(MakeChurnRow(rng, regions));
+    auto input = RelationFromRows(schema, rows);
+    ASSERT_TRUE(input.ok());
+    std::string text;
+    for (size_t r = 0; r < regions; ++r) {
+      text += "REGION[r" + std::to_string(r) + "] in [2,400]\n";
+    }
+    for (size_t g = 0; g < 2 * regions; ++g) {
+      text += "GROUP[g" + std::to_string(g) + "] in [1,400]\n";
+    }
+    text += "JOB[jnew] in [0,400]\n";
+    auto constraints = ParseConstraintSet(*schema, text);
+    ASSERT_TRUE(constraints.ok());
+
+    DeltaBatch delta;
+    for (RowId row = 0; row < static_cast<RowId>(rows.size()); ++row) {
+      // Every witness of the r0-g0 edge goes, plus random rows.
+      const bool witness = rows[row][0] == "r0" && rows[row][1] == "g0";
+      if (witness || rng.NextBounded(6) == 0) delta.deleted.push_back(row);
+    }
+    for (size_t i = 0; i < 20; ++i) {
+      std::vector<std::string> row = MakeChurnRow(rng, regions);
+      if (i % 5 == 0) row[3] = "jnew";
+      if (row[0] == "r0" && row[1] == "g0") row[1] = "g1";
+      if (i == 7) row[0] = "r1", row[1] = "g0";
+      delta.inserted.push_back(std::move(row));
+    }
+    auto post = ApplyDeltaToRelation(*input, delta);
+    ASSERT_TRUE(post.ok());
+    std::vector<RowId> deleted = delta.deleted;
+    std::sort(deleted.begin(), deleted.end());
+
+    const ConstraintGraph rebuilt = BuildConstraintGraph(*post, *constraints);
+    const ConstraintGraph carried = CarryConstraintGraph(
+        BuildConstraintGraph(*input, *constraints), *post, *constraints,
+        deleted, rows.size() - deleted.size());
+    EXPECT_EQ(carried.targets, rebuilt.targets);
+    EXPECT_EQ(carried.adjacency, rebuilt.adjacency);
+    EXPECT_FALSE(rebuilt.HasEdge(0, regions))
+        << "the r0-g0 edge lost every witness";
+  }
+}
+
+/// A multi-component churn instance whose shards each keep k or more
+/// uncovered rows, so every shard runs its own baseline call.
+struct FanOutInstance {
+  Relation relation;
+  ConstraintSet constraints;
+};
+
+FanOutInstance MakeFanOutInstance() {
+  Rng rng(17);
+  auto schema = ChurnSchema();
+  std::vector<std::vector<std::string>> rows;
+  for (size_t i = 0; i < 400; ++i) rows.push_back(MakeChurnRow(rng, 5));
+  auto relation = RelationFromRows(schema, rows);
+  DIVA_CHECK(relation.ok());
+  return {std::move(relation).value(), RegionConstraints(*schema, 5)};
+}
+
+// The per-shard baseline calls run concurrently and merge in shard
+// order: bytes and deterministic counters are the same at widths 1, 2
+// and 8 for both per-shard baselines.
+TEST(BaselineFanOutTest, MergeIsIdenticalAtEveryWidth) {
+  FanOutInstance instance = MakeFanOutInstance();
+  for (BaselineAlgorithm baseline :
+       {BaselineAlgorithm::kMondrian, BaselineAlgorithm::kKMember}) {
+    SCOPED_TRACE(BaselineAlgorithmToString(baseline));
+    std::vector<RunFingerprint> prints;
+    for (size_t threads : {1u, 2u, 8u}) {
+      DivaOptions options = ChurnOptions(3, threads);
+      options.baseline = baseline;
+      auto result = RunDiva(instance.relation, instance.constraints, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_GT(result->report.shards, 1u);
+      prints.push_back(Fingerprint(*result));
+    }
+    EXPECT_EQ(prints[1], prints[0]);
+    EXPECT_EQ(prints[2], prints[0]);
+  }
+  SetParallelThreads(1);
+}
+
+// Whichever shard's baseline call fails, at whatever width: a deadline
+// degrades the run to the same fallback output, and any other fault
+// surfaces as the run's Status (never a partial merge). Every call is
+// failed in turn, so a fault in the last shard merged is not dropped.
+TEST(BaselineFanOutTest, EveryFailingShardCallSurfacesAtEveryWidth) {
+  FanOutInstance instance = MakeFanOutInstance();
+  auto options_at = [](size_t threads) {
+    DivaOptions options = ChurnOptions(3, threads);
+    options.baseline = BaselineAlgorithm::kKMember;
+    return options;
+  };
+  failpoint::Reset();
+  failpoint::SetCounting(true);
+  ASSERT_TRUE(RunDiva(instance.relation, instance.constraints, options_at(1))
+                  .ok());
+  const uint64_t calls = failpoint::HitCount("kmember.build");
+  ASSERT_GE(calls, 3u);
+
+  std::string degraded_csv;
+  for (size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    const DivaOptions options = options_at(threads);
+    for (uint64_t hit = 1; hit <= calls; ++hit) {
+      SCOPED_TRACE("hit = " + std::to_string(hit));
+      failpoint::Reset();
+      failpoint::Arm("kmember.build", StatusCode::kDeadlineExceeded, hit);
+      auto degraded =
+          RunDiva(instance.relation, instance.constraints, options);
+      ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+      EXPECT_TRUE(degraded->report.baseline_degraded);
+      EXPECT_TRUE(degraded->report.audited);
+      EXPECT_EQ(degraded->snapshot, nullptr);
+      const std::string csv = Fingerprint(*degraded).csv;
+      if (degraded_csv.empty()) degraded_csv = csv;
+      EXPECT_EQ(csv, degraded_csv);
+
+      failpoint::Reset();
+      failpoint::Arm("kmember.build", StatusCode::kIoError, hit);
+      auto failed = RunDiva(instance.relation, instance.constraints, options);
+      ASSERT_FALSE(failed.ok());
+      EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+      std::string fired = "(hit ";
+      fired += std::to_string(hit);
+      fired += ')';
+      EXPECT_NE(failed.status().message().find(fired), std::string::npos)
+          << failed.status().ToString();
+    }
+    failpoint::Reset();
+    failpoint::Arm("shard.run", StatusCode::kIoError, 2);
+    auto failed = RunDiva(instance.relation, instance.constraints, options);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+  }
+  failpoint::Reset();
+  SetParallelThreads(1);
+}
+
+// A token tripped before the baseline fails every shard's call before
+// it gathers a row, so the first live shard in shard order is the one
+// that degrades the run: bytes and deterministic counters are the same
+// at every width.
+TEST(BaselineFanOutTest, PreTrippedTokenDegradesIdenticallyAtEveryWidth) {
+  FanOutInstance instance = MakeFanOutInstance();
+  std::vector<RunFingerprint> prints;
+  for (size_t threads : {1u, 2u, 8u}) {
+    DivaOptions options = ChurnOptions(3, threads);
+    options.baseline = BaselineAlgorithm::kKMember;
+    options.cancel = CancellationToken::Manual();
+    options.cancel.RequestCancel();
+    auto result = RunDiva(instance.relation, instance.constraints, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->report.baseline_degraded);
+    EXPECT_TRUE(result->report.audited);
+    prints.push_back(Fingerprint(*result));
+  }
+  EXPECT_EQ(prints[1], prints[0]);
+  EXPECT_EQ(prints[2], prints[0]);
+  SetParallelThreads(1);
 }
 
 /// The reuse split of one ApplyDelta call. The incremental.* counters

@@ -120,5 +120,33 @@ TEST(SuppressTest, AlreadySuppressedCellForcesColumn) {
   EXPECT_TRUE(r->IsSuppressed(1, 0));
 }
 
+// Bit q of StarMask is set iff SuppressClustersInPlace stars QI column
+// q on the cluster's rows, pre-suppressed cells included.
+TEST(SuppressTest, StarMaskNamesTheColumnsInPlaceSuppressionStars) {
+  auto r = RelationFromRows(testing::MedicalSchema(),
+                            {
+                                {"*", "Asian", "30", "BC", "V", "Flu"},
+                                {"F", "Asian", "30", "BC", "V", "Cold"},
+                                {"F", "Asian", "31", "BC", "T", "Flu"},
+                                {"M", "White", "30", "ON", "V", "Cold"},
+                                {"M", "White", "30", "ON", "V", "Flu"},
+                            });
+  ASSERT_TRUE(r.ok());
+  const Clustering clustering = {{0, 1}, {1, 2}, {3, 4}, {2}, {0, 2, 3}};
+  const auto& qi = r->schema().qi_indices();
+  ASSERT_LE(qi.size(), kStarMaskColumns);
+  for (const Cluster& cluster : clustering) {
+    const uint8_t mask = StarMask(*r, cluster);
+    Relation suppressed = *r;
+    SuppressClustersInPlace(&suppressed, {cluster});
+    for (RowId row : cluster) {
+      for (size_t q = 0; q < qi.size(); ++q) {
+        EXPECT_EQ(suppressed.IsSuppressed(row, qi[q]), (mask >> q & 1) != 0)
+            << "row " << row << ", QI column " << q;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace diva
