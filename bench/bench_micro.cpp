@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
 #include <numeric>
 #include <sstream>
@@ -138,12 +139,13 @@ void BM_EnumerateClusterings(benchmark::State& state) {
   const Relation& relation = FixtureRelation(10000);
   const ConstraintSet& constraints = FixtureConstraints(10000);
   const DiversityConstraint& constraint = constraints[0];
-  const std::vector<RowId> targets =
-      BuildConstraintGraph(relation, constraints).targets[0];
+  const std::vector<RowId> sorted = SortByQiSimilarity(
+      relation, BuildConstraintGraph(relation, constraints).targets[0]);
   ClusteringEnumOptions options;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        EnumerateClusterings(relation, constraint, targets, 10, options));
+    benchmark::DoNotOptimize(EnumerateClusteringsQiSorted(
+        relation, sorted, 10, std::max<size_t>(1, constraint.lower()),
+        constraint.upper(), options));
   }
 }
 BENCHMARK(BM_EnumerateClusterings);

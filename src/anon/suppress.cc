@@ -76,28 +76,6 @@ void SuppressClustersInPlace(Relation* relation,
   }
 }
 
-Relation Suppress(const Relation& relation, const Clustering& clustering) {
-  Relation out = relation.EmptyLike();
-  const auto& qi = relation.schema().qi_indices();
-  for (const Cluster& cluster : clustering) {
-    // Which QI columns survive for this cluster.
-    std::vector<bool> keep(relation.NumAttributes(), true);
-    for (size_t col : qi) {
-      keep[col] = Unanimous(relation, cluster, col);
-    }
-    std::vector<ValueCode> row_codes(relation.NumAttributes());
-    for (RowId row : cluster) {
-      for (size_t col = 0; col < relation.NumAttributes(); ++col) {
-        ValueCode code = relation.At(row, col);
-        bool is_qi = relation.schema().IsQuasiIdentifier(col);
-        row_codes[col] = (is_qi && !keep[col]) ? kSuppressed : code;
-      }
-      out.AppendRow(row_codes);
-    }
-  }
-  return out;
-}
-
 void SuppressIdentifiers(Relation* relation) {
   for (size_t col : relation->schema().identifier_indices()) {
     for (RowId row = 0; row < relation->NumRows(); ++row) {

@@ -18,11 +18,6 @@ namespace diva {
 /// here.
 void SuppressClustersInPlace(Relation* relation, const Clustering& clustering);
 
-/// Functional form of Algorithm 2: returns the relation R_s containing
-/// exactly the clustered tuples (in cluster order) with non-unanimous QI
-/// cells suppressed. Shares dictionaries with `relation`.
-Relation Suppress(const Relation& relation, const Clustering& clustering);
-
 /// Blanks every identifier-attribute cell (SSN-like columns uniquely
 /// identify an individual and must never be published). Called by the
 /// anonymizers on their final output.

@@ -213,54 +213,6 @@ std::vector<CandidateClustering> RunEnumerationJob(
 
 }  // namespace
 
-std::vector<CandidateClustering> EnumerateClusterings(
-    const Relation& relation, const DiversityConstraint& constraint,
-    const std::vector<RowId>& targets, size_t k,
-    const ClusteringEnumOptions& options) {
-  std::vector<CandidateClustering> out;
-  if (k == 0) return out;
-
-  // With no lower bound to meet, preserving nothing is the minimal (and
-  // always-consistent) choice; upper-bound spill from R_k is repaired by
-  // Integrate.
-  if (constraint.lower() == 0) {
-    out.push_back(CandidateClustering{});
-  }
-
-  size_t lower = std::max<size_t>(1, constraint.lower());
-  auto bounded = EnumerateClusteringsWithBounds(relation, targets, k, lower,
-                                                constraint.upper(), options);
-  out.insert(out.end(), std::make_move_iterator(bounded.begin()),
-             std::make_move_iterator(bounded.end()));
-  if (!options.ordered && out.size() > 1) {
-    Rng rng(options.seed ^ 0x9e3779b97f4a7c15ULL);
-    rng.Shuffle(&out);
-  }
-  return out;
-}
-
-std::vector<CandidateClustering> EnumerateClusteringsWithBounds(
-    const Relation& relation, const std::vector<RowId>& free_targets,
-    size_t k, size_t min_preserve, size_t max_preserve,
-    const ClusteringEnumOptions& options) {
-  std::vector<CandidateClustering> out;
-  if (EnumerationIsTriviallyEmpty(free_targets.size(), k, min_preserve,
-                                  max_preserve)) {
-    return out;
-  }
-
-  // coloring.target_sorts counts constraint target orders: one here,
-  // and one per constraint when the coloring engine filters every order
-  // out of its search context's single sort. After one ColorConstraints
-  // the deterministic counter equals the constraint count exactly
-  // (coloring_test asserts this), so a code path that reaches this
-  // per-call sort from inside the search loop shows up in the count.
-  std::vector<RowId> sorted = SortByQiSimilarity(relation, free_targets);
-  DIVA_COUNTER_ADD("coloring.target_sorts", 1);
-  return EnumerateClusteringsQiSorted(relation, sorted, k, min_preserve,
-                                      max_preserve, options);
-}
-
 bool EnumerationIsTriviallyEmpty(size_t free_targets, size_t k,
                                  size_t min_preserve, size_t max_preserve) {
   if (k == 0 || free_targets == 0) return true;

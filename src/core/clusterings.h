@@ -7,7 +7,6 @@
 
 #include "anon/cluster.h"
 #include "common/result.h"
-#include "constraint/diversity_constraint.h"
 #include "relation/relation.h"
 
 namespace diva {
@@ -62,42 +61,25 @@ std::vector<RowId> SortByQiSimilarity(const Relation& relation,
 std::vector<RowId> SubsetInOrder(std::span<const RowId> order,
                                  std::vector<uint32_t> positions);
 
-/// Enumerates candidate clusterings satisfying `constraint` over
-/// `relation` with minimum cluster size `k` (the Clusterings routine of
-/// Algorithm 4). `targets` must be sigma's target tuples I_sigma in
-/// `relation` (sorted ascending). Returns an empty vector when the
-/// constraint has no satisfying clustering (e.g., lambda_l > |I_sigma| or
-/// lambda_r < k with lambda_l > 0).
-std::vector<CandidateClustering> EnumerateClusterings(
-    const Relation& relation, const DiversityConstraint& constraint,
-    const std::vector<RowId>& targets, size_t k,
-    const ClusteringEnumOptions& options);
-
-/// State-dependent variant used during coloring (the paper updates the
-/// candidate clusterings of neighbors as nodes are colored): enumerates
-/// clusterings over the still-free target rows `free_targets` that
-/// preserve between `min_preserve` (>= 1; the constraint's remaining
-/// lower-bound deficit) and `max_preserve` (its remaining upper-bound
-/// headroom) occurrences. Every emitted cluster has >= k rows.
-std::vector<CandidateClustering> EnumerateClusteringsWithBounds(
-    const Relation& relation, const std::vector<RowId>& free_targets,
-    size_t k, size_t min_preserve, size_t max_preserve,
-    const ClusteringEnumOptions& options);
-
 /// O(1) structural test for "the bounded enumeration can emit nothing":
 /// true iff no preserved-count m with max(k, max(1, min_preserve)) <= m
 /// <= min(max_preserve, free_targets) exists (or k == 0 / no free
-/// targets). Shared by both Enumerate functions, and used by the
-/// coloring engine to skip enumeration (and the candidate memo) for
-/// structurally dead nodes without spending a step.
+/// targets). Used by EnumerateClusteringsQiSorted, and by the coloring
+/// engine to skip enumeration (and the candidate memo) for structurally
+/// dead nodes without spending a step.
 bool EnumerationIsTriviallyEmpty(size_t free_targets, size_t k,
                                  size_t min_preserve, size_t max_preserve);
 
-/// As EnumerateClusteringsWithBounds, but `sorted_free_targets` must
-/// already be in SortByQiSimilarity order. Skips the per-call
-/// stable_sort — the coloring engine computes each constraint's full
-/// target order once at construction and filters it by the claimed-row
-/// bitset, so enumeration never re-sorts.
+/// The Clusterings routine of Algorithm 4, state-dependent as the
+/// coloring uses it (the paper updates the candidate clusterings of
+/// neighbors as nodes are colored): enumerates clusterings over the
+/// still-free target rows `sorted_free_targets` that preserve between
+/// `min_preserve` (>= 1; the constraint's remaining lower-bound deficit)
+/// and `max_preserve` (its remaining upper-bound headroom) occurrences.
+/// Every emitted cluster has >= k rows. `sorted_free_targets` must
+/// already be in SortByQiSimilarity order: the coloring engine computes
+/// each constraint's full target order once at construction and filters
+/// it by the claimed-row bitset, so enumeration never re-sorts.
 std::vector<CandidateClustering> EnumerateClusteringsQiSorted(
     const Relation& relation, const std::vector<RowId>& sorted_free_targets,
     size_t k, size_t min_preserve, size_t max_preserve,

@@ -5,6 +5,7 @@
 #include <iterator>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "anon/privacy.h"
@@ -198,219 +199,90 @@ bool ReadsIdentifiers(const Relation& relation,
   return false;
 }
 
-/// The baseline phase. With an effective plan, shard s's uncovered rows
-/// are clustered over a gathered sub-relation with local ids, the shards
-/// concurrently and merged in shard order; shards left with fewer than k
-/// uncovered rows pool together
-/// with the residual rows into one trailing baseline run. A plan with
-/// fewer than 2 shards pools every remaining row. A pool still smaller
-/// than k is returned in `leftover` for the caller to fold into existing
-/// clusters. Each shard's clustering is a pure function of its uncovered
-/// contents, so clean shards adopt prior records (telemetry replayed at
-/// the same shard-order slot) and the merged result is byte-identical at
-/// every thread width and with reuse on or off. The baselines depend
-/// only on row positions, so a gathered call clusters exactly as an
-/// in-place one would. A deadline hitting any call falls back to the
-/// anytime single-pass Mondrian over all remaining rows and invalidates
-/// the capture. `marks` is nonzero on every row of an S_Sigma cluster;
-/// the `num_remaining` others are listed only when a pool or the
-/// fallback needs them. `rk_masks` receives each cluster's StarMask
-/// when the calls read them off their gathered rows (the fallback does
-/// not).
-Status BuildShardedBaseline(const Relation& relation,
-                            const std::vector<uint8_t>& marks,
-                            size_t num_remaining,
-                            const ShardPlan& plan, const DivaOptions& options,
-                            const CancellationToken& token,
-                            const PipelineHooks& hooks, Clustering* rk_clusters,
-                            std::vector<uint8_t>* rk_masks,
-                            std::vector<RowId>* leftover, DivaReport* report) {
-  const size_t num_shards = plan.Effective() ? plan.shards.size() : 0;
-  auto adoptable = [&](size_t s) -> const ShardBaselineRecord* {
-    return s < hooks.adopt_baseline.size() ? hooks.adopt_baseline[s].get()
-                                           : nullptr;
-  };
-  // Per shard, in parallel: its uncovered rows (ascending) and an
-  // adopted record's clusters remapped to global ids.
-  std::vector<std::vector<RowId>> uncovered(num_shards);
-  std::vector<Clustering> adopted(num_shards);
-  ParallelFor(num_shards, /*grain=*/1, [&](size_t begin, size_t end) {
-    for (size_t s = begin; s < end; ++s) {
-      // Stores through a cursor, not push_back: these loops are hot.
-      std::vector<RowId>& rows = uncovered[s];
-      rows.resize(plan.shards[s].rows.size());
-      RowId* next = rows.data();
-      for (RowId row : plan.shards[s].rows) {
-        *next = row;
-        next += marks[row] == 0;
-      }
-      rows.resize(static_cast<size_t>(next - rows.data()));
-      const ShardBaselineRecord* record = adoptable(s);
-      if (rows.size() < options.k || record == nullptr) continue;
-      adopted[s].reserve(record->clusters.size());
-      for (const Cluster& cluster : record->clusters) {
-        Cluster& global = adopted[s].emplace_back(cluster.size());
-        std::transform(cluster.begin(), cluster.end(), global.begin(),
-                       [&](RowId row) { return rows[row]; });
-      }
+/// The StarMasks `record` holds for its chosen clusters, or with
+/// `baseline` for its baseline clusters; empty when it holds none.
+std::span<const uint8_t> RecordMasks(const ShardRecord& record,
+                                     bool baseline) {
+  if (record.star_masks.empty()) return {};
+  const std::span<const uint8_t> masks(record.star_masks);
+  const size_t chosen = record.outcome.chosen_clusters.size();
+  return baseline ? masks.subspan(chosen) : masks.first(chosen);
+}
+
+/// The baseline phase, after the shard tasks clustered each shard's
+/// uncovered rows (core/shard.h): marks those clusters, mapped to global
+/// ids through their shard's rows, then pools every row still unmarked —
+/// the residual rows and the uncovered rows of shards left with fewer
+/// than k — into one trailing `baseline` call over the whole relation.
+/// With fewer than 2 shards no shard task clustered anything, so the
+/// pool is every remaining row. A pool still smaller than k is returned
+/// in `leftover` for the caller to fold into existing clusters. A
+/// deadline that cut any call falls back to the anytime single-pass
+/// Mondrian over every row S_Sigma left uncovered. `marks` holds
+/// S_Sigma's marks on entry and R_k's as well on return; returns how
+/// many rows R_k's clusters marked, which is TotalRows(*rk_clusters)
+/// when they are disjoint.
+Result<size_t> BuildShardedBaseline(
+    const Relation& relation, const ShardPlan& plan,
+    const std::vector<std::shared_ptr<const ShardRecord>>& records,
+    const ShardBaseline& baseline, const DivaOptions& options, bool masked,
+    std::vector<uint8_t>* marks, Clustering* rk_clusters,
+    std::vector<RowId>* leftover, DivaReport* report) {
+  bool cut = false;
+  std::vector<uint8_t> rk_masks;
+  for (size_t s = 0; s < records.size(); ++s) {
+    const ShardRecord& record = *records[s];
+    cut = cut || record.baseline_cut;
+    for (const Cluster& cluster : record.baseline) {
+      Cluster& global = rk_clusters->emplace_back(cluster.size());
+      std::transform(cluster.begin(), cluster.end(), global.begin(),
+                     [&](RowId row) { return plan.shards[s].rows[row]; });
     }
-  });
-  // The pool: residual (untargeted) remaining rows plus every
-  // undersized shard's uncovered rows, in ascending row order. It is
-  // empty when the shards' own calls take every remaining row.
-  size_t own_rows = 0;
-  for (const std::vector<RowId>& rows : uncovered) {
-    if (rows.size() >= options.k) own_rows += rows.size();
+    const std::span<const uint8_t> masks = RecordMasks(record, true);
+    rk_masks.insert(rk_masks.end(), masks.begin(), masks.end());
   }
+  size_t marked =
+      MarkRows(relation, *rk_clusters, std::move(rk_masks), masked, marks);
   auto collect_remaining = [&] {
     return CollectRows(relation.NumRows(),
-                       [&](RowId row) { return marks[row] == 0; });
+                       [&](RowId row) { return (*marks)[row] == 0; });
   };
+
   std::vector<RowId> pool;
-  if (num_shards == 0) {
-    pool = collect_remaining();
-  } else if (own_rows < num_remaining) {
-    // A flag on each uncovered row of a shard that clusters on its own.
-    // Set on one thread: shards interleave row by row, so writers split
-    // by shard would share every cache line of the flags.
-    std::vector<uint8_t> own_baseline(relation.NumRows(), 0);
-    for (const std::vector<RowId>& rows : uncovered) {
-      if (rows.size() < options.k) continue;  // empty or pooled
-      for (RowId row : rows) own_baseline[row] = 1;
-    }
-    pool = CollectRows(relation.NumRows(), [&](RowId row) {
-      return marks[row] == 0 && own_baseline[row] == 0;
-    });
-  }
-
-  std::vector<std::shared_ptr<const ShardBaselineRecord>>* capture =
-      hooks.capture != nullptr ? &hooks.capture->baseline : nullptr;
-  if (capture != nullptr) capture->assign(num_shards, nullptr);
-
-  DivaOptions baseline_options = options;
-  baseline_options.anonymizer.cancel = token;
-  const bool masked = MarksCarryStarMasks(relation, options);
-  // Clusters `rows` into `built` in local ids, with their star masks,
-  // read off the gathered rows while they are hot. One anonymizer per
-  // call: calls run concurrently, and an anonymizer may keep state
-  // between the steps of one call. The token is polled before the rows
-  // are copied, so a tripped run gathers nothing.
-  auto build_local = [&](const std::vector<RowId>& rows,
-                         ShardBaselineRecord* built) -> Status {
-    if (token.Cancelled()) return DeadlineExceededStatus("baseline");
-    Relation sub = relation.SelectRows(rows);
-    std::vector<RowId> local(rows.size());
-    for (size_t i = 0; i < local.size(); ++i) local[i] = static_cast<RowId>(i);
-    DIVA_ASSIGN_OR_RETURN(built->clusters,
-                          MakeBaselineAnonymizer(baseline_options)
-                              ->BuildClusters(sub, local, options.k));
-    if (masked) {
-      for (const Cluster& cluster : built->clusters) {
-        built->star_masks.push_back(StarMask(sub, cluster));
-      }
-    }
-    return Status::OK();
-  };
-  // Appends `built`'s clusters mapped through `rows` to global ids.
-  Clustering built_all;
-  auto take = [&](const ShardBaselineRecord& built,
-                  const std::vector<RowId>& rows) {
-    for (const Cluster& cluster : built.clusters) {
-      Cluster& global = built_all.emplace_back(cluster.size());
-      std::transform(cluster.begin(), cluster.end(), global.begin(),
-                     [&](RowId row) { return rows[row]; });
-    }
-    rk_masks->insert(rk_masks->end(), built.star_masks.begin(),
-                     built.star_masks.end());
-  };
-
-  // Every live shard's call is one TaskGroup item, like the coloring,
-  // with its counters buffered into its record; results, counter replays
-  // and the first error merge in shard order below, so the merge is the
-  // same at every width. With 0 workers Wait runs the items inline.
-  std::vector<Status> statuses(num_shards, Status::OK());
-  std::vector<std::shared_ptr<ShardBaselineRecord>> records(num_shards);
-  std::vector<size_t> live;
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (uncovered[s].size() >= options.k && adoptable(s) == nullptr) {
-      live.push_back(s);
-    }
-  }
-  {
-    const size_t workers =
-        options.shard ? ResolveThreadCount(options.threads) : 1;
-    TaskGroup group(workers > 1 ? std::min(workers, live.size()) : 0);
-    std::vector<uint64_t> tickets;
-    tickets.reserve(live.size());
-    for (size_t s : live) {
-      tickets.push_back(group.Submit([&, s] {
-        records[s] = std::make_shared<ShardBaselineRecord>();
-        counters::ScopedBufferedCounters buffered(&records[s]->telemetry);
-        statuses[s] = build_local(uncovered[s], records[s].get());
-      }));
-    }
-    for (uint64_t ticket : tickets) group.Wait(ticket);
-  }
-
-  Status deadline_status = Status::OK();
-  for (size_t s = 0; s < num_shards && deadline_status.ok(); ++s) {
-    const std::vector<RowId>& rows = uncovered[s];
-    if (rows.size() < options.k) continue;  // empty or pooled above
-    if (const ShardBaselineRecord* record = adoptable(s)) {
-      // Clean shard: replay the recorded counter ops at this slot and
-      // take its clusters, remapped above through the current uncovered
-      // list.
-      if (capture != nullptr) (*capture)[s] = hooks.adopt_baseline[s];
-      counters::Buffer replay = record->telemetry;
-      replay.Commit();
-      std::move(adopted[s].begin(), adopted[s].end(),
-                std::back_inserter(built_all));
-      rk_masks->insert(rk_masks->end(), record->star_masks.begin(),
-                       record->star_masks.end());
-      continue;
-    }
-    if (!statuses[s].ok()) {
-      if (statuses[s].code() != StatusCode::kDeadlineExceeded) {
-        return statuses[s];
-      }
-      deadline_status = statuses[s];
-      break;
-    }
-    // Replay a copy: the record keeps the uncommitted op sequence.
-    counters::Buffer replay = records[s]->telemetry;
-    replay.Commit();
-    take(*records[s], rows);
-    if (capture != nullptr) (*capture)[s] = std::move(records[s]);
-  }
-
-  if (deadline_status.ok() && pool.size() >= options.k) {
-    // The pool is never adopted: its membership mixes shards, so it is
-    // recomputed by cold and incremental runs alike.
-    ShardBaselineRecord built;
-    deadline_status = build_local(pool, &built);
-    if (deadline_status.ok()) {
-      take(built, pool);
-    } else if (deadline_status.code() != StatusCode::kDeadlineExceeded) {
-      return deadline_status;
+  if (!cut) pool = collect_remaining();
+  if (pool.size() >= options.k) {
+    // The pool is never recorded: its membership mixes shards, so cold
+    // and incremental runs alike recompute it.
+    Result<Clustering> pooled = baseline(relation, pool);
+    if (pooled.ok()) {
+      marked += MarkRows(relation, *pooled, {}, masked, marks);
+      std::move(pooled->begin(), pooled->end(),
+                std::back_inserter(*rk_clusters));
+    } else if (pooled.status().code() == StatusCode::kDeadlineExceeded) {
+      cut = true;
+    } else {
+      return pooled.status();
     }
   }
 
-  if (!deadline_status.ok()) {
-    if (options.strict) return deadline_status;
-    // Anytime fallback: the single-pass Mondrian always finishes.
+  if (cut) {
+    if (options.strict) return DeadlineExceededStatus("baseline");
+    // Anytime fallback: the single-pass Mondrian always finishes. The
+    // shards' clusters sit on rows S_Sigma left uncovered, so unmarking
+    // them restores S_Sigma's marks.
     report->baseline_degraded = true;
-    if (capture != nullptr) capture->clear();
-    rk_masks->clear();
+    for (const Cluster& cluster : *rk_clusters) {
+      for (RowId row : cluster) (*marks)[row] = 0;
+    }
     std::unique_ptr<Anonymizer> mondrian = MakeMondrian(options.anonymizer);
     DIVA_ASSIGN_OR_RETURN(
         *rk_clusters,
         mondrian->BuildClusters(relation, collect_remaining(), options.k));
-    return Status::OK();
+    return MarkRows(relation, *rk_clusters, {}, masked, marks);
   }
 
-  if (pool.size() < options.k && !pool.empty()) *leftover = std::move(pool);
-  *rk_clusters = std::move(built_all);
-  return Status::OK();
+  if (!pool.empty() && pool.size() < options.k) *leftover = std::move(pool);
+  return marked;
 }
 
 }  // namespace
@@ -456,10 +328,29 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
   // so this only decides speed, never output.
   SetParallelThreads(options.threads);
 
+  // The baseline call: one anonymizer per call, since shard tasks call
+  // it concurrently and an anonymizer may keep state between the steps
+  // of one call. The token is polled first, so a tripped run starts no
+  // baseline.
+  DivaOptions baseline_options = options;
+  baseline_options.anonymizer.cancel = token;
+  const ShardBaseline baseline =
+      [&](const Relation& rows_of,
+          std::span<const RowId> rows) -> Result<Clustering> {
+    if (token.Cancelled()) return DeadlineExceededStatus("baseline");
+    return MakeBaselineAnonymizer(baseline_options)
+        ->BuildClusters(rows_of, rows, options.k);
+  };
+
   // Phase 1: DiverseClustering — graph construction and coloring (the
   // per-node candidate clusterings are enumerated dynamically inside the
-  // search, over the target rows still unclaimed).
+  // search, over the target rows still unclaimed). With two or more
+  // shards, each shard's task also runs the baseline on the rows its
+  // coloring left uncovered; the records keep both.
   ColoringOutcome coloring;
+  std::vector<std::shared_ptr<const ShardRecord>> run_records;
+  std::vector<std::shared_ptr<const ShardRecord>>& records =
+      hooks.capture != nullptr ? hooks.capture->records : run_records;
   ConstraintGraph built_graph;
   const ConstraintGraph* graph = hooks.graph;
   ShardPlan built_plan;
@@ -525,16 +416,13 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
       // options.shard only picks concurrent vs inline execution.
       const size_t workers =
           options.shard ? ResolveThreadCount(options.threads) : 1;
-      const auto* adopt =
-          hooks.adopt_coloring.empty() ? nullptr : &hooks.adopt_coloring;
-      auto* capture_coloring =
-          hooks.capture != nullptr ? &hooks.capture->coloring : nullptr;
       DIVA_ASSIGN_OR_RETURN(
           coloring,
           RunShardedColoring(ColumnStore::FromRelation(relation),
-                             constraints, *graph, *plan,
-                             coloring_options, workers, adopt,
-                             capture_coloring));
+                             constraints, *graph, *plan, coloring_options,
+                             workers, hooks.adopt.empty() ? nullptr
+                                                          : &hooks.adopt,
+                             &records, baseline));
     }
   }
   report.clustering_complete = coloring.complete;
@@ -570,30 +458,32 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
   // streaming pass after the baseline writes every suppression at once;
   // otherwise the clusters are recoded one by one.
   const bool masked = MarksCarryStarMasks(relation, options);
+  std::vector<uint8_t> sigma_masks;
+  for (const std::shared_ptr<const ShardRecord>& record : records) {
+    const std::span<const uint8_t> masks = RecordMasks(*record, false);
+    sigma_masks.insert(sigma_masks.end(), masks.begin(), masks.end());
+  }
   std::vector<uint8_t> marks(relation.NumRows(), 0);
-  const size_t covered_rows =
-      MarkRows(relation, sigma_clusters, std::move(coloring.star_masks),
-               masked, &marks);
-  bool disjoint = covered_rows == report.sigma_rows;
+  bool disjoint = MarkRows(relation, sigma_clusters, std::move(sigma_masks),
+                           masked, &marks) == report.sigma_rows;
 
   // Phase 3: Anonymize the remaining tuples with the baseline. With an
-  // effective shard plan the baseline runs per component (uncovered rows
-  // of each shard clustered independently, undersized shards and the
-  // residual pooled), which keeps the phase a per-shard pure function —
-  // the reuse unit of incremental runs. Without one, every remaining row
-  // is pooled into one call.
+  // effective shard plan the shard tasks already clustered each shard's
+  // uncovered rows, which keeps the phase a per-shard pure function —
+  // the reuse unit of incremental runs; undersized shards and the
+  // residual pool here. Without one, every remaining row is pooled into
+  // one call.
   Clustering rk_clusters;
-  std::vector<uint8_t> rk_masks;
   std::vector<RowId> leftover;
   {
     DIVA_TRACE_SPAN("diva/anonymize");
     PhaseTimer phase_timer(&report.anonymize_seconds);
-    DIVA_RETURN_IF_ERROR(BuildShardedBaseline(
-        relation, marks, relation.NumRows() - covered_rows, *plan, options,
-        token, hooks, &rk_clusters, &rk_masks, &leftover, &report));
-    disjoint = MarkRows(relation, rk_clusters, std::move(rk_masks), masked,
-                        &marks) == TotalRows(rk_clusters) &&
-               disjoint;
+    DIVA_ASSIGN_OR_RETURN(
+        const size_t rk_marked,
+        BuildShardedBaseline(relation, *plan, records, baseline, options,
+                             masked, &marks, &rk_clusters, &leftover,
+                             &report));
+    disjoint = disjoint && rk_marked == TotalRows(rk_clusters);
   }
 
   // Phase 4: Suppress (or generalize) S_Sigma and R_k into the output.
@@ -757,7 +647,7 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
     snapshot.valid = options.generalization == nullptr &&
                      !report.deadline_exceeded && !report.baseline_degraded &&
                      !report.integrate_skipped && !report.privacy_truncated &&
-                     snapshot.coloring.size() == plan->shards.size();
+                     snapshot.records.size() == plan->shards.size();
     if (snapshot.valid && graph == &built_graph) {
       snapshot.graph = std::move(built_graph);
     }

@@ -199,7 +199,10 @@ struct DivaReport {
   std::vector<counters::Sample> counters;
 
   /// Per-phase wall seconds from one monotonic clock (common/timer.h);
-  /// filled even when a deadline cut the phase short.
+  /// filled even when a deadline cut the phase short. With two or more
+  /// shards each shard's baseline call runs in the task that colors the
+  /// shard, so its time counts in clustering_seconds; anonymize_seconds
+  /// holds the pooled call, the Mondrian fallback and the marks.
   double clustering_seconds = 0.0;
   double anonymize_seconds = 0.0;
   double integrate_seconds = 0.0;

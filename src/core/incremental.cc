@@ -280,10 +280,9 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
   PipelineHooks hooks;
   hooks.graph = &graph;
   hooks.plan = &plan;
-  hooks.adopt_coloring.assign(plan.shards.size(), nullptr);
-  hooks.adopt_baseline.assign(plan.shards.size(), nullptr);
+  hooks.adopt.assign(plan.shards.size(), nullptr);
   size_t reused_shards = 0;
-  if (reusable && prior.coloring.size() == prior.plan.shards.size()) {
+  if (reusable && prior.records.size() == prior.plan.shards.size()) {
     const size_t overlap =
         std::min(plan.shards.size(), prior.plan.shards.size());
     // The shards are independent, so they are compared in parallel.
@@ -308,8 +307,7 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
         });
     for (size_t s = 0; s < overlap; ++s) {
       if (!clean[s]) continue;
-      hooks.adopt_coloring[s] = prior.coloring[s];
-      if (s < prior.baseline.size()) hooks.adopt_baseline[s] = prior.baseline[s];
+      hooks.adopt[s] = prior.records[s];
       ++reused_shards;
     }
   }

@@ -7,13 +7,13 @@
 /// I_sigma target sets it touches: a component's coloring and baseline
 /// clustering are pure functions of its local sub-instance (member
 /// constraints, row contents in row-list order, and the positionally
-/// derived per-shard seed stream). ApplyDelta therefore carries the
+/// derived per-shard seed stream), and one shard task computes both
+/// into one ShardRecord (core/shard.h). ApplyDelta therefore carries the
 /// snapshot's conflict graph over to the post-delta relation (matching
 /// only the inserted rows afresh), compares each shard of the new plan
-/// with the prior plan's shard
-/// at the same index row by row, and re-runs the pipeline adopting the
-/// prior per-shard coloring and baseline records for every *clean*
-/// component — producing output, counters, and audit byte-identical to a
+/// with the prior plan's shard at the same index row by row, and re-runs
+/// the pipeline adopting the prior record for every *clean* component —
+/// producing output, counters, and audit byte-identical to a
 /// cold run on the post-delta relation at every thread width, in time
 /// proportional to the dirty fraction plus the cheap full-relation
 /// passes (suppress, integrate with batched counting, audit).
@@ -40,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "common/counters.h"
 #include "common/result.h"
 #include "constraint/diversity_constraint.h"
 #include "core/constraint_graph.h"
@@ -66,27 +65,11 @@ struct DeltaBatch {
   size_t RowsDeleted() const;
 };
 
-/// One shard's baseline-phase reuse record: the clusters built over the
-/// shard's uncovered rows in *local* coordinates (positions into the
-/// uncovered-row list, which is itself a pure function of the shard's
-/// contents and its adopted coloring), plus the buffered deterministic
-/// counter ops. Immutable once built and shared by pointer, like
-/// ShardColoringRecord. A shard whose uncovered rows were pooled (fewer
-/// than k of them) has no record: the pool is always recomputed.
-struct ShardBaselineRecord {
-  Clustering clusters;
-  /// Per cluster, its StarMask (anon/suppress.h); empty when the QI
-  /// projection is wider than kStarMaskColumns or the run generalizes.
-  std::vector<uint8_t> star_masks;
-  counters::Buffer telemetry;
-};
-
 /// Everything an incremental run needs to reuse a prior run: the input
 /// relation (pre-anonymization), its conflict graph and shard plan, and
-/// the per-shard coloring/baseline records. Snapshots chain:
-/// ApplyDelta emits a fresh snapshot for the post-delta relation that
-/// shares each clean shard's records with the prior snapshot (the same
-/// objects, not copies).
+/// the per-shard records. Snapshots chain: ApplyDelta emits a fresh
+/// snapshot for the post-delta relation that shares each clean shard's
+/// record with the prior snapshot (the same object, not a copy).
 struct PipelineSnapshot {
   bool valid = false;
 
@@ -102,12 +85,10 @@ struct PipelineSnapshot {
   /// Fingerprint of every DivaOptions knob that steers the search.
   uint64_t options_fingerprint = 0;
 
-  /// One entry per shard, never null in a valid snapshot.
-  std::vector<std::shared_ptr<const ShardColoringRecord>> coloring;
-  /// One entry per shard of an effective plan; null for a shard whose
-  /// uncovered rows were pooled. Empty when the plan has fewer than 2
-  /// shards.
-  std::vector<std::shared_ptr<const ShardBaselineRecord>> baseline;
+  /// One entry per shard, never null in a valid snapshot. The pooled
+  /// baseline call (residual rows plus every shard left with fewer than
+  /// k uncovered rows) mixes shards, so it is never recorded.
+  std::vector<std::shared_ptr<const ShardRecord>> records;
 };
 
 /// Caller-supplied precomputations and reuse directives for one pipeline
@@ -125,10 +106,9 @@ struct PipelineHooks {
   /// Per-shard adoption (empty, or one entry per shard, null = run
   /// live). Records must come from an identical local sub-instance; an
   /// adopted record passes into the capture as the same object.
-  std::vector<std::shared_ptr<const ShardColoringRecord>> adopt_coloring;
-  std::vector<std::shared_ptr<const ShardBaselineRecord>> adopt_baseline;
+  std::vector<std::shared_ptr<const ShardRecord>> adopt;
 
-  /// When non-null, the pipeline fills the per-shard reuse records and
+  /// When non-null, the pipeline fills the per-shard records and
   /// the `valid` eligibility flag; the caller finishes the snapshot with
   /// FinalizeSnapshot.
   PipelineSnapshot* capture = nullptr;

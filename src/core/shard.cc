@@ -107,10 +107,10 @@ namespace {
 /// Everything one shard produces: its record (the outcome in local
 /// coordinates plus the deterministic counter ops buffered while it
 /// ran, replayed by the driver in shard-index order) and the record's
-/// clusters in global row ids.
+/// chosen clusters in global row ids.
 struct ShardRun {
   Status status = Status::OK();
-  std::shared_ptr<const ShardColoringRecord> record;
+  std::shared_ptr<const ShardRecord> record;
   Clustering clusters;
 };
 
@@ -128,17 +128,21 @@ Clustering GlobalClusters(const Clustering& local, const Shard& shard) {
   return global;
 }
 
-/// Colors shard `shard_index`: gathers its rows from the input, remaps
-/// the component's constraints/graph to local ids, and runs the search
-/// with the shard's seed stream. The record keeps the outcome in local
-/// coordinates — positions into the row list, valid against any future
-/// shard with identical contents; the run's clusters are in global ids.
+/// Runs shard `shard_index`: gathers its rows from the input, remaps
+/// the component's constraints/graph to local ids, runs the search with
+/// the shard's seed stream, then, with two or more shards, clusters the
+/// rows its chosen clusters left uncovered with `baseline`. No other
+/// shard's cluster reaches a row of this one, so those are exactly the
+/// rows of the shard the whole coloring leaves uncovered. The record
+/// keeps both in local coordinates — positions into the row list, valid
+/// against any future shard with identical contents; the run's clusters
+/// are in global ids.
 void RunOneShard(const ColumnStore& store, const ConstraintSet& constraints,
                  const ConstraintGraph& graph, const ShardPlan& plan,
                  size_t shard_index, const ColoringOptions& base_options,
-                 ShardRun* run) {
+                 const ShardBaseline& baseline, ShardRun* run) {
   const Shard& shard = plan.shards[shard_index];
-  auto record = std::make_shared<ShardColoringRecord>();
+  auto record = std::make_shared<ShardRecord>();
   {
     // Buffered counters: updates made on this thread land in the shard's
     // buffer; inner pool workers write straight to the registry, which is
@@ -195,9 +199,34 @@ void RunOneShard(const ColumnStore& store, const ConstraintSet& constraints,
 
     record->outcome =
         ColorConstraints(sub, local_constraints, local_graph, local_options);
-    if (sub.schema().qi_indices().size() <= kStarMaskColumns) {
+
+    if (baseline != nullptr && plan.Effective()) {
+      std::vector<uint8_t> covered(shard.rows.size(), 0);
       for (const Cluster& cluster : record->outcome.chosen_clusters) {
-        record->outcome.star_masks.push_back(StarMask(sub, cluster));
+        for (RowId row : cluster) covered[row] = 1;
+      }
+      std::vector<RowId> uncovered;
+      for (size_t pos = 0; pos < covered.size(); ++pos) {
+        if (covered[pos] == 0) uncovered.push_back(static_cast<RowId>(pos));
+      }
+      if (uncovered.size() >= base_options.k) {
+        Result<Clustering> clusters = baseline(sub, uncovered);
+        if (clusters.ok()) {
+          record->baseline = std::move(clusters).value();
+        } else if (clusters.status().code() == StatusCode::kDeadlineExceeded) {
+          record->baseline_cut = true;
+        } else {
+          run->status = clusters.status();
+          return;
+        }
+      }
+    }
+    if (sub.schema().qi_indices().size() <= kStarMaskColumns) {
+      for (const Clustering* clusters :
+           {&record->outcome.chosen_clusters, &record->baseline}) {
+        for (const Cluster& cluster : *clusters) {
+          record->star_masks.push_back(StarMask(sub, cluster));
+        }
       }
     }
   }
@@ -211,8 +240,9 @@ Result<ColoringOutcome> RunShardedColoring(
     const ColumnStore& store, const ConstraintSet& constraints,
     const ConstraintGraph& graph, const ShardPlan& plan,
     const ColoringOptions& base_options, size_t workers,
-    const std::vector<std::shared_ptr<const ShardColoringRecord>>* adopt,
-    std::vector<std::shared_ptr<const ShardColoringRecord>>* capture) {
+    const std::vector<std::shared_ptr<const ShardRecord>>* adopt,
+    std::vector<std::shared_ptr<const ShardRecord>>* capture,
+    const ShardBaseline& baseline) {
   const size_t num_shards = plan.shards.size();
   std::vector<ShardRun> runs(num_shards);
   if (capture != nullptr) capture->clear();
@@ -246,7 +276,8 @@ Result<ColoringOutcome> RunShardedColoring(
   for (size_t s = 0; s < num_shards; ++s) {
     if (runs[s].record != nullptr) continue;
     tickets.push_back(group.Submit([&, s] {
-      RunOneShard(store, constraints, graph, plan, s, base_options, &runs[s]);
+      RunOneShard(store, constraints, graph, plan, s, base_options, baseline,
+                  &runs[s]);
     }));
   }
   for (uint64_t ticket : tickets) group.Wait(ticket);
@@ -289,9 +320,6 @@ Result<ColoringOutcome> RunShardedColoring(
     }
     std::move(run.clusters.begin(), run.clusters.end(),
               std::back_inserter(merged.chosen_clusters));
-    merged.star_masks.insert(merged.star_masks.end(),
-                             outcome.star_masks.begin(),
-                             outcome.star_masks.end());
   }
   if (capture != nullptr) {
     capture->reserve(num_shards);

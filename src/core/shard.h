@@ -25,11 +25,14 @@
 /// (none at width 1: every item runs inline, in shard order), so
 /// CSV/report/audit bytes are identical with sharding on or off and at
 /// every thread width (tests/shard_test.cc asserts this on the fuzz
-/// corpus). With fewer than two shards, the baseline phase pools every
-/// uncovered row into one call.
+/// corpus). With two or more shards, each shard's task also clusters the
+/// rows its own coloring left uncovered with the baseline; with fewer,
+/// the baseline phase pools every uncovered row into one call.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/counters.h"
@@ -78,9 +81,9 @@ struct ShardPlan {
   /// Largest shard row count (0 when there are no shards).
   size_t MaxShardRows() const;
 
-  /// Whether the baseline phase clusters each shard's uncovered rows on
-  /// their own (>= 2 shards) or pools every remaining row into one call.
-  /// The coloring runs through the plan either way.
+  /// Whether each shard's task clusters its uncovered rows on their own
+  /// (>= 2 shards) or the baseline phase pools every remaining row into
+  /// one call. The coloring runs through the plan either way.
   bool Effective() const { return shards.size() >= 2; }
 };
 
@@ -90,52 +93,77 @@ struct ShardPlan {
 /// execution modes.
 ShardPlan ComputeShardPlan(const ConstraintGraph& graph, size_t num_rows);
 
-/// A reusable record of one shard's coloring: the outcome in *local*
-/// coordinates (cluster rows are positions into the shard's ascending
-/// row list) plus the deterministic counter updates buffered while the
-/// shard ran. An incremental run adopts the record for a clean shard by
-/// remapping the local clusters through the new shard's row list and
-/// replaying the counter buffer in shard-index order — every search
-/// decision and every deterministic counter op is a pure function of the
-/// shard's local sub-instance, so adoption is byte-identical to
-/// re-running the search. Records are immutable once built and shared
-/// by pointer: a clean shard's record passes from one snapshot to the
-/// next without a copy.
-struct ShardColoringRecord {
+/// A reusable record of one shard's work: its coloring outcome and the
+/// baseline's clusters over the rows that coloring left uncovered, both
+/// in *local* coordinates (cluster rows are positions into the shard's
+/// ascending row list), plus the deterministic counter updates buffered
+/// while the shard ran. An incremental run adopts the record for a clean
+/// shard by remapping the local clusters through the new shard's row
+/// list and replaying the counter buffer in shard-index order — every
+/// search decision, every baseline decision and every deterministic
+/// counter op is a pure function of the shard's local sub-instance, so
+/// adoption is byte-identical to re-running the shard. Records are
+/// immutable once built and shared by pointer: a clean shard's record
+/// passes from one snapshot to the next without a copy.
+struct ShardRecord {
   ColoringOutcome outcome;
+  /// The baseline's clusters over the shard's uncovered rows. Empty when
+  /// the call was skipped: no baseline, fewer than two shards, or fewer
+  /// than k uncovered rows (those rows are left for the caller's pool).
+  Clustering baseline;
+  /// Per cluster, its StarMask (anon/suppress.h): outcome.chosen_clusters'
+  /// masks, then baseline's. Empty when the QI projection is wider than
+  /// kStarMaskColumns.
+  std::vector<uint8_t> star_masks;
   counters::Buffer telemetry;
+  /// True when the deadline cut the baseline call: `baseline` is empty
+  /// although the shard had k or more uncovered rows.
+  bool baseline_cut = false;
 };
 
-/// Runs the coloring search per shard and merges the outcomes in
-/// component-index order. `store` must view the full relation; each
-/// shard colors a gathered sub-relation of its rows against its
-/// remapped sub-graph. `base_options` carries the
-/// run's tuned coloring knobs; with two or more shards, per-shard seeds
-/// are derived from them (ShardSeed), and a lone shard keeps them.
+/// The baseline call a shard makes on the rows its own clusters left
+/// uncovered: clusters `rows` (ascending, distinct positions into
+/// `relation`, at least k of them) into groups of at least k rows, in
+/// the same positions. Called concurrently from the shard tasks. A
+/// DeadlineExceeded Status sets the record's baseline_cut; any other
+/// error fails the shard.
+using ShardBaseline = std::function<Result<Clustering>(
+    const Relation& relation, std::span<const RowId> rows)>;
+
+/// Runs each shard's coloring search, and with two or more shards its
+/// baseline, and merges the outcomes in component-index order. `store`
+/// must view the full relation; each shard colors a gathered
+/// sub-relation of its rows against its remapped sub-graph, then hands
+/// the sub-relation rows its chosen clusters left uncovered to
+/// `baseline` (when set). `base_options` carries the run's tuned
+/// coloring knobs and k; with two or more shards, per-shard seeds are
+/// derived from them (ShardSeed), and a lone shard keeps them.
 /// Shards run as TaskGroup items on min(`workers`, shards) workers (none
 /// when `workers` <= 1); per-shard counter buffers commit in shard order
-/// and spans stay on the thread that ran the shard. Fails only via the
-/// shard.run / shard.merge failpoints — a faulted shard discards every
-/// shard's buffered counters and surfaces a clean Status, never a
-/// partially merged coloring.
+/// and spans stay on the thread that ran the shard. Fails via the
+/// shard.run / shard.merge failpoints or a failed baseline call: the
+/// first error in shard order surfaces as a clean Status, no shard's
+/// buffered counters are replayed, and no partially merged coloring is
+/// returned.
 ///
 /// `adopt` (optional, per-shard, null entries allowed) replaces a
-/// shard's live search with a prior ShardColoringRecord: the recorded
-/// local outcome is remapped through the shard's current rows (adopted
-/// shards in parallel) and its telemetry replayed at the shard's merge
-/// slot. Callers must only adopt records captured from an identical
-/// local sub-instance (same member constraints, same row contents, same
-/// options/seed stream). `capture` (optional) receives one record per
-/// shard: a live shard's new record, or the adopted record itself (the
-/// same object), so snapshots chain across deltas without copies.
+/// shard's live run with a prior ShardRecord: the recorded local
+/// outcome is remapped through the shard's current rows (adopted shards
+/// in parallel) and its telemetry replayed at the shard's merge slot.
+/// Callers must only adopt records captured from an identical local
+/// sub-instance (same member constraints, same row contents, same
+/// options/seed stream and baseline). `capture` (optional) receives one
+/// record per shard: a live shard's new record, or the adopted record
+/// itself (the same object), so snapshots chain across deltas without
+/// copies. The returned outcome holds the coloring alone; the baseline
+/// clusters are read off the captured records.
 [[nodiscard]] Result<ColoringOutcome> RunShardedColoring(
     const ColumnStore& store, const ConstraintSet& constraints,
     const ConstraintGraph& graph, const ShardPlan& plan,
     const ColoringOptions& base_options, size_t workers,
-    const std::vector<std::shared_ptr<const ShardColoringRecord>>* adopt =
-        nullptr,
-    std::vector<std::shared_ptr<const ShardColoringRecord>>* capture =
-        nullptr);
+    const std::vector<std::shared_ptr<const ShardRecord>>* adopt = nullptr,
+    std::vector<std::shared_ptr<const ShardRecord>>* capture = nullptr,
+    const ShardBaseline& baseline = nullptr);
 
 /// The per-shard seed stream: a splitmix64 mix of the run seed and the
 /// shard index, so shards draw from decorrelated deterministic streams.

@@ -18,11 +18,23 @@ using testing::MedicalRelation;
 using testing::MedicalSchema;
 using testing::MustParse;
 
+/// The bounded enumeration over unsorted `free_targets`.
+std::vector<CandidateClustering> EnumerateBounded(
+    const Relation& r, const std::vector<RowId>& free_targets, size_t k,
+    size_t min_preserve, size_t max_preserve,
+    const ClusteringEnumOptions& options) {
+  return EnumerateClusteringsQiSorted(r, SortByQiSimilarity(r, free_targets),
+                                      k, min_preserve, max_preserve, options);
+}
+
+/// Clusterings(c, R): every target row is free, and the bounds are the
+/// constraint's own (at least one occurrence preserved).
 std::vector<CandidateClustering> Enumerate(const Relation& r,
                                            const DiversityConstraint& c,
                                            size_t k,
                                            ClusteringEnumOptions options = {}) {
-  return EnumerateClusterings(r, c, testing::NaiveTargets(r, c), k, options);
+  return EnumerateBounded(r, testing::NaiveTargets(r, c), k,
+                          std::max<size_t>(1, c.lower()), c.upper(), options);
 }
 
 /// Canonical form of a clustering for set comparisons.
@@ -181,15 +193,6 @@ TEST(ClusteringsTest, ClustersWithinCandidateAreDisjoint) {
   }
 }
 
-TEST(ClusteringsTest, LowerBoundZeroYieldsEmptyCandidate) {
-  Relation r = MedicalRelation();
-  auto c = MustParse(*MedicalSchema(), "ETH[Asian] in [0,2]");
-  auto candidates = Enumerate(r, c, 2);
-  ASSERT_FALSE(candidates.empty());
-  EXPECT_TRUE(candidates.front().clusters.empty());
-  EXPECT_EQ(candidates.front().preserved, 0u);
-}
-
 TEST(ClusteringsTest, InfeasibleLowerBoundYieldsNothing) {
   Relation r = MedicalRelation();
   // Only 3 Asians exist; demanding >= 5 is impossible.
@@ -266,8 +269,7 @@ TEST(ClusteringsBoundsTest, RespectsMinAndMaxPreserve) {
   // Free targets: the four Vancouver rows.
   std::vector<RowId> free_targets = {5, 6, 7, 9};
   ClusteringEnumOptions options;
-  auto candidates =
-      EnumerateClusteringsWithBounds(r, free_targets, 2, 3, 4, options);
+  auto candidates = EnumerateBounded(r, free_targets, 2, 3, 4, options);
   ASSERT_FALSE(candidates.empty());
   for (const auto& candidate : candidates) {
     EXPECT_GE(candidate.preserved, 3u);
@@ -283,15 +285,11 @@ TEST(ClusteringsBoundsTest, EmptyWhenUnmeetable) {
   std::vector<RowId> free_targets = {5, 6};
   ClusteringEnumOptions options;
   // Need at least 3 preserved but only 2 free rows.
-  EXPECT_TRUE(
-      EnumerateClusteringsWithBounds(r, free_targets, 2, 3, 5, options)
-          .empty());
+  EXPECT_TRUE(EnumerateBounded(r, free_targets, 2, 3, 5, options).empty());
   // Cluster must have >= k = 3 rows but max_preserve is 2.
-  EXPECT_TRUE(
-      EnumerateClusteringsWithBounds(r, free_targets, 3, 1, 2, options)
-          .empty());
+  EXPECT_TRUE(EnumerateBounded(r, free_targets, 3, 1, 2, options).empty());
   // No free rows at all.
-  EXPECT_TRUE(EnumerateClusteringsWithBounds(r, {}, 2, 1, 5, options).empty());
+  EXPECT_TRUE(EnumerateBounded(r, {}, 2, 1, 5, options).empty());
 }
 
 TEST(ClusteringsBoundsTest, RunAlignedBlocksKeepIdenticalTuplesTogether) {
@@ -308,8 +306,7 @@ TEST(ClusteringsBoundsTest, RunAlignedBlocksKeepIdenticalTuplesTogether) {
   std::vector<RowId> all(15);
   for (RowId i = 0; i < 15; ++i) all[i] = i;
   ClusteringEnumOptions options;
-  auto candidates =
-      EnumerateClusteringsWithBounds(*relation, all, 3, 15, 15, options);
+  auto candidates = EnumerateBounded(*relation, all, 3, 15, 15, options);
   ASSERT_FALSE(candidates.empty());
 
   // The first (run-aligned block) candidate: every cluster is uniform.
@@ -341,8 +338,7 @@ TEST(ClusteringsBoundsTest, SmallRunsBufferTogetherAwayFromBigRuns) {
   std::vector<RowId> all(16);
   for (RowId i = 0; i < 16; ++i) all[i] = i;
   ClusteringEnumOptions options;
-  auto candidates =
-      EnumerateClusteringsWithBounds(*relation, all, 4, 16, 16, options);
+  auto candidates = EnumerateBounded(*relation, all, 4, 16, 16, options);
   ASSERT_FALSE(candidates.empty());
   // Find the run-aligned candidate: one block must be exactly the 8 Asian
   // rows (pure), so their contribution survives.
@@ -385,7 +381,7 @@ TEST(ClusteringsBoundsTest, OneBlockVariantsAndPreservedLadderAreFixed) {
   // subset. Each one with more than one block is followed by its
   // one-block variant over the same rows.
   std::vector<RowId> six(all.begin(), all.begin() + 6);
-  auto full = EnumerateClusteringsWithBounds(*relation, six, 2, 6, 6, options);
+  auto full = EnumerateBounded(*relation, six, 2, 6, 6, options);
   size_t multi_block = 0;
   for (size_t i = 0; i < full.size(); ++i) {
     if (full[i].clusters.size() <= 1) continue;
@@ -402,7 +398,7 @@ TEST(ClusteringsBoundsTest, OneBlockVariantsAndPreservedLadderAreFixed) {
   // +2k, then the largest admissible m when that is larger.
   auto ladder = [&](size_t k, size_t min_preserve, size_t max_preserve) {
     std::vector<size_t> tried;
-    for (const CandidateClustering& candidate : EnumerateClusteringsWithBounds(
+    for (const CandidateClustering& candidate : EnumerateBounded(
              *relation, all, k, min_preserve, max_preserve, options)) {
       if (tried.empty() || tried.back() != candidate.preserved) {
         tried.push_back(candidate.preserved);

@@ -193,9 +193,10 @@ FanOutInstance MakeFanOutInstance() {
   return {std::move(relation).value(), RegionConstraints(*schema, 5)};
 }
 
-// The per-shard baseline calls run concurrently and merge in shard
-// order: bytes and deterministic counters are the same at widths 1, 2
-// and 8 for both per-shard baselines.
+// Each shard task runs its shard's baseline call, the tasks run
+// concurrently and merge in shard order: bytes and deterministic
+// counters are the same at widths 1, 2 and 8 for both per-shard
+// baselines.
 TEST(BaselineFanOutTest, MergeIsIdenticalAtEveryWidth) {
   FanOutInstance instance = MakeFanOutInstance();
   for (BaselineAlgorithm baseline :
@@ -274,9 +275,9 @@ TEST(BaselineFanOutTest, EveryFailingShardCallSurfacesAtEveryWidth) {
 }
 
 // A token tripped before the baseline fails every shard's call before
-// it gathers a row, so the first live shard in shard order is the one
-// that degrades the run: bytes and deterministic counters are the same
-// at every width.
+// it clusters a row, so every shard records a cut baseline and the run
+// degrades: bytes and deterministic counters are the same at every
+// width.
 TEST(BaselineFanOutTest, PreTrippedTokenDegradesIdenticallyAtEveryWidth) {
   FanOutInstance instance = MakeFanOutInstance();
   std::vector<RunFingerprint> prints;
@@ -293,6 +294,98 @@ TEST(BaselineFanOutTest, PreTrippedTokenDegradesIdenticallyAtEveryWidth) {
   }
   EXPECT_EQ(prints[1], prints[0]);
   EXPECT_EQ(prints[2], prints[0]);
+  SetParallelThreads(1);
+}
+
+/// Four regions, k = 3: r0 holds 30 rows under "in [3,30]", so its
+/// shard keeps k or more uncovered rows; r1, r2 and r3 hold 4, 4 and 5
+/// rows under "in [3,3]", so their clusters of exactly 3 rows leave 1, 1
+/// and 2 rows uncovered, which pool into one call after the shards.
+FanOutInstance MakeOneBaselineShardInstance() {
+  Rng rng(29);
+  auto schema = ChurnSchema();
+  std::vector<std::vector<std::string>> rows;
+  for (const auto& [region, count] :
+       {std::pair<std::string, size_t>{"r0", 30}, {"r1", 4}, {"r2", 4},
+        {"r3", 5}}) {
+    for (size_t i = 0; i < count; ++i) {
+      std::vector<std::string> row = MakeChurnRow(rng, 4);
+      row[0] = region;
+      rows.push_back(std::move(row));
+    }
+  }
+  auto relation = RelationFromRows(schema, rows);
+  DIVA_CHECK(relation.ok());
+  auto constraints = ParseConstraintSet(*schema,
+                                        "REGION[r0] in [3,30]\n"
+                                        "REGION[r1] in [3,3]\n"
+                                        "REGION[r2] in [3,3]\n"
+                                        "REGION[r3] in [3,3]\n");
+  DIVA_CHECK(constraints.ok());
+  return {std::move(relation).value(), std::move(constraints).value()};
+}
+
+// A shard left with fewer than k uncovered rows records no baseline
+// clusters: its rows join the pool. The shard with k or more records
+// its own.
+TEST(BaselineFanOutTest, ShardWithFewerThanKUncoveredRowsRecordsNone) {
+  FanOutInstance instance = MakeOneBaselineShardInstance();
+  for (size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    DivaOptions options = ChurnOptions(3, threads);
+    options.baseline = BaselineAlgorithm::kKMember;
+    auto result = RunDiva(instance.relation, instance.constraints, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_NE(result->snapshot, nullptr);
+    const PipelineSnapshot& snapshot = *result->snapshot;
+    ASSERT_EQ(snapshot.records.size(), 4u);
+    for (size_t s = 0; s < 4; ++s) {
+      SCOPED_TRACE("shard " + std::to_string(s));
+      const ShardRecord& record = *snapshot.records[s];
+      const size_t uncovered = snapshot.plan.shards[s].rows.size() -
+                               TotalRows(record.outcome.chosen_clusters);
+      if (s == 0) {
+        EXPECT_GE(uncovered, 3u);
+        EXPECT_EQ(TotalRows(record.baseline), uncovered);
+      } else {
+        EXPECT_GT(uncovered, 0u);
+        EXPECT_LT(uncovered, 3u);
+        EXPECT_TRUE(record.baseline.empty());
+      }
+      EXPECT_FALSE(record.baseline_cut);
+    }
+  }
+  SetParallelThreads(1);
+}
+
+// The merge surfaces the first error in shard order, whichever shard
+// failed first in time: shard 0's baseline call fails (only shard 0
+// makes one inside the shard tasks) and a later shard faults at
+// shard.run, and shard 0's error is the run's Status at every width.
+// When a wide run happens to start shard 0 second, shard 0 itself takes
+// the shard.run fault and makes no baseline call.
+TEST(BaselineFanOutTest, EarlierShardsBaselineErrorSurfacesFirst) {
+  FanOutInstance instance = MakeOneBaselineShardInstance();
+  for (size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    DivaOptions options = ChurnOptions(3, threads);
+    options.baseline = BaselineAlgorithm::kKMember;
+    failpoint::Reset();
+    failpoint::Arm("kmember.build", StatusCode::kIoError, 1);
+    failpoint::Arm("shard.run", StatusCode::kIoError, 2);
+    auto failed = RunDiva(instance.relation, instance.constraints, options);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+    const uint64_t baseline_calls = failpoint::HitCount("kmember.build");
+    if (threads == 1u) {
+      EXPECT_EQ(baseline_calls, 1u);
+    }
+    const std::string fired =
+        baseline_calls > 0 ? "'kmember.build'" : "'shard.run'";
+    EXPECT_NE(failed.status().message().find(fired), std::string::npos)
+        << failed.status().ToString();
+  }
+  failpoint::Reset();
   SetParallelThreads(1);
 }
 
@@ -478,11 +571,12 @@ DeltaBatch DeleteFirstRowOf(const Relation& input, const std::string& region) {
   return delta;
 }
 
-// A clean shard's records pass to the next snapshot by pointer: after
-// each chained ApplyDelta, every reused shard's coloring and baseline
-// records are the very objects of the snapshot it replayed (so a shard
-// clean through both deltas still holds the first run's records), and
-// the recolored shard holds new ones.
+// A clean shard's record, which holds both its coloring and its
+// baseline, passes to the next snapshot by pointer: after each chained
+// ApplyDelta, every reused shard's record is the very object of the
+// snapshot it replayed (so a shard clean through both deltas still
+// holds the first run's record), and the recolored shard holds a new
+// one.
 TEST(IncrementalTest, ChainedDeltasShareCleanShardRecords) {
   Rng rng(91);
   auto schema = ChurnSchema();
@@ -499,8 +593,7 @@ TEST(IncrementalTest, ChainedDeltasShareCleanShardRecords) {
     ASSERT_NE(first->snapshot, nullptr);
     std::shared_ptr<const PipelineSnapshot> prior = first->snapshot;
     const std::shared_ptr<const PipelineSnapshot> original = prior;
-    ASSERT_EQ(original->coloring.size(), 4u);
-    ASSERT_EQ(original->baseline.size(), 4u);
+    ASSERT_EQ(original->records.size(), 4u);
 
     // Shard s holds region rs's constraint: r0 goes dirty first, then r2.
     const size_t dirty_order[] = {0, 2};
@@ -514,21 +607,16 @@ TEST(IncrementalTest, ChainedDeltasShareCleanShardRecords) {
       ASSERT_NE(next->snapshot, nullptr);
       EXPECT_EQ(reuse.reused, 3u);
       const PipelineSnapshot& after = *next->snapshot;
-      ASSERT_EQ(after.coloring.size(), 4u);
-      ASSERT_EQ(after.baseline.size(), 4u);
+      ASSERT_EQ(after.records.size(), 4u);
       size_t shared_baselines = 0;
       for (size_t s = 0; s < 4; ++s) {
-        ASSERT_NE(after.coloring[s], nullptr) << "shard " << s;
+        ASSERT_NE(after.records[s], nullptr) << "shard " << s;
         if (s == dirty) {
-          EXPECT_NE(after.coloring[s], prior->coloring[s]);
-          if (prior->baseline[s] != nullptr) {
-            EXPECT_NE(after.baseline[s], prior->baseline[s]);
-          }
+          EXPECT_NE(after.records[s], prior->records[s]);
           continue;
         }
-        EXPECT_EQ(after.coloring[s], prior->coloring[s]) << "shard " << s;
-        EXPECT_EQ(after.baseline[s], prior->baseline[s]) << "shard " << s;
-        shared_baselines += after.baseline[s] != nullptr;
+        EXPECT_EQ(after.records[s], prior->records[s]) << "shard " << s;
+        shared_baselines += !after.records[s]->baseline.empty();
       }
       EXPECT_GT(shared_baselines, 0u)
           << "the workload must exercise baseline sharing";
@@ -536,8 +624,7 @@ TEST(IncrementalTest, ChainedDeltasShareCleanShardRecords) {
     }
     // Shards 1 and 3 stayed clean through both deltas.
     for (size_t s : {size_t{1}, size_t{3}}) {
-      EXPECT_EQ(prior->coloring[s], original->coloring[s]) << "shard " << s;
-      EXPECT_EQ(prior->baseline[s], original->baseline[s]) << "shard " << s;
+      EXPECT_EQ(prior->records[s], original->records[s]) << "shard " << s;
     }
   }
   SetParallelThreads(1);

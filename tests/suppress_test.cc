@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "anon/suppress.h"
 #include "relation/qi_groups.h"
 #include "tests/test_util.h"
@@ -11,28 +13,37 @@ using testing::MedicalRelation;
 
 TEST(SuppressTest, PaperExampleClusterSuppression) {
   // Example 3.1: clusters C1={t9,t10}, C2={t5,t6}, C3={t7,t8} with k=2
-  // produce the g5..g10 rows of Table 3.
+  // produce the g5..g10 rows of Table 3, in place at rows 8-9, 4-5, 6-7.
   Relation r = MedicalRelation();
   Clustering clustering = {{8, 9}, {4, 5}, {6, 7}};
-  Relation rs = Suppress(r, clustering);
+  SuppressClustersInPlace(&r, clustering);
 
-  ASSERT_EQ(rs.NumRows(), 6u);
-  // C1 = {t9, t10}: Female Asian, ages/provinces/cities differ -> g9, g10.
-  EXPECT_EQ(rs.ValueString(0, 0), "Female");
-  EXPECT_EQ(rs.ValueString(0, 1), "Asian");
-  EXPECT_EQ(rs.ValueString(0, 2), "*");
-  EXPECT_EQ(rs.ValueString(0, 3), "*");
-  EXPECT_EQ(rs.ValueString(0, 4), "*");
-  EXPECT_EQ(rs.ValueString(0, 5), "Influenza");  // sensitive kept
-  // C2 = {t5, t6}: Male African, rest suppressed -> g5, g6.
-  EXPECT_EQ(rs.ValueString(2, 0), "Male");
-  EXPECT_EQ(rs.ValueString(2, 1), "African");
-  EXPECT_EQ(rs.ValueString(2, 3), "*");
-  // C3 = {t7, t8}: differ on GEN/ETH/AGE, share BC Vancouver -> g7, g8.
-  EXPECT_EQ(rs.ValueString(4, 0), "*");
-  EXPECT_EQ(rs.ValueString(4, 1), "*");
-  EXPECT_EQ(rs.ValueString(4, 3), "BC");
-  EXPECT_EQ(rs.ValueString(4, 4), "Vancouver");
+  ASSERT_EQ(r.NumRows(), 10u);
+  for (RowId row : {8, 9}) {
+    SCOPED_TRACE("row " + std::to_string(row));
+    // C1 = {t9, t10}: Female Asian, ages/provinces/cities differ -> g9, g10.
+    EXPECT_EQ(r.ValueString(row, 0), "Female");
+    EXPECT_EQ(r.ValueString(row, 1), "Asian");
+    EXPECT_EQ(r.ValueString(row, 2), "*");
+    EXPECT_EQ(r.ValueString(row, 3), "*");
+    EXPECT_EQ(r.ValueString(row, 4), "*");
+  }
+  EXPECT_EQ(r.ValueString(8, 5), "Influenza");  // sensitive kept
+  for (RowId row : {4, 5}) {
+    SCOPED_TRACE("row " + std::to_string(row));
+    // C2 = {t5, t6}: Male African, rest suppressed -> g5, g6.
+    EXPECT_EQ(r.ValueString(row, 0), "Male");
+    EXPECT_EQ(r.ValueString(row, 1), "African");
+    EXPECT_EQ(r.ValueString(row, 3), "*");
+  }
+  for (RowId row : {6, 7}) {
+    SCOPED_TRACE("row " + std::to_string(row));
+    // C3 = {t7, t8}: differ on GEN/ETH/AGE, share BC Vancouver -> g7, g8.
+    EXPECT_EQ(r.ValueString(row, 0), "*");
+    EXPECT_EQ(r.ValueString(row, 1), "*");
+    EXPECT_EQ(r.ValueString(row, 3), "BC");
+    EXPECT_EQ(r.ValueString(row, 4), "Vancouver");
+  }
 }
 
 TEST(SuppressTest, InPlaceTouchesOnlyClusteredRows) {
